@@ -238,6 +238,7 @@ class IterationResult:
     batch_score_mean: float
     batch_score_std: float
     synth_time_ms: float
+    score_time_ms: float
 
 
 @dataclass
@@ -345,15 +346,17 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             }
             reference = snapshot.all_embeddings()
             k_det = min(cfg.k_detect, reference.shape[0])
+            t0 = time.perf_counter()
             id_scores = knn_scores(reference, id_test, k_det)
             ood_scores = knn_scores(reference, ood_test, k_det)
             report = score_report(id_scores, ood_scores)
-            quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
             if len(batch):
                 batch_scores = knn_scores(reference, batch.positions(), k_det)
                 bmean, bstd = float(batch_scores.mean()), float(batch_scores.std())
             else:
                 bmean = bstd = float("nan")
+            score_ms = (time.perf_counter() - t0) * 1000.0
+            quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
             records = [rec for chain in batch.chains for rec in chain.records]
             mh_rate = (
                 float(np.mean([rec.mh_accept for rec in records])) if records else float("nan")
@@ -369,6 +372,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
                     batch_score_mean=bmean,
                     batch_score_std=bstd,
                     synth_time_ms=synth_ms,
+                    score_time_ms=score_ms,
                 )
             )
     finally:
@@ -414,7 +418,10 @@ def _flush_artifacts(
         if trace:
             write_trace_jsonl(last.batch, out_dir / "trace.jsonl")
             files["trace"] = out_dir / "trace.jsonl"
-    timings = {"synth_time_ms": [r.synth_time_ms for r in results]}
+    timings = {
+        "synth_time_ms": [r.synth_time_ms for r in results],
+        "score_time_ms": [r.score_time_ms for r in results],
+    }
     (out_dir / "timings.json").write_text(json.dumps(timings))
     files["timings"] = out_dir / "timings.json"
     store.save(out_dir / "store.idstore")

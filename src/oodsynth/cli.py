@@ -183,21 +183,41 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_scores(path: Path, key: str) -> np.ndarray:
+    """Scores from a JSON array, a JSON object's ``key`` array, or a CSV first column.
+
+    A CSV file may start with one header line; any later row whose first
+    cell is not a number is an error, never a silently dropped score.
+    """
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read score file {path}: {err}") from err
     if path.suffix == ".json":
-        doc = json.loads(path.read_text())
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise DataError(f"{path} is not valid JSON: {err}") from err
         if isinstance(doc, dict):
+            if key not in doc:
+                raise DataError(f"{path} has no {key!r} key")
             doc = doc[key]
-        return np.asarray(doc, dtype=float)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            scores = np.asarray(doc, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"{path}: {key} is not a numeric array") from err
+        if scores.ndim != 1:
+            raise DataError(f"{path}: {key} is not a flat array of scores")
+        return scores
     values = []
-    for row in rows:
+    for line_no, row in enumerate(csv.reader(text.splitlines()), start=1):
         if not row:
             continue
         try:
             values.append(float(row[0]))
         except ValueError:
-            continue  # header line
+            if line_no == 1:
+                continue  # header line
+            raise DataError(f"{path} line {line_no}: {row[0]!r} is not a number") from None
     return np.asarray(values)
 
 

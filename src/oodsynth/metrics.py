@@ -21,35 +21,62 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import InsufficientDataError, TooFewSamplesError
+from .errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 
 MIN_CALIBRATION_SCORES = 20
+# elements per kNN block temporary (512 KB of float64): query rows per block
+# = this // N. 2**17 was as fast but raised a stock run's peak RSS by 1-2 MB.
+KNN_BLOCK_ELEMENTS = 2**16
 
 
 def knn_score(reference: np.ndarray, z: np.ndarray, k: int) -> float:
     """Negative Euclidean distance to the k-th nearest reference embedding."""
-    reference = np.asarray(reference, dtype=float)
-    if reference.shape[0] < k:
-        raise InsufficientDataError(
-            f"reference holds {reference.shape[0]} embeddings, fewer than k={k}"
-        )
-    dists = np.linalg.norm(reference - np.asarray(z, dtype=float), axis=1)
-    kth = np.partition(dists, k - 1)[k - 1]
-    return float(-kth)
+    return float(knn_scores(reference, z, k)[0])
 
 
 def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized knn_score over the rows of ``zs``."""
+    """Negative k-th-neighbor distance of every row of ``zs``, computed exactly.
+
+    Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows.
+    Each block ranks the reference through one GEMM and the expansion
+    ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2, leaving out ||q||^2, which
+    shifts a whole row and so cannot change its order. The k-th entry of
+    each row is selected and that neighbor's distance recomputed directly,
+    so the result has the same bits as the k-th smallest of
+    ``norm(reference - q, axis=1)``. The expansion can misorder values
+    that lie within its rounding error of each other, so a row with
+    another value inside a window around its k-th takes the k-th distance
+    from the exact norms of every candidate in that window instead.
+    """
     reference = np.asarray(reference, dtype=float)
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    if reference.shape[0] < k:
-        raise InsufficientDataError(
-            f"reference holds {reference.shape[0]} embeddings, fewer than k={k}"
-        )
+    n = reference.shape[0]
+    if k < 1:
+        raise BadArgError(f"k must be >= 1, got {k}")
+    if n < k:
+        raise InsufficientDataError(f"reference holds {n} embeddings, fewer than k={k}")
+    ref_sq = np.einsum("ij,ij->i", reference, reference)
+    ref_sq_max = float(ref_sq.max())
+    block = max(1, KNN_BLOCK_ELEMENTS // n)
     out = np.empty(zs.shape[0])
-    for i, z in enumerate(zs):
-        dists = np.linalg.norm(reference - z, axis=1)
-        out[i] = -np.partition(dists, k - 1)[k - 1]
+    for start in range(0, zs.shape[0], block):
+        q = zs[start : start + block]
+        d2 = (-2.0 * q) @ reference.T
+        d2 += ref_sq
+        idx = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
+        dist = np.linalg.norm(reference[idx] - q, axis=1)
+        kth = d2[np.arange(q.shape[0]), idx]
+        # the expansion's rounding error is ~1e-15 of this scale
+        window = 1e-9 * (ref_sq_max + np.einsum("ij,ij->i", q, q) + 1.0)
+        lo = (kth - window)[:, None]
+        hi = (kth + window)[:, None]
+        below = np.count_nonzero(d2 < lo, axis=1)
+        for i in np.flatnonzero(np.count_nonzero(d2 <= hi, axis=1) - below > 1):
+            near = (d2[i] >= lo[i]) & (d2[i] <= hi[i])
+            exact = np.linalg.norm(reference[near] - q[i], axis=1)
+            j = k - 1 - below[i]
+            dist[i] = np.partition(exact, j)[j]
+        out[start : start + q.shape[0]] = -dist
     return out
 
 
@@ -90,19 +117,18 @@ def aupr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     ood_scores = np.asarray(ood_scores, dtype=float)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise TooFewSamplesError("need at least one score on each side")
-    thresholds = np.unique(np.concatenate([id_scores, ood_scores]))[::-1]
-    n_id = id_scores.size
-    recalls = [0.0]
-    precisions = [1.0]
-    for t in thresholds:
-        tp = int(np.sum(id_scores >= t))
-        fp = int(np.sum(ood_scores >= t))
-        recalls.append(tp / n_id)
-        precisions.append(tp / (tp + fp) if tp + fp else 1.0)
-    area = 0.0
-    for i in range(1, len(recalls)):
-        area += (recalls[i] - recalls[i - 1]) * (precisions[i] + precisions[i - 1]) / 2.0
-    return float(area)
+    scores = np.concatenate([id_scores, ood_scores])
+    order = np.argsort(scores)[::-1]
+    ranked = scores[order]
+    # the last position of each distinct score is its threshold's cut
+    cut = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    tp = np.cumsum(order < id_scores.size)[cut]
+    fp = cut + 1 - tp
+    recalls = np.concatenate([[0.0], tp / id_scores.size])
+    precisions = np.concatenate([[1.0], tp / (tp + fp)])
+    terms = (recalls[1:] - recalls[:-1]) * (precisions[1:] + precisions[:-1]) / 2.0
+    # cumsum adds left to right like the scalar loop; np.sum would pair terms up
+    return float(np.cumsum(terms)[-1])
 
 
 @dataclass
@@ -188,6 +214,9 @@ def score_report(id_scores: np.ndarray, ood_scores: np.ndarray) -> ScoreReport:
     """Bundle the three detection metrics plus the calibrated threshold."""
     id_scores = np.asarray(id_scores, dtype=float)
     ood_scores = np.asarray(ood_scores, dtype=float)
+    for side, scores in (("ID", id_scores), ("OOD", ood_scores)):
+        if not np.all(np.isfinite(scores)):
+            raise DataError(f"{side} scores contain NaN or infinite values")
     return ScoreReport(
         id_scores=id_scores,
         ood_scores=ood_scores,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .energy import EnergyContext, hard_margin_threshold
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
-from .metrics import knn_score
+from .metrics import knn_scores
 from .samplers import ChainState, HmcConfig, TransitionRecord, transition
 from .sphere import normalize
 from .store import ClusterPair, IdStore
@@ -169,13 +169,11 @@ def round_wise_scores(batch: OutlierBatch, store: IdStore, k_detect: int) -> lis
     """kNN detection-score distribution of the batch, grouped by synthesis round."""
     if not batch.samples:
         raise BadArgError("cannot compute round-wise scores of an empty batch")
-    reference = store.all_embeddings()
-    by_round: dict[int, list[float]] = {}
-    for s in batch.samples:
-        by_round.setdefault(s.round_index, []).append(knn_score(reference, s.position, k_detect))
+    all_scores = knn_scores(store.all_embeddings(), batch.positions(), k_detect)
+    rounds = np.array([s.round_index for s in batch.samples])
     out = []
-    for r in sorted(by_round):
-        scores = np.array(by_round[r])
+    for r in np.unique(rounds).tolist():
+        scores = all_scores[rounds == r]
         out.append(
             RoundScores(
                 round_index=r,

@@ -222,6 +222,15 @@ def test_default_benchmark_ten_iterations_under_a_minute():
 # -- CLI -----------------------------------------------------------------------------
 
 
+def test_timings_hold_one_synth_and_one_score_time_per_iteration(tmp_path):
+    cfg = dataclasses.replace(SMALL, iterations=3, out_dir=str(tmp_path / "run"))
+    art = run_experiment(cfg)
+    timings = json.loads(art.files["timings"].read_text())
+    for key in ("synth_time_ms", "score_time_ms"):
+        assert len(timings[key]) == cfg.iterations, key
+        assert all(ms > 0.0 for ms in timings[key]), key
+
+
 def small_cli_flags(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     SMALL.save_json(cfg_path)
@@ -303,6 +312,41 @@ def test_cli_data_error_exit_code(tmp_path):
     id_file.write_text(json.dumps([1.0, 2.0, 3.0]))  # too few for calibration
     ood_file.write_text(json.dumps([0.0] * 30))
     assert main(["score", "--id-scores", str(id_file), "--ood-scores", str(ood_file)]) == 3
+
+
+def test_cli_score_unreadable_inputs_exit_code(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps([0.5] * 30))
+    no_key = tmp_path / "no_key.json"
+    no_key.write_text(json.dumps({"ood_scores": [0.5] * 30}))
+    words = tmp_path / "words.json"
+    words.write_text(json.dumps(["high", "low"]))
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps([[0.5, 0.5], [0.5]]))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps([[0.5, 0.5]] * 30))
+    for bad in (tmp_path / "missing.json", tmp_path / "missing.csv", no_key, words, nested, matrix):
+        assert main(["score", "--id-scores", str(bad), "--ood-scores", str(good)]) == 3, bad.name
+        assert "data error" in capsys.readouterr().err
+
+
+def test_cli_score_non_finite_scores_exit_code(tmp_path):
+    id_csv = tmp_path / "id.csv"
+    ood_csv = tmp_path / "ood.csv"
+    id_csv.write_text("\n".join(["1.5"] * 30 + ["nan"]))
+    ood_csv.write_text("\n".join(["0.5"] * 30))
+    assert main(["score", "--id-scores", str(id_csv), "--ood-scores", str(ood_csv)]) == 3
+    id_csv.write_text("\n".join(["1.5"] * 30 + ["inf"]))
+    assert main(["score", "--id-scores", str(id_csv), "--ood-scores", str(ood_csv)]) == 3
+
+
+def test_cli_score_csv_rejects_unparseable_row_after_header(tmp_path, capsys):
+    id_csv = tmp_path / "id.csv"
+    ood_csv = tmp_path / "ood.csv"
+    id_csv.write_text("score\n" + "\n".join(["1.5"] * 30) + "\noops\n1.5\n")
+    ood_csv.write_text("score\n" + "\n".join(["0.5"] * 30))
+    assert main(["score", "--id-scores", str(id_csv), "--ood-scores", str(ood_csv)]) == 3
+    assert "line 32" in capsys.readouterr().err
 
 
 def test_cli_numerical_error_exit_code(monkeypatch, tmp_path):

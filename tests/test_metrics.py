@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodsynth.errors import InsufficientDataError, TooFewSamplesError
+from oodsynth.errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 from oodsynth.metrics import (
+    KNN_BLOCK_ELEMENTS,
     aupr,
     auroc,
     calibrate_threshold,
@@ -47,6 +48,33 @@ def oracle_aupr(id_scores, ood_scores):
     )
 
 
+def loop_aupr(id_scores, ood_scores):
+    """The per-threshold loop that ``aupr`` replaced, kept as its bit-exact oracle."""
+    thresholds = np.unique(np.concatenate([id_scores, ood_scores]))[::-1]
+    recalls = [0.0]
+    precisions = [1.0]
+    for t in thresholds:
+        tp = int(np.sum(id_scores >= t))
+        fp = int(np.sum(ood_scores >= t))
+        recalls.append(tp / id_scores.size)
+        precisions.append(tp / (tp + fp))
+    area = 0.0
+    for i in range(1, len(recalls)):
+        area += (recalls[i] - recalls[i - 1]) * (precisions[i] + precisions[i - 1]) / 2.0
+    return area
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def brute_knn_scores(reference, zs, k):
+    """Per-row brute force: the k-th smallest of the exact distances."""
+    return np.array(
+        [-np.partition(np.linalg.norm(reference - z, axis=1), k - 1)[k - 1] for z in zs]
+    )
+
+
 # -- knn score -----------------------------------------------------------------
 
 
@@ -77,6 +105,49 @@ def test_knn_score_matches_brute_force():
 def test_knn_score_insufficient_reference():
     with pytest.raises(InsufficientDataError):
         knn_score(np.eye(3)[:2], np.eye(3)[0], 3)
+    with pytest.raises(InsufficientDataError):
+        knn_scores(np.eye(3)[:2], np.eye(3), 3)
+    with pytest.raises(BadArgError):
+        knn_scores(np.eye(3), np.eye(3), 0)
+
+
+@pytest.mark.parametrize("k_of_n", ["one", "mid", "all"])
+def test_knn_scores_equal_brute_force_across_blocks(k_of_n):
+    rng = np.random.default_rng(8)
+    n = 3000
+    ref = unit_rows(rng.standard_normal((n, 16)))
+    block = KNN_BLOCK_ELEMENTS // n
+    k = {"one": 1, "mid": n // 2, "all": n}[k_of_n]
+    for rows in (1, block, 2 * block + 1):
+        zs = unit_rows(rng.standard_normal((rows, 16)))
+        assert np.array_equal(knn_scores(ref, zs, k), brute_knn_scores(ref, zs, k)), rows
+
+
+def test_knn_scores_duplicate_reference_rows():
+    rng = np.random.default_rng(9)
+    base = unit_rows(rng.standard_normal((200, 8)))
+    ref = np.concatenate([base, base[:120], base[:40]])
+    zs = np.concatenate([base[:30], unit_rows(rng.standard_normal((30, 8)))])
+    for k in (1, 2, 3, 4, 250, ref.shape[0]):
+        assert np.array_equal(knn_scores(ref, zs, k), brute_knn_scores(ref, zs, k)), k
+
+
+def test_knn_scores_exact_on_near_ties_the_expansion_misorders():
+    # 40 neighbors within 1e-7 of the query, their distances 0.1% apart: the
+    # expansion's cancellation error (~1e-16 on squared distances of ~1e-14)
+    # scrambles their order, so only the exact fallback gets the k-th right
+    rng = np.random.default_rng(10)
+    q = normalize(rng.standard_normal(16))
+    radii = 1e-7 * (1.0 + 1e-3 * np.arange(40))
+    offsets = unit_rows(rng.standard_normal((40, 16))) * radii[:, None]
+    far = unit_rows(rng.standard_normal((60, 16)))
+    ref = np.concatenate([q + offsets, far])
+    exact = np.linalg.norm(ref - q, axis=1)
+    by_expansion = exact[np.argsort(np.einsum("ij,ij->i", ref, ref) - 2.0 * (ref @ q))]
+    misordered = np.flatnonzero(by_expansion != np.sort(exact))
+    assert misordered.size > 10
+    for k in (1, *(misordered[:10] + 1), 40, 41, 100):
+        assert knn_scores(ref, q[None, :], k)[0] == -np.sort(exact)[k - 1], k
 
 
 # -- threshold calibration -------------------------------------------------------
@@ -193,6 +264,18 @@ def test_aupr_matches_independent_trapezoid_oracle():
         assert np.isclose(got, want, atol=1e-12)
 
 
+def test_aupr_bit_identical_to_threshold_loop():
+    rng = np.random.default_rng(11)
+    cases = [(np.array([0.3]), np.array([0.1])), (np.array([0.1]), np.array([0.1]))]
+    for _ in range(60):
+        id_scores = rng.standard_normal(rng.integers(1, 200)) + 0.5
+        ood_scores = rng.standard_normal(rng.integers(1, 200))
+        cases.append((id_scores, ood_scores))
+        cases.append((np.round(id_scores, 1), np.round(ood_scores, 1)))  # ties
+    for id_scores, ood_scores in cases:
+        assert aupr(id_scores, ood_scores) == loop_aupr(id_scores, ood_scores)
+
+
 # -- hypersphere quality -----------------------------------------------------------
 
 
@@ -237,3 +320,14 @@ def test_score_report_serialization(tmp_path):
     assert 0.0 <= report.fpr95 <= 1.0
     assert 0.0 <= report.auroc <= 1.0
     assert 0.0 <= report.aupr <= 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_score_report_rejects_non_finite_scores(bad):
+    rng = np.random.default_rng(12)
+    scores = rng.standard_normal(40)
+    scores[7] = bad
+    with pytest.raises(DataError):
+        score_report(scores, rng.standard_normal(40))
+    with pytest.raises(DataError):
+        score_report(rng.standard_normal(40), scores)
