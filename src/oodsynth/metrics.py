@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import rankdata
 
+from . import blas
 from .errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 
 MIN_CALIBRATION_SCORES = 20
@@ -47,6 +48,7 @@ def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
     that lie within its rounding error of each other, so a row with
     another value inside a window around its k-th takes the k-th distance
     from the exact norms of every candidate in that window instead.
+    The GEMMs run on one BLAS thread (see ``blas``).
     """
     reference = np.asarray(reference, dtype=float)
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -59,24 +61,25 @@ def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
     ref_sq_max = float(ref_sq.max())
     block = max(1, KNN_BLOCK_ELEMENTS // n)
     out = np.empty(zs.shape[0])
-    for start in range(0, zs.shape[0], block):
-        q = zs[start : start + block]
-        d2 = (-2.0 * q) @ reference.T
-        d2 += ref_sq
-        idx = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
-        dist = np.linalg.norm(reference[idx] - q, axis=1)
-        kth = d2[np.arange(q.shape[0]), idx]
-        # the expansion's rounding error is ~1e-15 of this scale
-        window = 1e-9 * (ref_sq_max + np.einsum("ij,ij->i", q, q) + 1.0)
-        lo = (kth - window)[:, None]
-        hi = (kth + window)[:, None]
-        below = np.count_nonzero(d2 < lo, axis=1)
-        for i in np.flatnonzero(np.count_nonzero(d2 <= hi, axis=1) - below > 1):
-            near = (d2[i] >= lo[i]) & (d2[i] <= hi[i])
-            exact = np.linalg.norm(reference[near] - q[i], axis=1)
-            j = k - 1 - below[i]
-            dist[i] = np.partition(exact, j)[j]
-        out[start : start + q.shape[0]] = -dist
+    with blas.one_thread():
+        for start in range(0, zs.shape[0], block):
+            q = zs[start : start + block]
+            d2 = (-2.0 * q) @ reference.T
+            d2 += ref_sq
+            idx = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
+            dist = np.linalg.norm(reference[idx] - q, axis=1)
+            kth = d2[np.arange(q.shape[0]), idx]
+            # the expansion's rounding error is ~1e-15 of this scale
+            window = 1e-9 * (ref_sq_max + np.einsum("ij,ij->i", q, q) + 1.0)
+            lo = (kth - window)[:, None]
+            hi = (kth + window)[:, None]
+            below = np.count_nonzero(d2 < lo, axis=1)
+            for i in np.flatnonzero(np.count_nonzero(d2 <= hi, axis=1) - below > 1):
+                near = (d2[i] >= lo[i]) & (d2[i] <= hi[i])
+                exact = np.linalg.norm(reference[near] - q[i], axis=1)
+                j = k - 1 - below[i]
+                dist[i] = np.partition(exact, j)[j]
+            out[start : start + q.shape[0]] = -dist
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oodsynth import blas
 from oodsynth.errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 from oodsynth.metrics import (
     KNN_BLOCK_ELEMENTS,
@@ -148,6 +149,31 @@ def test_knn_scores_exact_on_near_ties_the_expansion_misorders():
     assert misordered.size > 10
     for k in (1, *(misordered[:10] + 1), 40, 41, 100):
         assert knn_scores(ref, q[None, :], k)[0] == -np.sort(exact)[k - 1], k
+
+
+def test_knn_scores_runs_its_gemms_on_one_blas_thread(monkeypatch):
+    controls = blas.thread_controls()
+    if controls is None or controls[0]() < 2:
+        pytest.skip("needs OpenBLAS found in /proc/self/maps, at 2+ threads")
+    get, _ = controls
+    before = get()
+    seen = []
+    argpartition = np.argpartition
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return argpartition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argpartition", spy)
+    ref = unit_rows(np.random.default_rng(11).standard_normal((300, 8)))
+    knn_scores(ref, ref[:5], 3)
+    monkeypatch.undo()
+    assert seen and set(seen) == {1}
+    assert get() == before
+    with pytest.raises(RuntimeError), blas.one_thread():
+        assert get() == 1
+        raise RuntimeError
+    assert get() == before
 
 
 # -- threshold calibration -------------------------------------------------------
