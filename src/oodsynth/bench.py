@@ -192,8 +192,7 @@ def generate_synthetic_id(cfg: BenchConfig) -> IdStore:
     store = IdStore(cfg.num_classes, cfg.dim, cfg.points_per_class, cfg.ema_factor)
     for c in range(cfg.num_classes):
         points = sample_vmf(centers[c], cfg.cluster_kappa, cfg.points_per_class, data_rng)
-        for z in points:
-            store.insert(c, z)
+        store.insert_batch(points, np.full(len(points), c))
         store.update_prototype(c, points.mean(axis=0))
     return store
 
@@ -253,11 +252,31 @@ class RunArtifacts:
         return self.iterations[-1].report
 
 
+def _rejection_counts(batch: OutlierBatch) -> dict[str, int]:
+    """Why rounds produced no outlier, counted over the batch's transition records.
+
+    A NaN ``h_init`` marks a degenerate rejection (every retry met a
+    degenerate point); otherwise a failed MH test is an MH rejection, and a
+    passed MH test with a failed margin test is a margin rejection.
+    """
+    records = [rec for chain in batch.chains for rec in chain.records]
+    degenerate = [math.isnan(rec.h_init) for rec in records]
+    return {
+        "mh_rejections": sum(
+            not rec.mh_accept and not bad for rec, bad in zip(records, degenerate)
+        ),
+        "margin_rejections": sum(rec.mh_accept and not rec.margin_pass for rec in records),
+        "degenerate_rejections": sum(degenerate),
+        "skipped_pairs": len(batch.skipped),
+    }
+
+
 def _iteration_row(res: IterationResult) -> dict:
     row = {
         "iteration": res.iteration,
         "batch_size": len(res.batch),
         "mh_acceptance": res.mh_acceptance,
+        **_rejection_counts(res.batch),
         "batch_score_mean": res.batch_score_mean,
         "batch_score_std": res.batch_score_std,
         "fpr95": res.report.fpr95,
@@ -314,8 +333,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             iter_rng = np.random.default_rng(iter_seeds[t - 1])
             for c in range(cfg.num_classes):
                 fresh = sample_vmf(centers[c], cfg.cluster_kappa, cfg.insert_per_class, iter_rng)
-                for z in fresh:
-                    store.insert(c, z)
+                store.insert_batch(fresh, np.full(len(fresh), c))
                 store.update_prototype(c, fresh.mean(axis=0))
             snapshot = store.snapshot()
             hmc_cfg = dataclasses.replace(cfg.hmc, rng_seed=cfg.hmc.rng_seed + t - 1)

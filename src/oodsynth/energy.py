@@ -1,4 +1,4 @@
-"""OOD-ness potential over a cluster pair, its gradient, and the vMF KDE.
+"""OOD-ness potential over cluster pairs, its gradient, and the vMF KDE.
 
 The OOD-ness of a point z against a pair of ID classes is the mean of its
 two k-th-nearest-neighbor distances; the sampler's potential energy is the
@@ -21,21 +21,29 @@ near 1; the scaled mode is kept selectable for comparison. The neighbor
 indices are re-queried at every evaluation, so the potential is treated
 as piecewise smooth.
 
+An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
+against its own pair, so the M chains of a batch share every kNN query:
+one evaluation makes one ``kth_neighbors`` call per class, over the rows
+whose pair names that class. A degenerate row (a point on a k-th
+neighbor) gets a NaN potential instead of failing the whole batch.
+
 The ID probability is a kernel density estimate with the (unnormalized)
 von Mises-Fisher kernel exp(kappa * mu^T z); the normalizer is class
 independent and cancels in the final softmax, so Bessel functions are
-never needed.
+never needed. The densities of M points come from one (M x N) GEMM.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import DegenerateDensityError, EmptyBufferError, InsufficientDataError
+from . import blas
+from .errors import EmptyBufferError, InsufficientDataError
+from .metrics import kth_neighbors
 from .store import ClusterPair, IdStore
 
 
@@ -45,10 +53,11 @@ def vmf_kernel(z: np.ndarray, center: np.ndarray, kappa: float) -> float:
 
 
 def log_class_densities(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
-    """log of the per-class vMF kernel density estimates at z (length C).
+    """log of the per-class vMF kernel density estimates at z, shape z.shape[:-1] + (C,).
 
-    One matvec against the concatenated buffers, then a log-sum-exp per
-    class via shifted reduceat; stable for any positive bandwidth.
+    One GEMM against the concatenated buffers (on one BLAS thread), then a
+    log-sum-exp per class via shifted reduceat; stable for any positive
+    bandwidth.
     """
     z = np.asarray(z, dtype=float)
     offsets = store.class_offsets()
@@ -56,24 +65,35 @@ def log_class_densities(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarr
     if np.any(counts == 0):
         empty = np.flatnonzero(counts == 0).tolist()
         raise EmptyBufferError(f"classes {empty} have no embeddings for the density estimate")
-    ips = kappa * (store.all_embeddings() @ z)
+    rows = z.reshape(-1, z.shape[-1])
+    with blas.one_thread():
+        ips = kappa * (rows @ store.all_embeddings().T)
     starts = offsets[:-1]
-    highs = np.maximum.reduceat(ips, starts)
-    sums = np.add.reduceat(np.exp(ips - np.repeat(highs, counts)), starts)
-    return highs + np.log(sums) - np.log(counts)
+    highs = np.maximum.reduceat(ips, starts, axis=1)
+    ips -= np.repeat(highs, counts, axis=1)
+    sums = np.add.reduceat(np.exp(ips, out=ips), starts, axis=1)
+    logs = highs + np.log(sums) - np.log(counts)
+    return logs.reshape(z.shape[:-1] + (len(counts),))
+
+
+def _shifted_densities(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
+    """Class densities at z divided by their largest, so the largest is exactly 1."""
+    logs = log_class_densities(store, z, kappa)
+    return np.exp(logs - logs.max(axis=-1, keepdims=True))
 
 
 def id_prob(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
     """Per-class ID probability vector: softmax of the class KDE values."""
-    logs = log_class_densities(store, z, kappa)
-    p = np.exp(logs - logsumexp(logs))
-    return p / p.sum()
+    shifted = _shifted_densities(store, z, kappa)
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def neg_log_max_id_prob(store: IdStore, z: np.ndarray, kappa: float) -> float:
-    """-log(max_c P_c^ID(z)), the quantity compared against the margin threshold."""
-    logs = log_class_densities(store, z, kappa)
-    return float(logsumexp(logs) - logs.max())
+def neg_log_max_id_prob(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
+    """-log(max_c P_c^ID(z)), the quantity compared against the margin threshold.
+
+    That is the log-sum-exp of the class log-densities minus their maximum.
+    """
+    return np.log(_shifted_densities(store, z, kappa).sum(axis=-1))
 
 
 def hard_margin_threshold(
@@ -81,30 +101,33 @@ def hard_margin_threshold(
 ) -> float:
     """Rejection threshold t_- at the pair midpoint: -log max_c P_c^ID(b) - delta."""
     b = store.midpoint(pair)
-    return neg_log_max_id_prob(store, b, kappa) - delta
+    return float(neg_log_max_id_prob(store, b, kappa)) - delta
 
 
-def passes_margin(store: IdStore, z: np.ndarray, kappa: float, t_minus: float) -> bool:
+def passes_margin(
+    store: IdStore, z: np.ndarray, kappa: float, t_minus: float | np.ndarray
+) -> np.ndarray:
     """True iff z is sufficiently unlike every ID class: -log max_c P_c^ID(z) > t_-."""
     return neg_log_max_id_prob(store, z, kappa) > t_minus
 
 
 @dataclass(frozen=True)
 class EnergyContext:
-    """Frozen view of the OOD-ness energy for one cluster pair.
+    """Frozen view of the OOD-ness energy of M chains, row i against ``pairs[i]``.
 
-    Pure functions over a store snapshot; safe to evaluate concurrently
-    across chains.
+    Methods take z of shape (M, d), or (d,) when M = 1, and return one
+    value per row. Pure functions over a store snapshot.
     """
 
     store: IdStore
-    pair: ClusterPair
+    pairs: Sequence[ClusterPair]
     k: int
     kappa: float
     grad_mode: str = "analytic"
 
     def __post_init__(self):
-        for c in (self.pair.u, self.pair.v):
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+        for c in sorted({c for p in self.pairs for c in (p.u, p.v)}):
             if self.store.count(c) < self.k:
                 raise InsufficientDataError(
                     f"class {c} holds {self.store.count(c)} embeddings, fewer than k={self.k}"
@@ -112,22 +135,44 @@ class EnergyContext:
         if self.grad_mode not in ("analytic", "scaled"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
 
+    def take(self, rows: Sequence[int]) -> "EnergyContext":
+        """The context of the chains at ``rows``, in that order."""
+        return dataclasses.replace(self, pairs=[self.pairs[i] for i in rows])
+
     def _pair_query(self, z: np.ndarray):
-        d_u, n_u = self.store.knn_distance(self.pair.u, z, self.k)
-        d_v, n_v = self.store.knn_distance(self.pair.v, z, self.k)
-        return d_u, n_u, d_v, n_v
+        """k-th distances and neighbors of every row against both classes of its pair.
 
-    def ood_prob(self, z: np.ndarray) -> float:
+        The u-rows and v-rows are stacked (2M queries) and each class is
+        queried once, for the rows whose pair names it.
+        """
+        rows = z.reshape(-1, z.shape[-1])
+        m = rows.shape[0]
+        if m != len(self.pairs):
+            raise ValueError(f"{m} rows for {len(self.pairs)} pairs")
+        classes = np.array([p.u for p in self.pairs] + [p.v for p in self.pairs])
+        queries = np.concatenate([rows, rows])
+        dist = np.empty(2 * m)
+        nbrs = np.empty_like(queries)
+        for c in np.unique(classes).tolist():
+            sel = np.flatnonzero(classes == c)
+            emb = self.store.class_embeddings(c)
+            dist[sel], idx = kth_neighbors(emb, queries[sel], self.k)
+            nbrs[sel] = emb[idx]
+        return dist[:m], nbrs[:m], dist[m:], nbrs[m:]
+
+    def ood_prob(self, z: np.ndarray) -> np.ndarray:
         """Mean of the two per-class k-th-neighbor distances."""
+        z = np.asarray(z, dtype=float)
         d_u, _, d_v, _ = self._pair_query(z)
-        return 0.5 * (d_u + d_v)
+        return (0.5 * (d_u + d_v)).reshape(z.shape[:-1])
 
-    def potential(self, z: np.ndarray) -> float:
-        """-log(ood_prob(z)); may be negative since distances can exceed 1."""
+    def potential(self, z: np.ndarray) -> np.ndarray:
+        """-log(ood_prob(z)); may be negative since distances can exceed 1.
+
+        NaN where the OOD-ness is 0 (z on buffered points of both classes).
+        """
         p = self.ood_prob(z)
-        if p == 0.0:
-            raise DegenerateDensityError("z coincides with buffered points of both classes")
-        return -math.log(p)
+        return -np.log(np.where(p > 0.0, p, np.nan))
 
     def grad_potential(self, z: np.ndarray, mode: str | None = None) -> np.ndarray:
         _, grad = self.value_and_grad(z, mode)
@@ -135,21 +180,28 @@ class EnergyContext:
 
     def value_and_grad(
         self, z: np.ndarray, mode: str | None = None
-    ) -> tuple[float, np.ndarray]:
-        """Potential and its ambient-space gradient from one neighbor query."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Potential and its ambient-space gradient from one neighbor query.
+
+        A row whose k-th neighbor in either class coincides with it has a
+        NaN potential and a zero gradient.
+        """
         mode = mode or self.grad_mode
         z = np.asarray(z, dtype=float)
-        d_u, n_u, d_v, n_v = self._pair_query(z)
-        if d_u == 0.0 or d_v == 0.0:
-            raise DegenerateDensityError("z coincides with a k-th nearest neighbor")
+        rows = z.reshape(-1, z.shape[-1])
+        d_u, n_u, d_v, n_v = self._pair_query(rows)
+        degenerate = (d_u == 0.0) | (d_v == 0.0)
+        d_u = np.where(degenerate, 1.0, d_u)
+        d_v = np.where(degenerate, 1.0, d_v)
         p = 0.5 * (d_u + d_v)
-        value = -math.log(p)
-        dirs = (z - n_u) / d_u + (z - n_v) / d_v
+        value = np.where(degenerate, np.nan, -np.log(p))
+        dirs = (rows - n_u) / d_u[:, None] + (rows - n_v) / d_v[:, None]
         if mode == "scaled":
-            grad = -p * dirs
+            grad = -p[:, None] * dirs
         else:
-            grad = -dirs / (2.0 * p)
-        return value, grad
+            grad = -dirs / (2.0 * p)[:, None]
+        grad[degenerate] = 0.0
+        return value.reshape(z.shape[:-1]), grad.reshape(z.shape)
 
-    def margin_exceeds(self, z: np.ndarray, t_minus: float) -> bool:
+    def margin_exceeds(self, z: np.ndarray, t_minus: float | np.ndarray) -> np.ndarray:
         return passes_margin(self.store, z, self.kappa, t_minus)

@@ -63,7 +63,3 @@ class ZeroVectorError(NumericalError):
 
 class AntipodalPrototypesError(NumericalError):
     pass
-
-
-class DegenerateDensityError(NumericalError):
-    pass

@@ -36,22 +36,32 @@ def knn_score(reference: np.ndarray, z: np.ndarray, k: int) -> float:
 
 
 def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
-    """Negative k-th-neighbor distance of every row of ``zs``, computed exactly.
+    """Negative k-th-neighbor distance of every row of ``zs``, computed exactly."""
+    return -kth_neighbors(reference, np.atleast_2d(zs), k)[0]
+
+
+def kth_neighbors(
+    reference: np.ndarray, queries: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-th nearest reference row of every query row: (distances, indices).
+
+    Neighbors are ranked by (exact distance, reference index), so among
+    exact ties the lowest index wins, and each distance has the same bits
+    as the k-th smallest of ``norm(reference - q, axis=1)``.
 
     Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows.
     Each block ranks the reference through one GEMM and the expansion
     ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2, leaving out ||q||^2, which
     shifts a whole row and so cannot change its order. The k-th entry of
-    each row is selected and that neighbor's distance recomputed directly,
-    so the result has the same bits as the k-th smallest of
-    ``norm(reference - q, axis=1)``. The expansion can misorder values
-    that lie within its rounding error of each other, so a row with
-    another value inside a window around its k-th takes the k-th distance
-    from the exact norms of every candidate in that window instead.
-    The GEMMs run on one BLAS thread (see ``blas``).
+    each row is selected and that neighbor's distance recomputed directly.
+    The expansion can misorder values that lie within its rounding error
+    of each other, so a row with another value inside a window around its
+    k-th takes the k-th of the exact norms of every candidate in that
+    window instead, in a stable sort. The GEMMs run on one BLAS thread
+    (see ``blas``).
     """
     reference = np.asarray(reference, dtype=float)
-    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    queries = np.asarray(queries, dtype=float)
     n = reference.shape[0]
     if k < 1:
         raise BadArgError(f"k must be >= 1, got {k}")
@@ -60,10 +70,11 @@ def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
     ref_sq = np.einsum("ij,ij->i", reference, reference)
     ref_sq_max = float(ref_sq.max())
     block = max(1, KNN_BLOCK_ELEMENTS // n)
-    out = np.empty(zs.shape[0])
+    distances = np.empty(queries.shape[0])
+    indices = np.empty(queries.shape[0], dtype=np.intp)
     with blas.one_thread():
-        for start in range(0, zs.shape[0], block):
-            q = zs[start : start + block]
+        for start in range(0, queries.shape[0], block):
+            q = queries[start : start + block]
             d2 = (-2.0 * q) @ reference.T
             d2 += ref_sq
             idx = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
@@ -75,12 +86,13 @@ def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
             hi = (kth + window)[:, None]
             below = np.count_nonzero(d2 < lo, axis=1)
             for i in np.flatnonzero(np.count_nonzero(d2 <= hi, axis=1) - below > 1):
-                near = (d2[i] >= lo[i]) & (d2[i] <= hi[i])
+                near = np.flatnonzero((d2[i] >= lo[i]) & (d2[i] <= hi[i]))
                 exact = np.linalg.norm(reference[near] - q[i], axis=1)
-                j = k - 1 - below[i]
-                dist[i] = np.partition(exact, j)[j]
-            out[start : start + q.shape[0]] = -dist
-    return out
+                j = np.argsort(exact, kind="stable")[k - 1 - below[i]]
+                idx[i], dist[i] = near[j], exact[j]
+            distances[start : start + q.shape[0]] = dist
+            indices[start : start + q.shape[0]] = idx
+    return distances, indices
 
 
 def calibrate_threshold(id_scores: np.ndarray) -> float:

@@ -1,8 +1,10 @@
 """Geometry primitives on the unit hypersphere.
 
-Positions are unit-norm 1-D float64 arrays; momenta live in the tangent
-space of their base point (inner product with the base is zero). All
-functions are pure, so they are safe under any amount of concurrency.
+Positions are unit-norm float64 vectors; momenta live in the tangent
+space of their base point (inner product with the base is zero). Every
+function works on the last axis, so an (M, d) array advances M points at
+once and a 1-D vector is one point. All functions are pure, so they are
+safe under any amount of concurrency.
 """
 
 from __future__ import annotations
@@ -16,15 +18,17 @@ ZERO_NORM_TOL = 1e-12
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||_2.
+    """Return v / ||v||_2 along the last axis.
 
-    Raises ZeroVectorError when ||v|| is at machine-epsilon scale, which
+    Raises ZeroVectorError when a norm is at machine-epsilon scale, which
     signals a degenerate input (e.g. the midpoint of antipodal prototypes).
     """
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n <= ZERO_NORM_TOL:
-        raise ZeroVectorError(f"cannot normalize vector with norm {n:.3e}")
+    # a 1-D vector keeps the BLAS dot of np.linalg.norm, whose bits stored
+    # prototypes depend on
+    n = np.linalg.norm(v) if v.ndim == 1 else np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.size(n) and np.min(n) <= ZERO_NORM_TOL:
+        raise ZeroVectorError(f"cannot normalize vector with norm {np.min(n):.3e}")
     return v / n
 
 
@@ -32,7 +36,7 @@ def project_tangent(q: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Project q onto the tangent space at z: (I - z z^T) q."""
     q = np.asarray(q, dtype=float)
     z = np.asarray(z, dtype=float)
-    return q - z * (z @ q)
+    return q - z * np.einsum("...i,...i->...", z, q)[..., None]
 
 
 def geodesic_step(
@@ -53,12 +57,12 @@ def geodesic_step(
     """
     z = np.asarray(z, dtype=float)
     q = np.asarray(q, dtype=float)
-    speed = float(np.linalg.norm(q))
-    if speed == 0.0:
-        return z, q
+    speed = np.linalg.norm(q, axis=-1, keepdims=True)
+    moving = speed > 0.0
     arc = speed * eps
     c = np.cos(arc)
     s = np.sin(arc)
-    z_new = z * c + (q / speed) * s
+    direction = np.divide(q, speed, out=np.zeros_like(q), where=moving)
+    z_new = z * c + direction * s
     q_new = -z * (speed * s) + q * c
-    return normalize(z_new), q_new
+    return np.where(moving, normalize(z_new), z), q_new

@@ -96,20 +96,48 @@ class IdStore:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise BadArgError(f"embedding shape {z.shape} does not match dim {self.dim}")
-        if abs(np.linalg.norm(z) - 1.0) > UNIT_TOL:
-            raise NotUnitError(f"embedding norm {np.linalg.norm(z):.8f} deviates from 1")
-        buf = self._bufs[class_id]
-        if self._counts[class_id] < self.capacity:
-            buf[self._counts[class_id]] = z
-            self._counts[class_id] += 1
-        else:
-            buf[self._heads[class_id]] = z
-            self._heads[class_id] = (self._heads[class_id] + 1) % self.capacity
-        self._version += 1
+        self.insert_batch(z[None, :], [class_id])
 
     def insert_batch(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
-        for z, label in zip(np.asarray(embeddings, dtype=float), labels):
-            self.insert(int(label), z)
+        """Append rows to their classes' buffers, in order, as repeated ``insert`` would.
+
+        Every row is validated before any is stored, so a bad row leaves the
+        store unchanged. Each class's rows are then copied into its ring
+        buffer in at most two slices.
+        """
+        embeddings = np.asarray(embeddings, dtype=float)
+        labels = np.asarray(labels, dtype=int)
+        if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
+            raise BadArgError(f"embeddings shape {embeddings.shape} does not match dim {self.dim}")
+        if labels.shape != (embeddings.shape[0],):
+            raise BadArgError(f"{labels.shape} labels for {embeddings.shape[0]} embeddings")
+        classes = np.unique(labels).tolist()
+        for c in classes:
+            self._check_class(c)
+        finite = np.isfinite(embeddings).all(axis=1)
+        if not finite.all():
+            raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
+        deviation = np.abs(np.linalg.norm(embeddings, axis=1) - 1.0)
+        if np.any(deviation > UNIT_TOL):
+            i = int(np.argmax(deviation > UNIT_TOL))
+            norm = np.linalg.norm(embeddings[i])
+            raise NotUnitError(f"embedding {i} norm {norm:.8f} deviates from 1")
+        for c in classes:
+            self._append(c, embeddings[labels == c])
+        self._version += 1
+
+    def _append(self, class_id: int, rows: np.ndarray) -> None:
+        """Ring-buffer write: the t-th row ever stored lands in slot t % capacity."""
+        cap, count, n = self.capacity, self._counts[class_id], rows.shape[0]
+        slot = count if count < cap else self._heads[class_id]  # the next row's slot
+        kept = rows[-cap:]  # earlier rows of a batch over capacity are evicted by later ones
+        start = (slot + n - kept.shape[0]) % cap
+        first = min(kept.shape[0], cap - start)
+        buf = self._bufs[class_id]
+        buf[start : start + first] = kept[:first]
+        buf[: kept.shape[0] - first] = kept[first:]
+        self._counts[class_id] = min(count + n, cap)
+        self._heads[class_id] = (slot + n) % cap if count + n >= cap else 0
 
     def update_prototype(self, class_id: int, batch_mean: np.ndarray) -> None:
         """EMA-blend the prototype with a batch mean and re-normalize.
@@ -284,14 +312,15 @@ class IdStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "IdStore":
+        """Read a store written by ``save``; a file that is not one raises CorruptStoreError."""
         path = Path(path)
         try:
             if path.suffix == ".json":
                 doc = json.loads(path.read_text())
                 store = cls(doc["num_classes"], doc["dim"], doc["capacity"], doc["ema_factor"])
                 for c, entry in enumerate(doc["classes"]):
-                    for row in entry["buffer"]:
-                        store.insert(c, np.asarray(row, dtype=float))
+                    rows = np.asarray(entry["buffer"], dtype=float).reshape(-1, store.dim)
+                    store._load_class(c, rows)
                     if entry["prototype"] is not None:
                         store._protos[c] = np.asarray(entry["prototype"], dtype=float)
                         store._has_proto[c] = True
@@ -312,8 +341,18 @@ class IdStore:
                     off += dim * 8
                 rows = np.frombuffer(raw, dtype="<f8", count=n_c * dim, offset=off)
                 off += n_c * dim * 8
-                for row in rows.reshape(n_c, dim):
-                    store.insert(c, row)
+                store._load_class(c, rows.reshape(n_c, dim))
+            if off != len(raw):
+                raise CorruptStoreError(f"{path} has {len(raw) - off} bytes after the last class")
             return store
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, struct.error) as err:
+        except (
+            OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, struct.error
+        ) as err:
             raise CorruptStoreError(f"cannot read id-store file {path}: {err}") from err
+
+    def _load_class(self, class_id: int, rows: np.ndarray) -> None:
+        if rows.shape[0] > self.capacity:
+            raise CorruptStoreError(
+                f"class {class_id} holds {rows.shape[0]} rows, over the capacity {self.capacity}"
+            )
+        self.insert_batch(rows, np.full(rows.shape[0], class_id))

@@ -7,9 +7,13 @@ then runs a fixed number of rounds. Accepted positions across all chains
 form the outlier batch; rejected rounds contribute nothing. Pairs whose
 prototypes are antipodal have no midpoint and are skipped (and reported).
 
-Chains are independent given the frozen store snapshot: each owns an RNG
-spawned deterministically from the batch seed, so results are identical
-regardless of execution order, and the batch is listed canonically by
+All chains of a batch advance in lockstep (``samplers.advance``): their
+positions form one (M, d) array, so each energy evaluation, margin test
+and integrator step covers every chain at once, and all thresholds come
+from one KDE evaluation at the M midpoints. Chains stay independent given
+the frozen store snapshot: each owns an RNG spawned deterministically
+from the batch seed and draws from it alone, so results do not depend on
+how the chains are grouped, and the batch is listed canonically by
 (class id, adjacency rank, round).
 """
 
@@ -17,15 +21,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .energy import EnergyContext, hard_margin_threshold
+from .energy import EnergyContext, neg_log_max_id_prob
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from .metrics import knn_scores
-from .samplers import ChainState, HmcConfig, TransitionRecord, transition
+from .samplers import ChainState, HmcConfig, TransitionRecord, advance
 from .sphere import normalize
 from .store import ClusterPair, IdStore
 
@@ -84,7 +89,7 @@ def synthesize_batch(
     n_adj: int,
     grad_mode: str = "analytic",
 ) -> OutlierBatch:
-    """Run all chains for one batch of virtual outliers.
+    """Run all chains for one batch of virtual outliers, in lockstep.
 
     ``store`` should be a frozen snapshot; it is only read. Every class
     buffer must hold at least ``k`` embeddings.
@@ -98,51 +103,50 @@ def synthesize_batch(
                 f"class {c} holds {store.count(c)} embeddings, fewer than k={k}; warm up buffers"
             )
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(C * n_adj)
-    samples: list[OutlierSample] = []
     chains: list[ChainRun] = []
+    rngs: list[np.random.Generator] = []
     skipped: list[ClusterPair] = []
-    chain_index = 0
     for c in range(C):
         for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
             pair = ClusterPair(c, j)
-            seed = seeds[c * n_adj + rank]
             try:
                 start = store.midpoint(pair)
             except AntipodalPrototypesError:
                 skipped.append(pair)
                 continue
-            t_minus = hard_margin_threshold(store, pair, kappa, delta)
-            ctx = EnergyContext(store=store, pair=pair, k=k, kappa=kappa, grad_mode=grad_mode)
-            state = ChainState(
-                position=start,
-                pair=pair,
-                t_minus=t_minus,
-                rng=np.random.default_rng(seed),
+            chains.append(
+                ChainRun(
+                    chain_index=len(chains),
+                    class_id=c,
+                    rank=rank,
+                    pair=pair,
+                    t_minus=math.nan,
+                    start=start,
+                    accepted=0,
+                )
             )
-            run = ChainRun(
-                chain_index=chain_index,
-                class_id=c,
-                rank=rank,
-                pair=pair,
-                t_minus=t_minus,
-                start=start,
-                accepted=0,
-            )
-            for _ in range(cfg.rounds):
-                state, rec = transition(ctx, state, cfg)
+            rngs.append(np.random.default_rng(seeds[c * n_adj + rank]))
+    if chains:
+        starts = np.array([run.start for run in chains])
+        t_minus = neg_log_max_id_prob(store, starts, kappa) - delta
+        for run, t in zip(chains, t_minus.tolist()):
+            run.t_minus = t
+        ctx = EnergyContext(
+            store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
+        )
+        state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs)
+        for _ in range(cfg.rounds):
+            for run, rec in zip(chains, advance(ctx, state, cfg)):
                 run.records.append(rec)
-                if rec.accepted:
-                    run.accepted += 1
-                    samples.append(
-                        OutlierSample(
-                            position=state.position.copy(),
-                            pair=pair,
-                            chain_index=chain_index,
-                            round_index=state.round_index,
-                        )
-                    )
-            chains.append(run)
-            chain_index += 1
+                run.accepted += rec.accepted
+    samples = [
+        OutlierSample(
+            position=rec.proposed, pair=run.pair, chain_index=run.chain_index, round_index=r
+        )
+        for run in chains
+        for r, rec in enumerate(run.records, start=1)
+        if rec.accepted
+    ]
     return OutlierBatch(
         samples=samples,
         chains=chains,

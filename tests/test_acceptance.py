@@ -20,7 +20,7 @@ from oodsynth.bench import BenchConfig, diversity_stds, generate_synthetic_id
 from oodsynth.energy import EnergyContext, passes_margin
 from oodsynth.metrics import aupr, auroc, fpr_at_tpr95
 from oodsynth.objectives import cider_losses, ood_discernment_loss
-from oodsynth.samplers import ChainState, HmcConfig, SamplerVariant, transition
+from oodsynth.samplers import ChainState, HmcConfig, SamplerVariant, advance
 from oodsynth.sphere import geodesic_step, normalize, project_tangent
 from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import batch_to_dict, round_wise_scores, synthesize_batch
@@ -82,7 +82,7 @@ def _random_energy_instance(d: int, rng) -> tuple[EnergyContext, np.ndarray]:
             store.insert(c, z)
         store.update_prototype(c, np.mean(pts, axis=0))
     k = int(rng.integers(1, 11))
-    ctx = EnergyContext(store=store, pair=ClusterPair(0, 1), k=k, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=k, kappa=2.0)
     z = normalize(rng.standard_normal(d))
     return ctx, z
 
@@ -136,34 +136,42 @@ def test_criterion_2_gradient_suite():
 
 
 class _CircleEnergy:
-    """Smooth stand-in target on the circle: U(theta) = -log(2 + cos theta)."""
+    """Smooth stand-in target on the circle: U(theta) = -log(2 + cos theta), every row."""
 
     def potential(self, z):
-        return -math.log(2.0 + z[0])
+        return -np.log(2.0 + z[:, 0])
 
     def value_and_grad(self, z):
-        return self.potential(z), np.array([-1.0 / (2.0 + z[0]), 0.0])
+        grad = np.zeros_like(z)
+        grad[:, 0] = -1.0 / (2.0 + z[:, 0])
+        return self.potential(z), grad
 
     def margin_exceeds(self, z, t_minus):
-        return True
+        return np.ones(len(z), dtype=bool)
+
+    def take(self, rows):
+        return self
 
 
 def test_criterion_3_mh_correctness_circle():
+    # 8 chains in lockstep, the kernel production runs, each from [1, 0]
+    # with its own generator: 8 x 25 000 kept transitions after 1 000 burn-in
     t0 = time.perf_counter()
     cfg = HmcConfig(leapfrog_steps=5, step_size=0.5, rng_seed=123)
+    chains = 8
     state = ChainState(
-        position=np.array([1.0, 0.0]),
-        pair=ClusterPair(0, 1),
-        t_minus=-math.inf,
-        rng=np.random.default_rng(123),
+        positions=np.tile([1.0, 0.0], (chains, 1)),
+        t_minus=np.full(chains, -math.inf),
+        rngs=[np.random.default_rng(s) for s in np.random.SeedSequence(123).spawn(chains)],
     )
     ctx = _CircleEnergy()
-    n, burn = 200_000, 1_000
-    thetas = np.empty(n)
-    for i in range(n + burn):
-        state, _ = transition(ctx, state, cfg)
+    per_chain, burn = 25_000, 1_000
+    thetas = np.empty((per_chain, chains))
+    for i in range(per_chain + burn):
+        advance(ctx, state, cfg)
         if i >= burn:
-            thetas[i - burn] = math.atan2(state.position[1], state.position[0])
+            thetas[i - burn] = np.arctan2(state.positions[:, 1], state.positions[:, 0])
+    assert thetas.size == 200_000
     edges = np.linspace(-np.pi, np.pi, 37)
     counts, _ = np.histogram(thetas, bins=edges)
     empirical = counts / counts.sum()
@@ -171,7 +179,12 @@ def test_criterion_3_mh_correctness_circle():
     exact = (2.0 * np.diff(edges) + np.sin(edges[1:]) - np.sin(edges[:-1])) / (4.0 * np.pi)
     tv = 0.5 * float(np.abs(empirical - exact).sum())
     assert tv <= 0.05
-    _report("criterion 3 (MH correctness)", f"TV={tv:.4f} over 36 bins, 2e5 samples", t0, 60.0)
+    _report(
+        "criterion 3 (MH correctness)",
+        f"TV={tv:.4f} over 36 bins, 2e5 samples from 8 lockstep chains",
+        t0,
+        60.0,
+    )
 
 
 # -- 4. acceptance rate -------------------------------------------------------------

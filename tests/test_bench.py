@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -116,6 +117,24 @@ def test_minimal_run_completes_and_writes_artifacts(tmp_path):
     assert len(batches[0]["samples"]) == len(art.iterations[0].batch)
     report = art.final_report
     assert 0.0 <= report.auroc <= 1.0
+
+
+def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
+    cfg = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "run"))
+    art = run_experiment(cfg)
+    with open(art.files["metrics"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row, res in zip(rows, art.iterations):
+        chains = len(res.batch.chains)
+        counts = [
+            int(row[key])
+            for key in ("batch_size", "mh_rejections", "margin_rejections", "degenerate_rejections")
+        ]
+        assert sum(counts) == chains * cfg.hmc.rounds
+        assert int(row["skipped_pairs"]) == len(res.batch.skipped) == 0
+        margin = sum(r.mh_accept and not r.margin_pass for c in res.batch.chains for r in c.records)
+        assert int(row["margin_rejections"]) == margin
 
 
 def test_config_echo_reproduces_config(tmp_path):
@@ -304,6 +323,12 @@ def test_cli_corrupt_store_exit_code(tmp_path):
     bad_store.write_bytes(b"garbage")
     batch = tmp_path / "b.json"
     assert main(["synth", "--store", str(bad_store), "--out", str(batch)]) == 3
+
+
+def test_cli_synth_missing_store_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.idstore"
+    assert main(["synth", "--store", str(missing), "--out", str(tmp_path / "b.json")]) == 3
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_cli_data_error_exit_code(tmp_path):

@@ -12,7 +12,7 @@ from oodsynth.energy import (
     passes_margin,
     vmf_kernel,
 )
-from oodsynth.errors import DegenerateDensityError, InsufficientDataError
+from oodsynth.errors import InsufficientDataError
 from oodsynth.sphere import normalize, project_tangent
 from oodsynth.store import ClusterPair, IdStore
 
@@ -42,23 +42,25 @@ def test_ood_prob_unit_distances():
     z = np.array([1.0, 0.0, 0.0])
     n_u = np.array([0.5, np.sqrt(3) / 2, 0.0])
     n_v = np.array([0.5, -np.sqrt(3) / 2, 0.0])
-    ctx = EnergyContext(store=two_point_store(n_u, n_v), pair=ClusterPair(0, 1), k=1, kappa=2.0)
+    ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
     assert np.isclose(ctx.ood_prob(z), 1.0, atol=1e-12)
     assert np.isclose(ctx.potential(z), 0.0, atol=1e-12)
 
 
 def test_ood_prob_zero_when_duplicated():
     z = normalize(np.array([1.0, 2.0, 0.0]))
-    ctx = EnergyContext(store=two_point_store(z, z), pair=ClusterPair(0, 1), k=1, kappa=2.0)
+    ctx = EnergyContext(store=two_point_store(z, z), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
     assert ctx.ood_prob(z) == 0.0
-    with pytest.raises(DegenerateDensityError):
-        ctx.potential(z)
+    assert math.isnan(ctx.potential(z))
 
 
 def test_potential_negative_beyond_unit_distance():
     # distances sqrt(2) each: U = -log(sqrt(2)) < 0
     ctx = EnergyContext(
-        store=two_point_store(np.eye(3)[1], -np.eye(3)[1]), pair=ClusterPair(0, 1), k=1, kappa=2.0
+        store=two_point_store(np.eye(3)[1], -np.eye(3)[1]),
+        pairs=[ClusterPair(0, 1)],
+        k=1,
+        kappa=2.0,
     )
     z = np.eye(3)[0]
     assert np.isclose(ctx.potential(z), -0.5 * math.log(2.0), atol=1e-12)
@@ -66,7 +68,7 @@ def test_potential_negative_beyond_unit_distance():
 
 def test_ood_prob_matches_oracle_and_round_trips():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=3)
-    ctx = EnergyContext(store=store, pair=ClusterPair(0, 1), k=5, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=5, kappa=2.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = normalize(rng.standard_normal(8))
@@ -83,15 +85,15 @@ def test_ood_prob_matches_oracle_and_round_trips():
 def test_potential_pair_permutation_invariant():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=6)
     z = normalize(np.ones(8))
-    u1 = EnergyContext(store=store, pair=ClusterPair(0, 1), k=3, kappa=2.0).potential(z)
-    u2 = EnergyContext(store=store, pair=ClusterPair(1, 0), k=3, kappa=2.0).potential(z)
+    u1 = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=3, kappa=2.0).potential(z)
+    u2 = EnergyContext(store=store, pairs=[ClusterPair(1, 0)], k=3, kappa=2.0).potential(z)
     assert u1 == u2
 
 
 def test_context_requires_k_entries():
     store = two_point_store(np.eye(3)[1], np.eye(3)[2])
     with pytest.raises(InsufficientDataError):
-        EnergyContext(store=store, pair=ClusterPair(0, 1), k=2, kappa=2.0)
+        EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=2, kappa=2.0)
 
 
 # -- gradients ----------------------------------------------------------------
@@ -114,7 +116,10 @@ def test_grad_mirror_symmetry_is_radial():
     # mirrored neighbors make the direction sum exactly radial, so the
     # tangent-projected gradient (the part the sampler uses) vanishes
     ctx = EnergyContext(
-        store=two_point_store(np.eye(3)[1], -np.eye(3)[1]), pair=ClusterPair(0, 1), k=1, kappa=2.0
+        store=two_point_store(np.eye(3)[1], -np.eye(3)[1]),
+        pairs=[ClusterPair(0, 1)],
+        k=1,
+        kappa=2.0,
     )
     z = np.eye(3)[0]
     for mode in ("analytic", "scaled"):
@@ -125,7 +130,7 @@ def test_grad_mirror_symmetry_is_radial():
 
 def test_grad_analytic_matches_finite_differences():
     n_u, n_v = np.eye(2)[1], -np.eye(2)[1]
-    ctx = EnergyContext(store=two_point_store(n_u, n_v), pair=ClusterPair(0, 1), k=1, kappa=2.0)
+    ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
     z = np.eye(2)[0]
     grad = ctx.grad_potential(z, "analytic")
     fd = central_fd(z, n_u, n_v)
@@ -134,7 +139,7 @@ def test_grad_analytic_matches_finite_differences():
 
 def test_grad_scaled_mode_direction_and_magnitude():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=8)
-    ctx = EnergyContext(store=store, pair=ClusterPair(0, 1), k=4, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=4, kappa=2.0)
     rng = np.random.default_rng(2)
     for _ in range(10):
         z = normalize(rng.standard_normal(8))
@@ -150,9 +155,45 @@ def test_grad_scaled_mode_direction_and_magnitude():
 def test_grad_degenerate_when_on_neighbor():
     z = normalize(np.array([1.0, 1.0, 0.0]))
     other = np.eye(3)[2]
-    ctx = EnergyContext(store=two_point_store(z, other), pair=ClusterPair(0, 1), k=1, kappa=2.0)
-    with pytest.raises(DegenerateDensityError):
-        ctx.grad_potential(z)
+    ctx = EnergyContext(store=two_point_store(z, other), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
+    value, grad = ctx.value_and_grad(z)
+    assert math.isnan(value)
+    assert not grad.any()
+    # only the p = 0 condition makes the potential itself degenerate
+    assert np.isfinite(ctx.potential(z))
+
+
+def test_rows_are_evaluated_against_their_own_pairs():
+    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=9)
+    pairs = [ClusterPair(0, 1), ClusterPair(2, 0), ClusterPair(1, 2), ClusterPair(0, 1)]
+    rng = np.random.default_rng(6)
+    zs = normalize(rng.standard_normal((4, 8)))
+    zs[3] = store.class_embeddings(1)[4]  # on a buffered point of class 1: degenerate
+    ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
+    values, grads = ctx.value_and_grad(zs)
+    assert values.shape == (4,) and grads.shape == (4, 8)
+    for i, pair in enumerate(pairs[:3]):
+        one = EnergyContext(store=store, pairs=[pair], k=1, kappa=2.0)
+        value, grad = one.value_and_grad(zs[i])
+        assert abs(values[i] - value) <= 1e-15
+        assert np.array_equal(grads[i], grad)
+        d_u, _ = store.knn_distance(pair.u, zs[i], 1)
+        d_v, _ = store.knn_distance(pair.v, zs[i], 1)
+        assert abs(values[i] + math.log(0.5 * (d_u + d_v))) <= 1e-12
+    assert math.isnan(values[3]) and not grads[3].any()
+    sub = ctx.take([2, 0])
+    assert sub.pairs == (pairs[2], pairs[0])
+    assert np.array_equal(sub.value_and_grad(zs[[2, 0]])[0], values[[2, 0]])
+
+
+def test_batched_margin_matches_single_points():
+    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=16)
+    zs = normalize(np.random.default_rng(8).standard_normal((5, 6)))
+    values = neg_log_max_id_prob(store, zs, 2.0)
+    for z, value in zip(zs, values):
+        assert abs(neg_log_max_id_prob(store, z, 2.0) - value) <= 1e-12
+    t = np.full(5, float(np.median(values)))
+    assert np.array_equal(passes_margin(store, zs, 2.0, t), values > t)
 
 
 # -- vMF kernel and KDE -------------------------------------------------------

@@ -17,6 +17,7 @@ from oodsynth.metrics import (
     hypersphere_quality,
     knn_score,
     knn_scores,
+    kth_neighbors,
     score_report,
 )
 from oodsynth.sphere import normalize
@@ -76,6 +77,25 @@ def brute_knn_scores(reference, zs, k):
     )
 
 
+def brute_kth_indices(reference, zs, k):
+    """Per-row brute force: the k-th reference row in (exact distance, index) order."""
+    return np.array(
+        [
+            sorted(range(len(reference)), key=lambda i: (np.linalg.norm(reference[i] - z), i))[
+                k - 1
+            ]
+            for z in zs
+        ]
+    )
+
+
+def assert_kth_neighbors_exact(reference, zs, k):
+    dist, idx = kth_neighbors(reference, zs, k)
+    assert np.array_equal(-dist, brute_knn_scores(reference, zs, k)), k
+    assert np.array_equal(idx, brute_kth_indices(reference, zs, k)), k
+    assert np.array_equal(-dist, knn_scores(reference, zs, k))
+
+
 # -- knn score -----------------------------------------------------------------
 
 
@@ -122,6 +142,11 @@ def test_knn_scores_equal_brute_force_across_blocks(k_of_n):
     for rows in (1, block, 2 * block + 1):
         zs = unit_rows(rng.standard_normal((rows, 16)))
         assert np.array_equal(knn_scores(ref, zs, k), brute_knn_scores(ref, zs, k)), rows
+    # indices on a smaller reference (the index oracle sorts in Python)
+    small = ref[:300]
+    for rows in (1, KNN_BLOCK_ELEMENTS // 300 + 1):
+        zs = unit_rows(rng.standard_normal((rows, 16)))
+        assert_kth_neighbors_exact(small, zs, {"one": 1, "mid": 150, "all": 300}[k_of_n])
 
 
 def test_knn_scores_duplicate_reference_rows():
@@ -131,6 +156,11 @@ def test_knn_scores_duplicate_reference_rows():
     zs = np.concatenate([base[:30], unit_rows(rng.standard_normal((30, 8)))])
     for k in (1, 2, 3, 4, 250, ref.shape[0]):
         assert np.array_equal(knn_scores(ref, zs, k), brute_knn_scores(ref, zs, k)), k
+        assert_kth_neighbors_exact(ref, zs, k)
+    # a query on a row buffered three times gets its copies in insertion order
+    _, idx = kth_neighbors(ref, base[:1], 3)
+    assert idx[0] == 320
+    assert [kth_neighbors(ref, base[:1], k)[1][0] for k in (1, 2)] == [0, 200]
 
 
 def test_knn_scores_exact_on_near_ties_the_expansion_misorders():
@@ -149,6 +179,7 @@ def test_knn_scores_exact_on_near_ties_the_expansion_misorders():
     assert misordered.size > 10
     for k in (1, *(misordered[:10] + 1), 40, 41, 100):
         assert knn_scores(ref, q[None, :], k)[0] == -np.sort(exact)[k - 1], k
+        assert_kth_neighbors_exact(ref, q[None, :], k)
 
 
 def test_knn_scores_runs_its_gemms_on_one_blas_thread(monkeypatch):

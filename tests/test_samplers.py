@@ -4,25 +4,23 @@ import numpy as np
 import pytest
 
 from conftest import cluster_store
-from oodsynth.energy import EnergyContext
-from oodsynth.errors import BadConfigError, DegenerateDensityError
+from oodsynth.energy import EnergyContext, hard_margin_threshold
+from oodsynth.errors import BadConfigError
 from oodsynth.samplers import (
     ChainState,
     HmcConfig,
     SamplerVariant,
+    advance,
     draw_momentum,
     hamiltonian,
-    hmc_transition,
     leapfrog_trajectory,
-    random_walk_transition,
-    transition,
 )
 from oodsynth.sphere import geodesic_step, normalize
 from oodsynth.store import ClusterPair, IdStore
 
 
 class StandinEnergy:
-    """Analytic stand-in target, independent of the kNN machinery."""
+    """Analytic stand-in target, independent of the kNN machinery, row by row."""
 
     def __init__(self, fn, grad_fn, margin=True):
         self.fn = fn
@@ -30,13 +28,16 @@ class StandinEnergy:
         self.margin = margin
 
     def potential(self, z):
-        return self.fn(z)
+        return np.array([self.fn(row) for row in z])
 
     def value_and_grad(self, z):
-        return self.fn(z), self.grad_fn(z)
+        return self.potential(z), np.array([self.grad_fn(row) for row in z])
 
     def margin_exceeds(self, z, t_minus):
-        return self.margin
+        return np.full(len(z), self.margin)
+
+    def take(self, rows):
+        return self
 
 
 def flat_energy(margin=True):
@@ -50,13 +51,25 @@ def circle_energy():
     )
 
 
-def fresh_state(dim=3, seed=0, t_minus=-math.inf):
+def fresh_state(dim=3, seed=0, t_minus=-math.inf, chains=1):
     return ChainState(
-        position=normalize(np.ones(dim)),
-        pair=ClusterPair(0, 1),
-        t_minus=t_minus,
-        rng=np.random.default_rng(seed),
+        positions=np.tile(normalize(np.ones(dim)), (chains, 1)),
+        t_minus=np.full(chains, t_minus),
+        rngs=[np.random.default_rng(seed + i) for i in range(chains)],
     )
+
+
+def pair_state(store, seed, t_minus, chains=1):
+    """Chains at the (0, 1) midpoint of ``store``, generators seed, seed + 1, ..."""
+    return ChainState(
+        positions=np.tile(store.midpoint(ClusterPair(0, 1)), (chains, 1)),
+        t_minus=np.full(chains, t_minus),
+        rngs=[np.random.default_rng(seed + i) for i in range(chains)],
+    )
+
+
+def pair_energy(store, k, chains=1):
+    return EnergyContext(store=store, pairs=[ClusterPair(0, 1)] * chains, k=k, kappa=2.0)
 
 
 # -- config -------------------------------------------------------------------
@@ -84,18 +97,21 @@ def test_config_validation():
 def test_momentum_always_tangent_and_deterministic():
     rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
     z = normalize(np.arange(1.0, 9.0))
-    draws1 = [draw_momentum(z, rng1) for _ in range(50)]
-    draws2 = [draw_momentum(z, rng2) for _ in range(50)]
-    for q1, q2 in zip(draws1, draws2):
-        assert abs(q1 @ z) <= 1e-8
-        assert np.array_equal(q1, q2)
+    draws1 = draw_momentum(np.tile(z, (50, 1)), [rng1] * 50)
+    draws2 = np.array([draw_momentum(z[None], [rng2])[0] for _ in range(50)])
+    assert np.abs(draws1 @ z).max() <= 1e-8
+    assert np.array_equal(draws1, draws2)
+    # row i draws from its own generator
+    rngs = [np.random.default_rng(s) for s in (3, 4)]
+    pair = draw_momentum(np.tile(z, (2, 1)), rngs)
+    assert np.array_equal(pair[1], draw_momentum(z[None], [np.random.default_rng(4)])[0])
 
 
 def test_momentum_mean_within_monte_carlo_band():
     rng = np.random.default_rng(7)
     z = normalize(np.arange(1.0, 9.0))
     n = 100_000
-    mean = np.mean([draw_momentum(z, rng) for _ in range(n)], axis=0)
+    mean = draw_momentum(np.tile(z, (n, 1)), [rng] * n).mean(axis=0)
     sigma = np.sqrt((1.0 - z**2) / n)
     assert np.all(np.abs(mean) <= 3.0 * sigma)
 
@@ -104,18 +120,19 @@ def test_momentum_mean_within_monte_carlo_band():
 
 
 def test_hamiltonian_closed_forms():
-    z = np.eye(3)[0]
-    assert hamiltonian(flat_energy(), z, np.zeros(3)) == 0.0
-    q = np.array([0.0, 2.0, 0.0])
-    assert hamiltonian(flat_energy(), z, q) == 2.0
+    z = np.eye(3)[:1]
+    assert hamiltonian(flat_energy(), z, np.zeros((1, 3)))[0] == 0.0
+    q = np.array([[0.0, 2.0, 0.0]])
+    assert hamiltonian(flat_energy(), z, q)[0] == 2.0
 
 
 def test_hamiltonian_is_sum_of_parts(small_store):
-    ctx = EnergyContext(store=small_store, pair=ClusterPair(0, 1), k=3, kappa=2.0)
+    ctx = pair_energy(small_store, k=3, chains=4)
     rng = np.random.default_rng(1)
-    z = normalize(rng.standard_normal(small_store.dim))
-    q = draw_momentum(z, rng)
-    assert np.isclose(hamiltonian(ctx, z, q), ctx.potential(z) + 0.5 * q @ q, rtol=1e-15)
+    z = normalize(rng.standard_normal((4, small_store.dim)))
+    q = draw_momentum(z, [rng] * 4)
+    want = ctx.potential(z) + 0.5 * np.array([row @ row for row in q])
+    assert np.allclose(hamiltonian(ctx, z, q), want, rtol=1e-15)
 
 
 def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
@@ -127,7 +144,7 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
     store.update_prototype(0, e2)
     store.insert(1, -e2)
     store.update_prototype(1, -e2)
-    ctx = EnergyContext(store=store, pair=ClusterPair(0, 1), k=1, kappa=2.0)
+    ctx = pair_energy(store, k=1)
     q0 = np.array([0.0, 0.0, 0.8])  # tangent at e1, orthogonal to both buffer points
     z_lf, q_lf = leapfrog_trajectory(ctx, e1, q0, steps=4, step_size=0.3)
     z_geo, q_geo = e1, q0
@@ -138,83 +155,77 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
 
 
 def test_leapfrog_conserves_energy_at_small_step(small_store):
-    ctx = EnergyContext(
-        store=small_store, pair=ClusterPair(0, 1), k=3, kappa=2.0, grad_mode="analytic"
-    )
+    ctx = pair_energy(small_store, k=3, chains=5)
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        z = small_store.midpoint(ClusterPair(0, 1))
-        q = draw_momentum(z, rng)
-        h0 = hamiltonian(ctx, z, q)
-        z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=1e-4)
-        assert abs(hamiltonian(ctx, z2, q2) - h0) <= 1e-6
+    z = np.tile(small_store.midpoint(ClusterPair(0, 1)), (5, 1))
+    q = draw_momentum(z, [rng] * 5)
+    h0 = hamiltonian(ctx, z, q)
+    z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=1e-4)
+    assert np.abs(hamiltonian(ctx, z2, q2) - h0).max() <= 1e-6
 
 
 def test_leapfrog_default_steps_stay_on_sphere(small_store):
-    ctx = EnergyContext(store=small_store, pair=ClusterPair(0, 1), k=3, kappa=2.0)
+    ctx = pair_energy(small_store, k=3, chains=3)
     rng = np.random.default_rng(4)
-    z = small_store.midpoint(ClusterPair(0, 1))
-    q = draw_momentum(z, rng)
+    z = np.tile(small_store.midpoint(ClusterPair(0, 1)), (3, 1))
+    q = draw_momentum(z, [rng] * 3)
     z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=0.1)
-    assert abs(np.linalg.norm(z2) - 1.0) <= 1e-9
-    assert abs(z2 @ q2) <= 1e-8
+    assert np.abs(np.linalg.norm(z2, axis=1) - 1.0).max() <= 1e-9
+    assert np.abs(np.einsum("ij,ij->i", z2, q2)).max() <= 1e-8
+
+
 
 
 # -- transitions ----------------------------------------------------------------
 
 
 def test_flat_target_always_accepts_when_margin_passes():
-    state = fresh_state()
+    state = fresh_state(chains=4)
     for _ in range(10):
-        state, rec = hmc_transition(flat_energy(), state, HmcConfig())
-        assert np.isclose(rec.alpha, 1.0, rtol=1e-12)
-        assert rec.mh_accept and rec.accepted
+        for rec in advance(flat_energy(), state, HmcConfig()):
+            assert np.isclose(rec.alpha, 1.0, rtol=1e-12)
+            assert rec.mh_accept and rec.accepted
+    assert state.round_index == 10
 
 
 def test_margin_failure_rejects_despite_mh_acceptance():
-    state = fresh_state()
-    z_before = state.position.copy()
-    state, rec = hmc_transition(flat_energy(margin=False), state, HmcConfig())
-    assert rec.mh_accept and not rec.margin_pass and not rec.accepted
-    assert np.array_equal(state.position, z_before)
-    assert state.history == []
+    state = fresh_state(chains=2)
+    z_before = state.positions.copy()
+    records = advance(flat_energy(margin=False), state, HmcConfig())
+    for rec in records:
+        assert rec.mh_accept and not rec.margin_pass and not rec.accepted
+    assert np.array_equal(state.positions, z_before)
+    assert state.history == [[], []]
 
 
 def test_two_cluster_acceptance_rate(small_store):
     # synthetic two-cluster instance at default sampler settings
     store = cluster_store(num_classes=2, dim=8, n_per_class=60, seed=21)
-    ctx = EnergyContext(store=store, pair=ClusterPair(0, 1), k=10, kappa=2.0)
-    from oodsynth.energy import hard_margin_threshold
-
+    ctx = pair_energy(store, k=10, chains=5)
     t_minus = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     cfg = HmcConfig(rng_seed=5)
-    state = ChainState(
-        position=store.midpoint(ClusterPair(0, 1)),
-        pair=ClusterPair(0, 1),
-        t_minus=t_minus,
-        rng=np.random.default_rng(5),
-    )
+    state = pair_state(store, 5, t_minus, chains=5)
     accepts = []
-    for _ in range(500):
-        state, rec = hmc_transition(ctx, state, cfg)
-        accepts.append(rec.mh_accept)
+    for _ in range(100):
+        accepts += [rec.mh_accept for rec in advance(ctx, state, cfg)]
+    assert len(accepts) == 500
     assert np.mean(accepts) >= 0.9
 
 
 def test_random_walk_zero_step_accepts_in_place():
     state = fresh_state()
     cfg = HmcConfig(step_size=0.0, variant=SamplerVariant.RANDOM_WALK)
-    state, rec = random_walk_transition(flat_energy(), state, cfg)
+    (rec,) = advance(flat_energy(), state, cfg)
     assert rec.alpha == 1.0 and rec.accepted
-    assert np.array_equal(rec.proposed, fresh_state().position)
+    assert np.array_equal(rec.proposed, fresh_state().positions[0])
 
 
 def test_random_walk_proposals_unit_norm():
-    state = fresh_state(dim=6)
+    state = fresh_state(dim=6, chains=3)
     cfg = HmcConfig(step_size=0.4, variant=SamplerVariant.RANDOM_WALK)
     for _ in range(20):
-        state, rec = random_walk_transition(flat_energy(), state, cfg)
-        assert abs(np.linalg.norm(rec.proposed) - 1.0) <= 1e-9
+        for rec in advance(flat_energy(), state, cfg):
+            assert abs(np.linalg.norm(rec.proposed) - 1.0) <= 1e-9
 
 
 def test_random_walk_acceptance_below_hmc_on_smooth_target():
@@ -223,55 +234,89 @@ def test_random_walk_acceptance_below_hmc_on_smooth_target():
     def rate(variant, seed):
         cfg = HmcConfig(variant=variant, step_size=0.2, rng_seed=seed)
         state = ChainState(
-            position=np.array([1.0, 0.0]),
-            pair=ClusterPair(0, 1),
-            t_minus=-math.inf,
-            rng=np.random.default_rng(seed),
+            positions=np.tile([1.0, 0.0], (4, 1)),
+            t_minus=np.full(4, -math.inf),
+            rngs=[np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)],
         )
         ctx = circle_energy()
-        return np.mean(
-            [transition(ctx, state, cfg)[1].mh_accept for _ in range(2000)]
-        )
+        return np.mean([rec.mh_accept for _ in range(500) for rec in advance(ctx, state, cfg)])
 
     assert rate(SamplerVariant.HMC, 9) > rate(SamplerVariant.RANDOM_WALK, 9)
 
 
-class _AlwaysDegenerate:
+class _DegenerateRows(StandinEnergy):
+    """Flat target whose rows listed in ``stuck`` (by chain) are degenerate."""
+
+    def __init__(self, stuck, rows=None):
+        super().__init__(lambda z: 0.0, lambda z: np.zeros_like(z))
+        self.stuck, self.rows = stuck, rows
+
     def potential(self, z):
-        raise DegenerateDensityError("forced")
+        rows = range(len(z)) if self.rows is None else self.rows
+        return np.array([math.nan if r in self.stuck else 0.0 for r in rows])
 
-    def value_and_grad(self, z):
-        raise DegenerateDensityError("forced")
-
-    def margin_exceeds(self, z, t_minus):
-        return True
+    def take(self, rows):
+        return _DegenerateRows(self.stuck, list(rows))
 
 
 def test_three_degenerate_retries_record_a_rejection():
-    state = fresh_state(dim=4, seed=31)
-    z_before = state.position.copy()
-    state, rec = hmc_transition(_AlwaysDegenerate(), state, HmcConfig())
+    state = fresh_state(dim=4, seed=31, chains=3)
+    z_before = state.positions.copy()
+    records = advance(_DegenerateRows(stuck={1}), state, HmcConfig())
+    rec = records[1]
     assert not rec.accepted and not rec.mh_accept and not rec.margin_pass
     assert rec.alpha == 0.0
     assert math.isnan(rec.h_init) and math.isnan(rec.h_prop)
-    assert np.array_equal(state.position, z_before)
-    assert state.round_index == 1 and state.history == []
+    assert np.array_equal(state.positions[1], z_before[1])
+    assert state.round_index == 1 and state.history[1] == []
+    # the stuck chain drew momentum and uniform three times, the others once
+    draws = [rng.uniform() for rng in state.rngs]
+    for i, tries in ((0, 1), (1, 3), (2, 1)):
+        rng = np.random.default_rng(31 + i)
+        for _ in range(tries):
+            rng.standard_normal(4)
+            rng.uniform()
+        assert draws[i] == rng.uniform()
+    assert records[0].accepted and records[2].accepted
     # the random-walk kernel shares the retry contract
-    stateout, rec = random_walk_transition(
-        _AlwaysDegenerate(), fresh_state(dim=4, seed=32), HmcConfig()
+    records = advance(
+        _DegenerateRows(stuck={0}), fresh_state(dim=4, seed=32, chains=2),
+        HmcConfig(variant=SamplerVariant.RANDOM_WALK),
     )
-    assert not rec.accepted and rec.alpha == 0.0
+    assert not records[0].accepted and records[0].alpha == 0.0
+    assert records[1].accepted
+
+
+def test_lockstep_chains_match_chains_run_alone():
+    # grouping does not change what a chain draws or where it goes
+    cfg = HmcConfig(leapfrog_steps=4, step_size=0.4)
+    seeds = np.random.SeedSequence(5).spawn(4)
+
+    def chains(rows):
+        return ChainState(
+            positions=np.tile([1.0, 0.0], (len(rows), 1)),
+            t_minus=np.full(len(rows), -math.inf),
+            rngs=[np.random.default_rng(seeds[i]) for i in rows],
+        )
+
+    together = chains(range(4))
+    alone = [chains([i]) for i in range(4)]
+    for _ in range(30):
+        records = advance(circle_energy(), together, cfg)
+        for i, state in enumerate(alone):
+            (rec,) = advance(circle_energy(), state, cfg)
+            assert rec.mh_accept == records[i].mh_accept
+            assert np.array_equal(rec.proposed, records[i].proposed)
+            assert rec.h_prop == records[i].h_prop
 
 
 def test_history_variants_fall_back_to_identity():
     # with fewer than two accepted positions, mMALA/RMHMC draw exactly like HMC
-    for variant in (SamplerVariant.RMHMC,):
-        s_hmc = fresh_state(seed=11)
-        s_var = fresh_state(seed=11)
-        cfg_hmc = HmcConfig(rng_seed=11)
+    for variant in (SamplerVariant.RMHMC, SamplerVariant.MMALA):
         cfg_var = HmcConfig(rng_seed=11, variant=variant)
-        _, rec_hmc = transition(flat_energy(margin=False), s_hmc, cfg_hmc)
-        _, rec_var = transition(flat_energy(margin=False), s_var, cfg_var)
+        cfg_hmc = HmcConfig(rng_seed=11, leapfrog_steps=cfg_var.leapfrog_steps)
+        rec_hmc = advance(flat_energy(margin=False), fresh_state(seed=11), cfg_hmc)[0]
+        rec_var = advance(flat_energy(margin=False), fresh_state(seed=11), cfg_var)[0]
         assert np.array_equal(rec_hmc.proposed, rec_var.proposed)
 
 
@@ -279,49 +324,32 @@ def test_history_covariance_handles_degenerate_history():
     # identical accepted positions give a zero covariance; the ridge keeps the
     # draw well defined
     state = fresh_state(dim=4, seed=13)
-    p = state.position.copy()
-    state.history = [(1, p), (2, p), (3, p)]
+    p = state.positions[0].copy()
+    state.history = [[p, p, p]]
     cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=13)
-    state, rec = transition(flat_energy(), state, cfg)
+    (rec,) = advance(flat_energy(), state, cfg)
     assert np.isfinite(rec.h_prop)
 
 
 def test_rmhmc_completes_rounds(small_store):
-    ctx = EnergyContext(store=small_store, pair=ClusterPair(0, 1), k=3, kappa=2.0)
-    from oodsynth.energy import hard_margin_threshold
-
+    ctx = pair_energy(small_store, k=3, chains=3)
     t_minus = hard_margin_threshold(small_store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=3)
-    state = ChainState(
-        position=small_store.midpoint(ClusterPair(0, 1)),
-        pair=ClusterPair(0, 1),
-        t_minus=t_minus,
-        rng=np.random.default_rng(3),
-    )
+    state = pair_state(small_store, 3, t_minus, chains=3)
     for _ in range(cfg.rounds):
-        state, rec = transition(ctx, state, cfg)
-        assert abs(np.linalg.norm(state.position) - 1.0) <= 1e-9
+        advance(ctx, state, cfg)
+        assert np.abs(np.linalg.norm(state.positions, axis=1) - 1.0).max() <= 1e-9
+        assert all(len(h) <= cfg.history_window + 1 for h in state.history)
 
 
 def test_identical_seed_gives_identical_record_stream(small_store):
-    ctx = EnergyContext(store=small_store, pair=ClusterPair(0, 1), k=3, kappa=2.0)
-    from oodsynth.energy import hard_margin_threshold
-
+    ctx = pair_energy(small_store, k=3, chains=2)
     t_minus = hard_margin_threshold(small_store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
 
     def run(variant):
         cfg = HmcConfig(variant=variant, rng_seed=17)
-        state = ChainState(
-            position=small_store.midpoint(ClusterPair(0, 1)),
-            pair=ClusterPair(0, 1),
-            t_minus=t_minus,
-            rng=np.random.default_rng(17),
-        )
-        recs = []
-        for _ in range(8):
-            state, rec = transition(ctx, state, cfg)
-            recs.append(rec)
-        return recs
+        state = pair_state(small_store, 17, t_minus, chains=2)
+        return [rec for _ in range(8) for rec in advance(ctx, state, cfg)]
 
     for variant in SamplerVariant:
         first, second = run(variant), run(variant)
@@ -336,18 +364,11 @@ def test_identical_seed_gives_identical_record_stream(small_store):
 
 
 def test_accepted_equals_mh_and_margin(small_store):
-    ctx = EnergyContext(store=small_store, pair=ClusterPair(0, 1), k=3, kappa=2.0)
-    from oodsynth.energy import hard_margin_threshold
-
+    ctx = pair_energy(small_store, k=3, chains=2)
     t_minus = hard_margin_threshold(small_store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     for variant in SamplerVariant:
         cfg = HmcConfig(variant=variant, rng_seed=23)
-        state = ChainState(
-            position=small_store.midpoint(ClusterPair(0, 1)),
-            pair=ClusterPair(0, 1),
-            t_minus=t_minus,
-            rng=np.random.default_rng(23),
-        )
+        state = pair_state(small_store, 23, t_minus, chains=2)
         for _ in range(10):
-            state, rec = transition(ctx, state, cfg)
-            assert rec.accepted == (rec.mh_accept and rec.margin_pass)
+            for rec in advance(ctx, state, cfg):
+                assert rec.accepted == (rec.mh_accept and rec.margin_pass)

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,50 @@ def test_insert_errors():
         store.insert(2, unit([1, 0, 0]))
     with pytest.raises(NotUnitError):
         store.insert(0, np.array([1.0, 1.0, 0.0]))  # norm sqrt(2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_insert_rejects_non_finite_embeddings(bad):
+    # abs(nan - 1) > tol is False, so a unit-norm check alone lets NaN through
+    store = IdStore(2, 3, capacity=4)
+    with pytest.raises(NotUnitError):
+        store.insert(0, np.array([bad, 0.0, 0.0]))
+    assert store.count(0) == 0
+
+
+def test_insert_batch_with_a_bad_row_leaves_the_store_unchanged():
+    store = IdStore(2, 3, capacity=4)
+    store.insert(1, unit([0, 1, 0]))
+    rows = np.array([unit([1, 0, 0]), unit([0, 0, 1]), [np.nan, 0.0, 0.0]])
+    with pytest.raises(NotUnitError):
+        store.insert_batch(rows, [0, 1, 0])
+    with pytest.raises(BadClassError):
+        store.insert_batch(rows[:2], [0, 2])
+    assert (store.count(0), store.count(1)) == (0, 1)
+
+
+@pytest.mark.parametrize("batches", [[3], [5], [7], [2, 3], [4, 13], [1, 2, 17, 1]])
+def test_block_insert_equals_row_by_row_insert(tmp_path, batches):
+    # capacity 5: below, at and over capacity, including batches that wrap
+    # the ring more than once and batches that start mid-ring
+    rng = np.random.default_rng(sum(batches))
+    by_block = IdStore(2, 4, capacity=5)
+    by_row = IdStore(2, 4, capacity=5)
+    for n in batches:
+        rows = rng.standard_normal((n, 4))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        labels = rng.integers(0, 2, size=n)
+        by_block.insert_batch(rows, labels)
+        for z, label in zip(rows, labels):
+            by_row.insert(int(label), z)
+    for c in range(2):
+        assert by_block.count(c) == by_row.count(c)
+        assert np.array_equal(by_block.class_embeddings(c), by_row.class_embeddings(c))
+        by_block.update_prototype(c, np.ones(4))
+        by_row.update_prototype(c, np.ones(4))
+    by_block.save(tmp_path / "block.idstore")
+    by_row.save(tmp_path / "row.idstore")
+    assert (tmp_path / "block.idstore").read_bytes() == (tmp_path / "row.idstore").read_bytes()
 
 
 # -- prototypes ---------------------------------------------------------------
@@ -284,6 +331,44 @@ def test_load_rejects_corrupt_files(tmp_path, suffix):
     path.write_bytes(b"{not a store" if suffix == ".json" else b"garbage bytes")
     with pytest.raises(CorruptStoreError):
         IdStore.load(path)
+
+
+@pytest.mark.parametrize("suffix", [".idstore", ".json"])
+def test_load_rejects_rows_over_capacity(tmp_path, small_store, suffix):
+    # a FIFO insert would silently evict the oldest rows
+    from oodsynth.errors import CorruptStoreError
+
+    path = tmp_path / f"store{suffix}"
+    small_store.save(path)
+    if suffix == ".json":
+        doc = json.loads(path.read_text())
+        doc["capacity"] -= 1
+        path.write_text(json.dumps(doc))
+    else:
+        raw = bytearray(path.read_bytes())
+        # header: magic, then uint32 C, uint32 d, uint32 B at byte 16
+        struct.pack_into("<I", raw, 16, small_store.capacity - 1)
+        path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptStoreError, match="capacity"):
+        IdStore.load(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path, small_store):
+    from oodsynth.errors import CorruptStoreError
+
+    path = tmp_path / "store.idstore"
+    small_store.save(path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CorruptStoreError, match="after the last class"):
+        IdStore.load(path)
+
+
+def test_load_names_a_missing_path(tmp_path):
+    from oodsynth.errors import CorruptStoreError
+
+    for name in ("missing.idstore", "missing.json"):
+        with pytest.raises(CorruptStoreError, match=name):
+            IdStore.load(tmp_path / name)
 
 
 @pytest.mark.parametrize("suffix", [".idstore", ".json"])

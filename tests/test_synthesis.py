@@ -1,13 +1,17 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import cluster_store
+from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.energy import passes_margin
-from oodsynth.errors import BadArgError, InsufficientDataError
-from oodsynth.samplers import HmcConfig
-from oodsynth.store import IdStore
+from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
+from oodsynth.samplers import COV_RIDGE, DEGENERATE_RETRIES, HmcConfig, SamplerVariant
+from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
     batch_to_dict,
     gaussian_baseline_batch,
@@ -184,3 +188,215 @@ def test_batch_export_round_trip(tmp_path):
     traces = [json.loads(line) for line in tpath.read_text().splitlines()]
     assert len(traces) == sum(len(c.records) for c in batch.chains)
     assert {t["accepted"] for t in traces} <= {True, False}
+
+
+# -- parity with the per-chain path -----------------------------------------------
+# The per-chain sampler that the lockstep one replaced, kept as its oracle: each
+# chain ran alone, with two ``IdStore.knn_distance`` matvecs per energy
+# evaluation, one KDE matvec and a scipy log-sum-exp per margin test, and the
+# 1-D sphere geometry.
+
+
+class _LegacyDegenerate(Exception):
+    pass
+
+
+def _legacy_tangent(q, z):
+    return q - z * (z @ q)
+
+
+def _legacy_geodesic(z, q, eps):
+    speed = float(np.linalg.norm(q))
+    if speed == 0.0:
+        return z, q
+    c, s = np.cos(speed * eps), np.sin(speed * eps)
+    z_new = z * c + (q / speed) * s
+    return z_new / float(np.linalg.norm(z_new)), -z * (speed * s) + q * c
+
+
+def _legacy_neg_log_max(store, z, kappa):
+    offsets = store.class_offsets()
+    counts = np.diff(offsets)
+    ips = kappa * (store.all_embeddings() @ z)
+    highs = np.maximum.reduceat(ips, offsets[:-1])
+    sums = np.add.reduceat(np.exp(ips - np.repeat(highs, counts)), offsets[:-1])
+    logs = highs + np.log(sums) - np.log(counts)
+    return float(logsumexp(logs) - logs.max())
+
+
+class _LegacyEnergy:
+    def __init__(self, store, pair, k, grad_mode):
+        self.store, self.pair, self.k, self.grad_mode = store, pair, k, grad_mode
+
+    def _query(self, z):
+        d_u, n_u = self.store.knn_distance(self.pair.u, z, self.k)
+        d_v, n_v = self.store.knn_distance(self.pair.v, z, self.k)
+        return d_u, n_u, d_v, n_v
+
+    def potential(self, z):
+        d_u, _, d_v, _ = self._query(z)
+        p = 0.5 * (d_u + d_v)
+        if p == 0.0:
+            raise _LegacyDegenerate
+        return -math.log(p)
+
+    def value_and_grad(self, z):
+        d_u, n_u, d_v, n_v = self._query(z)
+        if d_u == 0.0 or d_v == 0.0:
+            raise _LegacyDegenerate
+        p = 0.5 * (d_u + d_v)
+        dirs = (z - n_u) / d_u + (z - n_v) / d_v
+        grad = -p * dirs if self.grad_mode == "scaled" else -dirs / (2.0 * p)
+        return -math.log(p), grad
+
+
+def _legacy_proposal(energy, z, rng, history, cfg):
+    """One attempt: (proposed, h_init, h_prop, u); raises _LegacyDegenerate."""
+    if cfg.variant == SamplerVariant.RANDOM_WALK:
+        g = rng.standard_normal(z.shape[0])
+        u = rng.uniform()
+        z_prop = z + cfg.step_size * g
+        z_prop = z_prop / float(np.linalg.norm(z_prop)) if cfg.step_size > 0 else z.copy()
+        return z_prop, energy.potential(z), energy.potential(z_prop), u
+    if cfg.variant in (SamplerVariant.RMHMC, SamplerVariant.MMALA) and len(history) >= 2:
+        window = np.array(history[-(cfg.history_window + 1):])
+        cov = np.cov(window, rowvar=False) + COV_RIDGE * np.eye(z.shape[0])
+        q0 = _legacy_tangent(np.linalg.cholesky(cov) @ rng.standard_normal(z.shape[0]), z)
+    else:
+        q0 = _legacy_tangent(rng.standard_normal(z.shape[0]), z)
+    u = rng.uniform()
+    eps = cfg.step_size
+    u_init, grad = energy.value_and_grad(z)
+    z_prop, q = z, q0
+    for _ in range(cfg.leapfrog_steps):
+        q = q - 0.5 * eps * _legacy_tangent(grad, z_prop)
+        z_prop, q = _legacy_geodesic(z_prop, q, eps)
+        u_prop, grad = energy.value_and_grad(z_prop)
+        q = q - 0.5 * eps * _legacy_tangent(grad, z_prop)
+    return z_prop, u_init + 0.5 * float(q0 @ q0), u_prop + 0.5 * float(q @ q), u
+
+
+def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analytic"):
+    """(skipped pairs, [(pair, t_minus, [(proposed, h_init, h_prop, mh, margin)])])."""
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(store.num_classes * n_adj)
+    skipped, chains = [], []
+    for c in range(store.num_classes):
+        for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
+            pair = ClusterPair(c, j)
+            try:
+                z = store.midpoint(pair)
+            except AntipodalPrototypesError:
+                skipped.append(pair)
+                continue
+            t_minus = _legacy_neg_log_max(store, z, kappa) - delta
+            energy = _LegacyEnergy(store, pair, k, grad_mode)
+            rng = np.random.default_rng(seeds[c * n_adj + rank])
+            history, records = [], []
+            for _ in range(cfg.rounds):
+                rec = (z.copy(), math.nan, math.nan, False, False)
+                for _ in range(DEGENERATE_RETRIES):
+                    try:
+                        z_prop, h_init, h_prop, u = _legacy_proposal(energy, z, rng, history, cfg)
+                    except _LegacyDegenerate:
+                        continue
+                    try:
+                        alpha = math.exp(h_init - h_prop)
+                    except OverflowError:
+                        alpha = math.inf
+                    margin = _legacy_neg_log_max(store, z_prop, kappa) > t_minus
+                    rec = (z_prop, h_init, h_prop, u < min(1.0, alpha), margin)
+                    break
+                records.append(rec)
+                if rec[3] and rec[4]:
+                    z = rec[0]
+                    history.append(z)
+            chains.append((pair, t_minus, records))
+    return skipped, chains
+
+
+def _degenerate_store():
+    # the midpoint of pair (0, 1) is buffered in both classes, so at k = 1
+    # chains (0, 1) and (1, 0) sit on a neighbor of each class: every
+    # attempt is degenerate for the Hamiltonian and the random-walk kernels
+    store = cluster_store(num_classes=4, dim=8, n_per_class=30, capacity=31, seed=17)
+    mid = store.midpoint(ClusterPair(0, 1))
+    store.insert(0, mid)
+    store.insert(1, mid)
+    return store
+
+
+def _assert_parity(store, cfg, **kwargs):
+    skipped, want = legacy_synthesize_batch(store, cfg, **kwargs)
+    got = synthesize_batch(store, cfg, **kwargs)
+    assert got.skipped == skipped
+    assert len(got.chains) == len(want)
+    size = 0
+    for run, (pair, t_minus, records) in zip(got.chains, want):
+        assert run.pair == pair
+        assert abs(run.t_minus - t_minus) <= 1e-10
+        assert len(run.records) == len(records)
+        for rec, (proposed, h_init, h_prop, mh, margin) in zip(run.records, records):
+            assert (rec.mh_accept, rec.margin_pass, rec.accepted) == (mh, margin, mh and margin)
+            assert np.abs(rec.proposed - proposed).max() <= 1e-10
+            for a, b in ((rec.h_init, h_init), (rec.h_prop, h_prop)):
+                assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-10
+        assert run.accepted == sum(mh and margin for _, _, _, mh, margin in records)
+        size += run.accepted
+    assert len(got) == size
+    return got
+
+
+DEFAULT = BenchConfig()
+
+
+def _default_store(seed):
+    return generate_synthetic_id(dataclasses.replace(DEFAULT, seed=seed)).snapshot()
+
+
+def _default_args(store):
+    return dict(
+        k=DEFAULT.effective_k(store),
+        delta=DEFAULT.delta,
+        kappa=DEFAULT.kappa,
+        n_adj=DEFAULT.effective_n_adj(),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lockstep_matches_per_chain_path_on_default_config(seed):
+    store = _default_store(seed)
+    _assert_parity(store, dataclasses.replace(DEFAULT.hmc, rng_seed=seed), **_default_args(store))
+
+
+@pytest.mark.parametrize("variant", list(SamplerVariant))
+def test_lockstep_matches_per_chain_path_for_every_variant(variant):
+    store = _default_store(3)
+    cfg = HmcConfig(variant=variant, rng_seed=5, rounds=8)
+    _assert_parity(store, cfg, **_default_args(store))
+
+
+def test_lockstep_matches_per_chain_path_in_scaled_grad_mode():
+    store = _default_store(4)
+    args = _default_args(store) | {"grad_mode": "scaled"}
+    _assert_parity(store, HmcConfig(rng_seed=6), **args)
+
+
+def test_lockstep_matches_per_chain_path_on_criterion_10_store():
+    cfg = BenchConfig(dim=128, num_classes=10, points_per_class=1000, cluster_kappa=60.0)
+    store = generate_synthetic_id(cfg).snapshot()
+    args = dict(
+        k=cfg.effective_k(store), delta=cfg.delta, kappa=cfg.kappa, n_adj=cfg.effective_n_adj()
+    )
+    _assert_parity(store, cfg.hmc, **args)
+
+
+@pytest.mark.parametrize("variant", [SamplerVariant.HMC, SamplerVariant.RANDOM_WALK])
+def test_lockstep_matches_per_chain_path_through_degenerate_retries(variant):
+    store = _degenerate_store()
+    batch = _assert_parity(
+        store, HmcConfig(variant=variant, rng_seed=7), k=1, delta=0.1, kappa=2.0, n_adj=2
+    )
+    stuck = [run for run in batch.chains if {run.pair.u, run.pair.v} == {0, 1}]
+    assert len(stuck) == 2
+    assert all(math.isnan(rec.h_init) for run in stuck for rec in run.records)
+    assert any(not math.isnan(rec.h_init) for run in batch.chains for rec in run.records)
