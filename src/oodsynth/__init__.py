@@ -33,7 +33,6 @@ from .metrics import (
     calibrate_threshold,
     fpr_at_tpr95,
     hypersphere_quality,
-    knn_score,
     knn_scores,
     score_report,
 )
@@ -45,7 +44,7 @@ from .objectives import (
 )
 from .samplers import ChainState, HmcConfig, SamplerVariant, TransitionRecord
 from .sphere import geodesic_step, normalize, project_tangent
-from .store import ClusterPair, IdStore
+from .store import ClusterPair, IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     gaussian_baseline_batch,
@@ -61,6 +60,7 @@ __all__ = [
     "ClusterPair",
     "EnergyContext",
     "HmcConfig",
+    "IdSnapshot",
     "IdStore",
     "OodTestSpec",
     "OutlierBatch",
@@ -83,7 +83,6 @@ __all__ = [
     "hard_margin_threshold",
     "hypersphere_quality",
     "id_prob",
-    "knn_score",
     "knn_scores",
     "normalize",
     "ood_discernment_loss",

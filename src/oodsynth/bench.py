@@ -43,7 +43,7 @@ from .objectives import (
 )
 from .samplers import HmcConfig, SamplerVariant
 from .sphere import normalize
-from .store import ClusterPair, IdStore
+from .store import ClusterPair, IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     batch_to_dict,
@@ -107,7 +107,7 @@ class BenchConfig:
     def effective_n_adj(self) -> int:
         return min(self.n_adj, self.num_classes - 1)
 
-    def effective_k(self, store: IdStore) -> int:
+    def effective_k(self, store: IdSnapshot) -> int:
         return min(self.knn_k, min(store.count(c) for c in range(store.num_classes)))
 
     def to_dict(self) -> dict:
@@ -133,7 +133,11 @@ class BenchConfig:
     @classmethod
     def load_json(cls, path: str | Path) -> "BenchConfig":
         try:
-            doc = json.loads(Path(path).read_text())
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as err:
+            raise BadConfigError(f"cannot read config file {path}: {err}") from err
+        try:
+            doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise BadConfigError(f"config file {path} is not valid JSON: {err}") from err
         if not isinstance(doc, dict):
@@ -204,14 +208,15 @@ def _cluster_centers(cfg: BenchConfig) -> np.ndarray:
 
 def make_ood_test_set(cfg: BenchConfig, store: IdStore, rng: np.random.Generator) -> np.ndarray:
     """Held-out OOD points: uniform sphere plus vMF blobs at pair midpoints."""
+    snapshot = store.snapshot()
     parts = []
     if cfg.ood.n_uniform > 0:
         parts.append(uniform_sphere(cfg.ood.n_uniform, cfg.dim, rng))
     if cfg.ood.n_midpoint > 0:
         midpoints = []
         for c in range(cfg.num_classes):
-            for j in store.adjacent_clusters(c, cfg.effective_n_adj()):
-                midpoints.append(store.midpoint(ClusterPair(c, j)))
+            for j in snapshot.adjacent_clusters(c, cfg.effective_n_adj()):
+                midpoints.append(snapshot.midpoint(ClusterPair(c, j)))
         counts = np.bincount(
             np.arange(cfg.ood.n_midpoint) % len(midpoints), minlength=len(midpoints)
         )
@@ -421,9 +426,9 @@ def _flush_artifacts(
         last.report.save_json(out_dir / "scores_final.json")
         files["scores"] = out_dir / "scores_final.json"
         if len(last.batch):
-            rws = round_wise_scores(
-                last.batch, store, min(cfg.k_detect, store.all_embeddings().shape[0])
-            )
+            snapshot = store.snapshot()
+            k_det = min(cfg.k_detect, snapshot.all_embeddings().shape[0])
+            rws = round_wise_scores(last.batch, snapshot, k_det)
             with open(out_dir / "round_scores.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["round", "count", "mean", "std", "min", "max"])
@@ -449,30 +454,31 @@ def _flush_artifacts(
 
 # -- ablation sweeps --------------------------------------------------------
 
-SWEEP_AXES = ("lambda_d", "k", "delta", "L", "eps", "n_adj", "R", "variant")
+# sweep axis -> (nested config holding the field, or None; field; value type)
+_SWEEP_FIELDS = {
+    "lambda_d": (None, "lambda_d", float),
+    "k": (None, "knn_k", int),
+    "delta": (None, "delta", float),
+    "L": ("hmc", "leapfrog_steps", int),
+    "eps": ("hmc", "step_size", float),
+    "n_adj": (None, "n_adj", int),
+    "R": ("hmc", "rounds", int),
+    "variant": ("hmc", "variant", SamplerVariant),
+}
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 
 def _apply_axis(cfg: BenchConfig, axis: str, value) -> BenchConfig:
-    hmc = dataclasses.replace(cfg.hmc)
-    if axis == "lambda_d":
-        return dataclasses.replace(cfg, lambda_d=float(value), hmc=hmc)
-    if axis == "k":
-        return dataclasses.replace(cfg, knn_k=int(value), hmc=hmc)
-    if axis == "delta":
-        return dataclasses.replace(cfg, delta=float(value), hmc=hmc)
-    if axis == "n_adj":
-        return dataclasses.replace(cfg, n_adj=int(value), hmc=hmc)
-    if axis == "L":
-        return dataclasses.replace(cfg, hmc=dataclasses.replace(hmc, leapfrog_steps=int(value)))
-    if axis == "eps":
-        return dataclasses.replace(cfg, hmc=dataclasses.replace(hmc, step_size=float(value)))
-    if axis == "R":
-        return dataclasses.replace(cfg, hmc=dataclasses.replace(hmc, rounds=int(value)))
-    if axis == "variant":
-        return dataclasses.replace(
-            cfg, hmc=dataclasses.replace(hmc, variant=SamplerVariant(value))
-        )
-    raise BadArgError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
+    if axis not in _SWEEP_FIELDS:
+        raise BadArgError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
+    section, name, kind = _SWEEP_FIELDS[axis]
+    try:
+        value = kind(value)
+    except ValueError as err:
+        raise BadConfigError(f"sweep axis {axis!r} cannot take the value {value!r}") from err
+    if section == "hmc":
+        return dataclasses.replace(cfg, hmc=dataclasses.replace(cfg.hmc, **{name: value}))
+    return dataclasses.replace(cfg, **{name: value})
 
 
 @dataclass

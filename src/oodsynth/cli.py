@@ -32,71 +32,54 @@ from .bench import (
 )
 from .errors import ConfigError, DataError, NumericalError
 from .metrics import score_report
+from .samplers import SamplerVariant
 from .store import IdStore
 from .synthesis import synthesize_batch, write_batch_csv, write_batch_json, write_trace_jsonl
 
-_CONFIG_FLAGS = {
-    # flag dest -> (section, field)
-    "dim": (None, "dim"),
-    "classes": (None, "num_classes"),
-    "points_per_class": (None, "points_per_class"),
-    "cluster_kappa": (None, "cluster_kappa"),
-    "seed": (None, "seed"),
-    "k": (None, "knn_k"),
-    "k_detect": (None, "k_detect"),
-    "delta": (None, "delta"),
-    "kappa": (None, "kappa"),
-    "loss_kappa": (None, "loss_kappa"),
-    "lambda_d": (None, "lambda_d"),
-    "n_adj": (None, "n_adj"),
-    "ema_factor": (None, "ema_factor"),
-    "grad_mode": (None, "grad_mode"),
-    "iterations": (None, "iterations"),
-    "insert_per_class": (None, "insert_per_class"),
-    "id_test_per_class": (None, "id_test_per_class"),
-    "out_dir": (None, "out_dir"),
-    "leapfrog_steps": ("hmc", "leapfrog_steps"),
-    "step_size": ("hmc", "step_size"),
-    "rounds": ("hmc", "rounds"),
-    "variant": ("hmc", "variant"),
-    "sampler_seed": ("hmc", "rng_seed"),
-    "history_window": ("hmc", "history_window"),
-    "ood_uniform": ("ood", "n_uniform"),
-    "ood_midpoint": ("ood", "n_midpoint"),
-    "ood_midpoint_kappa": ("ood", "midpoint_kappa"),
-}
+# One row per config flag: (option strings, section, BenchConfig field,
+# add_argument keywords). The section is None for top-level fields, or the
+# name of the nested config ("hmc", "ood") that holds the field.
+_CONFIG_FLAGS = (
+    (("--dim",), None, "dim", {"type": int}),
+    (("--classes",), None, "num_classes", {"type": int}),
+    (("--points-per-class",), None, "points_per_class", {"type": int}),
+    (("--cluster-kappa",), None, "cluster_kappa", {"type": float}),
+    (("--seed",), None, "seed", {"type": int}),
+    (("--k",), None, "knn_k", {"type": int, "help": "k for the synthesis OOD-ness distance"}),
+    (("--k-detect",), None, "k_detect", {"type": int, "help": "k for the inference-time detector"}),
+    (("--delta",), None, "delta", {"type": float, "help": "hard margin"}),
+    (("--kappa",), None, "kappa", {"type": float, "help": "vMF KDE bandwidth"}),
+    (("--loss-kappa",), None, "loss_kappa", {"type": float}),
+    (("--lambda-d",), None, "lambda_d", {"type": float}),
+    (("--n-adj",), None, "n_adj", {"type": int}),
+    (("--ema-factor",), None, "ema_factor", {"type": float}),
+    (("--grad-mode",), None, "grad_mode", {"choices": ["analytic", "scaled"]}),
+    (("--iterations",), None, "iterations", {"type": int}),
+    (("--insert-per-class",), None, "insert_per_class", {"type": int}),
+    (("--id-test-per-class",), None, "id_test_per_class", {"type": int}),
+    (("--out-dir",), None, "out_dir", {}),
+    (("--leapfrog-steps", "-L"), "hmc", "leapfrog_steps", {"type": int}),
+    (("--step-size",), "hmc", "step_size", {"type": float}),
+    (("--rounds", "-R"), "hmc", "rounds", {"type": int}),
+    (("--variant",), "hmc", "variant", {"choices": [v.value for v in SamplerVariant]}),
+    (("--sampler-seed",), "hmc", "rng_seed", {"type": int}),
+    (("--history-window",), "hmc", "history_window", {"type": int}),
+    (("--ood-uniform",), "ood", "n_uniform", {"type": int}),
+    (("--ood-midpoint",), "ood", "n_midpoint", {"type": int}),
+    (("--ood-midpoint-kappa",), "ood", "midpoint_kappa", {"type": float}),
+)
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    """The attribute argparse stores a flag under: its long name, dashes to underscores."""
+    return flags[0][2:].replace("-", "_")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file with BenchConfig fields")
     g = parser.add_argument_group("config overrides")
-    g.add_argument("--dim", type=int)
-    g.add_argument("--classes", type=int)
-    g.add_argument("--points-per-class", type=int)
-    g.add_argument("--cluster-kappa", type=float)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--k", type=int, help="k for the synthesis OOD-ness distance")
-    g.add_argument("--k-detect", type=int, help="k for the inference-time detector")
-    g.add_argument("--delta", type=float, help="hard margin")
-    g.add_argument("--kappa", type=float, help="vMF KDE bandwidth")
-    g.add_argument("--loss-kappa", type=float)
-    g.add_argument("--lambda-d", type=float)
-    g.add_argument("--n-adj", type=int)
-    g.add_argument("--ema-factor", type=float)
-    g.add_argument("--grad-mode", choices=["analytic", "scaled"])
-    g.add_argument("--iterations", type=int)
-    g.add_argument("--insert-per-class", type=int)
-    g.add_argument("--id-test-per-class", type=int)
-    g.add_argument("--out-dir")
-    g.add_argument("--leapfrog-steps", "-L", type=int, dest="leapfrog_steps")
-    g.add_argument("--step-size", type=float)
-    g.add_argument("--rounds", "-R", type=int)
-    g.add_argument("--variant", choices=["random_walk", "hmc", "mala", "mmala", "rmhmc"])
-    g.add_argument("--sampler-seed", type=int)
-    g.add_argument("--history-window", type=int)
-    g.add_argument("--ood-uniform", type=int)
-    g.add_argument("--ood-midpoint", type=int)
-    g.add_argument("--ood-midpoint-kappa", type=float)
+    for flags, _, _, kwargs in _CONFIG_FLAGS:
+        g.add_argument(*flags, dest=_dest(flags), **kwargs)
 
 
 def build_config(args: argparse.Namespace) -> BenchConfig:
@@ -104,18 +87,15 @@ def build_config(args: argparse.Namespace) -> BenchConfig:
         cfg = BenchConfig.load_json(args.config)
     else:
         cfg = BenchConfig()
-    top: dict = {}
-    hmc: dict = {}
-    ood: dict = {}
-    for dest, (section, field) in _CONFIG_FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        {None: top, "hmc": hmc, "ood": ood}[section][field] = value
-    if hmc:
-        top["hmc"] = dataclasses.replace(cfg.hmc, **hmc)
-    if ood:
-        top["ood"] = dataclasses.replace(cfg.ood, **ood)
+    changes: dict = {None: {}, "hmc": {}, "ood": {}}
+    for flags, section, field, _ in _CONFIG_FLAGS:
+        value = getattr(args, _dest(flags), None)
+        if value is not None:
+            changes[section][field] = value
+    top = changes.pop(None)
+    for section, fields in changes.items():
+        if fields:
+            top[section] = dataclasses.replace(getattr(cfg, section), **fields)
     return dataclasses.replace(cfg, **top) if top else cfg
 
 

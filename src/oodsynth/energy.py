@@ -44,7 +44,7 @@ import numpy as np
 from . import blas
 from .errors import EmptyBufferError, InsufficientDataError
 from .metrics import kth_neighbors
-from .store import ClusterPair, IdStore
+from .store import ClusterPair, IdSnapshot
 
 
 def vmf_kernel(z: np.ndarray, center: np.ndarray, kappa: float) -> float:
@@ -52,7 +52,7 @@ def vmf_kernel(z: np.ndarray, center: np.ndarray, kappa: float) -> float:
     return float(np.exp(kappa * (np.asarray(center, dtype=float) @ np.asarray(z, dtype=float))))
 
 
-def log_class_densities(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
+def log_class_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
     """log of the per-class vMF kernel density estimates at z, shape z.shape[:-1] + (C,).
 
     One GEMM against the concatenated buffers (on one BLAS thread), then a
@@ -76,19 +76,19 @@ def log_class_densities(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarr
     return logs.reshape(z.shape[:-1] + (len(counts),))
 
 
-def _shifted_densities(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
+def _shifted_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
     """Class densities at z divided by their largest, so the largest is exactly 1."""
     logs = log_class_densities(store, z, kappa)
     return np.exp(logs - logs.max(axis=-1, keepdims=True))
 
 
-def id_prob(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
+def id_prob(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
     """Per-class ID probability vector: softmax of the class KDE values."""
     shifted = _shifted_densities(store, z, kappa)
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def neg_log_max_id_prob(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarray:
+def neg_log_max_id_prob(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
     """-log(max_c P_c^ID(z)), the quantity compared against the margin threshold.
 
     That is the log-sum-exp of the class log-densities minus their maximum.
@@ -97,7 +97,7 @@ def neg_log_max_id_prob(store: IdStore, z: np.ndarray, kappa: float) -> np.ndarr
 
 
 def hard_margin_threshold(
-    store: IdStore, pair: ClusterPair, kappa: float, delta: float
+    store: IdSnapshot, pair: ClusterPair, kappa: float, delta: float
 ) -> float:
     """Rejection threshold t_- at the pair midpoint: -log max_c P_c^ID(b) - delta."""
     b = store.midpoint(pair)
@@ -105,7 +105,7 @@ def hard_margin_threshold(
 
 
 def passes_margin(
-    store: IdStore, z: np.ndarray, kappa: float, t_minus: float | np.ndarray
+    store: IdSnapshot, z: np.ndarray, kappa: float, t_minus: float | np.ndarray
 ) -> np.ndarray:
     """True iff z is sufficiently unlike every ID class: -log max_c P_c^ID(z) > t_-."""
     return neg_log_max_id_prob(store, z, kappa) > t_minus
@@ -119,7 +119,7 @@ class EnergyContext:
     value per row. Pure functions over a store snapshot.
     """
 
-    store: IdStore
+    store: IdSnapshot
     pairs: Sequence[ClusterPair]
     k: int
     kappa: float

@@ -30,11 +30,6 @@ MIN_CALIBRATION_SCORES = 20
 KNN_BLOCK_ELEMENTS = 2**16
 
 
-def knn_score(reference: np.ndarray, z: np.ndarray, k: int) -> float:
-    """Negative Euclidean distance to the k-th nearest reference embedding."""
-    return float(knn_scores(reference, z, k)[0])
-
-
 def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
     """Negative k-th-neighbor distance of every row of ``zs``, computed exactly."""
     return -kth_neighbors(reference, np.atleast_2d(zs), k)[0]

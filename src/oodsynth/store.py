@@ -1,12 +1,16 @@
-"""Class-conditional embedding buffers, EMA prototypes, and kNN queries.
+"""Class-conditional embedding buffers, EMA prototypes, and frozen snapshots.
 
 An IdStore keeps, for each of C classes, a fixed-capacity FIFO buffer of
 unit-norm embeddings plus one exponentially-averaged unit-norm prototype.
-It is the in-distribution prior every downstream component queries.
+It is the write side only: ``snapshot()`` freezes its current state into
+an IdSnapshot, the in-distribution prior every downstream component
+queries.
 
-Concurrency contract: single writer, many readers. ``insert`` and
-``update_prototype`` need exclusive access; all queries are read-only and
-may run concurrently against a frozen ``snapshot()``.
+Concurrency contract: one writer, readers hold immutable snapshots.
+``insert``, ``insert_batch`` and ``update_prototype`` need exclusive access
+to the store; an IdSnapshot shares no memory with it and every array it
+holds is read-only, so any number of readers may query one concurrently
+while the store keeps changing.
 
 Serialization: ``save``/``load`` support two formats, chosen by file
 extension. ``.json`` produces a plain JSON document. Any other extension
@@ -36,7 +40,6 @@ from .errors import (
     BadClassError,
     CorruptStoreError,
     EmptyBufferError,
-    InsufficientDataError,
     NotUnitError,
     PrototypeUndefinedError,
 )
@@ -60,8 +63,92 @@ class ClusterPair:
             raise BadArgError(f"cluster pair needs two distinct classes, got ({self.u}, {self.v})")
 
 
+def _check_class(class_id: int, num_classes: int) -> None:
+    if not 0 <= class_id < num_classes:
+        raise BadClassError(f"class id {class_id} outside [0, {num_classes})")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class IdSnapshot:
+    """Frozen state of an IdStore: the only object that answers queries.
+
+    ``embeddings`` holds every buffered embedding in one (N, d) array,
+    classes in order and oldest first within a class; class c owns rows
+    ``offsets[c]:offsets[c + 1]``. ``prototypes`` is (C, d), with the rows
+    where ``has_prototype`` is False left at zero. Every array is
+    read-only, and the views handed out are too.
+    """
+
+    embeddings: np.ndarray
+    offsets: np.ndarray
+    prototypes: np.ndarray
+    has_prototype: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.embeddings, self.offsets, self.prototypes, self.has_prototype):
+            array.setflags(write=False)
+
+    @property
+    def num_classes(self) -> int:
+        return self.prototypes.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.prototypes.shape[1]
+
+    def count(self, class_id: int) -> int:
+        _check_class(class_id, self.num_classes)
+        return int(self.offsets[class_id + 1] - self.offsets[class_id])
+
+    def prototype(self, class_id: int) -> np.ndarray:
+        _check_class(class_id, self.num_classes)
+        if not self.has_prototype[class_id]:
+            raise PrototypeUndefinedError(f"prototype of class {class_id} was never updated")
+        return self.prototypes[class_id]
+
+    def class_embeddings(self, class_id: int) -> np.ndarray:
+        """Buffered embeddings of one class, oldest first (a read-only view)."""
+        _check_class(class_id, self.num_classes)
+        return self.embeddings[self.offsets[class_id] : self.offsets[class_id + 1]]
+
+    def all_embeddings(self) -> np.ndarray:
+        """Every buffered embedding, classes in order, oldest first within a class."""
+        return self.embeddings
+
+    def class_offsets(self) -> np.ndarray:
+        """Start offsets of each class inside ``all_embeddings`` (length C + 1)."""
+        return self.offsets
+
+    def adjacent_clusters(self, class_id: int, n_adj: int) -> list[int]:
+        """The n_adj classes whose prototypes are most cosine-similar to this one.
+
+        Returned in descending similarity; ties broken by lower class id.
+        """
+        _check_class(class_id, self.num_classes)
+        if not 1 <= n_adj <= self.num_classes - 1:
+            raise BadArgError(f"n_adj={n_adj} outside [1, {self.num_classes - 1}]")
+        missing = np.flatnonzero(~self.has_prototype).tolist()
+        if missing:
+            raise PrototypeUndefinedError(f"prototypes undefined for classes {missing}")
+        cos = self.prototypes @ self.prototypes[class_id]
+        others = np.array([c for c in range(self.num_classes) if c != class_id])
+        order = np.lexsort((others, -cos[others]))
+        return [int(others[i]) for i in order[:n_adj]]
+
+    def midpoint(self, pair: ClusterPair) -> np.ndarray:
+        """Normalized sum of the two prototypes of a cluster pair."""
+        mu_u = self.prototype(pair.u)
+        mu_v = self.prototype(pair.v)
+        s = mu_u + mu_v
+        if np.linalg.norm(s) < ANTIPODAL_TOL:
+            raise AntipodalPrototypesError(
+                f"prototypes of classes {pair.u} and {pair.v} are antipodal"
+            )
+        return normalize(s)
+
+
 class IdStore:
-    """Per-class FIFO embedding buffers with EMA prototypes."""
+    """Per-class FIFO embedding buffers with EMA prototypes (the write side)."""
 
     def __init__(self, num_classes: int, dim: int, capacity: int, ema_factor: float = 0.95):
         if num_classes < 2:
@@ -81,18 +168,10 @@ class IdStore:
         self._heads = [0] * num_classes  # next write slot once the buffer is full
         self._protos = np.zeros((num_classes, dim))
         self._has_proto = [False] * num_classes
-        self._version = 0
-        self._view_cache: dict = {}
-
-    # -- writes ----------------------------------------------------------
-
-    def _check_class(self, class_id: int) -> None:
-        if not 0 <= class_id < self.num_classes:
-            raise BadClassError(f"class id {class_id} outside [0, {self.num_classes})")
 
     def insert(self, class_id: int, z: np.ndarray) -> None:
         """Append z to the class buffer, evicting the oldest entry when full."""
-        self._check_class(class_id)
+        _check_class(class_id, self.num_classes)
         z = np.asarray(z, dtype=float)
         if z.shape != (self.dim,):
             raise BadArgError(f"embedding shape {z.shape} does not match dim {self.dim}")
@@ -113,7 +192,7 @@ class IdStore:
             raise BadArgError(f"{labels.shape} labels for {embeddings.shape[0]} embeddings")
         classes = np.unique(labels).tolist()
         for c in classes:
-            self._check_class(c)
+            _check_class(c, self.num_classes)
         finite = np.isfinite(embeddings).all(axis=1)
         if not finite.all():
             raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
@@ -124,7 +203,6 @@ class IdStore:
             raise NotUnitError(f"embedding {i} norm {norm:.8f} deviates from 1")
         for c in classes:
             self._append(c, embeddings[labels == c])
-        self._version += 1
 
     def _append(self, class_id: int, rows: np.ndarray) -> None:
         """Ring-buffer write: the t-th row ever stored lands in slot t % capacity."""
@@ -144,7 +222,7 @@ class IdStore:
 
         First call defines the prototype directly as normalize(batch_mean).
         """
-        self._check_class(class_id)
+        _check_class(class_id, self.num_classes)
         if self._counts[class_id] == 0:
             raise EmptyBufferError(f"class {class_id} has no embeddings yet")
         batch_mean = np.asarray(batch_mean, dtype=float)
@@ -155,133 +233,24 @@ class IdStore:
             blended = batch_mean
         self._protos[class_id] = normalize(blended)
         self._has_proto[class_id] = True
-        self._version += 1
 
-    # -- reads -----------------------------------------------------------
+    def snapshot(self) -> IdSnapshot:
+        """Freeze the current state: every buffer copied once, oldest row first."""
+        parts = []
+        for buf, count, head in zip(self._bufs, self._counts, self._heads):
+            parts += [buf[head:count], buf[:head]]  # head is 0 until the buffer is full
+        return IdSnapshot(
+            np.concatenate(parts),
+            np.concatenate([[0], np.cumsum(self._counts)]),
+            self._protos.copy(),
+            np.array(self._has_proto),
+        )
 
-    def count(self, class_id: int) -> int:
-        self._check_class(class_id)
-        return self._counts[class_id]
-
-    def prototype(self, class_id: int) -> np.ndarray:
-        self._check_class(class_id)
-        if not self._has_proto[class_id]:
-            raise PrototypeUndefinedError(f"prototype of class {class_id} was never updated")
-        return self._protos[class_id].copy()
-
-    def class_embeddings(self, class_id: int) -> np.ndarray:
-        """Buffered embeddings of one class, oldest first. Cached per version."""
-        self._check_class(class_id)
-        key = ("class", class_id, self._version)
-        cached = self._view_cache.get(key)
-        if cached is not None:
-            return cached
-        self._view_cache = {k: v for k, v in self._view_cache.items() if k[-1] == self._version}
-        n = self._counts[class_id]
-        buf = self._bufs[class_id]
-        if n < self.capacity:
-            view = buf[:n].copy()
-        else:
-            head = self._heads[class_id]
-            view = np.concatenate([buf[head:], buf[:head]], axis=0)
-        self._view_cache[key] = view
-        return view
-
-    def all_embeddings(self) -> np.ndarray:
-        """Every buffered embedding, classes in order, oldest first within a class."""
-        key = ("all", self._version)
-        cached = self._view_cache.get(key)
-        if cached is not None:
-            return cached
-        parts = [self.class_embeddings(c) for c in range(self.num_classes)]
-        out = np.concatenate(parts, axis=0) if parts else np.empty((0, self.dim))
-        self._view_cache[key] = out
-        return out
-
-    def class_offsets(self) -> np.ndarray:
-        """Start offsets of each class inside ``all_embeddings`` (length C + 1)."""
-        return np.concatenate([[0], np.cumsum(self._counts)])
-
-    def _sq_norms(self, class_id: int) -> np.ndarray:
-        key = ("sq", class_id, self._version)
-        cached = self._view_cache.get(key)
-        if cached is None:
-            emb = self.class_embeddings(class_id)
-            cached = np.einsum("ij,ij->i", emb, emb)
-            self._view_cache[key] = cached
-        return cached
-
-    def knn_distance(self, class_id: int, z: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-        """Euclidean distance to the k-th nearest buffered embedding of a class.
-
-        Returns (distance, neighbor). Ties are broken by lower insertion
-        index, so results are reproducible under a fixed seed. Selection
-        goes through the expansion ||b - z||^2 = ||b||^2 + ||z||^2 - 2 b.z
-        (one BLAS matvec instead of a full difference matrix); the
-        reported distance is then recomputed directly for the selected
-        neighbor.
-        """
-        if k < 1:
-            raise BadArgError(f"k must be >= 1, got {k}")
-        emb = self.class_embeddings(class_id)
-        n = emb.shape[0]
-        if n < k:
-            raise InsufficientDataError(
-                f"class {class_id} holds {n} embeddings, fewer than k={k}"
-            )
-        z = np.asarray(z, dtype=float)
-        d2 = self._sq_norms(class_id) + float(z @ z) - 2.0 * (emb @ z)
-        if k < n:
-            kth_value = d2[np.argpartition(d2, k - 1)[k - 1]]
-        else:
-            kth_value = d2.max()
-        # ties share kth_value; pick by insertion order among the tied rows
-        below = int(np.count_nonzero(d2 < kth_value))
-        tied = np.flatnonzero(d2 == kth_value)
-        idx = int(tied[k - 1 - below])
-        return float(np.linalg.norm(emb[idx] - z)), emb[idx].copy()
-
-    def adjacent_clusters(self, class_id: int, n_adj: int) -> list[int]:
-        """The n_adj classes whose prototypes are most cosine-similar to this one.
-
-        Returned in descending similarity; ties broken by lower class id.
-        """
-        self._check_class(class_id)
-        if not 1 <= n_adj <= self.num_classes - 1:
-            raise BadArgError(f"n_adj={n_adj} outside [1, {self.num_classes - 1}]")
-        missing = [c for c in range(self.num_classes) if not self._has_proto[c]]
-        if missing:
-            raise PrototypeUndefinedError(f"prototypes undefined for classes {missing}")
-        cos = self._protos @ self._protos[class_id]
-        others = np.array([c for c in range(self.num_classes) if c != class_id])
-        order = np.lexsort((others, -cos[others]))
-        return [int(others[i]) for i in order[:n_adj]]
-
-    def midpoint(self, pair: ClusterPair) -> np.ndarray:
-        """Normalized sum of the two prototypes of a cluster pair."""
-        mu_u = self.prototype(pair.u)
-        mu_v = self.prototype(pair.v)
-        s = mu_u + mu_v
-        if np.linalg.norm(s) < ANTIPODAL_TOL:
-            raise AntipodalPrototypesError(
-                f"prototypes of classes {pair.u} and {pair.v} are antipodal"
-            )
-        return normalize(s)
-
-    # -- snapshots and io --------------------------------------------------
-
-    def snapshot(self) -> "IdStore":
-        """Independent deep copy, safe to query while the original mutates."""
-        out = IdStore(self.num_classes, self.dim, self.capacity, self.ema_factor)
-        out._bufs = [b.copy() for b in self._bufs]
-        out._counts = list(self._counts)
-        out._heads = list(self._heads)
-        out._protos = self._protos.copy()
-        out._has_proto = list(self._has_proto)
-        return out
+    # -- io ----------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
+        snap = self.snapshot()
         if path.suffix == ".json":
             doc = {
                 "num_classes": self.num_classes,
@@ -290,8 +259,8 @@ class IdStore:
                 "ema_factor": self.ema_factor,
                 "classes": [
                     {
-                        "prototype": self._protos[c].tolist() if self._has_proto[c] else None,
-                        "buffer": self.class_embeddings(c).tolist(),
+                        "prototype": snap.prototypes[c].tolist() if snap.has_prototype[c] else None,
+                        "buffer": snap.class_embeddings(c).tolist(),
                     }
                     for c in range(self.num_classes)
                 ],
@@ -303,52 +272,64 @@ class IdStore:
             struct.pack("<IIId", self.num_classes, self.dim, self.capacity, self.ema_factor),
         ]
         for c in range(self.num_classes):
-            emb = self.class_embeddings(c)
-            chunks.append(struct.pack("<IB", emb.shape[0], int(self._has_proto[c])))
-            if self._has_proto[c]:
-                chunks.append(np.ascontiguousarray(self._protos[c]).tobytes())
-            chunks.append(np.ascontiguousarray(emb).tobytes())
+            emb = snap.class_embeddings(c)
+            chunks.append(struct.pack("<IB", emb.shape[0], int(snap.has_prototype[c])))
+            if snap.has_prototype[c]:
+                chunks.append(snap.prototypes[c].tobytes())
+            chunks.append(emb.tobytes())
         path.write_bytes(b"".join(chunks))
 
     @classmethod
     def load(cls, path: str | Path) -> "IdStore":
-        """Read a store written by ``save``; a file that is not one raises CorruptStoreError."""
+        """Read a store written by ``save``; a file that is not one raises CorruptStoreError.
+
+        The header must be one the constructor accepts, a JSON file must
+        list exactly ``num_classes`` classes, and every prototype must be a
+        finite unit vector of dimension d, as ``update_prototype`` leaves it.
+        """
         path = Path(path)
         try:
-            if path.suffix == ".json":
-                doc = json.loads(path.read_text())
-                store = cls(doc["num_classes"], doc["dim"], doc["capacity"], doc["ema_factor"])
-                for c, entry in enumerate(doc["classes"]):
-                    rows = np.asarray(entry["buffer"], dtype=float).reshape(-1, store.dim)
-                    store._load_class(c, rows)
-                    if entry["prototype"] is not None:
-                        store._protos[c] = np.asarray(entry["prototype"], dtype=float)
-                        store._has_proto[c] = True
-                return store
-            raw = path.read_bytes()
-            if raw[: len(_MAGIC)] != _MAGIC:
-                raise CorruptStoreError(f"{path} is not an id-store file")
-            off = len(_MAGIC)
-            num_classes, dim, capacity, gamma = struct.unpack_from("<IIId", raw, off)
-            off += struct.calcsize("<IIId")
-            store = cls(num_classes, dim, capacity, gamma)
-            for c in range(num_classes):
-                n_c, has_proto = struct.unpack_from("<IB", raw, off)
-                off += struct.calcsize("<IB")
-                if has_proto:
-                    store._protos[c] = np.frombuffer(raw, dtype="<f8", count=dim, offset=off)
-                    store._has_proto[c] = True
-                    off += dim * 8
-                rows = np.frombuffer(raw, dtype="<f8", count=n_c * dim, offset=off)
-                off += n_c * dim * 8
-                store._load_class(c, rows.reshape(n_c, dim))
-            if off != len(raw):
-                raise CorruptStoreError(f"{path} has {len(raw) - off} bytes after the last class")
-            return store
-        except (
-            OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, struct.error
+            return cls._read(path)
+        except (  # JSONDecodeError is a ValueError; BadArgError is a header the store rejects
+            OSError, KeyError, TypeError, ValueError, struct.error,
+            BadArgError, NotUnitError, CorruptStoreError,
         ) as err:
             raise CorruptStoreError(f"cannot read id-store file {path}: {err}") from err
+
+    @classmethod
+    def _read(cls, path: Path) -> "IdStore":
+        if path.suffix == ".json":
+            doc = json.loads(path.read_text())
+            store = cls(doc["num_classes"], doc["dim"], doc["capacity"], doc["ema_factor"])
+            if len(doc["classes"]) != store.num_classes:
+                raise CorruptStoreError(
+                    f"{len(doc['classes'])} classes listed for a header of {store.num_classes}"
+                )
+            for c, entry in enumerate(doc["classes"]):
+                rows = np.asarray(entry["buffer"], dtype=float).reshape(-1, store.dim)
+                store._load_class(c, rows)
+                if entry["prototype"] is not None:
+                    store._load_prototype(c, np.asarray(entry["prototype"], dtype=float))
+            return store
+        raw = path.read_bytes()
+        if raw[: len(_MAGIC)] != _MAGIC:
+            raise CorruptStoreError("not an id-store file")
+        off = len(_MAGIC)
+        num_classes, dim, capacity, gamma = struct.unpack_from("<IIId", raw, off)
+        off += struct.calcsize("<IIId")
+        store = cls(num_classes, dim, capacity, gamma)
+        for c in range(num_classes):
+            n_c, has_proto = struct.unpack_from("<IB", raw, off)
+            off += struct.calcsize("<IB")
+            if has_proto:
+                store._load_prototype(c, np.frombuffer(raw, dtype="<f8", count=dim, offset=off))
+                off += dim * 8
+            rows = np.frombuffer(raw, dtype="<f8", count=n_c * dim, offset=off)
+            off += n_c * dim * 8
+            store._load_class(c, rows.reshape(n_c, dim))
+        if off != len(raw):
+            raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
+        return store
 
     def _load_class(self, class_id: int, rows: np.ndarray) -> None:
         if rows.shape[0] > self.capacity:
@@ -356,3 +337,15 @@ class IdStore:
                 f"class {class_id} holds {rows.shape[0]} rows, over the capacity {self.capacity}"
             )
         self.insert_batch(rows, np.full(rows.shape[0], class_id))
+
+    def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:
+        if (
+            proto.shape != (self.dim,)
+            or not np.isfinite(proto).all()
+            or abs(np.linalg.norm(proto) - 1.0) > UNIT_TOL
+        ):
+            raise CorruptStoreError(
+                f"prototype of class {class_id} is not a finite unit vector of dimension {self.dim}"
+            )
+        self._protos[class_id] = proto
+        self._has_proto[class_id] = True

@@ -32,7 +32,7 @@ from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from .metrics import knn_scores
 from .samplers import ChainState, HmcConfig, TransitionRecord, advance
 from .sphere import normalize
-from .store import ClusterPair, IdStore
+from .store import ClusterPair, IdSnapshot
 
 
 @dataclass
@@ -81,7 +81,7 @@ class OutlierBatch:
 
 
 def synthesize_batch(
-    store: IdStore,
+    store: IdSnapshot,
     cfg: HmcConfig,
     k: int,
     delta: float,
@@ -91,7 +91,7 @@ def synthesize_batch(
 ) -> OutlierBatch:
     """Run all chains for one batch of virtual outliers, in lockstep.
 
-    ``store`` should be a frozen snapshot; it is only read. Every class
+    ``store`` is a frozen snapshot of the ID store. Every class
     buffer must hold at least ``k`` embeddings.
     """
     C = store.num_classes
@@ -169,7 +169,9 @@ class RoundScores:
     scores: np.ndarray
 
 
-def round_wise_scores(batch: OutlierBatch, store: IdStore, k_detect: int) -> list[RoundScores]:
+def round_wise_scores(
+    batch: OutlierBatch, store: IdSnapshot, k_detect: int
+) -> list[RoundScores]:
     """kNN detection-score distribution of the batch, grouped by synthesis round."""
     if not batch.samples:
         raise BadArgError("cannot compute round-wise scores of an empty batch")
@@ -192,7 +194,7 @@ def round_wise_scores(batch: OutlierBatch, store: IdStore, k_detect: int) -> lis
 
 
 def gaussian_baseline_batch(
-    store: IdStore,
+    store: IdSnapshot,
     sigma: float,
     count_per_pair: int,
     n_adj: int,

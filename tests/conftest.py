@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodsynth.sphere import normalize
-from oodsynth.store import IdStore
+from oodsynth.store import IdSnapshot, IdStore
 
 
 def cluster_store(
@@ -32,3 +32,8 @@ def cluster_store(
 @pytest.fixture
 def small_store() -> IdStore:
     return cluster_store()
+
+
+@pytest.fixture
+def small_snapshot() -> IdSnapshot:
+    return cluster_store().snapshot()

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from oodsynth.bench import (
     sample_vmf,
     uniform_sphere,
 )
+from oodsynth import cli
 from oodsynth.cli import main
 from oodsynth.errors import BadConfigError, ZeroVectorError
 from oodsynth.samplers import HmcConfig, SamplerVariant
@@ -67,8 +70,8 @@ def test_uniform_sphere_norms():
 
 
 def test_generate_synthetic_id_deterministic():
-    a = generate_synthetic_id(SMALL)
-    b = generate_synthetic_id(SMALL)
+    a = generate_synthetic_id(SMALL).snapshot()
+    b = generate_synthetic_id(SMALL).snapshot()
     for c in range(SMALL.num_classes):
         assert np.array_equal(a.class_embeddings(c), b.class_embeddings(c))
         assert np.array_equal(a.prototype(c), b.prototype(c))
@@ -97,7 +100,7 @@ def test_config_validation():
 
 def test_effective_clipping():
     cfg = dataclasses.replace(SMALL, knn_k=10_000, n_adj=99)
-    store = generate_synthetic_id(cfg)
+    store = generate_synthetic_id(cfg).snapshot()
     assert cfg.effective_k(store) == cfg.points_per_class
     assert cfg.effective_n_adj() == cfg.num_classes - 1
 
@@ -323,6 +326,111 @@ def test_cli_corrupt_store_exit_code(tmp_path):
     bad_store.write_bytes(b"garbage")
     batch = tmp_path / "b.json"
     assert main(["synth", "--store", str(bad_store), "--out", str(batch)]) == 3
+
+
+def _prototype(doc, class_id):
+    return doc["classes"][class_id]["prototype"]
+
+
+def _corrupt_json(edit):
+    def write(doc, raw):
+        edit(doc)
+        return ".json", json.dumps(doc).encode()
+
+    return write
+
+
+def _corrupt_binary(fmt, offset, value):
+    def write(doc, raw):
+        raw = bytearray(raw)
+        struct.pack_into(fmt, raw, offset, value)
+        return ".idstore", bytes(raw)
+
+    return write
+
+
+# binary layout: 8-byte magic, header uint32 C at 8, d at 12, B at 16, float64
+# gamma at 20; class 0's uint32 count and uint8 flag, then its prototype at 33
+_CORRUPT_STORES = {
+    "json-extra-class": _corrupt_json(lambda doc: doc["classes"].append(doc["classes"][0])),
+    "json-missing-class": _corrupt_json(lambda doc: doc["classes"].pop()),
+    "json-one-class": _corrupt_json(lambda doc: doc.update(num_classes=1)),
+    "json-gamma-one": _corrupt_json(lambda doc: doc.update(ema_factor=1.0)),
+    "json-nan-prototype": _corrupt_json(lambda doc: _prototype(doc, 0).__setitem__(0, math.nan)),
+    # d = 4, so a broadcast would turn [0.5] into a unit vector
+    "json-short-prototype": _corrupt_json(lambda doc: doc["classes"][1].update(prototype=[0.5])),
+    "json-scaled-prototype": _corrupt_json(lambda doc: _prototype(doc, 0).__setitem__(0, 2.0)),
+    "binary-one-class": _corrupt_binary("<I", 8, 1),
+    "binary-dim-one": _corrupt_binary("<I", 12, 1),
+    "binary-capacity-zero": _corrupt_binary("<I", 16, 0),
+    "binary-gamma-zero": _corrupt_binary("<d", 20, 0.0),
+    "binary-gamma-nan": _corrupt_binary("<d", 20, math.nan),
+    "binary-nan-prototype": _corrupt_binary("<d", 33, math.nan),
+    "binary-off-unit-prototype": _corrupt_binary("<d", 33, 0.75),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPT_STORES))
+def test_cli_synth_corrupt_store_files_exit_3(tmp_path, capsys, case):
+    store = IdStore(2, 4, capacity=3)
+    rows = normalize(np.array([[1.0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]))
+    store.insert_batch(rows, [0, 0, 1, 1])
+    for c in range(2):
+        store.update_prototype(c, rows[2 * c])
+    store.save(tmp_path / "good.json")
+    store.save(tmp_path / "good.idstore")
+    suffix, data = _CORRUPT_STORES[case](
+        json.loads((tmp_path / "good.json").read_text()), (tmp_path / "good.idstore").read_bytes()
+    )
+    path = tmp_path / f"bad{suffix}"
+    path.write_bytes(data)
+    argv = ["synth", "--store", str(path), "--k", "1", "--n-adj", "1"]
+    assert main([*argv, "--out", str(tmp_path / "b.json")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(path) in err
+
+
+def test_cli_run_missing_config_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", "--config", str(missing), "--out-dir", str(tmp_path / "run")]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, value", [("k", "abc"), ("L", "2.5"), ("variant", "bogus")])
+def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
+    argv = ["sweep", "--axis", axis, "--values", value, "--sweep-dir", str(tmp_path / "sweep")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(axis) in err and repr(value) in err
+
+
+def _flag_value(default, kwargs):
+    """A value for a flag that differs from its field's default."""
+    if "choices" in kwargs:
+        return next(c for c in kwargs["choices"] if c != getattr(default, "value", default))
+    if kwargs.get("type") is int:
+        return default + 1
+    if kwargs.get("type") is float:
+        return default / 2
+    return "elsewhere"
+
+
+@pytest.mark.parametrize("flag", cli._CONFIG_FLAGS, ids=lambda flag: flag[0][-1])
+def test_each_config_flag_sets_its_field(flag):
+    flags, section, field, kwargs = flag
+    base = BenchConfig()
+    owner = getattr(base, section) if section else base
+    value = _flag_value(getattr(owner, field), kwargs)
+    for option in flags:
+        args = cli.make_parser().parse_args(["gen", "--out", "x", option, str(value)])
+        cfg = cli.build_config(args)
+        got_owner = getattr(cfg, section) if section else cfg
+        got = getattr(got_owner, field)
+        assert getattr(got, "value", got) == value, option
+        # nothing else moved
+        assert dataclasses.replace(got_owner, **{field: getattr(owner, field)}) == owner
+        if section:
+            assert dataclasses.replace(cfg, **{section: owner}) == base
 
 
 def test_cli_synth_missing_store_exit_code(tmp_path, capsys):

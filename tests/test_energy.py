@@ -13,12 +13,13 @@ from oodsynth.energy import (
     vmf_kernel,
 )
 from oodsynth.errors import InsufficientDataError
+from oodsynth.metrics import kth_neighbors
 from oodsynth.sphere import normalize, project_tangent
 from oodsynth.store import ClusterPair, IdStore
 
 
 def two_point_store(n_u, n_v, dim=None):
-    """C=2 store holding exactly one embedding per class (for k=1 contexts)."""
+    """Snapshot of a C=2 store holding one embedding per class (for k=1 contexts)."""
     n_u = np.asarray(n_u, dtype=float)
     n_v = np.asarray(n_v, dtype=float)
     dim = dim or n_u.size
@@ -27,7 +28,7 @@ def two_point_store(n_u, n_v, dim=None):
     store.update_prototype(0, n_u)
     store.insert(1, n_v)
     store.update_prototype(1, n_v)
-    return store
+    return store.snapshot()
 
 
 def oracle_knn_dist(embeddings, z, k):
@@ -67,7 +68,7 @@ def test_potential_negative_beyond_unit_distance():
 
 
 def test_ood_prob_matches_oracle_and_round_trips():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=3)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=3).snapshot()
     ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=5, kappa=2.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -83,7 +84,7 @@ def test_ood_prob_matches_oracle_and_round_trips():
 
 
 def test_potential_pair_permutation_invariant():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=6)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=6).snapshot()
     z = normalize(np.ones(8))
     u1 = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=3, kappa=2.0).potential(z)
     u2 = EnergyContext(store=store, pairs=[ClusterPair(1, 0)], k=3, kappa=2.0).potential(z)
@@ -138,7 +139,7 @@ def test_grad_analytic_matches_finite_differences():
 
 
 def test_grad_scaled_mode_direction_and_magnitude():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=8)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=8).snapshot()
     ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=4, kappa=2.0)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -164,7 +165,7 @@ def test_grad_degenerate_when_on_neighbor():
 
 
 def test_rows_are_evaluated_against_their_own_pairs():
-    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=9)
+    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=9).snapshot()
     pairs = [ClusterPair(0, 1), ClusterPair(2, 0), ClusterPair(1, 2), ClusterPair(0, 1)]
     rng = np.random.default_rng(6)
     zs = normalize(rng.standard_normal((4, 8)))
@@ -177,8 +178,8 @@ def test_rows_are_evaluated_against_their_own_pairs():
         value, grad = one.value_and_grad(zs[i])
         assert abs(values[i] - value) <= 1e-15
         assert np.array_equal(grads[i], grad)
-        d_u, _ = store.knn_distance(pair.u, zs[i], 1)
-        d_v, _ = store.knn_distance(pair.v, zs[i], 1)
+        (d_u,), _ = kth_neighbors(store.class_embeddings(pair.u), zs[i : i + 1], 1)
+        (d_v,), _ = kth_neighbors(store.class_embeddings(pair.v), zs[i : i + 1], 1)
         assert abs(values[i] + math.log(0.5 * (d_u + d_v))) <= 1e-12
     assert math.isnan(values[3]) and not grads[3].any()
     sub = ctx.take([2, 0])
@@ -187,7 +188,7 @@ def test_rows_are_evaluated_against_their_own_pairs():
 
 
 def test_batched_margin_matches_single_points():
-    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=16)
+    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=16).snapshot()
     zs = normalize(np.random.default_rng(8).standard_normal((5, 6)))
     values = neg_log_max_id_prob(store, zs, 2.0)
     for z, value in zip(zs, values):
@@ -212,7 +213,7 @@ def test_id_prob_identical_buffers_uniform():
     for c in range(3):
         for z in pts:
             store.insert(c, z)
-    p = id_prob(store, normalize(np.array([0.5, 0.5, 1.0, 0.0])), 2.0)
+    p = id_prob(store.snapshot(), normalize(np.array([0.5, 0.5, 1.0, 0.0])), 2.0)
     assert np.allclose(p, 1.0 / 3.0, atol=1e-12)
 
 
@@ -225,7 +226,7 @@ def test_id_prob_two_class_closed_form():
 
 
 def test_id_prob_matches_direct_summation_oracle():
-    store = cluster_store(num_classes=4, dim=6, n_per_class=25, seed=12)
+    store = cluster_store(num_classes=4, dim=6, n_per_class=25, seed=12).snapshot()
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = normalize(rng.standard_normal(6))
@@ -239,7 +240,7 @@ def test_id_prob_matches_direct_summation_oracle():
 def test_id_prob_invariant_to_shared_kernel_constant():
     # multiplying every kernel by one shared positive constant cancels in the
     # softmax, mirroring the dropped vMF normalizer
-    store = cluster_store(num_classes=3, dim=5, n_per_class=20, seed=13)
+    store = cluster_store(num_classes=3, dim=5, n_per_class=20, seed=13).snapshot()
     z = normalize(np.ones(5))
     const = 7.3e-4
     raw = np.array(
@@ -263,7 +264,7 @@ def test_threshold_symmetric_closed_form():
 
 
 def test_threshold_matches_oracle_minus_delta():
-    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=14)
+    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=14).snapshot()
     b = store.midpoint(ClusterPair(0, 1))
     raw = np.array(
         [np.mean(np.exp(2.0 * (store.class_embeddings(c) @ b))) for c in range(3)]
@@ -293,7 +294,7 @@ def test_margin_always_passes_with_huge_delta():
 
 
 def test_neg_log_max_consistency():
-    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=15)
+    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=15).snapshot()
     z = normalize(np.ones(6))
     assert np.isclose(
         neg_log_max_id_prob(store, z, 2.0), -math.log(id_prob(store, z, 2.0).max()), rtol=1e-12

@@ -15,7 +15,6 @@ from oodsynth.metrics import (
     calibrate_threshold,
     fpr_at_tpr95,
     hypersphere_quality,
-    knn_score,
     knn_scores,
     kth_neighbors,
     score_report,
@@ -101,12 +100,12 @@ def assert_kth_neighbors_exact(reference, zs, k):
 
 def test_knn_score_zero_for_member():
     ref = np.eye(3)
-    assert knn_score(ref, np.eye(3)[1], 1) == 0.0
+    assert knn_scores(ref, np.eye(3)[1], 1)[0] == 0.0
 
 
 def test_knn_score_antipodal_diameter():
     ref = np.eye(3)[:1]
-    assert np.isclose(knn_score(ref, -np.eye(3)[0], 1), -2.0, atol=1e-12)
+    assert np.isclose(knn_scores(ref, -np.eye(3)[0], 1)[0], -2.0, atol=1e-12)
 
 
 def test_knn_score_matches_brute_force():
@@ -117,15 +116,15 @@ def test_knn_score_matches_brute_force():
         z = normalize(rng.standard_normal(6))
         k = int(rng.integers(1, 20))
         want = -sorted(np.linalg.norm(ref - z, axis=1))[k - 1]
-        assert knn_score(ref, z, k) == want
+        assert knn_scores(ref, z, k)[0] == want
     zs = np.array([normalize(rng.standard_normal(6)) for _ in range(7)])
     batch = knn_scores(ref, zs, 5)
-    assert np.array_equal(batch, [knn_score(ref, z, 5) for z in zs])
+    assert np.array_equal(batch, [knn_scores(ref, z, 5)[0] for z in zs])
 
 
 def test_knn_score_insufficient_reference():
     with pytest.raises(InsufficientDataError):
-        knn_score(np.eye(3)[:2], np.eye(3)[0], 3)
+        knn_scores(np.eye(3)[:2], np.eye(3)[0], 3)
     with pytest.raises(InsufficientDataError):
         knn_scores(np.eye(3)[:2], np.eye(3), 3)
     with pytest.raises(BadArgError):

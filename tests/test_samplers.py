@@ -126,10 +126,10 @@ def test_hamiltonian_closed_forms():
     assert hamiltonian(flat_energy(), z, q)[0] == 2.0
 
 
-def test_hamiltonian_is_sum_of_parts(small_store):
-    ctx = pair_energy(small_store, k=3, chains=4)
+def test_hamiltonian_is_sum_of_parts(small_snapshot):
+    ctx = pair_energy(small_snapshot, k=3, chains=4)
     rng = np.random.default_rng(1)
-    z = normalize(rng.standard_normal((4, small_store.dim)))
+    z = normalize(rng.standard_normal((4, small_snapshot.dim)))
     q = draw_momentum(z, [rng] * 4)
     want = ctx.potential(z) + 0.5 * np.array([row @ row for row in q])
     assert np.allclose(hamiltonian(ctx, z, q), want, rtol=1e-15)
@@ -144,7 +144,7 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
     store.update_prototype(0, e2)
     store.insert(1, -e2)
     store.update_prototype(1, -e2)
-    ctx = pair_energy(store, k=1)
+    ctx = pair_energy(store.snapshot(), k=1)
     q0 = np.array([0.0, 0.0, 0.8])  # tangent at e1, orthogonal to both buffer points
     z_lf, q_lf = leapfrog_trajectory(ctx, e1, q0, steps=4, step_size=0.3)
     z_geo, q_geo = e1, q0
@@ -154,20 +154,20 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
     assert np.allclose(q_lf, q_geo, atol=1e-14)
 
 
-def test_leapfrog_conserves_energy_at_small_step(small_store):
-    ctx = pair_energy(small_store, k=3, chains=5)
+def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
+    ctx = pair_energy(small_snapshot, k=3, chains=5)
     rng = np.random.default_rng(3)
-    z = np.tile(small_store.midpoint(ClusterPair(0, 1)), (5, 1))
+    z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (5, 1))
     q = draw_momentum(z, [rng] * 5)
     h0 = hamiltonian(ctx, z, q)
     z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=1e-4)
     assert np.abs(hamiltonian(ctx, z2, q2) - h0).max() <= 1e-6
 
 
-def test_leapfrog_default_steps_stay_on_sphere(small_store):
-    ctx = pair_energy(small_store, k=3, chains=3)
+def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
+    ctx = pair_energy(small_snapshot, k=3, chains=3)
     rng = np.random.default_rng(4)
-    z = np.tile(small_store.midpoint(ClusterPair(0, 1)), (3, 1))
+    z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (3, 1))
     q = draw_momentum(z, [rng] * 3)
     z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=0.1)
     assert np.abs(np.linalg.norm(z2, axis=1) - 1.0).max() <= 1e-9
@@ -198,9 +198,9 @@ def test_margin_failure_rejects_despite_mh_acceptance():
     assert state.history == [[], []]
 
 
-def test_two_cluster_acceptance_rate(small_store):
+def test_two_cluster_acceptance_rate(small_snapshot):
     # synthetic two-cluster instance at default sampler settings
-    store = cluster_store(num_classes=2, dim=8, n_per_class=60, seed=21)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=60, seed=21).snapshot()
     ctx = pair_energy(store, k=10, chains=5)
     t_minus = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     cfg = HmcConfig(rng_seed=5)
@@ -331,24 +331,24 @@ def test_history_covariance_handles_degenerate_history():
     assert np.isfinite(rec.h_prop)
 
 
-def test_rmhmc_completes_rounds(small_store):
-    ctx = pair_energy(small_store, k=3, chains=3)
-    t_minus = hard_margin_threshold(small_store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+def test_rmhmc_completes_rounds(small_snapshot):
+    ctx = pair_energy(small_snapshot, k=3, chains=3)
+    t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=3)
-    state = pair_state(small_store, 3, t_minus, chains=3)
+    state = pair_state(small_snapshot, 3, t_minus, chains=3)
     for _ in range(cfg.rounds):
         advance(ctx, state, cfg)
         assert np.abs(np.linalg.norm(state.positions, axis=1) - 1.0).max() <= 1e-9
         assert all(len(h) <= cfg.history_window + 1 for h in state.history)
 
 
-def test_identical_seed_gives_identical_record_stream(small_store):
-    ctx = pair_energy(small_store, k=3, chains=2)
-    t_minus = hard_margin_threshold(small_store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+def test_identical_seed_gives_identical_record_stream(small_snapshot):
+    ctx = pair_energy(small_snapshot, k=3, chains=2)
+    t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
 
     def run(variant):
         cfg = HmcConfig(variant=variant, rng_seed=17)
-        state = pair_state(small_store, 17, t_minus, chains=2)
+        state = pair_state(small_snapshot, 17, t_minus, chains=2)
         return [rec for _ in range(8) for rec in advance(ctx, state, cfg)]
 
     for variant in SamplerVariant:
@@ -363,12 +363,12 @@ def test_identical_seed_gives_identical_record_stream(small_store):
             )
 
 
-def test_accepted_equals_mh_and_margin(small_store):
-    ctx = pair_energy(small_store, k=3, chains=2)
-    t_minus = hard_margin_threshold(small_store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+def test_accepted_equals_mh_and_margin(small_snapshot):
+    ctx = pair_energy(small_snapshot, k=3, chains=2)
+    t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     for variant in SamplerVariant:
         cfg = HmcConfig(variant=variant, rng_seed=23)
-        state = pair_state(small_store, 23, t_minus, chains=2)
+        state = pair_state(small_snapshot, 23, t_minus, chains=2)
         for _ in range(10):
             for rec in advance(ctx, state, cfg):
                 assert rec.accepted == (rec.mh_accept and rec.margin_pass)

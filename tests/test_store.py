@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -13,6 +14,7 @@ from oodsynth.errors import (
     NotUnitError,
     PrototypeUndefinedError,
 )
+from oodsynth.metrics import kth_neighbors
 from oodsynth.sphere import normalize
 from oodsynth.store import ClusterPair, IdStore
 
@@ -26,7 +28,14 @@ def brute_force_knn(embeddings: np.ndarray, z: np.ndarray, k: int) -> tuple[floa
     dists = np.linalg.norm(embeddings - z, axis=1)
     order = sorted(range(len(dists)), key=lambda i: (dists[i], i))
     idx = order[k - 1]
-    return float(np.linalg.norm(embeddings[idx] - z)), idx
+    return float(dists[idx]), idx
+
+
+def class_kth_neighbor(store: IdStore, class_id: int, z: np.ndarray, k: int):
+    """(distance, neighbor) of z's k-th neighbor in one class of the store's snapshot."""
+    emb = store.snapshot().class_embeddings(class_id)
+    dist, idx = kth_neighbors(emb, z[None, :], k)
+    return float(dist[0]), emb[idx[0]]
 
 
 # -- insertion and eviction ---------------------------------------------------
@@ -36,8 +45,9 @@ def test_insert_into_empty_buffer():
     store = IdStore(2, 3, capacity=2)
     z = unit([1, 1, 0])
     store.insert(0, z)
-    assert store.count(0) == 1
-    assert np.array_equal(store.class_embeddings(0)[0], z)
+    snap = store.snapshot()
+    assert snap.count(0) == 1
+    assert np.array_equal(snap.class_embeddings(0)[0], z)
 
 
 def test_fifo_eviction_keeps_last_two_in_order():
@@ -45,7 +55,7 @@ def test_fifo_eviction_keeps_last_two_in_order():
     a, b, c = unit([1, 0]), unit([0, 1]), unit([1, 1])
     for z in (a, b, c):
         store.insert(0, z)
-    emb = store.class_embeddings(0)
+    emb = store.snapshot().class_embeddings(0)
     assert np.array_equal(emb, np.stack([b, c]))
 
 
@@ -54,7 +64,7 @@ def test_capacity_1000_holds_exactly_1000():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         store.insert(0, unit(rng.standard_normal(4)))
-    assert store.count(0) == 1000
+    assert store.snapshot().count(0) == 1000
 
 
 def test_eviction_preserves_most_recent_in_order():
@@ -64,7 +74,7 @@ def test_eviction_preserves_most_recent_in_order():
     inserted = [unit(rng.standard_normal(3)) for _ in range(13)]
     for z in inserted:
         store.insert(1, z)
-    assert np.array_equal(store.class_embeddings(1), np.stack(inserted[-cap:]))
+    assert np.array_equal(store.snapshot().class_embeddings(1), np.stack(inserted[-cap:]))
 
 
 def test_insert_errors():
@@ -81,7 +91,7 @@ def test_insert_rejects_non_finite_embeddings(bad):
     store = IdStore(2, 3, capacity=4)
     with pytest.raises(NotUnitError):
         store.insert(0, np.array([bad, 0.0, 0.0]))
-    assert store.count(0) == 0
+    assert store.snapshot().count(0) == 0
 
 
 def test_insert_batch_with_a_bad_row_leaves_the_store_unchanged():
@@ -92,7 +102,8 @@ def test_insert_batch_with_a_bad_row_leaves_the_store_unchanged():
         store.insert_batch(rows, [0, 1, 0])
     with pytest.raises(BadClassError):
         store.insert_batch(rows[:2], [0, 2])
-    assert (store.count(0), store.count(1)) == (0, 1)
+    snap = store.snapshot()
+    assert (snap.count(0), snap.count(1)) == (0, 1)
 
 
 @pytest.mark.parametrize("batches", [[3], [5], [7], [2, 3], [4, 13], [1, 2, 17, 1]])
@@ -109,9 +120,10 @@ def test_block_insert_equals_row_by_row_insert(tmp_path, batches):
         by_block.insert_batch(rows, labels)
         for z, label in zip(rows, labels):
             by_row.insert(int(label), z)
+    block_snap, row_snap = by_block.snapshot(), by_row.snapshot()
     for c in range(2):
-        assert by_block.count(c) == by_row.count(c)
-        assert np.array_equal(by_block.class_embeddings(c), by_row.class_embeddings(c))
+        assert block_snap.count(c) == row_snap.count(c)
+        assert np.array_equal(block_snap.class_embeddings(c), row_snap.class_embeddings(c))
         by_block.update_prototype(c, np.ones(4))
         by_row.update_prototype(c, np.ones(4))
     by_block.save(tmp_path / "block.idstore")
@@ -126,7 +138,7 @@ def test_prototype_first_update_normalizes_mean():
     store = IdStore(2, 3, capacity=4)
     store.insert(0, unit([1, 0, 0]))
     store.update_prototype(0, np.array([2.0, 0.0, 0.0]))
-    assert np.allclose(store.prototype(0), [1, 0, 0], atol=1e-12)
+    assert np.allclose(store.snapshot().prototype(0), [1, 0, 0], atol=1e-12)
 
 
 def test_prototype_fixed_point():
@@ -135,7 +147,7 @@ def test_prototype_fixed_point():
     store.insert(0, e1)
     store.update_prototype(0, e1)
     store.update_prototype(0, e1)
-    assert np.allclose(store.prototype(0), e1, atol=1e-12)
+    assert np.allclose(store.snapshot().prototype(0), e1, atol=1e-12)
 
 
 def test_prototype_symmetric_blend():
@@ -144,13 +156,15 @@ def test_prototype_symmetric_blend():
     store.insert(0, e1)
     store.update_prototype(0, e1)
     store.update_prototype(0, e2)
-    assert np.allclose(store.prototype(0), [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12)
+    assert np.allclose(
+        store.snapshot().prototype(0), [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12
+    )
 
 
 def test_prototype_undefined_raises():
     store = IdStore(2, 3, capacity=4)
     with pytest.raises(PrototypeUndefinedError):
-        store.prototype(0)
+        store.snapshot().prototype(0)
 
 
 # -- kNN queries --------------------------------------------------------------
@@ -160,7 +174,7 @@ def test_knn_self_distance_zero():
     store = IdStore(2, 3, capacity=4)
     z = unit([1, 2, 3])
     store.insert(0, z)
-    dist, neighbor = store.knn_distance(0, z, 1)
+    dist, neighbor = class_kth_neighbor(store, 0, z, 1)
     assert dist == 0.0
     assert np.array_equal(neighbor, z)
 
@@ -170,7 +184,7 @@ def test_knn_orthogonal_pair():
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
     store.insert(0, e1)
     store.insert(0, e2)
-    dist, neighbor = store.knn_distance(0, e1, 2)
+    dist, neighbor = class_kth_neighbor(store, 0, e1, 2)
     assert np.isclose(dist, np.sqrt(2), atol=1e-12)
     assert np.array_equal(neighbor, e2)
 
@@ -180,11 +194,11 @@ def test_knn_matches_brute_force_oracle():
     store = IdStore(2, 16, capacity=200)
     for _ in range(200):
         store.insert(0, unit(rng.standard_normal(16)))
-    emb = store.class_embeddings(0)
+    emb = store.snapshot().class_embeddings(0)
     for trial in range(20):
         z = unit(rng.standard_normal(16))
         k = int(rng.integers(1, 31))
-        dist, neighbor = store.knn_distance(0, z, k)
+        dist, neighbor = class_kth_neighbor(store, 0, z, k)
         want_dist, want_idx = brute_force_knn(emb, z, k)
         assert dist == want_dist
         assert np.array_equal(neighbor, emb[want_idx])
@@ -195,10 +209,10 @@ def test_knn_matches_oracle_at_two_thousand_entries():
     store = IdStore(2, 8, capacity=2000)
     for _ in range(2000):
         store.insert(0, unit(rng.standard_normal(8)))
-    emb = store.class_embeddings(0)
+    emb = store.snapshot().class_embeddings(0)
     for k in (1, 200, 1999, 2000):
         z = unit(rng.standard_normal(8))
-        dist, neighbor = store.knn_distance(0, z, k)
+        dist, neighbor = class_kth_neighbor(store, 0, z, k)
         want_dist, want_idx = brute_force_knn(emb, z, k)
         assert dist == want_dist
         assert np.array_equal(neighbor, emb[want_idx])
@@ -210,7 +224,7 @@ def test_knn_monotone_in_k():
     for _ in range(64):
         store.insert(0, unit(rng.standard_normal(8)))
     z = unit(rng.standard_normal(8))
-    dists = [store.knn_distance(0, z, k)[0] for k in range(1, 65)]
+    dists = [class_kth_neighbor(store, 0, z, k)[0] for k in range(1, 65)]
     assert all(d1 <= d2 for d1, d2 in zip(dists, dists[1:]))
 
 
@@ -220,8 +234,8 @@ def test_knn_tie_broken_by_insertion_order():
     store.insert(0, first)
     store.insert(0, second)
     z = np.array([1.0, 0.0])  # equidistant from both
-    _, n1 = store.knn_distance(0, z, 1)
-    _, n2 = store.knn_distance(0, z, 2)
+    _, n1 = class_kth_neighbor(store, 0, z, 1)
+    _, n2 = class_kth_neighbor(store, 0, z, 2)
     assert np.array_equal(n1, first)
     assert np.array_equal(n2, second)
 
@@ -230,14 +244,14 @@ def test_knn_insufficient_data():
     store = IdStore(2, 3, capacity=4)
     store.insert(0, unit([1, 0, 0]))
     with pytest.raises(InsufficientDataError):
-        store.knn_distance(0, unit([0, 1, 0]), 2)
+        class_kth_neighbor(store, 0, unit([0, 1, 0]), 2)
 
 
 # -- adjacency and midpoints --------------------------------------------------
 
 
 def test_adjacency_two_classes():
-    store = cluster_store(num_classes=2)
+    store = cluster_store(num_classes=2).snapshot()
     assert store.adjacent_clusters(0, 1) == [1]
     assert store.adjacent_clusters(1, 1) == [0]
 
@@ -248,12 +262,13 @@ def test_adjacency_forced_ordering():
     for c, mu in enumerate(protos):
         store.insert(c, unit(mu))
         store.update_prototype(c, mu)
-    assert store.adjacent_clusters(0, 1) == [1]  # cos 0 beats cos -1
-    assert store.adjacent_clusters(0, 2) == [1, 2]
+    snap = store.snapshot()
+    assert snap.adjacent_clusters(0, 1) == [1]  # cos 0 beats cos -1
+    assert snap.adjacent_clusters(0, 2) == [1, 2]
 
 
 def test_adjacency_matches_brute_force():
-    store = cluster_store(num_classes=10, dim=6, n_per_class=5, seed=4)
+    store = cluster_store(num_classes=10, dim=6, n_per_class=5, seed=4).snapshot()
     protos = np.array([store.prototype(c) for c in range(10)])
     for c in range(10):
         got = store.adjacent_clusters(c, 4)
@@ -263,7 +278,7 @@ def test_adjacency_matches_brute_force():
 
 
 def test_adjacency_is_cosine_descending():
-    store = cluster_store(num_classes=8, dim=5, n_per_class=4, seed=9)
+    store = cluster_store(num_classes=8, dim=5, n_per_class=4, seed=9).snapshot()
     protos = np.array([store.prototype(c) for c in range(8)])
     order = store.adjacent_clusters(3, 7)
     cos = [protos[j] @ protos[3] for j in order]
@@ -271,7 +286,7 @@ def test_adjacency_is_cosine_descending():
 
 
 def test_adjacency_bad_arg():
-    store = cluster_store(num_classes=3)
+    store = cluster_store(num_classes=3).snapshot()
     with pytest.raises(BadArgError):
         store.adjacent_clusters(0, 3)
     with pytest.raises(BadArgError):
@@ -284,7 +299,7 @@ def test_midpoint_identical_prototypes():
     for c in range(2):
         store.insert(c, e1)
         store.update_prototype(c, e1)
-    assert np.allclose(store.midpoint(ClusterPair(0, 1)), e1, atol=1e-12)
+    assert np.allclose(store.snapshot().midpoint(ClusterPair(0, 1)), e1, atol=1e-12)
 
 
 def test_midpoint_symmetric():
@@ -293,7 +308,9 @@ def test_midpoint_symmetric():
         store.insert(c, mu)
         store.update_prototype(c, mu)
     assert np.allclose(
-        store.midpoint(ClusterPair(0, 1)), [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12
+        store.snapshot().midpoint(ClusterPair(0, 1)),
+        [1 / np.sqrt(2), 1 / np.sqrt(2), 0],
+        atol=1e-12,
     )
 
 
@@ -305,7 +322,7 @@ def test_midpoint_antipodal_raises():
     store.insert(1, -e1)
     store.update_prototype(1, -e1)
     with pytest.raises(AntipodalPrototypesError):
-        store.midpoint(ClusterPair(0, 1))
+        store.snapshot().midpoint(ClusterPair(0, 1))
 
 
 def test_cluster_pair_validates():
@@ -320,7 +337,36 @@ def test_snapshot_is_independent(small_store):
     snap = small_store.snapshot()
     before = snap.class_embeddings(0).copy()
     small_store.insert(0, unit(np.ones(small_store.dim)))
+    small_store.update_prototype(0, np.ones(small_store.dim))
     assert np.array_equal(snap.class_embeddings(0), before)
+    # nothing a snapshot hands out can be written through
+    for name, array in [
+        ("embeddings", snap.embeddings),
+        ("class_embeddings", snap.class_embeddings(0)),
+        ("all_embeddings", snap.all_embeddings()),
+        ("prototypes", snap.prototypes),
+        ("prototype", snap.prototype(0)),
+        ("class_offsets", snap.class_offsets()),
+        ("has_prototype", snap.has_prototype),
+    ]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+        assert not array.flags.writeable, name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.embeddings = before
+    assert np.array_equal(snap.class_embeddings(0), before)
+
+
+def wrapped_store() -> IdStore:
+    """Capacity-5 ring buffers past their first lap, one prototype left undefined."""
+    rng = np.random.default_rng(3)
+    store = IdStore(3, 4, capacity=5, ema_factor=0.9)
+    for c, n in enumerate((13, 5, 2)):
+        rows = rng.standard_normal((n, 4))
+        store.insert_batch(rows / np.linalg.norm(rows, axis=1, keepdims=True), np.full(n, c))
+    store.update_prototype(0, np.ones(4))
+    store.update_prototype(2, -np.ones(4))
+    return store
 
 
 @pytest.mark.parametrize("suffix", [".idstore", ".json"])
@@ -373,13 +419,19 @@ def test_load_names_a_missing_path(tmp_path):
 
 @pytest.mark.parametrize("suffix", [".idstore", ".json"])
 def test_save_load_round_trip(tmp_path, suffix, small_store):
-    path = tmp_path / f"store{suffix}"
-    small_store.save(path)
-    loaded = IdStore.load(path)
-    assert loaded.num_classes == small_store.num_classes
-    assert loaded.dim == small_store.dim
-    assert loaded.capacity == small_store.capacity
-    assert loaded.ema_factor == small_store.ema_factor
-    for c in range(small_store.num_classes):
-        assert np.array_equal(loaded.class_embeddings(c), small_store.class_embeddings(c))
-        assert np.array_equal(loaded.prototype(c), small_store.prototype(c))
+    for name, store in [("small", small_store), ("wrapped", wrapped_store())]:
+        path = tmp_path / f"{name}{suffix}"
+        store.save(path)
+        loaded = IdStore.load(path)
+        assert loaded.num_classes == store.num_classes
+        assert loaded.dim == store.dim
+        assert loaded.capacity == store.capacity
+        assert loaded.ema_factor == store.ema_factor
+        want, got = store.snapshot(), loaded.snapshot()
+        for field in ("embeddings", "offsets", "prototypes", "has_prototype"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
+        # the reloaded ring buffers also continue as the original's do
+        row = unit(np.arange(1.0, store.dim + 1))
+        store.insert(1, row)
+        loaded.insert(1, row)
+        assert np.array_equal(loaded.snapshot().embeddings, store.snapshot().embeddings), name

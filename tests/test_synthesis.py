@@ -26,7 +26,7 @@ SYNTH_ARGS = dict(k=5, delta=0.1, kappa=2.0, n_adj=1)
 
 
 def test_batch_size_bounded_by_chains_times_rounds():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=1)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=1).snapshot()
     batch = synthesize_batch(store, HmcConfig(rounds=5), **SYNTH_ARGS)
     assert len(batch.chains) == 2  # C * n_adj
     assert len(batch) <= 2 * 1 * 5
@@ -35,20 +35,20 @@ def test_batch_size_bounded_by_chains_times_rounds():
 
 
 def test_defaults_batch_bound_200():
-    store = cluster_store(num_classes=10, dim=8, n_per_class=40, seed=2)
+    store = cluster_store(num_classes=10, dim=8, n_per_class=40, seed=2).snapshot()
     batch = synthesize_batch(store, HmcConfig(), k=5, delta=0.1, kappa=2.0, n_adj=4)
     assert len(batch.chains) == 40
     assert len(batch) <= 200  # 20 outliers per class at most
 
 
 def test_insufficient_buffer_raises():
-    store = cluster_store(num_classes=2, dim=6, n_per_class=3, seed=3)
+    store = cluster_store(num_classes=2, dim=6, n_per_class=3, seed=3).snapshot()
     with pytest.raises(InsufficientDataError):
         synthesize_batch(store, HmcConfig(), k=5, delta=0.1, kappa=2.0, n_adj=1)
 
 
 def test_batch_is_deterministic_and_canonically_ordered():
-    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=4)
+    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=4).snapshot()
     cfg = HmcConfig(rng_seed=99)
     one = synthesize_batch(store, cfg, k=5, delta=0.1, kappa=2.0, n_adj=2)
     two = synthesize_batch(store, cfg, k=5, delta=0.1, kappa=2.0, n_adj=2)
@@ -60,7 +60,7 @@ def test_batch_is_deterministic_and_canonically_ordered():
 
 
 def test_every_sample_passes_its_chain_margin():
-    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=5)
+    store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=5).snapshot()
     batch = synthesize_batch(store, HmcConfig(rng_seed=6), k=5, delta=0.1, kappa=2.0, n_adj=2)
     assert len(batch) > 0
     t_by_chain = {c.chain_index: c.t_minus for c in batch.chains}
@@ -70,7 +70,7 @@ def test_every_sample_passes_its_chain_margin():
 
 
 def test_unreachable_margin_yields_valid_empty_batch():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=7)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=7).snapshot()
     batch = synthesize_batch(store, HmcConfig(), k=5, delta=-10.0, kappa=2.0, n_adj=1)
     # a strongly negative margin slack makes the threshold unbeatable near the
     # midpoint, so every round is margin-rejected
@@ -86,14 +86,14 @@ def test_antipodal_pairs_are_skipped_and_reported():
     store.update_prototype(0, e1)
     store.insert(1, -e1)
     store.update_prototype(1, -e1)
-    batch = synthesize_batch(store, HmcConfig(), k=1, delta=0.1, kappa=2.0, n_adj=1)
+    batch = synthesize_batch(store.snapshot(), HmcConfig(), k=1, delta=0.1, kappa=2.0, n_adj=1)
     assert len(batch.chains) == 0
     assert len(batch.skipped) == 2  # (0,1) and (1,0)
     assert len(batch) == 0
 
 
 def test_requires_two_classes():
-    store = cluster_store(num_classes=2, dim=6, n_per_class=10, seed=8)
+    store = cluster_store(num_classes=2, dim=6, n_per_class=10, seed=8).snapshot()
     with pytest.raises(BadArgError):
         synthesize_batch(store, HmcConfig(), k=2, delta=0.1, kappa=2.0, n_adj=2)
 
@@ -102,7 +102,7 @@ def test_requires_two_classes():
 
 
 def test_round_wise_single_round():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
     batch = synthesize_batch(store, HmcConfig(rounds=1, rng_seed=2), **SYNTH_ARGS)
     assert len(batch) > 0
     rws = round_wise_scores(batch, store, k_detect=5)
@@ -114,7 +114,7 @@ def test_round_wise_single_round():
 def test_round_wise_identical_samples_zero_std():
     # sigma=0 baseline puts every sample of a two-class store at the shared
     # midpoint, so each round group has zero spread
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=10)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=10).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=3, n_adj=1, seed=0)
     rws = round_wise_scores(batch, store, k_detect=5)
     assert len(rws) == 3
@@ -123,7 +123,7 @@ def test_round_wise_identical_samples_zero_std():
 
 
 def test_round_wise_trend_on_cluster_benchmark():
-    store = cluster_store(num_classes=4, dim=8, n_per_class=50, seed=11)
+    store = cluster_store(num_classes=4, dim=8, n_per_class=50, seed=11).snapshot()
     batch = synthesize_batch(store, HmcConfig(rng_seed=3), k=8, delta=0.1, kappa=2.0, n_adj=2)
     rws = round_wise_scores(batch, store, k_detect=8)
     # scores are negative distances: later rounds drift to higher OOD-ness
@@ -131,7 +131,7 @@ def test_round_wise_trend_on_cluster_benchmark():
 
 
 def test_round_wise_empty_batch_raises():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=12)
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=12).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=0, n_adj=1)
     with pytest.raises(BadArgError):
         round_wise_scores(batch, store, k_detect=3)
@@ -141,7 +141,7 @@ def test_round_wise_empty_batch_raises():
 
 
 def test_baseline_sigma_zero_equals_midpoints():
-    store = cluster_store(num_classes=3, dim=8, n_per_class=20, seed=13)
+    store = cluster_store(num_classes=3, dim=8, n_per_class=20, seed=13).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=4, n_adj=2, seed=1)
     mids = {c.chain_index: c.start for c in batch.chains}
     for s in batch.samples:
@@ -149,14 +149,14 @@ def test_baseline_sigma_zero_equals_midpoints():
 
 
 def test_baseline_exact_count():
-    store = cluster_store(num_classes=3, dim=8, n_per_class=20, seed=14)
+    store = cluster_store(num_classes=3, dim=8, n_per_class=20, seed=14).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.3, count_per_pair=7, n_adj=2, seed=1)
     assert len(batch) == len(batch.chains) * 7
     assert len(batch.chains) == 3 * 2
 
 
 def test_baseline_small_sigma_stays_within_five_degrees():
-    store = cluster_store(num_classes=2, dim=16, n_per_class=20, seed=15)
+    store = cluster_store(num_classes=2, dim=16, n_per_class=20, seed=15).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.01, count_per_pair=500, n_adj=1, seed=2)
     mids = {c.chain_index: c.start for c in batch.chains}
     angles = np.array(
@@ -172,7 +172,7 @@ def test_baseline_small_sigma_stays_within_five_degrees():
 
 
 def test_batch_export_round_trip(tmp_path):
-    store = cluster_store(num_classes=2, dim=6, n_per_class=30, seed=16)
+    store = cluster_store(num_classes=2, dim=6, n_per_class=30, seed=16).snapshot()
     batch = synthesize_batch(store, HmcConfig(rng_seed=4), **SYNTH_ARGS)
     jpath = tmp_path / "batch.json"
     cpath = tmp_path / "batch.csv"
@@ -192,13 +192,22 @@ def test_batch_export_round_trip(tmp_path):
 
 # -- parity with the per-chain path -----------------------------------------------
 # The per-chain sampler that the lockstep one replaced, kept as its oracle: each
-# chain ran alone, with two ``IdStore.knn_distance`` matvecs per energy
-# evaluation, one KDE matvec and a scipy log-sum-exp per margin test, and the
-# 1-D sphere geometry.
+# chain ran alone, with two kNN matvecs per energy evaluation (the store's old
+# ``knn_distance``, copied below), one KDE matvec and a scipy log-sum-exp per
+# margin test, and the 1-D sphere geometry.
 
 
 class _LegacyDegenerate(Exception):
     pass
+
+
+def _legacy_knn_distance(emb, z, k):
+    """k-th neighbor of z by one matvec on the norm expansion, ties to the lower index."""
+    d2 = np.einsum("ij,ij->i", emb, emb) + float(z @ z) - 2.0 * (emb @ z)
+    kth_value = d2[np.argpartition(d2, k - 1)[k - 1]] if k < len(emb) else d2.max()
+    below = int(np.count_nonzero(d2 < kth_value))
+    idx = int(np.flatnonzero(d2 == kth_value)[k - 1 - below])
+    return float(np.linalg.norm(emb[idx] - z)), emb[idx].copy()
 
 
 def _legacy_tangent(q, z):
@@ -229,8 +238,8 @@ class _LegacyEnergy:
         self.store, self.pair, self.k, self.grad_mode = store, pair, k, grad_mode
 
     def _query(self, z):
-        d_u, n_u = self.store.knn_distance(self.pair.u, z, self.k)
-        d_v, n_v = self.store.knn_distance(self.pair.v, z, self.k)
+        d_u, n_u = _legacy_knn_distance(self.store.class_embeddings(self.pair.u), z, self.k)
+        d_v, n_v = _legacy_knn_distance(self.store.class_embeddings(self.pair.v), z, self.k)
         return d_u, n_u, d_v, n_v
 
     def potential(self, z):
@@ -319,10 +328,10 @@ def _degenerate_store():
     # chains (0, 1) and (1, 0) sit on a neighbor of each class: every
     # attempt is degenerate for the Hamiltonian and the random-walk kernels
     store = cluster_store(num_classes=4, dim=8, n_per_class=30, capacity=31, seed=17)
-    mid = store.midpoint(ClusterPair(0, 1))
+    mid = store.snapshot().midpoint(ClusterPair(0, 1))
     store.insert(0, mid)
     store.insert(1, mid)
-    return store
+    return store.snapshot()
 
 
 def _assert_parity(store, cfg, **kwargs):
