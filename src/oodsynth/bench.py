@@ -104,8 +104,10 @@ class BenchConfig:
         if self.grad_mode not in ("analytic", "scaled"):
             raise BadConfigError(f"unknown grad_mode {self.grad_mode!r}")
 
-    def effective_n_adj(self) -> int:
-        return min(self.n_adj, self.num_classes - 1)
+    def effective_n_adj(self, store: IdSnapshot | None = None) -> int:
+        """n_adj clipped to the classes of ``store``, or of this config without one."""
+        classes = self.num_classes if store is None else store.num_classes
+        return min(self.n_adj, classes - 1)
 
     def effective_k(self, store: IdSnapshot) -> int:
         return min(self.knn_k, min(store.count(c) for c in range(store.num_classes)))
@@ -260,7 +262,7 @@ class RunArtifacts:
 def _rejection_counts(batch: OutlierBatch) -> dict[str, int]:
     """Why rounds produced no outlier, counted over the batch's transition records.
 
-    A NaN ``h_init`` marks a degenerate rejection (every retry met a
+    A NaN ``h_init`` marks a degenerate rejection (the proposal met a
     degenerate point); otherwise a failed MH test is an MH rejection, and a
     passed MH test with a failed margin test is a margin rejection.
     """

@@ -9,7 +9,8 @@ Subcommands:
 
 Every flag mirrors a BenchConfig field; ``--config FILE`` supplies a JSON
 document with any subset of fields, and explicit flags override the file.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config error (including an output path that
+cannot be written), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ _CONFIG_FLAGS = (
     (("--rounds", "-R"), "hmc", "rounds", {"type": int}),
     (("--variant",), "hmc", "variant", {"choices": [v.value for v in SamplerVariant]}),
     (("--sampler-seed",), "hmc", "rng_seed", {"type": int}),
-    (("--history-window",), "hmc", "history_window", {"type": int}),
     (("--ood-uniform",), "ood", "n_uniform", {"type": int}),
     (("--ood-midpoint",), "ood", "n_midpoint", {"type": int}),
     (("--ood-midpoint-kappa",), "ood", "midpoint_kappa", {"type": float}),
@@ -107,7 +107,7 @@ def _synth_once(cfg: BenchConfig, store: IdStore):
         k=cfg.effective_k(snapshot),
         delta=cfg.delta,
         kappa=cfg.kappa,
-        n_adj=cfg.effective_n_adj(),
+        n_adj=cfg.effective_n_adj(snapshot),
         grad_mode=cfg.grad_mode,
     )
 
@@ -270,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
+    except OSError as err:  # inputs raise DataError or ConfigError; this is an output
+        print(f"config error: cannot write output: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
 against its own pair, so the M chains of a batch share every kNN query:
 one evaluation makes one ``kth_neighbors`` call per class, over the rows
 whose pair names that class. A degenerate row (a point on a k-th
-neighbor) gets a NaN potential instead of failing the whole batch.
+neighbor) gets a NaN potential instead of failing the whole batch. This
+is U(z); ``samplers`` adds the kinetic energy (||q||^2 / 2, or the fixed-
+covariance form of mMALA and RMHMC), makes one proposal per chain per
+round and rejects one that meets a degenerate row.
 
 The ID probability is a kernel density estimate with the (unnormalized)
 von Mises-Fisher kernel exp(kappa * mu^T z); the normalizer is class
@@ -35,7 +38,6 @@ never needed. The densities of M points come from one (M x N) GEMM.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -134,10 +136,6 @@ class EnergyContext:
                 )
         if self.grad_mode not in ("analytic", "scaled"):
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
-
-    def take(self, rows: Sequence[int]) -> "EnergyContext":
-        """The context of the chains at ``rows``, in that order."""
-        return dataclasses.replace(self, pairs=[self.pairs[i] for i in rows])
 
     def _pair_query(self, z: np.ndarray):
         """k-th distances and neighbors of every row against both classes of its pair.

@@ -1,35 +1,41 @@
 """Markov transition kernels on the unit hypersphere, run in lockstep.
 
 Five variants share one Metropolis-Hastings skeleton: spherical HMC
-(default), random-walk MH, MALA (HMC with a single integrator step),
-mMALA, and RMHMC (momentum drawn with a covariance estimated from the
-recently accepted positions). A proposal is accepted only if it passes
-both the MH test and the hard-margin test, and rejected proposals are
-discarded: the chain keeps its current position and contributes nothing
-for that round.
+(default), random-walk MH, MALA (HMC with a single integrator step), and
+mMALA and RMHMC (MALA and HMC whose momentum has a per-chain covariance
+fixed for the batch). A proposal is accepted only if it passes both the
+MH test and the hard-margin test; otherwise the chain keeps its position
+and contributes nothing that round. Every chain is Markov and makes
+exactly one proposal per round. One that meets a degenerate point (a NaN
+potential) is rejected with NaN energies and alpha = 0, as MH rejects a
+point of zero density.
 
-``advance`` moves M chains one round together: their positions are one
-(M, d) array, and the integrator, the energy and the margin test each run
-once over all rows. Each chain still owns its Generator and draws, in
-order, its momentum (or random-walk noise) and then its MH uniform, so it
-sees exactly the random numbers it would see alone. A chain whose
-proposal meets a degenerate point (a NaN potential) redraws, up to
-``DEGENERATE_RETRIES`` attempts, and only those chains are integrated
-again.
+``advance`` moves M chains one round together as one (M, d) array. Each
+chain owns its Generator and draws from it, in order, its momentum (or
+random-walk noise) and then its MH uniform, so it sees exactly the random
+numbers it would see alone.
+
+With a covariance Sigma = L L^T, the momentum is x = L g conditioned on
+the tangent space, q = x - Sigma z (z^T x) / (z^T Sigma z), and the kinetic
+energy is its negative log density there, K = q^T Sigma^-1 q / 2 -
+log(z^T Sigma z) / 2: the N(0, Sigma) density at q over the N(0, z^T Sigma z)
+density of z^T x at 0. Without one, q is the projected standard normal and
+K = ||q||^2 / 2. The volume-preserving, reversible geodesic leapfrog with
+the MH test leaves exp(-U(z) - K(z, q)) invariant, whose z-marginal is
+exp(-U(z)) (RMHMC with a constant metric, Girolami & Calderhead,
+arXiv 0907.1100).
 
 Kernels only need an energy object exposing ``potential(z)``,
 ``value_and_grad(z)`` and ``margin_exceeds(z, t_minus)`` over the rows of
-z, plus ``take(rows)`` for the energy of a subset of the chains, so they
-can be validated against analytic stand-in targets independently of the
-kNN energy. No burn-in or step-size adaptation is performed here: chains
-are meant to roam, not to converge.
+z, so they can be validated against analytic stand-in targets
+independently of the kNN energy. No burn-in or step-size adaptation is
+performed here: chains are meant to roam, not to converge.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,7 +43,6 @@ import numpy as np
 from .errors import BadConfigError
 from .sphere import geodesic_step, normalize, project_tangent
 
-DEGENERATE_RETRIES = 3
 COV_RIDGE = 1e-6
 
 
@@ -47,9 +52,6 @@ class SamplerVariant(str, Enum):
     MALA = "mala"
     MMALA = "mmala"
     RMHMC = "rmhmc"
-
-
-_HISTORY_VARIANTS = (SamplerVariant.MMALA, SamplerVariant.RMHMC)
 
 
 @dataclass
@@ -65,7 +67,6 @@ class HmcConfig:
     rounds: int = 5
     variant: SamplerVariant = SamplerVariant.HMC
     rng_seed: int = 0
-    history_window: int = 2  # J: how many previous states feed the RMHMC covariance
 
     def __post_init__(self):
         self.variant = SamplerVariant(self.variant)
@@ -75,8 +76,6 @@ class HmcConfig:
             raise BadConfigError(f"step_size must be nonnegative, got {self.step_size}")
         if self.rounds < 1:
             raise BadConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.history_window < 1:
-            raise BadConfigError(f"history_window must be >= 1, got {self.history_window}")
         if self.variant in (SamplerVariant.MALA, SamplerVariant.MMALA):
             self.leapfrog_steps = 1
 
@@ -85,21 +84,20 @@ class HmcConfig:
 class ChainState:
     """M chains in lockstep: row i of ``positions`` and ``rngs[i]`` belong to chain i.
 
-    ``t_minus`` holds each chain's hard-margin threshold and ``history``
-    its most recently accepted positions (for the history covariance).
+    ``t_minus`` holds each chain's hard-margin threshold. ``cov`` is None
+    (identity momentum covariance) or an (M, d, d) array of positive
+    definite covariances, row i chain i's, fixed for as long as the chains run.
     """
 
     positions: np.ndarray
     t_minus: np.ndarray
     rngs: list[np.random.Generator]
-    history: list[list[np.ndarray]] = field(default_factory=list)
+    cov: np.ndarray | None = None
     round_index: int = 0
 
     def __post_init__(self):
         self.positions = np.array(self.positions, dtype=float, ndmin=2)
         self.t_minus = np.asarray(self.t_minus, dtype=float)
-        if not self.history:
-            self.history = [[] for _ in self.rngs]
 
 
 @dataclass
@@ -118,39 +116,49 @@ def _normals(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     return np.array([rng.standard_normal(dim) for rng in rngs]).reshape(len(rngs), dim)
 
 
-def draw_momentum(z: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Row i: a standard normal from rngs[i] projected onto the tangent space at z[i]."""
-    return project_tangent(_normals(rngs, z.shape[-1]), z)
-
-
-def _history_momentum(
-    z: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    histories: Sequence[list[np.ndarray]],
-    window: int,
-) -> np.ndarray:
-    """Momentum from N(0, Sigma*) with Sigma* estimated over recent accepted positions.
-
-    A chain falls back to the identity covariance (a plain tangent
-    normal) until it has accepted at least two positions. A small ridge
-    keeps the estimate positive definite even for collinear histories.
-    """
-    raw = _normals(rngs, z.shape[-1])
-    for j, history in enumerate(histories):
-        recent = history[-(window + 1):]
-        if len(recent) >= 2:
-            cov = np.cov(np.array(recent), rowvar=False) + COV_RIDGE * np.eye(z.shape[-1])
-            raw[j] = np.linalg.cholesky(cov) @ raw[j]
-    return project_tangent(raw, z)
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.einsum("mij,mj->mi", a, x)
 
 
 def _squared_norms(q: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", q, q)
 
 
+def draw_momentum(
+    z: np.ndarray, rngs: Sequence[np.random.Generator], chol: np.ndarray | None = None
+) -> np.ndarray:
+    """Row i: a tangent momentum at z[i] from one standard-normal draw of rngs[i].
+
+    With ``chol`` None, the draw projected onto the tangent space. With
+    the (M, d, d) Cholesky factors L of Sigma, x = L g conditioned on
+    z^T x = 0: q = x - Sigma z (z^T x) / (z^T Sigma z).
+    """
+    g = _normals(rngs, z.shape[-1])
+    if chol is None:
+        return project_tangent(g, z)
+    x = _matvec(chol, g)
+    lz = _matvec(np.swapaxes(chol, 1, 2), z)
+    sigma_z = _matvec(chol, lz)
+    return x - sigma_z * (np.einsum("mi,mi->m", z, x) / _squared_norms(lz))[:, None]
+
+
+def kinetic(z: np.ndarray, q: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
+    """Kinetic energy of tangent momenta q at z, row by row.
+
+    ||q||^2 / 2 with ``chol`` None; with the Cholesky factors L of Sigma,
+    q^T Sigma^-1 q / 2 - log(z^T Sigma z) / 2, the negative log density of
+    the momentum ``draw_momentum`` draws (up to a constant).
+    """
+    if chol is None:
+        return 0.5 * _squared_norms(q)
+    whitened = np.linalg.solve(chol, q[:, :, None])[:, :, 0]
+    lz = _matvec(np.swapaxes(chol, 1, 2), z)
+    return 0.5 * (_squared_norms(whitened) - np.log(_squared_norms(lz)))
+
+
 def hamiltonian(ctx, z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Total energy of each row: potential(z) + ||q||^2 / 2."""
-    return ctx.potential(z) + 0.5 * _squared_norms(q)
+    return ctx.potential(z) + kinetic(z, q)
 
 
 def _integrate(ctx, z0: np.ndarray, q0: np.ndarray, steps: int, step_size: float):
@@ -194,30 +202,25 @@ def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
     return np.array([rng.uniform() for rng in rngs])
 
 
-def _hamiltonian_proposal(ctx, chains: ChainState, rows: np.ndarray, cfg: HmcConfig):
-    """Momentum draws, MH uniforms, then one leapfrog trajectory per row."""
-    z = chains.positions[rows]
-    rngs = [chains.rngs[i] for i in rows]
-    if cfg.variant in _HISTORY_VARIANTS:
-        histories = [chains.history[i] for i in rows]
-        q = _history_momentum(z, rngs, histories, cfg.history_window)
-    else:
-        q = draw_momentum(z, rngs)
-    uniforms = _uniforms(rngs)
+def _hamiltonian_proposal(ctx, chains: ChainState, cfg: HmcConfig):
+    """Momentum draws, MH uniforms, then one leapfrog trajectory per chain."""
+    z = chains.positions
+    chol = None if chains.cov is None else np.linalg.cholesky(chains.cov)
+    q = draw_momentum(z, chains.rngs, chol)
+    uniforms = _uniforms(chains.rngs)
     z_prop, q_prop, u_init, u_prop, degenerate = _integrate(
         ctx, z, q, cfg.leapfrog_steps, cfg.step_size
     )
-    h_init = u_init + 0.5 * _squared_norms(q)
-    h_prop = u_prop + 0.5 * _squared_norms(q_prop)
+    h_init = u_init + kinetic(z, q, chol)
+    h_prop = u_prop + kinetic(z_prop, q_prop, chol)
     return z_prop, h_init, h_prop, degenerate, uniforms
 
 
-def _random_walk_proposal(ctx, chains: ChainState, rows: np.ndarray, cfg: HmcConfig):
+def _random_walk_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     """Gaussian-perturbation proposals re-projected to the sphere."""
-    z = chains.positions[rows]
-    rngs = [chains.rngs[i] for i in rows]
-    g = _normals(rngs, z.shape[-1])
-    uniforms = _uniforms(rngs)
+    z = chains.positions
+    g = _normals(chains.rngs, z.shape[-1])
+    uniforms = _uniforms(chains.rngs)
     z_prop = normalize(z + cfg.step_size * g) if cfg.step_size > 0 else z.copy()
     u_init = ctx.potential(z)
     u_prop = ctx.potential(z_prop)
@@ -225,55 +228,39 @@ def _random_walk_proposal(ctx, chains: ChainState, rows: np.ndarray, cfg: HmcCon
 
 
 def advance(ctx, chains: ChainState, cfg: HmcConfig) -> list[TransitionRecord]:
-    """Advance every chain one round with the kernel selected by ``cfg.variant``.
+    """Advance every chain one round with one proposal each.
 
-    Returns one record per chain, in chain order. An accepted proposal
-    becomes the chain's position; after ``DEGENERATE_RETRIES`` degenerate
-    attempts a chain records a rejection with NaN energies.
+    ``cfg.variant`` picks the random walk or the Hamiltonian kernel, and
+    ``chains.cov`` the momentum. Returns one record per chain, in chain
+    order. An accepted proposal becomes the chain's position; a degenerate
+    one is recorded as a rejection with NaN energies, alpha = 0 and the
+    current position.
     """
     if cfg.variant is SamplerVariant.RANDOM_WALK:
         propose = _random_walk_proposal
     else:
         propose = _hamiltonian_proposal
-    records: list[TransitionRecord | None] = [None] * len(chains.rngs)
-    pending = np.arange(len(chains.rngs))
-    for _ in range(DEGENERATE_RETRIES):
-        z_prop, h_init, h_prop, degenerate, uniforms = propose(
-            ctx.take(pending), chains, pending, cfg
+    z_prop, h_init, h_prop, degenerate, uniforms = propose(ctx, chains, cfg)
+    z_prop[degenerate] = chains.positions[degenerate]
+    h_init[degenerate] = h_prop[degenerate] = np.nan
+    with np.errstate(over="ignore"):
+        alpha = np.exp(h_init - h_prop)
+    alpha[degenerate] = 0.0
+    mh_accept = uniforms < np.minimum(1.0, alpha)
+    margin_pass = ctx.margin_exceeds(z_prop, chains.t_minus) & ~degenerate
+    accepted = mh_accept & margin_pass
+    records = [
+        TransitionRecord(
+            proposed=z_prop[i],
+            h_init=float(h_init[i]),
+            h_prop=float(h_prop[i]),
+            alpha=float(alpha[i]),
+            mh_accept=bool(mh_accept[i]),
+            margin_pass=bool(margin_pass[i]),
+            accepted=bool(accepted[i]),
         )
-        done = np.flatnonzero(~degenerate)
-        with np.errstate(over="ignore"):
-            alpha = np.exp(h_init[done] - h_prop[done])
-        mh_accept = uniforms[done] < np.minimum(1.0, alpha)
-        margin_pass = ctx.margin_exceeds(z_prop[done], chains.t_minus[pending[done]])
-        for j, row in enumerate(done.tolist()):
-            mh, margin = bool(mh_accept[j]), bool(margin_pass[j])
-            records[pending[row]] = TransitionRecord(
-                proposed=z_prop[row],
-                h_init=float(h_init[row]),
-                h_prop=float(h_prop[row]),
-                alpha=float(alpha[j]),
-                mh_accept=mh,
-                margin_pass=margin,
-                accepted=mh and margin,
-            )
-        pending = pending[degenerate]
-        if not pending.size:
-            break
-    for i in pending.tolist():
-        records[i] = TransitionRecord(
-            proposed=chains.positions[i].copy(),
-            h_init=math.nan,
-            h_prop=math.nan,
-            alpha=0.0,
-            mh_accept=False,
-            margin_pass=False,
-            accepted=False,
-        )
+        for i in range(len(chains.rngs))
+    ]
+    chains.positions[accepted] = z_prop[accepted]
     chains.round_index += 1
-    for i, rec in enumerate(records):
-        if rec.accepted:
-            chains.positions[i] = rec.proposed
-            chains.history[i].append(rec.proposed)
-            del chains.history[i][: -(cfg.history_window + 1)]
     return records

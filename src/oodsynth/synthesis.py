@@ -14,7 +14,8 @@ from one KDE evaluation at the M midpoints. Chains stay independent given
 the frozen store snapshot: each owns an RNG spawned deterministically
 from the batch seed and draws from it alone, so results do not depend on
 how the chains are grouped, and the batch is listed canonically by
-(class id, adjacency rank, round).
+(class id, adjacency rank, round). mMALA and RMHMC chains draw momentum
+with the covariance of their pair's two class buffers, fixed for the batch.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .energy import EnergyContext, neg_log_max_id_prob
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from .metrics import knn_scores
-from .samplers import ChainState, HmcConfig, TransitionRecord, advance
+from .samplers import COV_RIDGE, ChainState, HmcConfig, SamplerVariant, TransitionRecord, advance
 from .sphere import normalize
 from .store import ClusterPair, IdSnapshot
 
@@ -134,7 +135,14 @@ def synthesize_batch(
         ctx = EnergyContext(
             store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
         )
-        state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs)
+        cov = None
+        if cfg.variant in (SamplerVariant.MMALA, SamplerVariant.RMHMC):
+            pairs = [(run.pair.u, run.pair.v) for run in chains]
+            cov = np.array(
+                [np.cov(np.concatenate([store.class_embeddings(c) for c in p]), rowvar=False)
+                 for p in pairs]
+            ) + COV_RIDGE * np.eye(store.dim)
+        state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs, cov=cov)
         for _ in range(cfg.rounds):
             for run, rec in zip(chains, advance(ctx, state, cfg)):
                 run.records.append(rec)
@@ -268,7 +276,6 @@ def batch_to_dict(batch: OutlierBatch) -> dict:
             "rounds": batch.config.rounds,
             "variant": batch.config.variant.value,
             "rng_seed": batch.config.rng_seed,
-            "history_window": batch.config.history_window,
         },
         "skipped": [[p.u, p.v] for p in batch.skipped],
         "chains": [

@@ -103,6 +103,8 @@ def test_effective_clipping():
     store = generate_synthetic_id(cfg).snapshot()
     assert cfg.effective_k(store) == cfg.points_per_class
     assert cfg.effective_n_adj() == cfg.num_classes - 1
+    three = generate_synthetic_id(dataclasses.replace(cfg, num_classes=3)).snapshot()
+    assert cfg.effective_n_adj(three) == 2
 
 
 # -- experiment loop ---------------------------------------------------------------
@@ -439,6 +441,56 @@ def test_cli_synth_missing_store_exit_code(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_cli_synth_clips_n_adj_by_the_store_classes(tmp_path):
+    store_path = tmp_path / "s.idstore"
+    gen = ["gen", "--classes", "3", "--points-per-class", "20", "--out", str(store_path)]
+    assert main(gen) == 0
+    batch_path = tmp_path / "b.json"
+    assert main(["synth", "--store", str(store_path), "--k", "5", "--out", str(batch_path)]) == 0
+    doc = json.loads(batch_path.read_text())
+    assert doc["n_adj"] == 2
+    assert len(doc["chains"]) + len(doc["skipped"]) == 3 * 2
+
+
+@pytest.mark.parametrize(
+    "command, option, target",
+    [
+        ("gen", "--out", "missing/x.idstore"),
+        ("synth", "--out", "missing/b.json"),
+        ("synth", "--trace", "missing/t.jsonl"),
+        ("score", "--out", "missing/r.json"),
+        ("score", "--csv", "missing/r.csv"),
+        ("run", "--out-dir", "file/run"),
+        ("sweep", "--sweep-dir", "file/sw"),
+    ],
+)
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, command, option, target):
+    (tmp_path / "file").write_text("")
+    id_file, ood_file = tmp_path / "id.json", tmp_path / "ood.json"
+    id_file.write_text(json.dumps((np.arange(40.0) + 30).tolist()))
+    ood_file.write_text(json.dumps(np.arange(40.0).tolist()))
+    flags = small_cli_flags(tmp_path)
+    base = {
+        "gen": flags,
+        "synth": [*flags, "--out", str(tmp_path / "b.json")],
+        "score": ["--id-scores", str(id_file), "--ood-scores", str(ood_file)],
+        "run": flags,
+        "sweep": [*flags, "--axis", "k", "--values", "5"],
+    }[command]
+    bad = tmp_path / target
+    assert main([command, *base, option, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(bad) in err
+
+
+def test_cli_old_config_with_history_window_exit_code(tmp_path, capsys):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"hmc": {"history_window": 2}}))
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "history_window" in err
+
+
 def test_cli_data_error_exit_code(tmp_path):
     id_file = tmp_path / "id.json"
     ood_file = tmp_path / "ood.json"
@@ -484,7 +536,7 @@ def test_cli_score_csv_rejects_unparseable_row_after_header(tmp_path, capsys):
 
 def test_cli_numerical_error_exit_code(monkeypatch, tmp_path):
     # no CLI path reaches a NumericalError organically (degenerate pairs are
-    # skipped, degenerate densities retried), so force one to pin the mapping
+    # skipped, degenerate proposals rejected), so force one to pin the mapping
     import oodsynth.cli as cli_mod
 
     def boom(args):

@@ -7,12 +7,14 @@ from conftest import cluster_store
 from oodsynth.energy import EnergyContext, hard_margin_threshold
 from oodsynth.errors import BadConfigError
 from oodsynth.samplers import (
+    COV_RIDGE,
     ChainState,
     HmcConfig,
     SamplerVariant,
     advance,
     draw_momentum,
     hamiltonian,
+    kinetic,
     leapfrog_trajectory,
 )
 from oodsynth.sphere import geodesic_step, normalize
@@ -36,9 +38,6 @@ class StandinEnergy:
     def margin_exceeds(self, z, t_minus):
         return np.full(len(z), self.margin)
 
-    def take(self, rows):
-        return self
-
 
 def flat_energy(margin=True):
     return StandinEnergy(lambda z: 0.0, lambda z: np.zeros_like(z), margin)
@@ -51,20 +50,22 @@ def circle_energy():
     )
 
 
-def fresh_state(dim=3, seed=0, t_minus=-math.inf, chains=1):
+def fresh_state(dim=3, seed=0, t_minus=-math.inf, chains=1, cov=None):
     return ChainState(
         positions=np.tile(normalize(np.ones(dim)), (chains, 1)),
         t_minus=np.full(chains, t_minus),
         rngs=[np.random.default_rng(seed + i) for i in range(chains)],
+        cov=cov,
     )
 
 
-def pair_state(store, seed, t_minus, chains=1):
+def pair_state(store, seed, t_minus, chains=1, cov=None):
     """Chains at the (0, 1) midpoint of ``store``, generators seed, seed + 1, ..."""
     return ChainState(
         positions=np.tile(store.midpoint(ClusterPair(0, 1)), (chains, 1)),
         t_minus=np.full(chains, t_minus),
         rngs=[np.random.default_rng(seed + i) for i in range(chains)],
+        cov=cov,
     )
 
 
@@ -195,7 +196,6 @@ def test_margin_failure_rejects_despite_mh_acceptance():
     for rec in records:
         assert rec.mh_accept and not rec.margin_pass and not rec.accepted
     assert np.array_equal(state.positions, z_before)
-    assert state.history == [[], []]
 
 
 def test_two_cluster_acceptance_rate(small_snapshot):
@@ -247,43 +247,47 @@ def test_random_walk_acceptance_below_hmc_on_smooth_target():
 class _DegenerateRows(StandinEnergy):
     """Flat target whose rows listed in ``stuck`` (by chain) are degenerate."""
 
-    def __init__(self, stuck, rows=None):
+    def __init__(self, stuck):
         super().__init__(lambda z: 0.0, lambda z: np.zeros_like(z))
-        self.stuck, self.rows = stuck, rows
+        self.stuck = stuck
 
     def potential(self, z):
-        rows = range(len(z)) if self.rows is None else self.rows
-        return np.array([math.nan if r in self.stuck else 0.0 for r in rows])
-
-    def take(self, rows):
-        return _DegenerateRows(self.stuck, list(rows))
+        return np.array([math.nan if r in self.stuck else 0.0 for r in range(len(z))])
 
 
-def test_three_degenerate_retries_record_a_rejection():
+def test_degenerate_proposal_records_a_rejection():
     state = fresh_state(dim=4, seed=31, chains=3)
+    healthy = fresh_state(dim=4, seed=31, chains=3)
     z_before = state.positions.copy()
-    records = advance(_DegenerateRows(stuck={1}), state, HmcConfig())
-    rec = records[1]
-    assert not rec.accepted and not rec.mh_accept and not rec.margin_pass
-    assert rec.alpha == 0.0
-    assert math.isnan(rec.h_init) and math.isnan(rec.h_prop)
-    assert np.array_equal(state.positions[1], z_before[1])
-    assert state.round_index == 1 and state.history[1] == []
-    # the stuck chain drew momentum and uniform three times, the others once
+    for _ in range(2):
+        records = advance(_DegenerateRows(stuck={1}), state, HmcConfig())
+        want = advance(_DegenerateRows(stuck=set()), healthy, HmcConfig())
+        rec = records[1]
+        assert not rec.accepted and not rec.mh_accept and not rec.margin_pass
+        assert rec.alpha == 0.0
+        assert math.isnan(rec.h_init) and math.isnan(rec.h_prop)
+        assert np.array_equal(rec.proposed, z_before[1])
+        assert np.array_equal(state.positions[1], z_before[1])
+        # the neighbours move exactly as they would beside a healthy chain
+        for i in (0, 2):
+            assert records[i].accepted
+            assert np.array_equal(records[i].proposed, want[i].proposed)
+    assert state.round_index == 2
+    # every chain, the stuck one too, drew momentum and uniform once per round
     draws = [rng.uniform() for rng in state.rngs]
-    for i, tries in ((0, 1), (1, 3), (2, 1)):
+    for i in range(3):
         rng = np.random.default_rng(31 + i)
-        for _ in range(tries):
+        for _ in range(2):
             rng.standard_normal(4)
             rng.uniform()
         assert draws[i] == rng.uniform()
-    assert records[0].accepted and records[2].accepted
-    # the random-walk kernel shares the retry contract
+    # the random-walk kernel shares the contract
     records = advance(
         _DegenerateRows(stuck={0}), fresh_state(dim=4, seed=32, chains=2),
         HmcConfig(variant=SamplerVariant.RANDOM_WALK),
     )
     assert not records[0].accepted and records[0].alpha == 0.0
+    assert math.isnan(records[0].h_init)
     assert records[1].accepted
 
 
@@ -311,7 +315,8 @@ def test_lockstep_chains_match_chains_run_alone():
 
 
 def test_history_variants_fall_back_to_identity():
-    # with fewer than two accepted positions, mMALA/RMHMC draw exactly like HMC
+    # without a covariance, mMALA/RMHMC draw exactly like HMC: the kernel
+    # dispatches on ChainState.cov, not on the variant
     for variant in (SamplerVariant.RMHMC, SamplerVariant.MMALA):
         cfg_var = HmcConfig(rng_seed=11, variant=variant)
         cfg_hmc = HmcConfig(rng_seed=11, leapfrog_steps=cfg_var.leapfrog_steps)
@@ -320,26 +325,65 @@ def test_history_variants_fall_back_to_identity():
         assert np.array_equal(rec_hmc.proposed, rec_var.proposed)
 
 
-def test_history_covariance_handles_degenerate_history():
-    # identical accepted positions give a zero covariance; the ridge keeps the
-    # draw well defined
-    state = fresh_state(dim=4, seed=13)
-    p = state.positions[0].copy()
-    state.history = [[p, p, p]]
+def test_identity_covariance_matches_no_covariance():
+    # Sigma = I: the conditioned draw is the tangent projection and
+    # log(z^T z) = 0, so proposals and energies agree up to rounding
+    ctx = circle_energy()
+    cfg = HmcConfig(variant=SamplerVariant.RMHMC, step_size=0.4)
+    plain = ChainState(np.tile([1.0, 0.0], (3, 1)), np.full(3, -math.inf),
+                       [np.random.default_rng(s) for s in range(3)])
+    eye = ChainState(np.tile([1.0, 0.0], (3, 1)), np.full(3, -math.inf),
+                     [np.random.default_rng(s) for s in range(3)], cov=np.tile(np.eye(2), (3, 1, 1)))
+    for _ in range(20):
+        for a, b in zip(advance(ctx, plain, cfg), advance(ctx, eye, cfg)):
+            assert a.mh_accept == b.mh_accept
+            assert np.abs(a.proposed - b.proposed).max() <= 1e-12
+            assert abs(a.h_init - b.h_init) <= 1e-12 and abs(a.h_prop - b.h_prop) <= 1e-12
+
+
+def test_covariance_momentum_is_tangent_and_scored_by_its_density():
+    rng = np.random.default_rng(8)
+    z = normalize(rng.standard_normal((4, 5)))
+    a = rng.standard_normal((4, 5, 5))
+    cov = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(5)
+    chol = np.linalg.cholesky(cov)
+    q = draw_momentum(z, [np.random.default_rng(s) for s in range(4)], chol)
+    assert np.abs(np.einsum("ij,ij->i", z, q)).max() <= 1e-12
+    for i in range(4):
+        g = np.random.default_rng(i).standard_normal(5)
+        x = chol[i] @ g
+        sz = cov[i] @ z[i]
+        assert np.allclose(q[i], x - sz * (z[i] @ x) / (z[i] @ sz), rtol=0, atol=1e-12)
+        want = 0.5 * q[i] @ np.linalg.solve(cov[i], q[i]) - 0.5 * math.log(z[i] @ cov[i] @ z[i])
+        assert abs(kinetic(z, q, chol)[i] - want) <= 1e-12
+    assert np.array_equal(kinetic(z, q), 0.5 * np.einsum("ij,ij->i", q, q))
+
+
+def test_rank_deficient_covariance_plus_ridge_gives_finite_energy():
+    # three points span at most two of four directions; the ridge keeps the
+    # covariance positive definite and the energies finite
+    pts = normalize(np.random.default_rng(13).standard_normal((3, 4)))
+    cov = np.cov(pts, rowvar=False) + COV_RIDGE * np.eye(4)
+    assert np.linalg.matrix_rank(cov - COV_RIDGE * np.eye(4)) < 4
+    state = fresh_state(dim=4, seed=13, chains=2, cov=np.tile(cov, (2, 1, 1)))
     cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=13)
-    (rec,) = advance(flat_energy(), state, cfg)
-    assert np.isfinite(rec.h_prop)
+    for _ in range(5):
+        for rec in advance(flat_energy(), state, cfg):
+            assert np.isfinite(rec.h_init) and np.isfinite(rec.h_prop)
+        assert np.abs(np.linalg.norm(state.positions, axis=1) - 1.0).max() <= 1e-9
 
 
 def test_rmhmc_completes_rounds(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=3)
     t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
     cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=3)
-    state = pair_state(small_snapshot, 3, t_minus, chains=3)
+    both = np.concatenate([small_snapshot.class_embeddings(0), small_snapshot.class_embeddings(1)])
+    cov = np.cov(both, rowvar=False) + COV_RIDGE * np.eye(small_snapshot.dim)
+    state = pair_state(small_snapshot, 3, t_minus, chains=3, cov=np.tile(cov, (3, 1, 1)))
     for _ in range(cfg.rounds):
-        advance(ctx, state, cfg)
+        for rec in advance(ctx, state, cfg):
+            assert np.isfinite(rec.h_init) and np.isfinite(rec.h_prop)
         assert np.abs(np.linalg.norm(state.positions, axis=1) - 1.0).max() <= 1e-9
-        assert all(len(h) <= cfg.history_window + 1 for h in state.history)
 
 
 def test_identical_seed_gives_identical_record_stream(small_snapshot):
