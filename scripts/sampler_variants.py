@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the five transition kernels on the standard benchmark.
+"""Compare every transition kernel (``SamplerVariant``) on the standard benchmark.
 
 Emits one row per variant with detection metrics and per-batch synthesis
 time in milliseconds.
@@ -8,6 +8,7 @@ time in milliseconds.
 import argparse
 
 from oodsynth.bench import BenchConfig, ablation_sweep
+from oodsynth.samplers import SamplerVariant
 
 
 def main() -> None:
@@ -17,7 +18,7 @@ def main() -> None:
     args = parser.parse_args()
 
     cfg = BenchConfig(seed=args.seed, iterations=5)
-    variants = ["random_walk", "hmc", "mala", "mmala", "rmhmc"]
+    variants = [v.value for v in SamplerVariant]
     rows = ablation_sweep(cfg, "variant", variants, out_dir=args.out_dir)
     for r in rows:
         print(

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadArgError, BadConfigError
+from .errors import BadArgError, BadConfigError, require_finite
 from .metrics import (
     QualityAngles,
     ScoreReport,
@@ -62,6 +62,12 @@ class OodTestSpec:
     n_midpoint: int = 500
     midpoint_kappa: float = 50.0
 
+    def __post_init__(self):
+        require_finite(self)
+        for name in ("n_uniform", "n_midpoint", "midpoint_kappa"):
+            if getattr(self, name) < 0:
+                raise BadConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass
 class BenchConfig:
@@ -89,6 +95,7 @@ class BenchConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.num_classes < 2 or self.dim < 2:
             raise BadConfigError("need num_classes >= 2 and dim >= 2")
         if self.points_per_class < 1 or self.knn_k < 1 or self.k_detect < 1:
@@ -163,8 +170,11 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
     scheme for the radial component; the remaining direction is uniform in
     the tangent hyperplane. kappa = 0 degenerates to the uniform sphere.
     The log-space acceptance test keeps the scheme stable up to very large
-    concentrations (1e6 and beyond).
+    concentrations (1e6 and beyond). A negative or non-finite kappa is a
+    BadArgError.
     """
+    if not 0.0 <= kappa < math.inf:
+        raise BadArgError(f"vMF kappa must be finite and >= 0, got {kappa}")
     mu = normalize(mu)
     d = mu.size
     if kappa == 0.0:

@@ -26,9 +26,8 @@ against its own pair, so the M chains of a batch share every kNN query:
 one evaluation makes one ``kth_neighbors`` call per class, over the rows
 whose pair names that class. A degenerate row (a point on a k-th
 neighbor) gets a NaN potential instead of failing the whole batch. This
-is U(z); ``samplers`` adds the kinetic energy (||q||^2 / 2, or the fixed-
-covariance form of mMALA and RMHMC), makes one proposal per chain per
-round and rejects one that meets a degenerate row.
+is U(z); ``samplers`` adds the kinetic energy ||q||^2 / 2, makes one
+proposal per chain per round and rejects one that meets a degenerate row.
 
 The ID probability is a kernel density estimate with the (unnormalized)
 von Mises-Fisher kernel exp(kappa * mu^T z); the normalizer is class

@@ -4,6 +4,9 @@ The three mid-level groups map onto CLI exit codes: ConfigError -> 2,
 DataError -> 3, NumericalError -> 4.
 """
 
+import dataclasses
+import math
+
 
 class OodSynthError(Exception):
     """Base class for every error raised by this package."""
@@ -63,3 +66,11 @@ class ZeroVectorError(NumericalError):
 
 class AntipodalPrototypesError(NumericalError):
     pass
+
+
+def require_finite(config) -> None:
+    """Raise BadConfigError naming the first float field of a config dataclass that is not finite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
+            raise BadConfigError(f"{f.name} must be finite, got {value!r}")

@@ -1,29 +1,23 @@
 """Markov transition kernels on the unit hypersphere, run in lockstep.
 
-Five variants share one Metropolis-Hastings skeleton: spherical HMC
-(default), random-walk MH, MALA (HMC with a single integrator step), and
-mMALA and RMHMC (MALA and HMC whose momentum has a per-chain covariance
-fixed for the batch). A proposal is accepted only if it passes both the
-MH test and the hard-margin test; otherwise the chain keeps its position
-and contributes nothing that round. Every chain is Markov and makes
-exactly one proposal per round. One that meets a degenerate point (a NaN
-potential) is rejected with NaN energies and alpha = 0, as MH rejects a
-point of zero density.
+Three variants share one Metropolis-Hastings skeleton: spherical HMC
+(default), random-walk MH, and MALA (HMC with a single integrator step).
+A proposal is accepted only if it passes both the MH test and the
+hard-margin test; otherwise the chain keeps its position and contributes
+nothing that round. Every chain is Markov and makes exactly one proposal
+per round. One that meets a degenerate point (a NaN potential) is
+rejected with NaN energies and alpha = 0, as MH rejects a point of zero
+density.
 
 ``advance`` moves M chains one round together as one (M, d) array. Each
 chain owns its Generator and draws from it, in order, its momentum (or
 random-walk noise) and then its MH uniform, so it sees exactly the random
 numbers it would see alone.
 
-With a covariance Sigma = L L^T, the momentum is x = L g conditioned on
-the tangent space, q = x - Sigma z (z^T x) / (z^T Sigma z), and the kinetic
-energy is its negative log density there, K = q^T Sigma^-1 q / 2 -
-log(z^T Sigma z) / 2: the N(0, Sigma) density at q over the N(0, z^T Sigma z)
-density of z^T x at 0. Without one, q is the projected standard normal and
-K = ||q||^2 / 2. The volume-preserving, reversible geodesic leapfrog with
-the MH test leaves exp(-U(z) - K(z, q)) invariant, whose z-marginal is
-exp(-U(z)) (RMHMC with a constant metric, Girolami & Calderhead,
-arXiv 0907.1100).
+The momentum q is a standard normal draw projected onto the tangent space
+at z, and the kinetic energy is K = ||q||^2 / 2. The volume-preserving,
+reversible geodesic leapfrog with the MH test leaves exp(-U(z) - K(q))
+invariant, whose z-marginal is exp(-U(z)).
 
 Kernels only need an energy object exposing ``potential(z)``,
 ``value_and_grad(z)`` and ``margin_exceeds(z, t_minus)`` over the rows of
@@ -40,26 +34,22 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadConfigError
+from .errors import BadConfigError, require_finite
 from .sphere import geodesic_step, normalize, project_tangent
-
-COV_RIDGE = 1e-6
 
 
 class SamplerVariant(str, Enum):
     RANDOM_WALK = "random_walk"
     HMC = "hmc"
     MALA = "mala"
-    MMALA = "mmala"
-    RMHMC = "rmhmc"
 
 
 @dataclass
 class HmcConfig:
     """Sampler hyperparameters.
 
-    MALA and mMALA are single-step integrators by definition, so selecting
-    either forces ``leapfrog_steps`` to 1.
+    MALA is a single-step integrator by definition, so selecting it forces
+    ``leapfrog_steps`` to 1.
     """
 
     leapfrog_steps: int = 3
@@ -70,13 +60,14 @@ class HmcConfig:
 
     def __post_init__(self):
         self.variant = SamplerVariant(self.variant)
+        require_finite(self)
         if self.leapfrog_steps < 1:
             raise BadConfigError(f"leapfrog_steps must be >= 1, got {self.leapfrog_steps}")
         if self.step_size < 0:
             raise BadConfigError(f"step_size must be nonnegative, got {self.step_size}")
         if self.rounds < 1:
             raise BadConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.variant in (SamplerVariant.MALA, SamplerVariant.MMALA):
+        if self.variant is SamplerVariant.MALA:
             self.leapfrog_steps = 1
 
 
@@ -84,15 +75,12 @@ class HmcConfig:
 class ChainState:
     """M chains in lockstep: row i of ``positions`` and ``rngs[i]`` belong to chain i.
 
-    ``t_minus`` holds each chain's hard-margin threshold. ``cov`` is None
-    (identity momentum covariance) or an (M, d, d) array of positive
-    definite covariances, row i chain i's, fixed for as long as the chains run.
+    ``t_minus`` holds each chain's hard-margin threshold.
     """
 
     positions: np.ndarray
     t_minus: np.ndarray
     rngs: list[np.random.Generator]
-    cov: np.ndarray | None = None
     round_index: int = 0
 
     def __post_init__(self):
@@ -116,53 +104,22 @@ def _normals(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
     return np.array([rng.standard_normal(dim) for rng in rngs]).reshape(len(rngs), dim)
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("mij,mj->mi", a, x)
+def draw_momentum(z: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Row i: a standard-normal draw of rngs[i] projected onto the tangent space at z[i]."""
+    return project_tangent(_normals(rngs, z.shape[-1]), z)
 
 
-def _squared_norms(q: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", q, q)
-
-
-def draw_momentum(
-    z: np.ndarray, rngs: Sequence[np.random.Generator], chol: np.ndarray | None = None
-) -> np.ndarray:
-    """Row i: a tangent momentum at z[i] from one standard-normal draw of rngs[i].
-
-    With ``chol`` None, the draw projected onto the tangent space. With
-    the (M, d, d) Cholesky factors L of Sigma, x = L g conditioned on
-    z^T x = 0: q = x - Sigma z (z^T x) / (z^T Sigma z).
-    """
-    g = _normals(rngs, z.shape[-1])
-    if chol is None:
-        return project_tangent(g, z)
-    x = _matvec(chol, g)
-    lz = _matvec(np.swapaxes(chol, 1, 2), z)
-    sigma_z = _matvec(chol, lz)
-    return x - sigma_z * (np.einsum("mi,mi->m", z, x) / _squared_norms(lz))[:, None]
-
-
-def kinetic(z: np.ndarray, q: np.ndarray, chol: np.ndarray | None = None) -> np.ndarray:
-    """Kinetic energy of tangent momenta q at z, row by row.
-
-    ||q||^2 / 2 with ``chol`` None; with the Cholesky factors L of Sigma,
-    q^T Sigma^-1 q / 2 - log(z^T Sigma z) / 2, the negative log density of
-    the momentum ``draw_momentum`` draws (up to a constant).
-    """
-    if chol is None:
-        return 0.5 * _squared_norms(q)
-    whitened = np.linalg.solve(chol, q[:, :, None])[:, :, 0]
-    lz = _matvec(np.swapaxes(chol, 1, 2), z)
-    return 0.5 * (_squared_norms(whitened) - np.log(_squared_norms(lz)))
-
-
-def hamiltonian(ctx, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Total energy of each row: potential(z) + ||q||^2 / 2."""
-    return ctx.potential(z) + kinetic(z, q)
+def kinetic(q: np.ndarray) -> np.ndarray:
+    """Kinetic energy ||q||^2 / 2 of each row of q."""
+    return 0.5 * np.einsum("...i,...i->...", q, q)
 
 
 def _integrate(ctx, z0: np.ndarray, q0: np.ndarray, steps: int, step_size: float):
     """Leapfrog trajectories that also report the endpoint potentials.
+
+    Each update is a half momentum kick with the tangent-projected
+    gradient, a great-circle rotation of position and momentum, and a
+    second half kick at the new position.
 
     Returns (z, q, potential(z0), potential(z), degenerate), where a row is
     degenerate when any point of its trajectory has a NaN potential.
@@ -185,19 +142,6 @@ def _integrate(ctx, z0: np.ndarray, q0: np.ndarray, steps: int, step_size: float
     return z, q, u_first, u, degenerate
 
 
-def leapfrog_trajectory(
-    ctx, z0: np.ndarray, q0: np.ndarray, steps: int, step_size: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``steps`` leapfrog updates on the sphere.
-
-    Each update is a half momentum kick with the tangent-projected
-    gradient, a great-circle rotation of position and momentum, and a
-    second half kick at the new position.
-    """
-    z, q, _, _, _ = _integrate(ctx, z0, q0, steps, step_size)
-    return z, q
-
-
 def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
     return np.array([rng.uniform() for rng in rngs])
 
@@ -205,14 +149,13 @@ def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
 def _hamiltonian_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     """Momentum draws, MH uniforms, then one leapfrog trajectory per chain."""
     z = chains.positions
-    chol = None if chains.cov is None else np.linalg.cholesky(chains.cov)
-    q = draw_momentum(z, chains.rngs, chol)
+    q = draw_momentum(z, chains.rngs)
     uniforms = _uniforms(chains.rngs)
     z_prop, q_prop, u_init, u_prop, degenerate = _integrate(
         ctx, z, q, cfg.leapfrog_steps, cfg.step_size
     )
-    h_init = u_init + kinetic(z, q, chol)
-    h_prop = u_prop + kinetic(z_prop, q_prop, chol)
+    h_init = u_init + kinetic(q)
+    h_prop = u_prop + kinetic(q_prop)
     return z_prop, h_init, h_prop, degenerate, uniforms
 
 
@@ -230,11 +173,10 @@ def _random_walk_proposal(ctx, chains: ChainState, cfg: HmcConfig):
 def advance(ctx, chains: ChainState, cfg: HmcConfig) -> list[TransitionRecord]:
     """Advance every chain one round with one proposal each.
 
-    ``cfg.variant`` picks the random walk or the Hamiltonian kernel, and
-    ``chains.cov`` the momentum. Returns one record per chain, in chain
-    order. An accepted proposal becomes the chain's position; a degenerate
-    one is recorded as a rejection with NaN energies, alpha = 0 and the
-    current position.
+    ``cfg.variant`` picks the random walk or the Hamiltonian kernel.
+    Returns one record per chain, in chain order. An accepted proposal
+    becomes the chain's position; a degenerate one is recorded as a
+    rejection with NaN energies, alpha = 0 and the current position.
     """
     if cfg.variant is SamplerVariant.RANDOM_WALK:
         propose = _random_walk_proposal

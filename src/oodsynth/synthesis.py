@@ -14,8 +14,7 @@ from one KDE evaluation at the M midpoints. Chains stay independent given
 the frozen store snapshot: each owns an RNG spawned deterministically
 from the batch seed and draws from it alone, so results do not depend on
 how the chains are grouped, and the batch is listed canonically by
-(class id, adjacency rank, round). mMALA and RMHMC chains draw momentum
-with the covariance of their pair's two class buffers, fixed for the batch.
+(class id, adjacency rank, round).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .energy import EnergyContext, neg_log_max_id_prob
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from .metrics import knn_scores
-from .samplers import COV_RIDGE, ChainState, HmcConfig, SamplerVariant, TransitionRecord, advance
+from .samplers import ChainState, HmcConfig, TransitionRecord, advance
 from .sphere import normalize
 from .store import ClusterPair, IdSnapshot
 
@@ -135,14 +134,7 @@ def synthesize_batch(
         ctx = EnergyContext(
             store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
         )
-        cov = None
-        if cfg.variant in (SamplerVariant.MMALA, SamplerVariant.RMHMC):
-            pairs = [(run.pair.u, run.pair.v) for run in chains]
-            cov = np.array(
-                [np.cov(np.concatenate([store.class_embeddings(c) for c in p]), rowvar=False)
-                 for p in pairs]
-            ) + COV_RIDGE * np.eye(store.dim)
-        state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs, cov=cov)
+        state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs)
         for _ in range(cfg.rounds):
             for run, rec in zip(chains, advance(ctx, state, cfg)):
                 run.records.append(rec)

@@ -185,21 +185,9 @@ def test_criterion_3_mh_correctness_circle():
     )
 
 
-_ANISOTROPIC = {"diag(1,0.1)": np.diag([1.0, 0.1]), "diag(0.1,1)": np.diag([0.1, 1.0])}
-
-
-@pytest.mark.parametrize(
-    "variant, cov_name",
-    [
-        (v, name)
-        for v in SamplerVariant
-        for name in (_ANISOTROPIC if v in (SamplerVariant.MMALA, SamplerVariant.RMHMC) else [None])
-    ],
-)
-def test_every_variant_is_stationary_on_the_circle(variant, cov_name):
-    # criterion 3's protocol and bound for each variant; mMALA and RMHMC
-    # draw momentum from a fixed anisotropic covariance, so the
-    # -log(z^T Sigma z)/2 term of their kinetic energy is exercised
+@pytest.mark.parametrize("variant", [v for v in SamplerVariant if v is not SamplerVariant.HMC])
+def test_every_variant_is_stationary_on_the_circle(variant):
+    # criterion 3's protocol and bound for each variant; criterion 3 is HMC's case
     t0 = time.perf_counter()
     cfg = HmcConfig(leapfrog_steps=5, step_size=0.5, rng_seed=123, variant=variant)
     chains = 8
@@ -207,7 +195,6 @@ def test_every_variant_is_stationary_on_the_circle(variant, cov_name):
         positions=np.tile([1.0, 0.0], (chains, 1)),
         t_minus=np.full(chains, -math.inf),
         rngs=[np.random.default_rng(s) for s in np.random.SeedSequence(123).spawn(chains)],
-        cov=None if cov_name is None else np.tile(_ANISOTROPIC[cov_name], (chains, 1, 1)),
     )
     ctx = _CircleEnergy()
     per_chain, burn = 25_000, 1_000
@@ -222,7 +209,7 @@ def test_every_variant_is_stationary_on_the_circle(variant, cov_name):
     exact = (2.0 * np.diff(edges) + np.sin(edges[1:]) - np.sin(edges[:-1])) / (4.0 * np.pi)
     tv = 0.5 * float(np.abs(empirical - exact).sum())
     assert tv <= 0.05
-    _report(f"stationarity ({variant.value}, Sigma={cov_name})", f"TV={tv:.4f}", t0, 60.0)
+    _report(f"stationarity ({variant.value})", f"TV={tv:.4f}", t0, 60.0)
 
 
 # -- 4. acceptance rate -------------------------------------------------------------
@@ -435,20 +422,9 @@ def test_criterion_9_variant_parity(default_store):
     a = json.dumps(batch_to_dict(mala), sort_keys=True)
     b = json.dumps(batch_to_dict(hmc_l1), sort_keys=True)
     assert a.replace('"variant": "mala"', '"variant": "hmc"') == b
-    mmala = synthesize_batch(
-        default_store, HmcConfig(variant=SamplerVariant.MMALA, rng_seed=11), **kwargs
-    )
-    rmhmc_l1 = synthesize_batch(
-        default_store,
-        HmcConfig(variant=SamplerVariant.RMHMC, leapfrog_steps=1, rng_seed=11),
-        **kwargs,
-    )
-    a = json.dumps(batch_to_dict(mmala), sort_keys=True)
-    b = json.dumps(batch_to_dict(rmhmc_l1), sort_keys=True)
-    assert a.replace('"variant": "mmala"', '"variant": "rmhmc"') == b
     _report(
         "criterion 9 (variant parity)",
-        f"all variants complete ({sizes}); MALA == HMC(L=1), mMALA == RMHMC(L=1) bit-exact",
+        f"all variants complete ({sizes}); MALA == HMC(L=1) bit-exact",
         t0,
         120.0,
     )

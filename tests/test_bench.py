@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -19,7 +20,7 @@ from oodsynth.bench import (
 )
 from oodsynth import cli
 from oodsynth.cli import main
-from oodsynth.errors import BadConfigError, ZeroVectorError
+from oodsynth.errors import BadArgError, BadConfigError, ZeroVectorError
 from oodsynth.samplers import HmcConfig, SamplerVariant
 from oodsynth.sphere import normalize
 from oodsynth.store import IdStore
@@ -64,6 +65,13 @@ def test_vmf_unit_norm_and_determinism():
     assert np.abs(np.linalg.norm(a, axis=1) - 1.0).max() <= 1e-9
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_vmf_rejects_negative_or_non_finite_concentration(kappa):
+    # a NaN kappa would loop forever in the rejection sampler
+    with pytest.raises(BadArgError):
+        sample_vmf(np.eye(4)[0], kappa, 3, np.random.default_rng(0))
+
+
 def test_uniform_sphere_norms():
     pts = uniform_sphere(100, 5, np.random.default_rng(2))
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-12
@@ -96,6 +104,8 @@ def test_config_validation():
         BenchConfig(kappa=0.0)
     with pytest.raises(BadConfigError):
         BenchConfig(grad_mode="nonsense")
+    with pytest.raises(BadConfigError, match="midpoint_kappa"):
+        OodTestSpec(midpoint_kappa=-1.0)
 
 
 def test_effective_clipping():
@@ -226,9 +236,10 @@ def test_diversity_helper_returns_positive_stds():
     assert std_h > 0.0 and std_g > 0.0
 
 
-def test_variant_sweep_smoke_all_five():
-    rows = ablation_sweep(SMALL, "variant", ["random_walk", "hmc", "mala", "mmala", "rmhmc"])
-    assert [r.value for r in rows] == ["random_walk", "hmc", "mala", "mmala", "rmhmc"]
+def test_variant_sweep_smoke_every_variant():
+    variants = [v.value for v in SamplerVariant]
+    rows = ablation_sweep(SMALL, "variant", variants)
+    assert [r.value for r in rows] == variants
     for r in rows:
         assert np.isfinite(r.auroc) and r.synth_time_ms > 0.0
 
@@ -398,7 +409,9 @@ def test_cli_run_missing_config_exit_code(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis, value", [("k", "abc"), ("L", "2.5"), ("variant", "bogus")])
+@pytest.mark.parametrize(
+    "axis, value", [("k", "abc"), ("L", "2.5"), ("variant", "bogus"), ("variant", "rmhmc")]
+)
 def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
     argv = ["sweep", "--axis", axis, "--values", value, "--sweep-dir", str(tmp_path / "sweep")]
     assert main(argv) == 2
@@ -489,6 +502,45 @@ def test_cli_old_config_with_history_window_exit_code(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "history_window" in err
+
+
+@pytest.mark.parametrize(
+    "command, option, value, name",
+    [
+        ("run", "--cluster-kappa", "nan", "cluster_kappa"),
+        ("run", "--ood-midpoint-kappa", "nan", "midpoint_kappa"),
+        ("gen", "--cluster-kappa", "nan", "cluster_kappa"),
+        ("gen", "--cluster-kappa", "inf", "cluster_kappa"),
+        ("run", "--step-size", "nan", "step_size"),
+        ("run", "--step-size", "inf", "step_size"),
+        ("run", "--kappa", "nan", "kappa"),
+        ("run", "--delta", "nan", "delta"),
+        ("run", "--lambda-d", "nan", "lambda_d"),
+        ("run", "--loss-kappa", "inf", "loss_kappa"),
+        ("run", "--ood-uniform", "-5", "n_uniform"),
+        ("run", "--ood-midpoint", "-3", "n_midpoint"),
+        pytest.param("synth", "--config", '{"kappa": NaN}', "kappa", id="synth-config-kappa-NaN"),
+        pytest.param(
+            "run", "--config", '{"hmc": {"variant": "mmala"}}', "mmala", id="run-config-mmala"
+        ),
+    ],
+)
+def test_cli_malformed_config_value_exit_code(tmp_path, capsys, command, option, value, name):
+    # the error names the offending field, or the value when it is a removed variant
+    if option == "--config":
+        (tmp_path / "bad.json").write_text(value)
+        value = str(tmp_path / "bad.json")
+    out = {"run": "--out-dir", "gen": "--out", "synth": "--out"}[command]
+    assert main([command, option, value, out, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and re.search(rf"\b{name}\b", err), err
+
+
+def test_cli_removed_variant_flag_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--variant", "rmhmc"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'rmhmc'" in capsys.readouterr().err
 
 
 def test_cli_data_error_exit_code(tmp_path):

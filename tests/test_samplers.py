@@ -7,15 +7,13 @@ from conftest import cluster_store
 from oodsynth.energy import EnergyContext, hard_margin_threshold
 from oodsynth.errors import BadConfigError
 from oodsynth.samplers import (
-    COV_RIDGE,
     ChainState,
     HmcConfig,
     SamplerVariant,
+    _integrate,
     advance,
     draw_momentum,
-    hamiltonian,
     kinetic,
-    leapfrog_trajectory,
 )
 from oodsynth.sphere import geodesic_step, normalize
 from oodsynth.store import ClusterPair, IdStore
@@ -50,22 +48,20 @@ def circle_energy():
     )
 
 
-def fresh_state(dim=3, seed=0, t_minus=-math.inf, chains=1, cov=None):
+def fresh_state(dim=3, seed=0, t_minus=-math.inf, chains=1):
     return ChainState(
         positions=np.tile(normalize(np.ones(dim)), (chains, 1)),
         t_minus=np.full(chains, t_minus),
         rngs=[np.random.default_rng(seed + i) for i in range(chains)],
-        cov=cov,
     )
 
 
-def pair_state(store, seed, t_minus, chains=1, cov=None):
+def pair_state(store, seed, t_minus, chains=1):
     """Chains at the (0, 1) midpoint of ``store``, generators seed, seed + 1, ..."""
     return ChainState(
         positions=np.tile(store.midpoint(ClusterPair(0, 1)), (chains, 1)),
         t_minus=np.full(chains, t_minus),
         rngs=[np.random.default_rng(seed + i) for i in range(chains)],
-        cov=cov,
     )
 
 
@@ -79,8 +75,6 @@ def pair_energy(store, k, chains=1):
 def test_mala_forces_single_step():
     cfg = HmcConfig(leapfrog_steps=5, variant=SamplerVariant.MALA)
     assert cfg.leapfrog_steps == 1
-    cfg = HmcConfig(leapfrog_steps=5, variant=SamplerVariant.MMALA)
-    assert cfg.leapfrog_steps == 1
 
 
 def test_config_validation():
@@ -90,6 +84,9 @@ def test_config_validation():
         HmcConfig(step_size=-0.1)
     with pytest.raises(BadConfigError):
         HmcConfig(rounds=0)
+    for step_size in (math.nan, math.inf):
+        with pytest.raises(BadConfigError, match="step_size"):
+            HmcConfig(step_size=step_size)
 
 
 # -- momentum -----------------------------------------------------------------
@@ -118,13 +115,15 @@ def test_momentum_mean_within_monte_carlo_band():
 
 
 # -- hamiltonian and leapfrog ---------------------------------------------------
+# advance scores a state with potential(z) + kinetic(q) and moves it with the
+# leapfrog integrator _integrate.
 
 
 def test_hamiltonian_closed_forms():
     z = np.eye(3)[:1]
-    assert hamiltonian(flat_energy(), z, np.zeros((1, 3)))[0] == 0.0
+    assert flat_energy().potential(z)[0] + kinetic(np.zeros((1, 3)))[0] == 0.0
     q = np.array([[0.0, 2.0, 0.0]])
-    assert hamiltonian(flat_energy(), z, q)[0] == 2.0
+    assert flat_energy().potential(z)[0] + kinetic(q)[0] == 2.0
 
 
 def test_hamiltonian_is_sum_of_parts(small_snapshot):
@@ -133,7 +132,7 @@ def test_hamiltonian_is_sum_of_parts(small_snapshot):
     z = normalize(rng.standard_normal((4, small_snapshot.dim)))
     q = draw_momentum(z, [rng] * 4)
     want = ctx.potential(z) + 0.5 * np.array([row @ row for row in q])
-    assert np.allclose(hamiltonian(ctx, z, q), want, rtol=1e-15)
+    assert np.allclose(ctx.potential(z) + kinetic(q), want, rtol=1e-15)
 
 
 def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
@@ -147,12 +146,12 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
     store.update_prototype(1, -e2)
     ctx = pair_energy(store.snapshot(), k=1)
     q0 = np.array([0.0, 0.0, 0.8])  # tangent at e1, orthogonal to both buffer points
-    z_lf, q_lf = leapfrog_trajectory(ctx, e1, q0, steps=4, step_size=0.3)
+    z_lf, q_lf, _, _, _ = _integrate(ctx, e1[None], q0[None], steps=4, step_size=0.3)
     z_geo, q_geo = e1, q0
     for _ in range(4):
         z_geo, q_geo = geodesic_step(z_geo, q_geo, 0.3)
-    assert np.allclose(z_lf, z_geo, atol=1e-14)
-    assert np.allclose(q_lf, q_geo, atol=1e-14)
+    assert np.allclose(z_lf[0], z_geo, atol=1e-14)
+    assert np.allclose(q_lf[0], q_geo, atol=1e-14)
 
 
 def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
@@ -160,9 +159,8 @@ def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
     rng = np.random.default_rng(3)
     z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (5, 1))
     q = draw_momentum(z, [rng] * 5)
-    h0 = hamiltonian(ctx, z, q)
-    z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=1e-4)
-    assert np.abs(hamiltonian(ctx, z2, q2) - h0).max() <= 1e-6
+    z2, q2, u0, u2, _ = _integrate(ctx, z, q, steps=3, step_size=1e-4)
+    assert np.abs((u2 + kinetic(q2)) - (u0 + kinetic(q))).max() <= 1e-6
 
 
 def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
@@ -170,11 +168,9 @@ def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
     rng = np.random.default_rng(4)
     z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (3, 1))
     q = draw_momentum(z, [rng] * 3)
-    z2, q2 = leapfrog_trajectory(ctx, z, q, steps=3, step_size=0.1)
+    z2, q2, _, _, _ = _integrate(ctx, z, q, steps=3, step_size=0.1)
     assert np.abs(np.linalg.norm(z2, axis=1) - 1.0).max() <= 1e-9
     assert np.abs(np.einsum("ij,ij->i", z2, q2)).max() <= 1e-8
-
-
 
 
 # -- transitions ----------------------------------------------------------------
@@ -312,78 +308,6 @@ def test_lockstep_chains_match_chains_run_alone():
             assert rec.mh_accept == records[i].mh_accept
             assert np.array_equal(rec.proposed, records[i].proposed)
             assert rec.h_prop == records[i].h_prop
-
-
-def test_history_variants_fall_back_to_identity():
-    # without a covariance, mMALA/RMHMC draw exactly like HMC: the kernel
-    # dispatches on ChainState.cov, not on the variant
-    for variant in (SamplerVariant.RMHMC, SamplerVariant.MMALA):
-        cfg_var = HmcConfig(rng_seed=11, variant=variant)
-        cfg_hmc = HmcConfig(rng_seed=11, leapfrog_steps=cfg_var.leapfrog_steps)
-        rec_hmc = advance(flat_energy(margin=False), fresh_state(seed=11), cfg_hmc)[0]
-        rec_var = advance(flat_energy(margin=False), fresh_state(seed=11), cfg_var)[0]
-        assert np.array_equal(rec_hmc.proposed, rec_var.proposed)
-
-
-def test_identity_covariance_matches_no_covariance():
-    # Sigma = I: the conditioned draw is the tangent projection and
-    # log(z^T z) = 0, so proposals and energies agree up to rounding
-    ctx = circle_energy()
-    cfg = HmcConfig(variant=SamplerVariant.RMHMC, step_size=0.4)
-    plain = ChainState(np.tile([1.0, 0.0], (3, 1)), np.full(3, -math.inf),
-                       [np.random.default_rng(s) for s in range(3)])
-    eye = ChainState(np.tile([1.0, 0.0], (3, 1)), np.full(3, -math.inf),
-                     [np.random.default_rng(s) for s in range(3)], cov=np.tile(np.eye(2), (3, 1, 1)))
-    for _ in range(20):
-        for a, b in zip(advance(ctx, plain, cfg), advance(ctx, eye, cfg)):
-            assert a.mh_accept == b.mh_accept
-            assert np.abs(a.proposed - b.proposed).max() <= 1e-12
-            assert abs(a.h_init - b.h_init) <= 1e-12 and abs(a.h_prop - b.h_prop) <= 1e-12
-
-
-def test_covariance_momentum_is_tangent_and_scored_by_its_density():
-    rng = np.random.default_rng(8)
-    z = normalize(rng.standard_normal((4, 5)))
-    a = rng.standard_normal((4, 5, 5))
-    cov = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(5)
-    chol = np.linalg.cholesky(cov)
-    q = draw_momentum(z, [np.random.default_rng(s) for s in range(4)], chol)
-    assert np.abs(np.einsum("ij,ij->i", z, q)).max() <= 1e-12
-    for i in range(4):
-        g = np.random.default_rng(i).standard_normal(5)
-        x = chol[i] @ g
-        sz = cov[i] @ z[i]
-        assert np.allclose(q[i], x - sz * (z[i] @ x) / (z[i] @ sz), rtol=0, atol=1e-12)
-        want = 0.5 * q[i] @ np.linalg.solve(cov[i], q[i]) - 0.5 * math.log(z[i] @ cov[i] @ z[i])
-        assert abs(kinetic(z, q, chol)[i] - want) <= 1e-12
-    assert np.array_equal(kinetic(z, q), 0.5 * np.einsum("ij,ij->i", q, q))
-
-
-def test_rank_deficient_covariance_plus_ridge_gives_finite_energy():
-    # three points span at most two of four directions; the ridge keeps the
-    # covariance positive definite and the energies finite
-    pts = normalize(np.random.default_rng(13).standard_normal((3, 4)))
-    cov = np.cov(pts, rowvar=False) + COV_RIDGE * np.eye(4)
-    assert np.linalg.matrix_rank(cov - COV_RIDGE * np.eye(4)) < 4
-    state = fresh_state(dim=4, seed=13, chains=2, cov=np.tile(cov, (2, 1, 1)))
-    cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=13)
-    for _ in range(5):
-        for rec in advance(flat_energy(), state, cfg):
-            assert np.isfinite(rec.h_init) and np.isfinite(rec.h_prop)
-        assert np.abs(np.linalg.norm(state.positions, axis=1) - 1.0).max() <= 1e-9
-
-
-def test_rmhmc_completes_rounds(small_snapshot):
-    ctx = pair_energy(small_snapshot, k=3, chains=3)
-    t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
-    cfg = HmcConfig(variant=SamplerVariant.RMHMC, rng_seed=3)
-    both = np.concatenate([small_snapshot.class_embeddings(0), small_snapshot.class_embeddings(1)])
-    cov = np.cov(both, rowvar=False) + COV_RIDGE * np.eye(small_snapshot.dim)
-    state = pair_state(small_snapshot, 3, t_minus, chains=3, cov=np.tile(cov, (3, 1, 1)))
-    for _ in range(cfg.rounds):
-        for rec in advance(ctx, state, cfg):
-            assert np.isfinite(rec.h_init) and np.isfinite(rec.h_prop)
-        assert np.abs(np.linalg.norm(state.positions, axis=1) - 1.0).max() <= 1e-9
 
 
 def test_identical_seed_gives_identical_record_stream(small_snapshot):

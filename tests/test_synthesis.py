@@ -10,7 +10,7 @@ from conftest import cluster_store
 from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.energy import passes_margin
 from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
-from oodsynth.samplers import COV_RIDGE, HmcConfig, SamplerVariant
+from oodsynth.samplers import HmcConfig, SamplerVariant
 from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
     batch_to_dict,
@@ -194,8 +194,7 @@ def test_batch_export_round_trip(tmp_path):
 # The per-chain sampler that the lockstep one replaced, kept as its oracle: each
 # chain ran alone, with two kNN matvecs per energy evaluation (the store's old
 # ``knn_distance``, copied below), one KDE matvec and a scipy log-sum-exp per
-# margin test, and the 1-D sphere geometry. mMALA and RMHMC chains draw and
-# score their momentum with the covariance of the pair's two class buffers.
+# margin test, and the 1-D sphere geometry.
 
 
 class _LegacyDegenerate(Exception):
@@ -260,19 +259,11 @@ class _LegacyEnergy:
         return -math.log(p), grad
 
 
-def _legacy_pair_covariance(store, pair):
-    both = np.concatenate([store.class_embeddings(pair.u), store.class_embeddings(pair.v)])
-    return np.cov(both, rowvar=False) + COV_RIDGE * np.eye(store.dim)
+def _legacy_kinetic(q):
+    return 0.5 * float(q @ q)
 
 
-def _legacy_kinetic(z, q, cov):
-    """-log density of the tangent momentum: N(0, cov) conditioned on z^T q = 0."""
-    if cov is None:
-        return 0.5 * float(q @ q)
-    return 0.5 * float(q @ np.linalg.solve(cov, q)) - 0.5 * math.log(float(z @ cov @ z))
-
-
-def _legacy_proposal(energy, z, rng, cov, cfg):
+def _legacy_proposal(energy, z, rng, cfg):
     """One attempt: (proposed, h_init, h_prop, u); raises _LegacyDegenerate."""
     if cfg.variant == SamplerVariant.RANDOM_WALK:
         g = rng.standard_normal(z.shape[0])
@@ -280,13 +271,7 @@ def _legacy_proposal(energy, z, rng, cov, cfg):
         z_prop = z + cfg.step_size * g
         z_prop = z_prop / float(np.linalg.norm(z_prop)) if cfg.step_size > 0 else z.copy()
         return z_prop, energy.potential(z), energy.potential(z_prop), u
-    g = rng.standard_normal(z.shape[0])
-    if cov is None:
-        q0 = _legacy_tangent(g, z)
-    else:
-        x = np.linalg.cholesky(cov) @ g
-        sigma_z = cov @ z
-        q0 = x - sigma_z * float(z @ x) / float(z @ sigma_z)
+    q0 = _legacy_tangent(rng.standard_normal(z.shape[0]), z)
     u = rng.uniform()
     eps = cfg.step_size
     u_init, grad = energy.value_and_grad(z)
@@ -296,7 +281,7 @@ def _legacy_proposal(energy, z, rng, cov, cfg):
         z_prop, q = _legacy_geodesic(z_prop, q, eps)
         u_prop, grad = energy.value_and_grad(z_prop)
         q = q - 0.5 * eps * _legacy_tangent(grad, z_prop)
-    return z_prop, u_init + _legacy_kinetic(z, q0, cov), u_prop + _legacy_kinetic(z_prop, q, cov), u
+    return z_prop, u_init + _legacy_kinetic(q0), u_prop + _legacy_kinetic(q), u
 
 
 def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analytic"):
@@ -314,13 +299,10 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
             t_minus = _legacy_neg_log_max(store, z, kappa) - delta
             energy = _LegacyEnergy(store, pair, k, grad_mode)
             rng = np.random.default_rng(seeds[c * n_adj + rank])
-            cov = None
-            if cfg.variant in (SamplerVariant.RMHMC, SamplerVariant.MMALA):
-                cov = _legacy_pair_covariance(store, pair)
             records = []
             for _ in range(cfg.rounds):
                 try:
-                    z_prop, h_init, h_prop, u = _legacy_proposal(energy, z, rng, cov, cfg)
+                    z_prop, h_init, h_prop, u = _legacy_proposal(energy, z, rng, cfg)
                 except _LegacyDegenerate:
                     rec = (z.copy(), math.nan, math.nan, False, False)
                 else:
