@@ -13,11 +13,11 @@ from pathlib import Path
 from oodsynth.bench import BenchConfig, diversity_stds
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/diversity.csv")
     parser.add_argument("--seeds", type=int, default=10)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     cfg = BenchConfig()
     rows = []

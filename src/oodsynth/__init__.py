@@ -18,13 +18,7 @@ from .bench import (
     sample_vmf,
     uniform_sphere,
 )
-from .energy import (
-    EnergyContext,
-    hard_margin_threshold,
-    id_prob,
-    passes_margin,
-    vmf_kernel,
-)
+from .energy import EnergyContext, passes_margin
 from .metrics import (
     QualityAngles,
     ScoreReport,
@@ -80,9 +74,7 @@ __all__ = [
     "gaussian_baseline_batch",
     "generate_synthetic_id",
     "geodesic_step",
-    "hard_margin_threshold",
     "hypersphere_quality",
-    "id_prob",
     "knn_scores",
     "normalize",
     "ood_discernment_loss",
@@ -95,5 +87,4 @@ __all__ = [
     "synthesize_batch",
     "temperature_from_kappa",
     "uniform_sphere",
-    "vmf_kernel",
 ]

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadArgError, BadConfigError, require_finite
+from .errors import BadArgError, BadConfigError, require_numbers
 from .metrics import (
     QualityAngles,
     ScoreReport,
@@ -63,7 +63,7 @@ class OodTestSpec:
     midpoint_kappa: float = 50.0
 
     def __post_init__(self):
-        require_finite(self)
+        require_numbers(self)
         for name in ("n_uniform", "n_midpoint", "midpoint_kappa"):
             if getattr(self, name) < 0:
                 raise BadConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -95,11 +95,14 @@ class BenchConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        require_finite(self)
+        require_numbers(self)
         if self.num_classes < 2 or self.dim < 2:
             raise BadConfigError("need num_classes >= 2 and dim >= 2")
-        if self.points_per_class < 1 or self.knn_k < 1 or self.k_detect < 1:
-            raise BadConfigError("points_per_class, knn_k and k_detect must be >= 1")
+        if self.seed < 0:
+            raise BadConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("points_per_class", "knn_k", "k_detect", "id_test_per_class"):
+            if getattr(self, name) < 1:
+                raise BadConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.cluster_kappa < 0 or self.kappa <= 0 or self.loss_kappa <= 0:
             raise BadConfigError("cluster_kappa must be >= 0; kappa and loss_kappa > 0")
         if self.delta < 0 or self.lambda_d < 0:
@@ -263,10 +266,6 @@ class RunArtifacts:
     iterations: list[IterationResult]
     out_dir: Path | None
     files: dict[str, Path]
-
-    @property
-    def final_report(self) -> ScoreReport:
-        return self.iterations[-1].report
 
 
 def _rejection_counts(batch: OutlierBatch) -> dict[str, int]:

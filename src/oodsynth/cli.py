@@ -31,7 +31,7 @@ from .bench import (
     generate_synthetic_id,
     run_experiment,
 )
-from .errors import ConfigError, DataError, NumericalError
+from .errors import BadConfigError, ConfigError, DataError, NumericalError
 from .metrics import score_report
 from .samplers import SamplerVariant
 from .store import IdStore
@@ -151,6 +151,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     values = [v for v in args.values.split(",") if v]
+    if not values:
+        raise BadConfigError(f"sweep axis {args.axis!r} got no values from {args.values!r}")
     out_dir = args.sweep_dir or (Path(cfg.out_dir) if cfg.out_dir else Path("runs/sweep"))
     rows = ablation_sweep(cfg, args.axis, values, out_dir=out_dir)
     for r in rows:

@@ -12,10 +12,10 @@ Two gradient conventions are provided:
                the potential when the neighbor indices are held fixed;
 * ``scaled``   -(d_u + d_v)/2 * (u_hat + v_hat), the unit directions
                scaled by the OOD-ness itself (equivalently, the negative
-               gradient of ood_prob^2 rather than of -log ood_prob).
+               gradient of the squared OOD-ness rather than of its -log).
 
-Both share the direction u_hat + v_hat; their magnitudes differ by the
-factor 2 * ood_prob^2. Only the analytic mode conserves the Hamiltonian
+Both share the direction u_hat + v_hat; their magnitudes differ by twice
+the squared OOD-ness. Only the analytic mode conserves the Hamiltonian
 along leapfrog trajectories, which is what keeps the MH acceptance rate
 near 1; the scaled mode is kept selectable for comparison. The neighbor
 indices are re-queried at every evaluation, so the potential is treated
@@ -48,11 +48,6 @@ from .metrics import kth_neighbors
 from .store import ClusterPair, IdSnapshot
 
 
-def vmf_kernel(z: np.ndarray, center: np.ndarray, kappa: float) -> float:
-    """Unnormalized von Mises-Fisher kernel exp(kappa * center^T z)."""
-    return float(np.exp(kappa * (np.asarray(center, dtype=float) @ np.asarray(z, dtype=float))))
-
-
 def log_class_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
     """log of the per-class vMF kernel density estimates at z, shape z.shape[:-1] + (C,).
 
@@ -77,32 +72,15 @@ def log_class_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.nd
     return logs.reshape(z.shape[:-1] + (len(counts),))
 
 
-def _shifted_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
-    """Class densities at z divided by their largest, so the largest is exactly 1."""
-    logs = log_class_densities(store, z, kappa)
-    return np.exp(logs - logs.max(axis=-1, keepdims=True))
-
-
-def id_prob(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
-    """Per-class ID probability vector: softmax of the class KDE values."""
-    shifted = _shifted_densities(store, z, kappa)
-    return shifted / shifted.sum(axis=-1, keepdims=True)
-
-
 def neg_log_max_id_prob(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.ndarray:
     """-log(max_c P_c^ID(z)), the quantity compared against the margin threshold.
 
-    That is the log-sum-exp of the class log-densities minus their maximum.
+    P^ID(z) is the softmax of the class KDE values, so this is the
+    log-sum-exp of the class log-densities minus their maximum. The
+    threshold t_- of a chain is this value at its pair midpoint minus delta.
     """
-    return np.log(_shifted_densities(store, z, kappa).sum(axis=-1))
-
-
-def hard_margin_threshold(
-    store: IdSnapshot, pair: ClusterPair, kappa: float, delta: float
-) -> float:
-    """Rejection threshold t_- at the pair midpoint: -log max_c P_c^ID(b) - delta."""
-    b = store.midpoint(pair)
-    return float(neg_log_max_id_prob(store, b, kappa)) - delta
+    logs = log_class_densities(store, z, kappa)
+    return np.log(np.exp(logs - logs.max(axis=-1, keepdims=True)).sum(axis=-1))
 
 
 def passes_margin(
@@ -157,33 +135,23 @@ class EnergyContext:
             nbrs[sel] = emb[idx]
         return dist[:m], nbrs[:m], dist[m:], nbrs[m:]
 
-    def ood_prob(self, z: np.ndarray) -> np.ndarray:
-        """Mean of the two per-class k-th-neighbor distances."""
+    def potential(self, z: np.ndarray) -> np.ndarray:
+        """-log of the OOD-ness, the mean of the two per-class k-th-neighbor distances.
+
+        May be negative since distances can exceed 1. NaN where the OOD-ness
+        is 0 (z on buffered points of both classes).
+        """
         z = np.asarray(z, dtype=float)
         d_u, _, d_v, _ = self._pair_query(z)
-        return (0.5 * (d_u + d_v)).reshape(z.shape[:-1])
-
-    def potential(self, z: np.ndarray) -> np.ndarray:
-        """-log(ood_prob(z)); may be negative since distances can exceed 1.
-
-        NaN where the OOD-ness is 0 (z on buffered points of both classes).
-        """
-        p = self.ood_prob(z)
+        p = (0.5 * (d_u + d_v)).reshape(z.shape[:-1])
         return -np.log(np.where(p > 0.0, p, np.nan))
 
-    def grad_potential(self, z: np.ndarray, mode: str | None = None) -> np.ndarray:
-        _, grad = self.value_and_grad(z, mode)
-        return grad
-
-    def value_and_grad(
-        self, z: np.ndarray, mode: str | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Potential and its ambient-space gradient from one neighbor query.
+    def value_and_grad(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Potential and its ambient-space gradient (``grad_mode``) from one neighbor query.
 
         A row whose k-th neighbor in either class coincides with it has a
         NaN potential and a zero gradient.
         """
-        mode = mode or self.grad_mode
         z = np.asarray(z, dtype=float)
         rows = z.reshape(-1, z.shape[-1])
         d_u, n_u, d_v, n_v = self._pair_query(rows)
@@ -193,7 +161,7 @@ class EnergyContext:
         p = 0.5 * (d_u + d_v)
         value = np.where(degenerate, np.nan, -np.log(p))
         dirs = (rows - n_u) / d_u[:, None] + (rows - n_v) / d_v[:, None]
-        if mode == "scaled":
+        if self.grad_mode == "scaled":
             grad = -p[:, None] * dirs
         else:
             grad = -dirs / (2.0 * p)[:, None]

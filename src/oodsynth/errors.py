@@ -5,7 +5,8 @@ DataError -> 3, NumericalError -> 4.
 """
 
 import dataclasses
-import math
+import numbers
+import sys
 
 
 class OodSynthError(Exception):
@@ -68,9 +69,21 @@ class AntipodalPrototypesError(NumericalError):
     pass
 
 
-def require_finite(config) -> None:
-    """Raise BadConfigError naming the first float field of a config dataclass that is not finite."""
+def require_numbers(config) -> None:
+    """Raise BadConfigError naming the first int or float field of a config dataclass that is wrong.
+
+    An int field must hold an int; a float field a finite int or float
+    (the range test also rejects NaN and ints too large for a float). A
+    bool is neither.
+    """
     for f in dataclasses.fields(config):
+        kind = getattr(f.type, "__name__", f.type)
         value = getattr(config, f.name)
-        if f.type in ("float", float) and not math.isfinite(value):
-            raise BadConfigError(f"{f.name} must be finite, got {value!r}")
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise BadConfigError(f"{f.name} must be an integer, got {value!r}")
+        if kind == "float" and (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Real)
+            or not -sys.float_info.max <= value <= sys.float_info.max
+        ):
+            raise BadConfigError(f"{f.name} must be a finite number, got {value!r}")

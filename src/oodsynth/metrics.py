@@ -204,19 +204,11 @@ class ScoreReport:
     def save_json(self, path: str | Path, include_scores: bool = True) -> None:
         Path(path).write_text(json.dumps(self.to_dict(include_scores), sort_keys=True))
 
-    def metric_rows(self) -> list[tuple[str, float]]:
-        return [
-            ("fpr95", self.fpr95),
-            ("auroc", self.auroc),
-            ("aupr", self.aupr),
-            ("threshold", self.threshold),
-        ]
-
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["metric", "value"])
-            for name, value in self.metric_rows():
+            for name, value in self.to_dict(include_scores=False).items():
                 writer.writerow([name, repr(value)])
 
 

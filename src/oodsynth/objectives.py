@@ -1,11 +1,9 @@
 """Training losses as pure functions over embeddings and prototypes.
 
-No autodiff here: values are plain floats, and the one gradient provided
-(`ood_discernment_loss_grad`) exists so the loss can be checked against
-finite differences. The discernment loss is an average of log-softmax
-values and is therefore always <= 0; it attains -log C exactly when every
-outlier is equidistant from all prototypes, and minimizing it pushes
-outliers away from every prototype.
+No autodiff here: values are plain floats. The discernment loss is an
+average of log-softmax values and is therefore always <= 0; it attains
+-log C exactly when every outlier is equidistant from all prototypes, and
+minimizing it pushes outliers away from every prototype.
 """
 
 from __future__ import annotations
@@ -29,19 +27,6 @@ def ood_discernment_loss(
     prototypes = np.asarray(prototypes, dtype=float)
     logits = outliers @ prototypes.T / tau  # (M, C)
     return float(_log_softmax(logits).mean())
-
-
-def ood_discernment_loss_grad(
-    outliers: np.ndarray, prototypes: np.ndarray, tau: float
-) -> np.ndarray:
-    """Ambient-coordinate gradient of ood_discernment_loss w.r.t. each outlier."""
-    outliers = np.atleast_2d(np.asarray(outliers, dtype=float))
-    prototypes = np.asarray(prototypes, dtype=float)
-    M, _ = outliers.shape
-    logits = outliers @ prototypes.T / tau
-    p = np.exp(_log_softmax(logits))  # (M, C)
-    mean_proto = prototypes.mean(axis=0)  # (d,)
-    return (mean_proto[None, :] - p @ prototypes) / (M * tau)
 
 
 def cider_losses(

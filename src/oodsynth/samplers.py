@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadConfigError, require_finite
+from .errors import BadConfigError, require_numbers
 from .sphere import geodesic_step, normalize, project_tangent
 
 
@@ -60,13 +60,15 @@ class HmcConfig:
 
     def __post_init__(self):
         self.variant = SamplerVariant(self.variant)
-        require_finite(self)
+        require_numbers(self)
         if self.leapfrog_steps < 1:
             raise BadConfigError(f"leapfrog_steps must be >= 1, got {self.leapfrog_steps}")
         if self.step_size < 0:
             raise BadConfigError(f"step_size must be nonnegative, got {self.step_size}")
         if self.rounds < 1:
             raise BadConfigError(f"rounds must be >= 1, got {self.rounds}")
+        if self.rng_seed < 0:
+            raise BadConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.variant is SamplerVariant.MALA:
             self.leapfrog_steps = 1
 

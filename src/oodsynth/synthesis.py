@@ -73,11 +73,38 @@ class OutlierBatch:
             return np.empty((0, 0))
         return np.array([s.position for s in self.samples])
 
-    def counts(self) -> list[int]:
-        return [c.accepted for c in self.chains]
-
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def _pair_chains(store: IdSnapshot, n_adj: int) -> tuple[list[ChainRun], list[ClusterPair]]:
+    """One fresh chain per (class, adjacent class) pair, started at the pair midpoint.
+
+    Listed by (class id, adjacency rank); pairs with antipodal prototypes
+    get no chain and are returned as skipped.
+    """
+    chains: list[ChainRun] = []
+    skipped: list[ClusterPair] = []
+    for c in range(store.num_classes):
+        for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
+            pair = ClusterPair(c, j)
+            try:
+                start = store.midpoint(pair)
+            except AntipodalPrototypesError:
+                skipped.append(pair)
+                continue
+            chains.append(
+                ChainRun(
+                    chain_index=len(chains),
+                    class_id=c,
+                    rank=rank,
+                    pair=pair,
+                    t_minus=math.nan,
+                    start=start,
+                    accepted=0,
+                )
+            )
+    return chains, skipped
 
 
 def synthesize_batch(
@@ -103,29 +130,8 @@ def synthesize_batch(
                 f"class {c} holds {store.count(c)} embeddings, fewer than k={k}; warm up buffers"
             )
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(C * n_adj)
-    chains: list[ChainRun] = []
-    rngs: list[np.random.Generator] = []
-    skipped: list[ClusterPair] = []
-    for c in range(C):
-        for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
-            pair = ClusterPair(c, j)
-            try:
-                start = store.midpoint(pair)
-            except AntipodalPrototypesError:
-                skipped.append(pair)
-                continue
-            chains.append(
-                ChainRun(
-                    chain_index=len(chains),
-                    class_id=c,
-                    rank=rank,
-                    pair=pair,
-                    t_minus=math.nan,
-                    start=start,
-                    accepted=0,
-                )
-            )
-            rngs.append(np.random.default_rng(seeds[c * n_adj + rank]))
+    chains, skipped = _pair_chains(store, n_adj)
+    rngs = [np.random.default_rng(seeds[run.class_id * n_adj + run.rank]) for run in chains]
     if chains:
         starts = np.array([run.start for run in chains])
         t_minus = neg_log_max_id_prob(store, starts, kappa) - delta
@@ -205,39 +211,19 @@ def gaussian_baseline_batch(
     Shares the batch shape of ``synthesize_batch`` so the two synthesis
     routes can be compared sample-for-sample.
     """
-    C = store.num_classes
     rng = np.random.default_rng(seed)
     samples: list[OutlierSample] = []
-    chains: list[ChainRun] = []
-    skipped: list[ClusterPair] = []
-    chain_index = 0
-    for c in range(C):
-        for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
-            pair = ClusterPair(c, j)
-            try:
-                b = store.midpoint(pair)
-            except AntipodalPrototypesError:
-                skipped.append(pair)
-                continue
-            run = ChainRun(
-                chain_index=chain_index,
-                class_id=c,
-                rank=rank,
-                pair=pair,
-                t_minus=float("nan"),
-                start=b,
-                accepted=count_per_pair,
-            )
-            for i in range(count_per_pair):
-                g = rng.standard_normal(store.dim)
-                pos = normalize(b + sigma * g) if sigma > 0 else b.copy()
-                samples.append(
-                    OutlierSample(
-                        position=pos, pair=pair, chain_index=chain_index, round_index=i + 1
-                    )
+    chains, skipped = _pair_chains(store, n_adj)
+    for run in chains:
+        run.accepted = count_per_pair
+        for i in range(count_per_pair):
+            g = rng.standard_normal(store.dim)
+            pos = normalize(run.start + sigma * g) if sigma > 0 else run.start.copy()
+            samples.append(
+                OutlierSample(
+                    position=pos, pair=run.pair, chain_index=run.chain_index, round_index=i + 1
                 )
-            chains.append(run)
-            chain_index += 1
+            )
     return OutlierBatch(
         samples=samples,
         chains=chains,

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,7 +132,7 @@ def test_minimal_run_completes_and_writes_artifacts(tmp_path):
     batches = [json.loads(line) for line in art.files["batches"].read_text().splitlines()]
     assert len(batches) == 1
     assert len(batches[0]["samples"]) == len(art.iterations[0].batch)
-    report = art.final_report
+    report = art.iterations[-1].report
     assert 0.0 <= report.auroc <= 1.0
 
 
@@ -205,14 +207,14 @@ def test_runs_are_bit_exact(tmp_path):
 def test_detector_separates_synthetic_ood():
     cfg = dataclasses.replace(SMALL, num_classes=4, n_adj=2, iterations=2, cluster_kappa=50.0)
     art = run_experiment(cfg)
-    assert art.final_report.auroc >= 0.9  # uniform OOD is far from tight clusters
+    assert art.iterations[-1].report.auroc >= 0.9  # uniform OOD is far from tight clusters
 
 
 def test_sweep_single_value_matches_run(tmp_path):
     rows = ablation_sweep(SMALL, "eps", [SMALL.hmc.step_size])
     art = run_experiment(SMALL)
-    assert rows[0].fpr95 == art.final_report.fpr95
-    assert rows[0].auroc == art.final_report.auroc
+    assert rows[0].fpr95 == art.iterations[-1].report.fpr95
+    assert rows[0].auroc == art.iterations[-1].report.auroc
 
 
 def test_sweep_writes_merged_csv(tmp_path):
@@ -234,6 +236,20 @@ def test_diversity_helper_returns_positive_stds():
     cfg = dataclasses.replace(SMALL, num_classes=4, n_adj=2)
     std_h, std_g = diversity_stds(cfg, seed=0)
     assert std_h > 0.0 and std_g > 0.0
+
+
+def test_diversity_comparison_script_writes_one_row_per_seed(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "diversity_comparison.py"
+    spec = importlib.util.spec_from_file_location("diversity_comparison", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "tmp" / "d.csv"
+    script.main(["--seeds", "1", "--out", str(out)])
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["seed", "hmc_score_std", "gaussian_score_std"]
+    assert len(rows) == 2 and rows[1][0] == "0"
+    assert float(rows[1][1]) > 0.0 and float(rows[1][2]) > 0.0
 
 
 def test_variant_sweep_smoke_every_variant():
@@ -410,7 +426,8 @@ def test_cli_run_missing_config_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "axis, value", [("k", "abc"), ("L", "2.5"), ("variant", "bogus"), ("variant", "rmhmc")]
+    "axis, value",
+    [("k", "abc"), ("L", "2.5"), ("variant", "bogus"), ("variant", "rmhmc"), ("eps", ",")],
 )
 def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
     argv = ["sweep", "--axis", axis, "--values", value, "--sweep-dir", str(tmp_path / "sweep")]
@@ -520,6 +537,20 @@ def test_cli_old_config_with_history_window_exit_code(tmp_path, capsys):
         ("run", "--ood-uniform", "-5", "n_uniform"),
         ("run", "--ood-midpoint", "-3", "n_midpoint"),
         pytest.param("synth", "--config", '{"kappa": NaN}', "kappa", id="synth-config-kappa-NaN"),
+        ("run", "--seed", "-1", "seed"),
+        ("run", "--sampler-seed", "-3", "rng_seed"),
+        ("run", "--id-test-per-class", "-1", "id_test_per_class"),
+        *(
+            pytest.param("run", "--config", doc, name, id=f"run-config-{name}-{value}")
+            for doc, name, value in (
+                ('{"iterations": 2.5}', "iterations", "2.5"),
+                ('{"dim": 2.5}', "dim", "2.5"),
+                ('{"hmc": {"rounds": 1.5}}', "rounds", "1.5"),
+                ('{"ood": {"n_uniform": 1e400}}', "n_uniform", "1e400"),
+                ('{"seed": 1.5}', "seed", "1.5"),
+                ('{"knn_k": true}', "knn_k", "true"),
+            )
+        ),
         pytest.param(
             "run", "--config", '{"hmc": {"variant": "mmala"}}', "mmala", id="run-config-mmala"
         ),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,16 +7,16 @@ import pytest
 from conftest import cluster_store
 from oodsynth.energy import (
     EnergyContext,
-    hard_margin_threshold,
-    id_prob,
+    log_class_densities,
     neg_log_max_id_prob,
     passes_margin,
-    vmf_kernel,
 )
 from oodsynth.errors import InsufficientDataError
 from oodsynth.metrics import kth_neighbors
+from oodsynth.samplers import HmcConfig
 from oodsynth.sphere import normalize, project_tangent
 from oodsynth.store import ClusterPair, IdStore
+from oodsynth.synthesis import synthesize_batch
 
 
 def two_point_store(n_u, n_v, dim=None):
@@ -35,7 +36,7 @@ def oracle_knn_dist(embeddings, z, k):
     return sorted(np.linalg.norm(np.asarray(embeddings) - z, axis=1))[k - 1]
 
 
-# -- ood_prob and potential ---------------------------------------------------
+# -- OOD-ness and potential ---------------------------------------------------
 
 
 def test_ood_prob_unit_distances():
@@ -44,14 +45,16 @@ def test_ood_prob_unit_distances():
     n_u = np.array([0.5, np.sqrt(3) / 2, 0.0])
     n_v = np.array([0.5, -np.sqrt(3) / 2, 0.0])
     ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
-    assert np.isclose(ctx.ood_prob(z), 1.0, atol=1e-12)
+    assert np.isclose(math.exp(-ctx.potential(z)), 1.0, atol=1e-12)
     assert np.isclose(ctx.potential(z), 0.0, atol=1e-12)
 
 
 def test_ood_prob_zero_when_duplicated():
     z = normalize(np.array([1.0, 2.0, 0.0]))
-    ctx = EnergyContext(store=two_point_store(z, z), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
-    assert ctx.ood_prob(z) == 0.0
+    store = two_point_store(z, z)
+    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
+    for c in (0, 1):
+        assert kth_neighbors(store.class_embeddings(c), z[None, :], 1)[0][0] == 0.0
     assert math.isnan(ctx.potential(z))
 
 
@@ -77,10 +80,9 @@ def test_ood_prob_matches_oracle_and_round_trips():
             oracle_knn_dist(store.class_embeddings(0), z, 5)
             + oracle_knn_dist(store.class_embeddings(1), z, 5)
         )
-        assert np.isclose(ctx.ood_prob(z), want, rtol=1e-12)
         assert np.isclose(ctx.potential(z), -math.log(want), rtol=1e-12)
         # exp(-U) recovers the OOD-ness exactly
-        assert np.isclose(math.exp(-ctx.potential(z)), ctx.ood_prob(z), rtol=1e-12)
+        assert np.isclose(math.exp(-ctx.potential(z)), want, rtol=1e-12)
 
 
 def test_potential_pair_permutation_invariant():
@@ -124,7 +126,7 @@ def test_grad_mirror_symmetry_is_radial():
     )
     z = np.eye(3)[0]
     for mode in ("analytic", "scaled"):
-        grad = ctx.grad_potential(z, mode)
+        grad = dataclasses.replace(ctx, grad_mode=mode).value_and_grad(z)[1]
         assert np.allclose(np.cross(grad, z), 0.0, atol=1e-15)
         assert np.abs(project_tangent(grad, z)).max() <= 1e-15
 
@@ -133,7 +135,7 @@ def test_grad_analytic_matches_finite_differences():
     n_u, n_v = np.eye(2)[1], -np.eye(2)[1]
     ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
     z = np.eye(2)[0]
-    grad = ctx.grad_potential(z, "analytic")
+    _, grad = ctx.value_and_grad(z)
     fd = central_fd(z, n_u, n_v)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-5
 
@@ -144,12 +146,12 @@ def test_grad_scaled_mode_direction_and_magnitude():
     rng = np.random.default_rng(2)
     for _ in range(10):
         z = normalize(rng.standard_normal(8))
-        g_scaled = ctx.grad_potential(z, "scaled")
-        g_analytic = ctx.grad_potential(z, "analytic")
+        g_scaled = dataclasses.replace(ctx, grad_mode="scaled").value_and_grad(z)[1]
+        g_analytic = dataclasses.replace(ctx, grad_mode="analytic").value_and_grad(z)[1]
         cos = g_scaled @ g_analytic / (np.linalg.norm(g_scaled) * np.linalg.norm(g_analytic))
         assert cos >= 0.999999
         ratio = np.linalg.norm(g_scaled) / np.linalg.norm(g_analytic)
-        want = 2.0 * ctx.ood_prob(z) ** 2
+        want = 2.0 * math.exp(-ctx.potential(z)) ** 2
         assert abs(ratio - want) <= 1e-8 * want
 
 
@@ -197,11 +199,24 @@ def test_batched_margin_matches_single_points():
 # -- vMF kernel and KDE -------------------------------------------------------
 
 
+def brute_force_id_prob(store, z, const=1.0):
+    """Softmax of the per-class KDE values, summing const * exp(2 mu^T z) directly (kappa = 2)."""
+    raw = np.array(
+        [
+            const * np.mean(np.exp(2.0 * (store.class_embeddings(c) @ z)))
+            for c in range(store.num_classes)
+        ]
+    )
+    return raw / raw.sum()
+
+
 def test_vmf_kernel_closed_forms():
+    # one point per class: the class-0 log density is the log vMF kernel kappa * e1^T z
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
-    assert np.isclose(vmf_kernel(e1, e1, 2.0), math.e**2, rtol=1e-12)
-    assert np.isclose(vmf_kernel(e2, e1, 2.0), 1.0, rtol=1e-12)
-    assert np.isclose(vmf_kernel(-e1, e1, 2.0), math.e**-2, rtol=1e-12)
+    store = two_point_store(e1, e2)
+    assert np.isclose(math.exp(log_class_densities(store, e1, 2.0)[0]), math.e**2, rtol=1e-12)
+    assert np.isclose(math.exp(log_class_densities(store, e2, 2.0)[0]), 1.0, rtol=1e-12)
+    assert np.isclose(math.exp(log_class_densities(store, -e1, 2.0)[0]), math.e**-2, rtol=1e-12)
 
 
 def test_id_prob_identical_buffers_uniform():
@@ -210,16 +225,14 @@ def test_id_prob_identical_buffers_uniform():
     for c in range(3):
         for z in pts:
             store.insert(c, z)
-    p = id_prob(store.snapshot(), normalize(np.array([0.5, 0.5, 1.0, 0.0])), 2.0)
-    assert np.allclose(p, 1.0 / 3.0, atol=1e-12)
+    value = neg_log_max_id_prob(store.snapshot(), normalize(np.array([0.5, 0.5, 1.0, 0.0])), 2.0)
+    assert np.isclose(value, -math.log(1.0 / 3.0), atol=1e-12)
 
 
 def test_id_prob_two_class_closed_form():
     store = two_point_store(np.eye(3)[0], np.eye(3)[1])
-    p = id_prob(store, np.eye(3)[0], 2.0)
     want = math.e**2 / (math.e**2 + 1.0)
-    assert np.isclose(p[0], want, rtol=1e-12)
-    assert np.isclose(p.sum(), 1.0, atol=1e-9)
+    assert np.isclose(neg_log_max_id_prob(store, np.eye(3)[0], 2.0), -math.log(want), rtol=1e-12)
 
 
 def test_id_prob_matches_direct_summation_oracle():
@@ -227,11 +240,8 @@ def test_id_prob_matches_direct_summation_oracle():
     rng = np.random.default_rng(3)
     for _ in range(10):
         z = normalize(rng.standard_normal(6))
-        raw = np.array(
-            [np.mean(np.exp(2.0 * (store.class_embeddings(c) @ z))) for c in range(4)]
-        )
-        want = raw / raw.sum()
-        assert np.allclose(id_prob(store, z, 2.0), want, rtol=1e-12)
+        want = -math.log(brute_force_id_prob(store, z).max())
+        assert np.isclose(neg_log_max_id_prob(store, z, 2.0), want, rtol=1e-12)
 
 
 def test_id_prob_invariant_to_shared_kernel_constant():
@@ -239,11 +249,8 @@ def test_id_prob_invariant_to_shared_kernel_constant():
     # softmax, mirroring the dropped vMF normalizer
     store = cluster_store(num_classes=3, dim=5, n_per_class=20, seed=13).snapshot()
     z = normalize(np.ones(5))
-    const = 7.3e-4
-    raw = np.array(
-        [const * np.mean(np.exp(2.0 * (store.class_embeddings(c) @ z))) for c in range(3)]
-    )
-    assert np.allclose(id_prob(store, z, 2.0), raw / raw.sum(), rtol=1e-12)
+    want = -math.log(brute_force_id_prob(store, z, const=7.3e-4).max())
+    assert np.isclose(neg_log_max_id_prob(store, z, 2.0), want, rtol=1e-12)
 
 
 # -- hard margin ---------------------------------------------------------------
@@ -253,46 +260,42 @@ def symmetric_two_class_store():
     return two_point_store(np.eye(3)[0], np.eye(3)[1])
 
 
+def chain_threshold(store, pair, delta):
+    """t_- of the chain that a one-round ``synthesize_batch`` starts on ``pair``."""
+    batch = synthesize_batch(
+        store, HmcConfig(rounds=1), k=1, delta=delta, kappa=2.0, n_adj=store.num_classes - 1
+    )
+    return next(run.t_minus for run in batch.chains if run.pair == pair)
+
+
 def test_threshold_symmetric_closed_form():
     store = symmetric_two_class_store()
     for delta in (0.0, 0.1):
-        t = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=delta)
+        t = chain_threshold(store, ClusterPair(0, 1), delta)
         assert np.isclose(t, math.log(2.0) - delta, atol=1e-12)
 
 
 def test_threshold_matches_oracle_minus_delta():
     store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=14).snapshot()
-    b = store.midpoint(ClusterPair(0, 1))
-    raw = np.array(
-        [np.mean(np.exp(2.0 * (store.class_embeddings(c) @ b))) for c in range(3)]
-    )
-    oracle = -math.log((raw / raw.sum()).max())
-    t = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+    oracle = -math.log(brute_force_id_prob(store, store.midpoint(ClusterPair(0, 1))).max())
+    t = chain_threshold(store, ClusterPair(0, 1), 0.1)
     assert np.isclose(t, oracle - 0.1, rtol=1e-12)
 
 
 def test_margin_midpoint_passes_with_positive_delta():
     store = symmetric_two_class_store()
-    t = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+    t = chain_threshold(store, ClusterPair(0, 1), 0.1)
     assert passes_margin(store, store.midpoint(ClusterPair(0, 1)), 2.0, t)
 
 
 def test_margin_rejects_point_deep_inside_cluster():
     store = symmetric_two_class_store()
-    t = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+    t = chain_threshold(store, ClusterPair(0, 1), 0.1)
     assert not passes_margin(store, np.eye(3)[0], 2.0, t)
 
 
 def test_margin_always_passes_with_huge_delta():
     store = symmetric_two_class_store()
-    t = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=1e9)
+    t = chain_threshold(store, ClusterPair(0, 1), 1e9)
     rng = np.random.default_rng(4)
     assert all(passes_margin(store, normalize(rng.standard_normal(3)), 2.0, t) for _ in range(20))
-
-
-def test_neg_log_max_consistency():
-    store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=15).snapshot()
-    z = normalize(np.ones(6))
-    assert np.isclose(
-        neg_log_max_id_prob(store, z, 2.0), -math.log(id_prob(store, z, 2.0).max()), rtol=1e-12
-    )

@@ -7,7 +7,6 @@ from oodsynth.objectives import (
     cider_losses,
     combined_objective,
     ood_discernment_loss,
-    ood_discernment_loss_grad,
     temperature_from_kappa,
 )
 from oodsynth.sphere import normalize
@@ -79,27 +78,6 @@ def test_discernment_nonpositive_and_max_at_equidistant():
         value = ood_discernment_loss(outliers, prototypes, tau=0.5)
         assert value <= 0.0
         assert value <= -math.log(3) + 1e-12
-
-
-def test_discernment_gradient_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    outliers = random_unit_rows(4, 5, rng)
-    prototypes = random_unit_rows(3, 5, rng)
-    tau = 0.5
-    grad = ood_discernment_loss_grad(outliers, prototypes, tau)
-    h = 1e-5
-    fd = np.zeros_like(grad)
-    for i in range(outliers.shape[0]):
-        for j in range(outliers.shape[1]):
-            plus = outliers.copy()
-            minus = outliers.copy()
-            plus[i, j] += h
-            minus[i, j] -= h
-            fd[i, j] = (
-                ood_discernment_loss(plus, prototypes, tau)
-                - ood_discernment_loss(minus, prototypes, tau)
-            ) / (2 * h)
-    assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-4
 
 
 # -- CIDER losses ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import cluster_store
-from oodsynth.energy import EnergyContext, hard_margin_threshold
+from oodsynth.energy import EnergyContext, neg_log_max_id_prob
 from oodsynth.errors import BadConfigError
 from oodsynth.samplers import (
     ChainState,
@@ -198,7 +198,7 @@ def test_two_cluster_acceptance_rate(small_snapshot):
     # synthetic two-cluster instance at default sampler settings
     store = cluster_store(num_classes=2, dim=8, n_per_class=60, seed=21).snapshot()
     ctx = pair_energy(store, k=10, chains=5)
-    t_minus = hard_margin_threshold(store, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+    t_minus = neg_log_max_id_prob(store, store.midpoint(ClusterPair(0, 1)), 2.0) - 0.1
     cfg = HmcConfig(rng_seed=5)
     state = pair_state(store, 5, t_minus, chains=5)
     accepts = []
@@ -312,7 +312,8 @@ def test_lockstep_chains_match_chains_run_alone():
 
 def test_identical_seed_gives_identical_record_stream(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=2)
-    t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+    midpoint = small_snapshot.midpoint(ClusterPair(0, 1))
+    t_minus = neg_log_max_id_prob(small_snapshot, midpoint, 2.0) - 0.1
 
     def run(variant):
         cfg = HmcConfig(variant=variant, rng_seed=17)
@@ -333,7 +334,8 @@ def test_identical_seed_gives_identical_record_stream(small_snapshot):
 
 def test_accepted_equals_mh_and_margin(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=2)
-    t_minus = hard_margin_threshold(small_snapshot, ClusterPair(0, 1), kappa=2.0, delta=0.1)
+    midpoint = small_snapshot.midpoint(ClusterPair(0, 1))
+    t_minus = neg_log_max_id_prob(small_snapshot, midpoint, 2.0) - 0.1
     for variant in SamplerVariant:
         cfg = HmcConfig(variant=variant, rng_seed=23)
         state = pair_state(small_snapshot, 23, t_minus, chains=2)
