@@ -7,10 +7,10 @@ standard deviations are directly comparable. Writes one CSV row per seed.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 from oodsynth.bench import BenchConfig, diversity_stds
+from oodsynth.metrics import write_csv
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -30,11 +30,7 @@ def main(argv: list[str] | None = None) -> None:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "hmc_score_std", "gaussian_score_std"])
-        for row in rows:
-            writer.writerow([row[0], repr(row[1]), repr(row[2])])
+    write_csv(out, ["seed", "hmc_score_std", "gaussian_score_std"], rows)
     print(f"table -> {out}")
 
 

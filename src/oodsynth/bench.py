@@ -17,7 +17,6 @@ the only non-deterministic output.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -27,13 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadArgError, BadConfigError, require_numbers
+from .errors import BadArgError, BadConfigError, require_field_types
 from .metrics import (
     QualityAngles,
     ScoreReport,
     hypersphere_quality,
     knn_scores,
     score_report,
+    write_csv,
 )
 from .objectives import (
     cider_losses,
@@ -63,7 +63,7 @@ class OodTestSpec:
     midpoint_kappa: float = 50.0
 
     def __post_init__(self):
-        require_numbers(self)
+        require_field_types(self)
         for name in ("n_uniform", "n_midpoint", "midpoint_kappa"):
             if getattr(self, name) < 0:
                 raise BadConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -95,7 +95,7 @@ class BenchConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        require_numbers(self)
+        require_field_types(self)
         if self.num_classes < 2 or self.dim < 2:
             raise BadConfigError("need num_classes >= 2 and dim >= 2")
         if self.seed < 0:
@@ -262,10 +262,8 @@ class IterationResult:
 
 @dataclass
 class RunArtifacts:
-    config: BenchConfig
     iterations: list[IterationResult]
     out_dir: Path | None
-    files: dict[str, Path]
 
 
 def _rejection_counts(batch: OutlierBatch) -> dict[str, int]:
@@ -307,17 +305,6 @@ def _iteration_row(res: IterationResult) -> dict:
     return row
 
 
-def _write_metrics_csv(rows: list[dict], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        if not rows:
-            return
-        writer = csv.writer(fh)
-        keys = list(rows[0].keys())
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([repr(row[k]) if isinstance(row[k], float) else row[k] for k in keys])
-
-
 def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
     """Execute the full loop for ``cfg.iterations`` iterations.
 
@@ -343,7 +330,6 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
     tau = temperature_from_kappa(cfg.loss_kappa)
 
     results: list[IterationResult] = []
-    files: dict[str, Path] = {}
     try:
         for t in range(1, cfg.iterations + 1):
             iter_rng = np.random.default_rng(iter_seeds[t - 1])
@@ -411,8 +397,8 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             )
     finally:
         if out_dir:
-            files = _flush_artifacts(cfg, results, out_dir, store, trace)
-    return RunArtifacts(config=cfg, iterations=results, out_dir=out_dir, files=files)
+            _flush_artifacts(cfg, results, out_dir, store, trace)
+    return RunArtifacts(iterations=results, out_dir=out_dir)
 
 
 def _flush_artifacts(
@@ -421,46 +407,36 @@ def _flush_artifacts(
     out_dir: Path,
     store: IdStore,
     trace: bool,
-) -> dict[str, Path]:
-    files: dict[str, Path] = {}
+) -> None:
     cfg.save_json(out_dir / "config.json")
-    files["config"] = out_dir / "config.json"
     rows = [_iteration_row(r) for r in results]
-    _write_metrics_csv(rows, out_dir / "metrics.csv")
-    files["metrics"] = out_dir / "metrics.csv"
+    if rows:
+        write_csv(out_dir / "metrics.csv", list(rows[0]), [row.values() for row in rows])
+    else:  # the first iteration aborted
+        (out_dir / "metrics.csv").write_text("")
     with open(out_dir / "batches.jsonl", "w") as fh:
         for r in results:
             fh.write(json.dumps(batch_to_dict(r.batch), sort_keys=True) + "\n")
-    files["batches"] = out_dir / "batches.jsonl"
     if results:
         last = results[-1]
         last.report.save_json(out_dir / "scores_final.json")
-        files["scores"] = out_dir / "scores_final.json"
         if len(last.batch):
             snapshot = store.snapshot()
             k_det = min(cfg.k_detect, snapshot.all_embeddings().shape[0])
             rws = round_wise_scores(last.batch, snapshot, k_det)
-            with open(out_dir / "round_scores.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["round", "count", "mean", "std", "min", "max"])
-                for r in rws:
-                    writer.writerow(
-                        [r.round_index, len(r.scores)]
-                        + [repr(v) for v in (r.mean, r.std, r.min, r.max)]
-                    )
-            files["round_scores"] = out_dir / "round_scores.csv"
+            write_csv(
+                out_dir / "round_scores.csv",
+                ["round", "count", "mean", "std", "min", "max"],
+                [[r.round, len(r.scores), r.mean, r.std, r.min, r.max] for r in rws],
+            )
         if trace:
             write_trace_jsonl(last.batch, out_dir / "trace.jsonl")
-            files["trace"] = out_dir / "trace.jsonl"
     timings = {
         "synth_time_ms": [r.synth_time_ms for r in results],
         "score_time_ms": [r.score_time_ms for r in results],
     }
     (out_dir / "timings.json").write_text(json.dumps(timings))
-    files["timings"] = out_dir / "timings.json"
     store.save(out_dir / "store.idstore")
-    files["store"] = out_dir / "store.idstore"
-    return files
 
 
 # -- ablation sweeps --------------------------------------------------------
@@ -532,17 +508,8 @@ def ablation_sweep(
         )
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["axis", "value", "fpr95", "auroc", "aupr", "batch_size", "mh_acceptance", "synth_time_ms"]
-            )
-            for r in rows:
-                writer.writerow(
-                    [r.axis, r.value]
-                    + [repr(v) for v in (r.fpr95, r.auroc, r.aupr)]
-                    + [r.batch_size, repr(r.mh_acceptance), repr(r.synth_time_ms)]
-                )
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        write_csv(out_dir / "sweep.csv", names, ([getattr(r, n) for n in names] for r in rows))
     return rows
 
 

@@ -69,12 +69,13 @@ class AntipodalPrototypesError(NumericalError):
     pass
 
 
-def require_numbers(config) -> None:
-    """Raise BadConfigError naming the first int or float field of a config dataclass that is wrong.
+def require_field_types(config) -> None:
+    """Raise BadConfigError naming the first int, float or str config field that is wrong.
 
     An int field must hold an int; a float field a finite int or float
     (the range test also rejects NaN and ints too large for a float). A
-    bool is neither.
+    bool is neither. A str field must hold a non-empty string; a
+    ``str | None`` field may also hold None.
     """
     for f in dataclasses.fields(config):
         kind = getattr(f.type, "__name__", f.type)
@@ -87,3 +88,8 @@ def require_numbers(config) -> None:
             or not -sys.float_info.max <= value <= sys.float_info.max
         ):
             raise BadConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if kind in ("str", "str | None") and not (
+            (isinstance(value, str) and value) or (value is None and kind != "str")
+        ):
+            null = "" if kind == "str" else " or null"
+            raise BadConfigError(f"{f.name} must be a non-empty string{null}, got {value!r}")

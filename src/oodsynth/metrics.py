@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,11 +206,7 @@ class ScoreReport:
         Path(path).write_text(json.dumps(self.to_dict(include_scores), sort_keys=True))
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for name, value in self.to_dict(include_scores=False).items():
-                writer.writerow([name, repr(value)])
+        write_csv(path, ["metric", "value"], self.to_dict(include_scores=False).items())
 
 
 def score_report(id_scores: np.ndarray, ood_scores: np.ndarray) -> ScoreReport:
@@ -227,3 +224,19 @@ def score_report(id_scores: np.ndarray, ood_scores: np.ndarray) -> ScoreReport:
         aupr=aupr(id_scores, ood_scores),
         threshold=calibrate_threshold(id_scores),
     )
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write a header line, then one line per row: every CSV table of the package.
+
+    A Python or numpy float cell is written as ``repr(float(v))``, the
+    shortest string that ``float`` reads back to the same value; every
+    other cell is written as ``csv`` writes it.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BadConfigError, require_numbers
+from .errors import BadConfigError, require_field_types
 from .sphere import geodesic_step, normalize, project_tangent
 
 
@@ -60,7 +60,7 @@ class HmcConfig:
 
     def __post_init__(self):
         self.variant = SamplerVariant(self.variant)
-        require_numbers(self)
+        require_field_types(self)
         if self.leapfrog_steps < 1:
             raise BadConfigError(f"leapfrog_steps must be >= 1, got {self.leapfrog_steps}")
         if self.step_size < 0:
@@ -83,7 +83,6 @@ class ChainState:
     positions: np.ndarray
     t_minus: np.ndarray
     rngs: list[np.random.Generator]
-    round_index: int = 0
 
     def __post_init__(self):
         self.positions = np.array(self.positions, dtype=float, ndmin=2)
@@ -206,5 +205,4 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> list[TransitionRecord]:
         for i in range(len(chains.rngs))
     ]
     chains.positions[accepted] = z_prop[accepted]
-    chains.round_index += 1
     return records

@@ -163,9 +163,7 @@ class IdStore:
         self.dim = dim
         self.capacity = capacity
         self.ema_factor = ema_factor
-        self._bufs = [np.empty((capacity, dim)) for _ in range(num_classes)]
-        self._counts = [0] * num_classes
-        self._heads = [0] * num_classes  # next write slot once the buffer is full
+        self._bufs = [np.empty((0, dim)) for _ in range(num_classes)]  # oldest row first
         self._protos = np.zeros((num_classes, dim))
         self._has_proto = [False] * num_classes
 
@@ -181,8 +179,8 @@ class IdStore:
         """Append rows to their classes' buffers, in order, as repeated ``insert`` would.
 
         Every row is validated before any is stored, so a bad row leaves the
-        store unchanged. Each class's rows are then copied into its ring
-        buffer in at most two slices.
+        store unchanged. Each class's buffer is then replaced by its newest
+        ``capacity`` rows, old and new together.
         """
         embeddings = np.asarray(embeddings, dtype=float)
         labels = np.asarray(labels, dtype=int)
@@ -202,20 +200,10 @@ class IdStore:
             norm = np.linalg.norm(embeddings[i])
             raise NotUnitError(f"embedding {i} norm {norm:.8f} deviates from 1")
         for c in classes:
-            self._append(c, embeddings[labels == c])
-
-    def _append(self, class_id: int, rows: np.ndarray) -> None:
-        """Ring-buffer write: the t-th row ever stored lands in slot t % capacity."""
-        cap, count, n = self.capacity, self._counts[class_id], rows.shape[0]
-        slot = count if count < cap else self._heads[class_id]  # the next row's slot
-        kept = rows[-cap:]  # earlier rows of a batch over capacity are evicted by later ones
-        start = (slot + n - kept.shape[0]) % cap
-        first = min(kept.shape[0], cap - start)
-        buf = self._bufs[class_id]
-        buf[start : start + first] = kept[:first]
-        buf[: kept.shape[0] - first] = kept[first:]
-        self._counts[class_id] = min(count + n, cap)
-        self._heads[class_id] = (slot + n) % cap if count + n >= cap else 0
+            new = embeddings[labels == c][-self.capacity :]
+            old = self._bufs[c]
+            kept = old[max(0, len(old) + len(new) - self.capacity) :]  # a slice, not a copy
+            self._bufs[c] = np.concatenate([kept, new])
 
     def update_prototype(self, class_id: int, batch_mean: np.ndarray) -> None:
         """EMA-blend the prototype with a batch mean and re-normalize.
@@ -223,7 +211,7 @@ class IdStore:
         First call defines the prototype directly as normalize(batch_mean).
         """
         _check_class(class_id, self.num_classes)
-        if self._counts[class_id] == 0:
+        if len(self._bufs[class_id]) == 0:
             raise EmptyBufferError(f"class {class_id} has no embeddings yet")
         batch_mean = np.asarray(batch_mean, dtype=float)
         if self._has_proto[class_id]:
@@ -236,12 +224,9 @@ class IdStore:
 
     def snapshot(self) -> IdSnapshot:
         """Freeze the current state: every buffer copied once, oldest row first."""
-        parts = []
-        for buf, count, head in zip(self._bufs, self._counts, self._heads):
-            parts += [buf[head:count], buf[:head]]  # head is 0 until the buffer is full
         return IdSnapshot(
-            np.concatenate(parts),
-            np.concatenate([[0], np.cumsum(self._counts)]),
+            np.concatenate(self._bufs),
+            np.concatenate([[0], np.cumsum([len(buf) for buf in self._bufs])]),
             self._protos.copy(),
             np.array(self._has_proto),
         )

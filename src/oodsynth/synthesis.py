@@ -19,7 +19,6 @@ how the chains are grouped, and the batch is listed canonically by
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ import numpy as np
 
 from .energy import EnergyContext, neg_log_max_id_prob
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
-from .metrics import knn_scores
+from .metrics import knn_scores, write_csv
 from .samplers import ChainState, HmcConfig, TransitionRecord, advance
 from .sphere import normalize
 from .store import ClusterPair, IdSnapshot
@@ -54,7 +53,7 @@ class OutlierSample:
     position: np.ndarray
     pair: ClusterPair
     chain_index: int
-    round_index: int
+    round: int
 
 
 @dataclass
@@ -147,7 +146,7 @@ def synthesize_batch(
                 run.accepted += rec.accepted
     samples = [
         OutlierSample(
-            position=rec.proposed, pair=run.pair, chain_index=run.chain_index, round_index=r
+            position=rec.proposed, pair=run.pair, chain_index=run.chain_index, round=r
         )
         for run in chains
         for r, rec in enumerate(run.records, start=1)
@@ -167,7 +166,7 @@ def synthesize_batch(
 
 @dataclass
 class RoundScores:
-    round_index: int
+    round: int
     mean: float
     std: float
     min: float
@@ -182,13 +181,13 @@ def round_wise_scores(
     if not batch.samples:
         raise BadArgError("cannot compute round-wise scores of an empty batch")
     all_scores = knn_scores(store.all_embeddings(), batch.positions(), k_detect)
-    rounds = np.array([s.round_index for s in batch.samples])
+    rounds = np.array([s.round for s in batch.samples])
     out = []
     for r in np.unique(rounds).tolist():
         scores = all_scores[rounds == r]
         out.append(
             RoundScores(
-                round_index=r,
+                round=r,
                 mean=float(scores.mean()),
                 std=float(scores.std()),
                 min=float(scores.min()),
@@ -221,7 +220,7 @@ def gaussian_baseline_batch(
             pos = normalize(run.start + sigma * g) if sigma > 0 else run.start.copy()
             samples.append(
                 OutlierSample(
-                    position=pos, pair=run.pair, chain_index=run.chain_index, round_index=i + 1
+                    position=pos, pair=run.pair, chain_index=run.chain_index, round=i + 1
                 )
             )
     return OutlierBatch(
@@ -271,7 +270,7 @@ def batch_to_dict(batch: OutlierBatch) -> dict:
             {
                 "chain_index": s.chain_index,
                 "pair": [s.pair.u, s.pair.v],
-                "round": s.round_index,
+                "round": s.round,
                 "position": s.position.tolist(),
             }
             for s in batch.samples
@@ -286,16 +285,11 @@ def write_batch_json(batch: OutlierBatch, path: str | Path) -> None:
 def write_batch_csv(batch: OutlierBatch, path: str | Path) -> None:
     """One row per sample: chain metadata then the raw coordinates."""
     dim = batch.samples[0].position.shape[0] if batch.samples else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["chain_index", "class_u", "class_v", "round"] + [f"x{i}" for i in range(dim)]
-        )
-        for s in batch.samples:
-            writer.writerow(
-                [s.chain_index, s.pair.u, s.pair.v, s.round_index]
-                + [repr(x) for x in s.position]
-            )
+    write_csv(
+        path,
+        ["chain_index", "class_u", "class_v", "round"] + [f"x{i}" for i in range(dim)],
+        ([s.chain_index, s.pair.u, s.pair.v, s.round, *s.position] for s in batch.samples),
+    )
 
 
 def write_trace_jsonl(batch: OutlierBatch, path: str | Path) -> None:

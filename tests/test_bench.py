@@ -13,6 +13,7 @@ import pytest
 from oodsynth.bench import (
     BenchConfig,
     OodTestSpec,
+    SweepRow,
     ablation_sweep,
     diversity_stds,
     generate_synthetic_id,
@@ -127,9 +128,13 @@ def test_minimal_run_completes_and_writes_artifacts(tmp_path):
     art = run_experiment(cfg, trace=True)
     assert len(art.iterations) == 1
     assert len(art.iterations[0].batch) > 0
-    for name in ("config", "metrics", "batches", "scores", "timings", "store", "trace"):
-        assert art.files[name].exists(), name
-    batches = [json.loads(line) for line in art.files["batches"].read_text().splitlines()]
+    for name in (
+        "config.json", "metrics.csv", "batches.jsonl", "scores_final.json",
+        "timings.json", "store.idstore", "trace.jsonl",
+    ):
+        assert (art.out_dir / name).exists(), name
+    lines = (art.out_dir / "batches.jsonl").read_text().splitlines()
+    batches = [json.loads(line) for line in lines]
     assert len(batches) == 1
     assert len(batches[0]["samples"]) == len(art.iterations[0].batch)
     report = art.iterations[-1].report
@@ -139,7 +144,7 @@ def test_minimal_run_completes_and_writes_artifacts(tmp_path):
 def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
     cfg = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "run"))
     art = run_experiment(cfg)
-    with open(art.files["metrics"], newline="") as fh:
+    with open(art.out_dir / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     for row, res in zip(rows, art.iterations):
@@ -157,7 +162,7 @@ def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
 def test_config_echo_reproduces_config(tmp_path):
     cfg = dataclasses.replace(SMALL, out_dir=str(tmp_path / "run"))
     art = run_experiment(cfg)
-    assert BenchConfig.load_json(art.files["config"]) == cfg
+    assert BenchConfig.load_json(art.out_dir / "config.json") == cfg
 
 
 def test_partial_artifacts_flushed_on_abort(tmp_path, monkeypatch):
@@ -182,6 +187,22 @@ def test_partial_artifacts_flushed_on_abort(tmp_path, monkeypatch):
     assert (tmp_path / "run" / "config.json").exists()
 
 
+def test_abort_in_first_iteration_leaves_empty_metrics_csv(tmp_path, monkeypatch):
+    import oodsynth.bench as bench_mod
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(bench_mod, "synthesize_batch", failing)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "metrics.csv").write_text("stale\n")
+    with pytest.raises(RuntimeError):
+        run_experiment(dataclasses.replace(SMALL, out_dir=str(run_dir)))
+    assert (run_dir / "metrics.csv").read_bytes() == b""
+    assert not (run_dir / "scores_final.json").exists()
+
+
 def test_bad_config_files_raise_config_errors(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -200,8 +221,10 @@ def test_runs_are_bit_exact(tmp_path):
     cfg_b = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "b"))
     art_a = run_experiment(cfg_a)
     art_b = run_experiment(cfg_b)
-    for name in ("metrics", "batches", "scores", "round_scores", "store"):
-        assert art_a.files[name].read_bytes() == art_b.files[name].read_bytes(), name
+    for name in (
+        "metrics.csv", "batches.jsonl", "scores_final.json", "round_scores.csv", "store.idstore"
+    ):
+        assert (art_a.out_dir / name).read_bytes() == (art_b.out_dir / name).read_bytes(), name
 
 
 def test_detector_separates_synthetic_ood():
@@ -219,10 +242,17 @@ def test_sweep_single_value_matches_run(tmp_path):
 
 def test_sweep_writes_merged_csv(tmp_path):
     rows = ablation_sweep(SMALL, "L", [1, 3], out_dir=tmp_path / "sweep")
-    lines = (tmp_path / "sweep" / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].startswith("L,1,")
-    assert len(rows) == 2
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        lines = list(reader)
+    assert reader.fieldnames == [f.name for f in dataclasses.fields(SweepRow)]
+    assert len(lines) == len(rows) == 2
+    assert [lines[0]["axis"], lines[0]["value"]] == ["L", "1"]
+    for line, row in zip(lines, rows):
+        assert [line["axis"], line["value"]] == [row.axis, row.value]
+        assert int(line["batch_size"]) == row.batch_size
+        for name in ("fpr95", "auroc", "aupr", "mh_acceptance", "synth_time_ms"):
+            assert float(line[name]) == getattr(row, name), name
 
 
 def test_sweep_rejects_unknown_axis():
@@ -276,7 +306,7 @@ def test_default_benchmark_ten_iterations_under_a_minute():
 def test_timings_hold_one_synth_and_one_score_time_per_iteration(tmp_path):
     cfg = dataclasses.replace(SMALL, iterations=3, out_dir=str(tmp_path / "run"))
     art = run_experiment(cfg)
-    timings = json.loads(art.files["timings"].read_text())
+    timings = json.loads((art.out_dir / "timings.json").read_text())
     for key in ("synth_time_ms", "score_time_ms"):
         assert len(timings[key]) == cfg.iterations, key
         assert all(ms > 0.0 for ms in timings[key]), key
@@ -554,6 +584,8 @@ def test_cli_old_config_with_history_window_exit_code(tmp_path, capsys):
         pytest.param(
             "run", "--config", '{"hmc": {"variant": "mmala"}}', "mmala", id="run-config-mmala"
         ),
+        pytest.param("run", "--config", '{"out_dir": 5}', "out_dir", id="run-config-out_dir-5"),
+        pytest.param("run", "--out-dir", "", "out_dir", id="run-out-dir-empty"),
     ],
 )
 def test_cli_malformed_config_value_exit_code(tmp_path, capsys, command, option, value, name):
@@ -562,7 +594,10 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, command, option,
         (tmp_path / "bad.json").write_text(value)
         value = str(tmp_path / "bad.json")
     out = {"run": "--out-dir", "gen": "--out", "synth": "--out"}[command]
-    assert main([command, option, value, out, str(tmp_path / "out")]) == 2
+    argv = [command, option, value]
+    if option != out:  # a later --out-dir would override the value under test
+        argv += [out, str(tmp_path / "out")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and re.search(rf"\b{name}\b", err), err
 

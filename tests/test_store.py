@@ -108,8 +108,8 @@ def test_insert_batch_with_a_bad_row_leaves_the_store_unchanged():
 
 @pytest.mark.parametrize("batches", [[3], [5], [7], [2, 3], [4, 13], [1, 2, 17, 1]])
 def test_block_insert_equals_row_by_row_insert(tmp_path, batches):
-    # capacity 5: below, at and over capacity, including batches that wrap
-    # the ring more than once and batches that start mid-ring
+    # capacity 5: below, at and over capacity, including batches over
+    # capacity and batches that evict part of a full buffer
     rng = np.random.default_rng(sum(batches))
     by_block = IdStore(2, 4, capacity=5)
     by_row = IdStore(2, 4, capacity=5)
@@ -358,7 +358,7 @@ def test_snapshot_is_independent(small_store):
 
 
 def wrapped_store() -> IdStore:
-    """Capacity-5 ring buffers past their first lap, one prototype left undefined."""
+    """Capacity-5 buffers, one overfilled, one prototype left undefined."""
     rng = np.random.default_rng(3)
     store = IdStore(3, 4, capacity=5, ema_factor=0.9)
     for c, n in enumerate((13, 5, 2)):
@@ -430,7 +430,7 @@ def test_save_load_round_trip(tmp_path, suffix, small_store):
         want, got = store.snapshot(), loaded.snapshot()
         for field in ("embeddings", "offsets", "prototypes", "has_prototype"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (name, field)
-        # the reloaded ring buffers also continue as the original's do
+        # the reloaded buffers also continue as the original's do
         row = unit(np.arange(1.0, store.dim + 1))
         store.insert(1, row)
         loaded.insert(1, row)

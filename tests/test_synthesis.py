@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -13,6 +14,7 @@ from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientD
 from oodsynth.samplers import HmcConfig, SamplerVariant
 from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
+    OutlierBatch,
     batch_to_dict,
     gaussian_baseline_batch,
     round_wise_scores,
@@ -55,7 +57,7 @@ def test_batch_is_deterministic_and_canonically_ordered():
     assert json.dumps(batch_to_dict(one), sort_keys=True) == json.dumps(
         batch_to_dict(two), sort_keys=True
     )
-    keys = [(s.chain_index, s.round_index) for s in one.samples]
+    keys = [(s.chain_index, s.round) for s in one.samples]
     assert keys == sorted(keys)
 
 
@@ -107,7 +109,7 @@ def test_round_wise_single_round():
     assert len(batch) > 0
     rws = round_wise_scores(batch, store, k_detect=5)
     assert len(rws) == 1
-    assert rws[0].round_index == 1
+    assert rws[0].round == 1
     assert len(rws[0].scores) == len(batch)
 
 
@@ -183,11 +185,22 @@ def test_batch_export_round_trip(tmp_path):
     doc = json.loads(jpath.read_text())
     assert len(doc["samples"]) == len(batch)
     assert doc["config"]["rng_seed"] == 4
-    rows = cpath.read_text().strip().splitlines()
-    assert len(rows) == len(batch) + 1  # header
+    with open(cpath, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[:4] == ["chain_index", "class_u", "class_v", "round"]
+    assert len(rows) == len(batch) > 0
+    for row, s in zip(rows, batch.samples):
+        assert [int(v) for v in row[:4]] == [s.chain_index, s.pair.u, s.pair.v, s.round]
+        assert [float(v) for v in row[4:]] == s.position.tolist()
     traces = [json.loads(line) for line in tpath.read_text().splitlines()]
     assert len(traces) == sum(len(c.records) for c in batch.chains)
     assert {t["accepted"] for t in traces} <= {True, False}
+
+
+def test_empty_batch_csv_holds_only_its_header(tmp_path):
+    batch = OutlierBatch([], [], [], config=None, k=None, delta=None, kappa=None, n_adj=1)
+    write_batch_csv(batch, tmp_path / "batch.csv")
+    assert (tmp_path / "batch.csv").read_bytes() == b"chain_index,class_u,class_v,round\r\n"
 
 
 # -- parity with the per-chain path -----------------------------------------------
