@@ -254,8 +254,7 @@ class IterationResult:
     quality: QualityAngles
     losses: dict[str, float]
     mh_acceptance: float
-    batch_score_mean: float
-    batch_score_std: float
+    batch_scores: np.ndarray  # detection score of each batch sample, in batch order
     synth_time_ms: float
     score_time_ms: float
 
@@ -291,8 +290,8 @@ def _iteration_row(res: IterationResult) -> dict:
         "batch_size": len(res.batch),
         "mh_acceptance": res.mh_acceptance,
         **_rejection_counts(res.batch),
-        "batch_score_mean": res.batch_score_mean,
-        "batch_score_std": res.batch_score_std,
+        "batch_score_mean": float(res.batch_scores.mean()) if len(res.batch) else math.nan,
+        "batch_score_std": float(res.batch_scores.std()) if len(res.batch) else math.nan,
         "fpr95": res.report.fpr95,
         "auroc": res.report.auroc,
         "aupr": res.report.aupr,
@@ -350,7 +349,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
                 grad_mode=cfg.grad_mode,
             )
             synth_ms = (time.perf_counter() - t0) * 1000.0
-            prototypes = np.array([snapshot.prototype(c) for c in range(cfg.num_classes)])
+            prototypes = snapshot.prototypes
             if len(batch):
                 ood_disc = ood_discernment_loss(batch.positions(), prototypes, tau)
             else:
@@ -364,17 +363,13 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
                     0.0, l_disp + l_comp, ood_disc, cfg.lambda_d
                 ),
             }
-            reference = snapshot.all_embeddings()
+            reference = snapshot.embeddings
             k_det = min(cfg.k_detect, reference.shape[0])
             t0 = time.perf_counter()
             id_scores = knn_scores(reference, id_test, k_det)
             ood_scores = knn_scores(reference, ood_test, k_det)
             report = score_report(id_scores, ood_scores)
-            if len(batch):
-                batch_scores = knn_scores(reference, batch.positions(), k_det)
-                bmean, bstd = float(batch_scores.mean()), float(batch_scores.std())
-            else:
-                bmean = bstd = float("nan")
+            batch_scores = knn_scores(reference, batch.positions(), k_det)
             score_ms = (time.perf_counter() - t0) * 1000.0
             quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
             records = [rec for chain in batch.chains for rec in chain.records]
@@ -389,8 +384,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
                     quality=quality,
                     losses=losses,
                     mh_acceptance=mh_rate,
-                    batch_score_mean=bmean,
-                    batch_score_std=bstd,
+                    batch_scores=batch_scores,
                     synth_time_ms=synth_ms,
                     score_time_ms=score_ms,
                 )
@@ -421,9 +415,7 @@ def _flush_artifacts(
         last = results[-1]
         last.report.save_json(out_dir / "scores_final.json")
         if len(last.batch):
-            snapshot = store.snapshot()
-            k_det = min(cfg.k_detect, snapshot.all_embeddings().shape[0])
-            rws = round_wise_scores(last.batch, snapshot, k_det)
+            rws = round_wise_scores(last.batch, last.batch_scores)
             write_csv(
                 out_dir / "round_scores.csv",
                 ["round", "count", "mean", "std", "min", "max"],
@@ -544,7 +536,7 @@ def diversity_stds(cfg: BenchConfig, seed: int) -> tuple[float, float]:
         snapshot, sigma=cfg.hmc.step_size, count_per_pair=per_pair, n_adj=cfg.effective_n_adj(), seed=seed
     )
     base_positions = baseline.positions()[: len(batch)]
-    reference = snapshot.all_embeddings()
+    reference = snapshot.embeddings
     k_det = min(cfg.k_detect, reference.shape[0])
     std_h = float(knn_scores(reference, batch.positions(), k_det).std())
     std_g = float(knn_scores(reference, base_positions, k_det).std())

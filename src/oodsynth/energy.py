@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blas
-from .errors import EmptyBufferError, InsufficientDataError
-from .metrics import kth_neighbors
+from .errors import BadArgError, EmptyBufferError, InsufficientDataError
+from .metrics import kth_neighbors, shifted_logsumexp
 from .store import ClusterPair, IdSnapshot
 
 
@@ -56,14 +56,14 @@ def log_class_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.nd
     bandwidth.
     """
     z = np.asarray(z, dtype=float)
-    offsets = store.class_offsets()
+    offsets = store.offsets
     counts = np.diff(offsets)
     if np.any(counts == 0):
         empty = np.flatnonzero(counts == 0).tolist()
         raise EmptyBufferError(f"classes {empty} have no embeddings for the density estimate")
     rows = z.reshape(-1, z.shape[-1])
     with blas.one_thread():
-        ips = kappa * (rows @ store.all_embeddings().T)
+        ips = kappa * (rows @ store.embeddings.T)
     starts = offsets[:-1]
     highs = np.maximum.reduceat(ips, starts, axis=1)
     ips -= np.repeat(highs, counts, axis=1)
@@ -79,8 +79,7 @@ def neg_log_max_id_prob(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.nd
     log-sum-exp of the class log-densities minus their maximum. The
     threshold t_- of a chain is this value at its pair midpoint minus delta.
     """
-    logs = log_class_densities(store, z, kappa)
-    return np.log(np.exp(logs - logs.max(axis=-1, keepdims=True)).sum(axis=-1))
+    return shifted_logsumexp(log_class_densities(store, z, kappa))
 
 
 def passes_margin(
@@ -112,7 +111,7 @@ class EnergyContext:
                     f"class {c} holds {self.store.count(c)} embeddings, fewer than k={self.k}"
                 )
         if self.grad_mode not in ("analytic", "scaled"):
-            raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
+            raise BadArgError(f"unknown grad_mode {self.grad_mode!r}")
 
     def _pair_query(self, z: np.ndarray):
         """k-th distances and neighbors of every row against both classes of its pair.

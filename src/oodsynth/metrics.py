@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import blas
 from .errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
@@ -91,6 +90,11 @@ def kth_neighbors(
     return distances, indices
 
 
+def shifted_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a - max(a)))) over the last axis: every exponent is <= 0, none overflows."""
+    return np.log(np.exp(a - a.max(axis=-1, keepdims=True)).sum(axis=-1))
+
+
 def calibrate_threshold(id_scores: np.ndarray) -> float:
     """Largest threshold keeping at least 95% of ID scores at or above it."""
     scores = np.sort(np.asarray(id_scores, dtype=float))
@@ -116,7 +120,12 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     ood_scores = np.asarray(ood_scores, dtype=float)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise TooFewSamplesError("need at least one score on each side")
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]))
+    scores = np.concatenate([id_scores, ood_scores])
+    if np.isnan(scores).any():
+        raise DataError("cannot rank NaN scores")
+    # average ranks: a run of equal scores shares the mean of its 1-based positions
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     n_id = id_scores.size
     u = ranks[:n_id].sum() - n_id * (n_id + 1) / 2.0
     return float(u / (n_id * ood_scores.size))

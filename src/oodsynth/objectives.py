@@ -9,11 +9,17 @@ minimizing it pushes outliers away from every prototype.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+
+from .metrics import shifted_logsumexp
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, stable for any magnitude."""
+    return a.max(axis=-1) + shifted_logsumexp(a)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    return logits - logsumexp(logits, axis=-1, keepdims=True)
+    return logits - _logsumexp(logits)[..., None]
 
 
 def ood_discernment_loss(
@@ -45,11 +51,8 @@ def cider_losses(
     prototypes = np.asarray(prototypes, dtype=float)
     C = prototypes.shape[0]
     sims = prototypes @ prototypes.T / tau  # (C, C)
-    off_diag = ~np.eye(C, dtype=bool)
-    disp_terms = [
-        logsumexp(sims[i][off_diag[i]]) - np.log(C - 1) for i in range(C)
-    ]
-    l_disp = float(np.mean(disp_terms))
+    others = sims[~np.eye(C, dtype=bool)].reshape(C, C - 1)  # row i: sims to every j != i
+    l_disp = float(np.mean(_logsumexp(others) - np.log(C - 1)))
     logits = embeddings @ prototypes.T / tau  # (N, C)
     log_p = _log_softmax(logits)
     l_comp = float(-log_p[np.arange(len(labels)), labels].mean())

@@ -111,12 +111,8 @@ class IdSnapshot:
         _check_class(class_id, self.num_classes)
         return self.embeddings[self.offsets[class_id] : self.offsets[class_id + 1]]
 
-    def all_embeddings(self) -> np.ndarray:
-        """Every buffered embedding, classes in order, oldest first within a class."""
-        return self.embeddings
-
     def class_offsets(self) -> np.ndarray:
-        """Start offsets of each class inside ``all_embeddings`` (length C + 1)."""
+        """``offsets``; the FLOP counter in ``perfbench/layers.py`` reads it by this name."""
         return self.offsets
 
     def adjacent_clusters(self, class_id: int, n_adj: int) -> list[int]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .energy import EnergyContext, neg_log_max_id_prob
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
-from .metrics import knn_scores, write_csv
+from .metrics import write_csv
 from .samplers import ChainState, HmcConfig, TransitionRecord, advance
 from .sphere import normalize
 from .store import ClusterPair, IdSnapshot
@@ -174,13 +174,13 @@ class RoundScores:
     scores: np.ndarray
 
 
-def round_wise_scores(
-    batch: OutlierBatch, store: IdSnapshot, k_detect: int
-) -> list[RoundScores]:
-    """kNN detection-score distribution of the batch, grouped by synthesis round."""
+def round_wise_scores(batch: OutlierBatch, scores: np.ndarray) -> list[RoundScores]:
+    """The batch's detection scores (one per sample, in order) grouped by synthesis round."""
     if not batch.samples:
         raise BadArgError("cannot compute round-wise scores of an empty batch")
-    all_scores = knn_scores(store.all_embeddings(), batch.positions(), k_detect)
+    all_scores = np.asarray(scores, dtype=float)
+    if all_scores.shape != (len(batch),):
+        raise BadArgError(f"{all_scores.shape} scores for a batch of {len(batch)} samples")
     rounds = np.array([s.round for s in batch.samples])
     out = []
     for r in np.unique(rounds).tolist():

@@ -18,7 +18,7 @@ import pytest
 
 from oodsynth.bench import BenchConfig, diversity_stds, generate_synthetic_id
 from oodsynth.energy import EnergyContext, passes_margin
-from oodsynth.metrics import aupr, auroc, fpr_at_tpr95, kth_neighbors
+from oodsynth.metrics import aupr, auroc, fpr_at_tpr95, knn_scores, kth_neighbors
 from oodsynth.objectives import cider_losses, ood_discernment_loss
 from oodsynth.samplers import ChainState, HmcConfig, SamplerVariant, advance
 from oodsynth.sphere import geodesic_step, normalize, project_tangent
@@ -299,7 +299,8 @@ def test_criterion_7_round_trend():
             kappa=cfg.kappa,
             n_adj=cfg.effective_n_adj(),
         )
-        rws = round_wise_scores(batch, store, DEFAULT.k_detect)
+        scores = knn_scores(store.embeddings, batch.positions(), DEFAULT.k_detect)
+        rws = round_wise_scores(batch, scores)
         # detection scores are negative kNN distances
         first_dist, last_dist = -rws[0].mean, -rws[-1].mean
         wins += last_dist >= first_dist

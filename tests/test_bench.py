@@ -3,8 +3,11 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from oodsynth.bench import (
     sample_vmf,
     uniform_sphere,
 )
+import oodsynth
 from oodsynth import cli
 from oodsynth.cli import main
 from oodsynth.errors import BadArgError, BadConfigError, ZeroVectorError
@@ -187,6 +191,32 @@ def test_partial_artifacts_flushed_on_abort(tmp_path, monkeypatch):
     assert (tmp_path / "run" / "config.json").exists()
 
 
+def test_round_scores_after_an_abort_are_the_scores_of_their_batch(tmp_path, monkeypatch):
+    import oodsynth.bench as bench_mod
+
+    real = bench_mod.synthesize_batch
+    calls = {"n": 0}
+
+    def failing(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] >= 2:
+            raise RuntimeError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench_mod, "synthesize_batch", failing)
+    # the aborted iteration has already replaced every buffered embedding
+    cfg = dataclasses.replace(SMALL, iterations=2, insert_per_class=40, out_dir=str(tmp_path))
+    with pytest.raises(RuntimeError):
+        run_experiment(cfg)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    with open(tmp_path / "round_scores.csv", newline="") as fh:
+        rounds = list(csv.DictReader(fh))
+    total = sum(int(r["count"]) * float(r["mean"]) for r in rounds)
+    mean = total / sum(int(r["count"]) for r in rounds)
+    assert math.isclose(mean, float(row["batch_score_mean"]), rel_tol=1e-12)
+
+
 def test_abort_in_first_iteration_leaves_empty_metrics_csv(tmp_path, monkeypatch):
     import oodsynth.bench as bench_mod
 
@@ -201,6 +231,27 @@ def test_abort_in_first_iteration_leaves_empty_metrics_csv(tmp_path, monkeypatch
         run_experiment(dataclasses.replace(SMALL, out_dir=str(run_dir)))
     assert (run_dir / "metrics.csv").read_bytes() == b""
     assert not (run_dir / "scores_final.json").exists()
+
+
+def test_run_with_an_empty_batch_writes_nan_batch_scores(tmp_path):
+    # a zero step never leaves the midpoint, and delta = 0 rejects the midpoint
+    cfg = dataclasses.replace(
+        SMALL, delta=0.0, hmc=HmcConfig(step_size=0.0), out_dir=str(tmp_path)
+    )
+    (res,) = run_experiment(cfg).iterations
+    assert len(res.batch) == 0 and res.batch_scores.shape == (0,)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["batch_score_mean"] == row["batch_score_std"] == "nan"
+    assert not (tmp_path / "round_scores.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, oodsynth; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = os.environ | {"PYTHONPATH": str(Path(oodsynth.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_bad_config_files_raise_config_errors(tmp_path):

@@ -293,6 +293,11 @@ def test_auroc_matches_pairwise_oracle_exactly():
         )
 
 
+def test_auroc_rejects_nan_scores():
+    with pytest.raises(DataError):
+        auroc(np.array([1.0, np.nan]), np.array([0.5]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_auroc_invariances(seed):

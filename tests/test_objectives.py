@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from oodsynth.objectives import (
     cider_losses,
@@ -42,6 +43,23 @@ def oracle_cider(embeddings, labels, prototypes, tau):
         logits = [math.exp(float(z @ mu) / tau) for mu in prototypes]
         comp -= math.log(logits[y] / sum(logits))
     return disp, comp / len(labels)
+
+
+def scipy_discernment(outliers, prototypes, tau):
+    """``ood_discernment_loss`` as it was written on scipy's ``logsumexp``, kept as its oracle."""
+    logits = outliers @ prototypes.T / tau
+    return float((logits - logsumexp(logits, axis=-1, keepdims=True)).mean())
+
+
+def scipy_cider(embeddings, labels, prototypes, tau):
+    """``cider_losses`` as it was written on scipy's ``logsumexp``, kept as its oracle."""
+    C = prototypes.shape[0]
+    sims = prototypes @ prototypes.T / tau
+    off_diag = ~np.eye(C, dtype=bool)
+    l_disp = float(np.mean([logsumexp(sims[i][off_diag[i]]) - np.log(C - 1) for i in range(C)]))
+    logits = embeddings @ prototypes.T / tau
+    log_p = logits - logsumexp(logits, axis=-1, keepdims=True)
+    return l_disp, float(-log_p[np.arange(len(labels)), labels].mean())
 
 
 # -- discernment loss ----------------------------------------------------------
@@ -104,6 +122,23 @@ def test_cider_matches_direct_summation():
         got = cider_losses(embeddings, labels, prototypes, tau=0.5)
         want = oracle_cider(embeddings, labels, prototypes, 0.5)
         assert np.allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.5, 1e-3])
+def test_losses_match_the_scipy_logsumexp_path(tau):
+    # at tau = 1e-3 the logits reach 1000, where an unshifted exp overflows
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        outliers = random_unit_rows(9, 6, rng)
+        embeddings = random_unit_rows(12, 6, rng)
+        labels = rng.integers(0, 5, size=12)
+        prototypes = random_unit_rows(5, 6, rng)
+        got = ood_discernment_loss(outliers, prototypes, tau)
+        assert np.isclose(got, scipy_discernment(outliers, prototypes, tau), rtol=1e-12, atol=0)
+        got = cider_losses(embeddings, labels, prototypes, tau)
+        want = scipy_cider(embeddings, labels, prototypes, tau)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert np.isfinite(got).all()
 
 
 def test_losses_invariant_under_global_rotation():

@@ -343,10 +343,9 @@ def test_snapshot_is_independent(small_store):
     for name, array in [
         ("embeddings", snap.embeddings),
         ("class_embeddings", snap.class_embeddings(0)),
-        ("all_embeddings", snap.all_embeddings()),
         ("prototypes", snap.prototypes),
         ("prototype", snap.prototype(0)),
-        ("class_offsets", snap.class_offsets()),
+        ("offsets", snap.offsets),
         ("has_prototype", snap.has_prototype),
     ]:
         with pytest.raises(ValueError, match="read-only"):

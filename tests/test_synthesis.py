@@ -11,6 +11,7 @@ from conftest import cluster_store
 from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.energy import passes_margin
 from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
+from oodsynth.metrics import knn_scores
 from oodsynth.samplers import HmcConfig, SamplerVariant
 from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
@@ -107,7 +108,7 @@ def test_round_wise_single_round():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
     batch = synthesize_batch(store, HmcConfig(rounds=1, rng_seed=2), **SYNTH_ARGS)
     assert len(batch) > 0
-    rws = round_wise_scores(batch, store, k_detect=5)
+    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.positions(), 5))
     assert len(rws) == 1
     assert rws[0].round == 1
     assert len(rws[0].scores) == len(batch)
@@ -118,7 +119,7 @@ def test_round_wise_identical_samples_zero_std():
     # midpoint, so each round group has zero spread
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=10).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=3, n_adj=1, seed=0)
-    rws = round_wise_scores(batch, store, k_detect=5)
+    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.positions(), 5))
     assert len(rws) == 3
     for r in rws:
         assert r.std <= 1e-12
@@ -127,7 +128,7 @@ def test_round_wise_identical_samples_zero_std():
 def test_round_wise_trend_on_cluster_benchmark():
     store = cluster_store(num_classes=4, dim=8, n_per_class=50, seed=11).snapshot()
     batch = synthesize_batch(store, HmcConfig(rng_seed=3), k=8, delta=0.1, kappa=2.0, n_adj=2)
-    rws = round_wise_scores(batch, store, k_detect=8)
+    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.positions(), 8))
     # scores are negative distances: later rounds drift to higher OOD-ness
     assert -rws[-1].mean >= -rws[0].mean
 
@@ -136,7 +137,20 @@ def test_round_wise_empty_batch_raises():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=12).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=0, n_adj=1)
     with pytest.raises(BadArgError):
-        round_wise_scores(batch, store, k_detect=3)
+        round_wise_scores(batch, np.empty(0))
+
+
+def test_round_wise_scores_must_match_the_batch():
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
+    batch = gaussian_baseline_batch(store, sigma=0.1, count_per_pair=3, n_adj=1)
+    with pytest.raises(BadArgError):
+        round_wise_scores(batch, np.zeros(len(batch) - 1))
+
+
+def test_unknown_grad_mode_is_a_bad_arg_error():
+    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
+    with pytest.raises(BadArgError, match="grad_mode"):
+        synthesize_batch(store, HmcConfig(rounds=1), **SYNTH_ARGS, grad_mode="bogus")
 
 
 # -- gaussian baseline ----------------------------------------------------------
@@ -237,9 +251,9 @@ def _legacy_geodesic(z, q, eps):
 
 
 def _legacy_neg_log_max(store, z, kappa):
-    offsets = store.class_offsets()
+    offsets = store.offsets
     counts = np.diff(offsets)
-    ips = kappa * (store.all_embeddings() @ z)
+    ips = kappa * (store.embeddings @ z)
     highs = np.maximum.reduceat(ips, offsets[:-1])
     sums = np.add.reduceat(np.exp(ips - np.repeat(highs, counts)), offsets[:-1])
     logs = highs + np.log(sums) - np.log(counts)
