@@ -48,6 +48,7 @@ from .synthesis import (
     OutlierBatch,
     batch_to_dict,
     gaussian_baseline_batch,
+    round_summary,
     round_wise_scores,
     synthesize_batch,
     write_trace_jsonl,
@@ -253,7 +254,6 @@ class IterationResult:
     report: ScoreReport
     quality: QualityAngles
     losses: dict[str, float]
-    mh_acceptance: float
     batch_scores: np.ndarray  # detection score of each batch sample, in batch order
     synth_time_ms: float
     score_time_ms: float
@@ -265,31 +265,11 @@ class RunArtifacts:
     out_dir: Path | None
 
 
-def _rejection_counts(batch: OutlierBatch) -> dict[str, int]:
-    """Why rounds produced no outlier, counted over the batch's transition records.
-
-    A NaN ``h_init`` marks a degenerate rejection (the proposal met a
-    degenerate point); otherwise a failed MH test is an MH rejection, and a
-    passed MH test with a failed margin test is a margin rejection.
-    """
-    records = [rec for chain in batch.chains for rec in chain.records]
-    degenerate = [math.isnan(rec.h_init) for rec in records]
-    return {
-        "mh_rejections": sum(
-            not rec.mh_accept and not bad for rec, bad in zip(records, degenerate)
-        ),
-        "margin_rejections": sum(rec.mh_accept and not rec.margin_pass for rec in records),
-        "degenerate_rejections": sum(degenerate),
-        "skipped_pairs": len(batch.skipped),
-    }
-
-
 def _iteration_row(res: IterationResult) -> dict:
     row = {
         "iteration": res.iteration,
         "batch_size": len(res.batch),
-        "mh_acceptance": res.mh_acceptance,
-        **_rejection_counts(res.batch),
+        **round_summary(res.batch),
         "batch_score_mean": float(res.batch_scores.mean()) if len(res.batch) else math.nan,
         "batch_score_std": float(res.batch_scores.std()) if len(res.batch) else math.nan,
         "fpr95": res.report.fpr95,
@@ -302,6 +282,19 @@ def _iteration_row(res: IterationResult) -> dict:
     }
     row.update(res.losses)
     return row
+
+
+def _synthesize(cfg: BenchConfig, snapshot: IdSnapshot, hmc: HmcConfig) -> OutlierBatch:
+    """The batch ``cfg`` asks of ``snapshot`` under sampler settings ``hmc``."""
+    return synthesize_batch(
+        snapshot,
+        hmc,
+        k=cfg.effective_k(snapshot),
+        delta=cfg.delta,
+        kappa=cfg.kappa,
+        n_adj=cfg.effective_n_adj(snapshot),
+        grad_mode=cfg.grad_mode,
+    )
 
 
 def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
@@ -339,15 +332,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             snapshot = store.snapshot()
             hmc_cfg = dataclasses.replace(cfg.hmc, rng_seed=cfg.hmc.rng_seed + t - 1)
             t0 = time.perf_counter()
-            batch = synthesize_batch(
-                snapshot,
-                hmc_cfg,
-                k=cfg.effective_k(snapshot),
-                delta=cfg.delta,
-                kappa=cfg.kappa,
-                n_adj=cfg.effective_n_adj(),
-                grad_mode=cfg.grad_mode,
-            )
+            batch = _synthesize(cfg, snapshot, hmc_cfg)
             synth_ms = (time.perf_counter() - t0) * 1000.0
             prototypes = snapshot.prototypes
             if len(batch):
@@ -372,10 +357,6 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             batch_scores = knn_scores(reference, batch.positions(), k_det)
             score_ms = (time.perf_counter() - t0) * 1000.0
             quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
-            records = [rec for chain in batch.chains for rec in chain.records]
-            mh_rate = (
-                float(np.mean([rec.mh_accept for rec in records])) if records else float("nan")
-            )
             results.append(
                 IterationResult(
                     iteration=t,
@@ -383,7 +364,6 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
                     report=report,
                     quality=quality,
                     losses=losses,
-                    mh_acceptance=mh_rate,
                     batch_scores=batch_scores,
                     synth_time_ms=synth_ms,
                     score_time_ms=score_ms,
@@ -492,7 +472,7 @@ def ablation_sweep(
                 auroc=last.report.auroc,
                 aupr=last.report.aupr,
                 batch_size=len(last.batch),
-                mh_acceptance=last.mh_acceptance,
+                mh_acceptance=round_summary(last.batch)["mh_acceptance"],
                 synth_time_ms=float(
                     np.mean([r.synth_time_ms for r in art.iterations])
                 ),
@@ -519,21 +499,13 @@ def diversity_stds(cfg: BenchConfig, seed: int) -> tuple[float, float]:
     )
     store = generate_synthetic_id(cfg)
     snapshot = store.snapshot()
-    batch = synthesize_batch(
-        snapshot,
-        cfg.hmc,
-        k=cfg.effective_k(snapshot),
-        delta=cfg.delta,
-        kappa=cfg.kappa,
-        n_adj=cfg.effective_n_adj(),
-        grad_mode=cfg.grad_mode,
-    )
+    batch = _synthesize(cfg, snapshot, cfg.hmc)
     if not len(batch):
         raise BadArgError(f"synthesis produced an empty batch at seed {seed}")
     n_pairs = len(batch.chains)
     per_pair = math.ceil(len(batch) / n_pairs)
     baseline = gaussian_baseline_batch(
-        snapshot, sigma=cfg.hmc.step_size, count_per_pair=per_pair, n_adj=cfg.effective_n_adj(), seed=seed
+        snapshot, sigma=cfg.hmc.step_size, count_per_pair=per_pair, n_adj=batch.n_adj, seed=seed
     )
     base_positions = baseline.positions()[: len(batch)]
     reference = snapshot.embeddings

@@ -27,6 +27,7 @@ import numpy as np
 from .bench import (
     SWEEP_AXES,
     BenchConfig,
+    _synthesize,
     ablation_sweep,
     generate_synthetic_id,
     run_experiment,
@@ -35,7 +36,7 @@ from .errors import BadConfigError, ConfigError, DataError, NumericalError
 from .metrics import score_report
 from .samplers import SamplerVariant
 from .store import IdStore
-from .synthesis import synthesize_batch, write_batch_csv, write_batch_json, write_trace_jsonl
+from .synthesis import write_batch_csv, write_batch_json, write_trace_jsonl
 
 # One row per config flag: (option strings, section, BenchConfig field,
 # add_argument keywords). The section is None for top-level fields, or the
@@ -99,19 +100,6 @@ def build_config(args: argparse.Namespace) -> BenchConfig:
     return dataclasses.replace(cfg, **top) if top else cfg
 
 
-def _synth_once(cfg: BenchConfig, store: IdStore):
-    snapshot = store.snapshot()
-    return synthesize_batch(
-        snapshot,
-        cfg.hmc,
-        k=cfg.effective_k(snapshot),
-        delta=cfg.delta,
-        kappa=cfg.kappa,
-        n_adj=cfg.effective_n_adj(snapshot),
-        grad_mode=cfg.grad_mode,
-    )
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     store = generate_synthetic_id(cfg)
@@ -123,7 +111,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     store = IdStore.load(args.store) if args.store else generate_synthetic_id(cfg)
-    batch = _synth_once(cfg, store)
+    batch = _synthesize(cfg, store.snapshot(), cfg.hmc)
     out = Path(args.out)
     if out.suffix == ".csv":
         write_batch_csv(batch, out)

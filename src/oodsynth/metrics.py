@@ -105,9 +105,18 @@ def calibrate_threshold(id_scores: np.ndarray) -> float:
     return float(scores[n - required])
 
 
+def _finite_scores(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides as float arrays; a NaN or infinite score is a DataError."""
+    sides = (np.asarray(id_scores, dtype=float), np.asarray(ood_scores, dtype=float))
+    for side, scores in zip(("ID", "OOD"), sides):
+        if not np.isfinite(scores).all():
+            raise DataError(f"{side} scores contain NaN or infinite values")
+    return sides
+
+
 def fpr_at_tpr95(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """Fraction of OOD scores at or above the 95%-TPR threshold."""
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    id_scores, ood_scores = _finite_scores(id_scores, ood_scores)
     if ood_scores.size == 0:
         raise TooFewSamplesError("need at least one OOD score")
     beta = calibrate_threshold(id_scores)
@@ -116,13 +125,10 @@ def fpr_at_tpr95(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
 
 def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """P(ID score > OOD score) + 0.5 P(equal), via the rank-sum statistic."""
-    id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    id_scores, ood_scores = _finite_scores(id_scores, ood_scores)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise TooFewSamplesError("need at least one score on each side")
     scores = np.concatenate([id_scores, ood_scores])
-    if np.isnan(scores).any():
-        raise DataError("cannot rank NaN scores")
     # average ranks: a run of equal scores shares the mean of its 1-based positions
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
@@ -133,8 +139,7 @@ def auroc(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
 
 def aupr(id_scores: np.ndarray, ood_scores: np.ndarray) -> float:
     """Trapezoidal area under precision-recall with ID as the positive class."""
-    id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
+    id_scores, ood_scores = _finite_scores(id_scores, ood_scores)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise TooFewSamplesError("need at least one score on each side")
     scores = np.concatenate([id_scores, ood_scores])
@@ -220,11 +225,7 @@ class ScoreReport:
 
 def score_report(id_scores: np.ndarray, ood_scores: np.ndarray) -> ScoreReport:
     """Bundle the three detection metrics plus the calibrated threshold."""
-    id_scores = np.asarray(id_scores, dtype=float)
-    ood_scores = np.asarray(ood_scores, dtype=float)
-    for side, scores in (("ID", id_scores), ("OOD", ood_scores)):
-        if not np.all(np.isfinite(scores)):
-            raise DataError(f"{side} scores contain NaN or infinite values")
+    id_scores, ood_scores = _finite_scores(id_scores, ood_scores)
     return ScoreReport(
         id_scores=id_scores,
         ood_scores=ood_scores,

@@ -9,7 +9,8 @@ per round. One that meets a degenerate point (a NaN potential) is
 rejected with NaN energies and alpha = 0, as MH rejects a point of zero
 density.
 
-``advance`` moves M chains one round together as one (M, d) array. Each
+``advance`` moves M chains one round together as one (M, d) array and
+logs the round as one ``TransitionRecord`` of per-chain arrays. Each
 chain owns its Generator and draws from it, in order, its momentum (or
 random-walk noise) and then its MH uniform, so it sees exactly the random
 numbers it would see alone.
@@ -91,13 +92,19 @@ class ChainState:
 
 @dataclass
 class TransitionRecord:
+    """One round of M chains: row i of every field belongs to chain i.
+
+    ``proposed`` is (M, d); the other fields are (M,). A degenerate
+    proposal has NaN ``h_init`` and ``h_prop``.
+    """
+
     proposed: np.ndarray
-    h_init: float
-    h_prop: float
-    alpha: float
-    mh_accept: bool
-    margin_pass: bool
-    accepted: bool
+    h_init: np.ndarray
+    h_prop: np.ndarray
+    alpha: np.ndarray
+    mh_accept: np.ndarray
+    margin_pass: np.ndarray
+    accepted: np.ndarray
 
 
 def _normals(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
@@ -171,13 +178,14 @@ def _random_walk_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     return z_prop, u_init, u_prop, np.isnan(u_init) | np.isnan(u_prop), uniforms
 
 
-def advance(ctx, chains: ChainState, cfg: HmcConfig) -> list[TransitionRecord]:
+def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
     """Advance every chain one round with one proposal each.
 
     ``cfg.variant`` picks the random walk or the Hamiltonian kernel.
-    Returns one record per chain, in chain order. An accepted proposal
-    becomes the chain's position; a degenerate one is recorded as a
-    rejection with NaN energies, alpha = 0 and the current position.
+    Returns the round's record, one row per chain in chain order. An
+    accepted proposal becomes the chain's position; a degenerate one is
+    recorded as a rejection with NaN energies, alpha = 0 and the current
+    position.
     """
     if cfg.variant is SamplerVariant.RANDOM_WALK:
         propose = _random_walk_proposal
@@ -192,17 +200,5 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> list[TransitionRecord]:
     mh_accept = uniforms < np.minimum(1.0, alpha)
     margin_pass = ctx.margin_exceeds(z_prop, chains.t_minus) & ~degenerate
     accepted = mh_accept & margin_pass
-    records = [
-        TransitionRecord(
-            proposed=z_prop[i],
-            h_init=float(h_init[i]),
-            h_prop=float(h_prop[i]),
-            alpha=float(alpha[i]),
-            mh_accept=bool(mh_accept[i]),
-            margin_pass=bool(margin_pass[i]),
-            accepted=bool(accepted[i]),
-        )
-        for i in range(len(chains.rngs))
-    ]
     chains.positions[accepted] = z_prop[accepted]
-    return records
+    return TransitionRecord(z_prop, h_init, h_prop, alpha, mh_accept, margin_pass, accepted)

@@ -279,37 +279,45 @@ class IdStore:
 
     @classmethod
     def _read(cls, path: Path) -> "IdStore":
+        """Parse and size-check every class record; only then build the store."""
         if path.suffix == ".json":
             doc = json.loads(path.read_text())
-            store = cls(doc["num_classes"], doc["dim"], doc["capacity"], doc["ema_factor"])
-            if len(doc["classes"]) != store.num_classes:
+            header = (doc["num_classes"], doc["dim"], doc["capacity"], doc["ema_factor"])
+            if len(doc["classes"]) != header[0]:
                 raise CorruptStoreError(
-                    f"{len(doc['classes'])} classes listed for a header of {store.num_classes}"
+                    f"{len(doc['classes'])} classes listed for a header of {header[0]}"
                 )
-            for c, entry in enumerate(doc["classes"]):
-                rows = np.asarray(entry["buffer"], dtype=float).reshape(-1, store.dim)
-                store._load_class(c, rows)
-                if entry["prototype"] is not None:
-                    store._load_prototype(c, np.asarray(entry["prototype"], dtype=float))
-            return store
-        raw = path.read_bytes()
-        if raw[: len(_MAGIC)] != _MAGIC:
-            raise CorruptStoreError("not an id-store file")
-        off = len(_MAGIC)
-        num_classes, dim, capacity, gamma = struct.unpack_from("<IIId", raw, off)
-        off += struct.calcsize("<IIId")
-        store = cls(num_classes, dim, capacity, gamma)
-        for c in range(num_classes):
-            n_c, has_proto = struct.unpack_from("<IB", raw, off)
-            off += struct.calcsize("<IB")
-            if has_proto:
-                store._load_prototype(c, np.frombuffer(raw, dtype="<f8", count=dim, offset=off))
-                off += dim * 8
-            rows = np.frombuffer(raw, dtype="<f8", count=n_c * dim, offset=off)
-            off += n_c * dim * 8
-            store._load_class(c, rows.reshape(n_c, dim))
-        if off != len(raw):
-            raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
+            classes = [
+                (np.asarray(e["buffer"], dtype=float).reshape(-1, header[1]), e["prototype"])
+                for e in doc["classes"]
+            ]
+        else:
+            raw = path.read_bytes()
+            if raw[: len(_MAGIC)] != _MAGIC:
+                raise CorruptStoreError("not an id-store file")
+            off = len(_MAGIC)
+            header = struct.unpack_from("<IIId", raw, off)
+            off += struct.calcsize("<IIId")
+            dim = header[1]
+            classes = []
+            for c in range(header[0]):  # a truncated record raises struct.error
+                n_c, has_proto = struct.unpack_from("<IB", raw, off)
+                off += struct.calcsize("<IB")
+                proto_bytes = 8 * dim if has_proto else 0
+                end = off + proto_bytes + 8 * dim * n_c
+                if end > len(raw):
+                    raise CorruptStoreError(f"class {c} runs {end - len(raw)} bytes past the end")
+                proto = np.frombuffer(raw, "<f8", count=dim, offset=off) if has_proto else None
+                rows = np.frombuffer(raw, "<f8", count=n_c * dim, offset=off + proto_bytes)
+                classes.append((rows.reshape(n_c, dim), proto))
+                off = end
+            if off != len(raw):
+                raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
+        store = cls(*header)
+        for c, (rows, proto) in enumerate(classes):
+            store._load_class(c, rows)
+            if proto is not None:
+                store._load_prototype(c, np.asarray(proto, dtype=float))
         return store
 
     def _load_class(self, class_id: int, rows: np.ndarray) -> None:

@@ -14,7 +14,8 @@ from one KDE evaluation at the M midpoints. Chains stay independent given
 the frozen store snapshot: each owns an RNG spawned deterministically
 from the batch seed and draws from it alone, so results do not depend on
 how the chains are grouped, and the batch is listed canonically by
-(class id, adjacency rank, round).
+(class id, adjacency rank, round). ``OutlierBatch.rounds`` keeps the
+(rounds x chains) log: one ``TransitionRecord`` per round.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class ChainRun:
     t_minus: float
     start: np.ndarray
     accepted: int
-    records: list[TransitionRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -66,6 +66,7 @@ class OutlierBatch:
     delta: float | None
     kappa: float | None
     n_adj: int
+    rounds: list[TransitionRecord] = field(default_factory=list)  # empty for the baseline
 
     def positions(self) -> np.ndarray:
         if not self.samples:
@@ -131,6 +132,7 @@ def synthesize_batch(
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(C * n_adj)
     chains, skipped = _pair_chains(store, n_adj)
     rngs = [np.random.default_rng(seeds[run.class_id * n_adj + run.rank]) for run in chains]
+    rounds, samples = [], []
     if chains:
         starts = np.array([run.start for run in chains])
         t_minus = neg_log_max_id_prob(store, starts, kappa) - delta
@@ -140,18 +142,16 @@ def synthesize_batch(
             store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
         )
         state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs)
-        for _ in range(cfg.rounds):
-            for run, rec in zip(chains, advance(ctx, state, cfg)):
-                run.records.append(rec)
-                run.accepted += rec.accepted
-    samples = [
-        OutlierSample(
-            position=rec.proposed, pair=run.pair, chain_index=run.chain_index, round=r
-        )
-        for run in chains
-        for r, rec in enumerate(run.records, start=1)
-        if rec.accepted
-    ]
+        rounds = [advance(ctx, state, cfg) for _ in range(cfg.rounds)]
+        accepted = np.stack([rec.accepted for rec in rounds], axis=1)  # (chains, rounds)
+        for run, n in zip(chains, accepted.sum(axis=1).tolist()):
+            run.accepted = n
+        samples = [
+            OutlierSample(
+                position=rounds[r].proposed[i], pair=chains[i].pair, chain_index=i, round=r + 1
+            )
+            for i, r in np.argwhere(accepted).tolist()
+        ]
     return OutlierBatch(
         samples=samples,
         chains=chains,
@@ -161,7 +161,28 @@ def synthesize_batch(
         delta=delta,
         kappa=kappa,
         n_adj=n_adj,
+        rounds=rounds,
     )
+
+
+def round_summary(batch: OutlierBatch) -> dict:
+    """MH acceptance rate, and why rounds produced no outlier, summed over ``batch.rounds``.
+
+    A NaN ``h_init`` marks a degenerate rejection (the proposal met a
+    degenerate point); otherwise a failed MH test is an MH rejection, and a
+    passed MH test with a failed margin test is a margin rejection. The
+    rate is NaN for a batch without rounds.
+    """
+    mh = np.array([rec.mh_accept for rec in batch.rounds], dtype=bool)
+    margin = np.array([rec.margin_pass for rec in batch.rounds], dtype=bool)
+    degenerate = np.isnan(np.array([rec.h_init for rec in batch.rounds], dtype=float))
+    return {
+        "mh_acceptance": float(mh.mean()) if mh.size else math.nan,
+        "mh_rejections": int(np.count_nonzero(~mh & ~degenerate)),
+        "margin_rejections": int(np.count_nonzero(mh & ~margin)),
+        "degenerate_rejections": int(np.count_nonzero(degenerate)),
+        "skipped_pairs": len(batch.skipped),
+    }
 
 
 @dataclass
@@ -293,28 +314,25 @@ def write_batch_csv(batch: OutlierBatch, path: str | Path) -> None:
 
 
 def write_trace_jsonl(batch: OutlierBatch, path: str | Path) -> None:
-    """Per-transition trace (one JSON object per line) for debugging and figures."""
+    """Per-transition trace (one JSON object per line, by chain then round)."""
 
-    def _num(x: float):
+    def _num(x):
         return None if x != x else x  # NaN -> null
 
+    columns = [
+        {
+            "alpha": np.minimum(rec.alpha, 1e308).tolist(),
+            "h_init": rec.h_init.tolist(),
+            "h_prop": rec.h_prop.tolist(),
+            "mh_accept": rec.mh_accept.tolist(),
+            "margin_pass": rec.margin_pass.tolist(),
+            "accepted": rec.accepted.tolist(),
+        }
+        for rec in batch.rounds
+    ]
     with open(path, "w") as fh:
         for c in batch.chains:
-            for i, rec in enumerate(c.records, start=1):
-                fh.write(
-                    json.dumps(
-                        {
-                            "chain_index": c.chain_index,
-                            "pair": [c.pair.u, c.pair.v],
-                            "round": i,
-                            "alpha": _num(min(rec.alpha, 1e308)),
-                            "h_init": _num(rec.h_init),
-                            "h_prop": _num(rec.h_prop),
-                            "mh_accept": rec.mh_accept,
-                            "margin_pass": rec.margin_pass,
-                            "accepted": rec.accepted,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            for r, column in enumerate(columns, start=1):
+                row = {name: _num(values[c.chain_index]) for name, values in column.items()}
+                row |= {"chain_index": c.chain_index, "pair": [c.pair.u, c.pair.v], "round": r}
+                fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -227,7 +227,7 @@ def test_criterion_4_acceptance_rate(default_store):
             kappa=DEFAULT.kappa,
             n_adj=DEFAULT.effective_n_adj(),
         )
-        flags += [rec.mh_accept for run in batch.chains for rec in run.records]
+        flags += [flag for rec in batch.rounds for flag in rec.mh_accept.tolist()]
     assert len(flags) >= 500
     rate = float(np.mean(flags))
     assert rate >= 0.9
@@ -411,8 +411,8 @@ def test_criterion_9_variant_parity(default_store):
     for variant in SamplerVariant:
         cfg = HmcConfig(variant=variant, rng_seed=11)
         batch = synthesize_batch(default_store, cfg, **kwargs)
-        for run in batch.chains:
-            assert len(run.records) == cfg.rounds
+        assert len(batch.rounds) == cfg.rounds
+        assert all(rec.accepted.shape == (len(batch.chains),) for rec in batch.rounds)
         sizes[variant.value] = len(batch)
     mala = synthesize_batch(
         default_store, HmcConfig(variant=SamplerVariant.MALA, rng_seed=11), **kwargs

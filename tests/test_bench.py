@@ -147,7 +147,7 @@ def test_minimal_run_completes_and_writes_artifacts(tmp_path):
 
 def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
     cfg = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "run"))
-    art = run_experiment(cfg)
+    art = run_experiment(cfg, trace=True)
     with open(art.out_dir / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
@@ -159,8 +159,18 @@ def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
         ]
         assert sum(counts) == chains * cfg.hmc.rounds
         assert int(row["skipped_pairs"]) == len(res.batch.skipped) == 0
-        margin = sum(r.mh_accept and not r.margin_pass for c in res.batch.chains for r in c.records)
-        assert int(row["margin_rejections"]) == margin
+    # the trace of the last batch gives the same counts as its metrics row
+    lines = (art.out_dir / "trace.jsonl").read_text().splitlines()
+    trace = [json.loads(line) for line in lines]
+    assert len(trace) == len(art.iterations[-1].batch.chains) * cfg.hmc.rounds
+    degenerate = [t["h_init"] is None for t in trace]
+    want = {
+        "batch_size": sum(t["accepted"] for t in trace),
+        "mh_rejections": sum(not t["mh_accept"] and not d for t, d in zip(trace, degenerate)),
+        "margin_rejections": sum(t["mh_accept"] and not t["margin_pass"] for t in trace),
+        "degenerate_rejections": sum(degenerate),
+    }
+    assert {key: int(rows[-1][key]) for key in want} == want
 
 
 def test_config_echo_reproduces_config(tmp_path):
@@ -270,10 +280,11 @@ def test_bad_config_files_raise_config_errors(tmp_path):
 def test_runs_are_bit_exact(tmp_path):
     cfg_a = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "a"))
     cfg_b = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "b"))
-    art_a = run_experiment(cfg_a)
-    art_b = run_experiment(cfg_b)
+    art_a = run_experiment(cfg_a, trace=True)
+    art_b = run_experiment(cfg_b, trace=True)
     for name in (
-        "metrics.csv", "batches.jsonl", "scores_final.json", "round_scores.csv", "store.idstore"
+        "metrics.csv", "batches.jsonl", "scores_final.json", "round_scores.csv", "store.idstore",
+        "trace.jsonl",
     ):
         assert (art_a.out_dir / name).read_bytes() == (art_b.out_dir / name).read_bytes(), name
 
@@ -478,10 +489,16 @@ _CORRUPT_STORES = {
     "binary-nan-prototype": _corrupt_binary("<d", 33, math.nan),
     "binary-off-unit-prototype": _corrupt_binary("<d", 33, 0.75),
 }
+# headers the class records contradict; a store built from one would hold a
+# million buffers (211 MB) or rows of d = 2^32 - 1 floats
+_HUGE_HEADERS = {
+    "json-million-classes": _corrupt_json(lambda doc: doc.update(num_classes=10**6)),
+    "binary-million-classes": _corrupt_binary("<I", 8, 10**6),
+    "binary-huge-dim": _corrupt_binary("<I", 12, 2**32 - 1),
+}
 
 
-@pytest.mark.parametrize("case", list(_CORRUPT_STORES))
-def test_cli_synth_corrupt_store_files_exit_3(tmp_path, capsys, case):
+def _write_corrupt_store(tmp_path, corrupt):
     store = IdStore(2, 4, capacity=3)
     rows = normalize(np.array([[1.0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]))
     store.insert_batch(rows, [0, 0, 1, 1])
@@ -489,11 +506,32 @@ def test_cli_synth_corrupt_store_files_exit_3(tmp_path, capsys, case):
         store.update_prototype(c, rows[2 * c])
     store.save(tmp_path / "good.json")
     store.save(tmp_path / "good.idstore")
-    suffix, data = _CORRUPT_STORES[case](
+    suffix, data = corrupt(
         json.loads((tmp_path / "good.json").read_text()), (tmp_path / "good.idstore").read_bytes()
     )
     path = tmp_path / f"bad{suffix}"
     path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("case", list(_HUGE_HEADERS))
+def test_cli_synth_huge_store_header_exits_3_before_building_the_store(
+    tmp_path, capsys, monkeypatch, case
+):
+    path = _write_corrupt_store(tmp_path, _HUGE_HEADERS[case])
+
+    def build(*args):
+        raise AssertionError("store built from a header its class records contradict")
+
+    monkeypatch.setattr(IdStore, "__init__", build)
+    argv = ["synth", "--store", str(path), "--out", str(tmp_path / "b.json")]
+    assert main(argv) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", list(_CORRUPT_STORES))
+def test_cli_synth_corrupt_store_files_exit_3(tmp_path, capsys, case):
+    path = _write_corrupt_store(tmp_path, _CORRUPT_STORES[case])
     argv = ["synth", "--store", str(path), "--k", "1", "--n-adj", "1"]
     assert main([*argv, "--out", str(tmp_path / "b.json")]) == 3
     err = capsys.readouterr().err

@@ -298,6 +298,17 @@ def test_auroc_rejects_nan_scores():
         auroc(np.array([1.0, np.nan]), np.array([0.5]))
 
 
+@pytest.mark.parametrize("metric", [fpr_at_tpr95, auroc, aupr], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("side", ["ID", "OOD"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_detection_metrics_reject_non_finite_scores(metric, side, bad):
+    id_scores, ood_scores = np.linspace(0.0, 1.0, 25), np.array([0.2, 0.9])
+    scores = id_scores if side == "ID" else ood_scores
+    scores[1] = bad
+    with pytest.raises(DataError, match=f"{side} scores contain NaN or infinite values"):
+        metric(id_scores, ood_scores)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_auroc_invariances(seed):

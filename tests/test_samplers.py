@@ -179,17 +179,16 @@ def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
 def test_flat_target_always_accepts_when_margin_passes():
     state = fresh_state(chains=4)
     for _ in range(10):
-        for rec in advance(flat_energy(), state, HmcConfig()):
-            assert np.isclose(rec.alpha, 1.0, rtol=1e-12)
-            assert rec.mh_accept and rec.accepted
+        rec = advance(flat_energy(), state, HmcConfig())
+        assert np.allclose(rec.alpha, 1.0, rtol=1e-12)
+        assert rec.mh_accept.all() and rec.accepted.all()
 
 
 def test_margin_failure_rejects_despite_mh_acceptance():
     state = fresh_state(chains=2)
     z_before = state.positions.copy()
-    records = advance(flat_energy(margin=False), state, HmcConfig())
-    for rec in records:
-        assert rec.mh_accept and not rec.margin_pass and not rec.accepted
+    rec = advance(flat_energy(margin=False), state, HmcConfig())
+    assert rec.mh_accept.all() and not rec.margin_pass.any() and not rec.accepted.any()
     assert np.array_equal(state.positions, z_before)
 
 
@@ -202,7 +201,7 @@ def test_two_cluster_acceptance_rate(small_snapshot):
     state = pair_state(store, 5, t_minus, chains=5)
     accepts = []
     for _ in range(100):
-        accepts += [rec.mh_accept for rec in advance(ctx, state, cfg)]
+        accepts += advance(ctx, state, cfg).mh_accept.tolist()
     assert len(accepts) == 500
     assert np.mean(accepts) >= 0.9
 
@@ -210,17 +209,17 @@ def test_two_cluster_acceptance_rate(small_snapshot):
 def test_random_walk_zero_step_accepts_in_place():
     state = fresh_state()
     cfg = HmcConfig(step_size=0.0, variant=SamplerVariant.RANDOM_WALK)
-    (rec,) = advance(flat_energy(), state, cfg)
-    assert rec.alpha == 1.0 and rec.accepted
-    assert np.array_equal(rec.proposed, fresh_state().positions[0])
+    rec = advance(flat_energy(), state, cfg)
+    assert rec.alpha[0] == 1.0 and rec.accepted[0]
+    assert np.array_equal(rec.proposed[0], fresh_state().positions[0])
 
 
 def test_random_walk_proposals_unit_norm():
     state = fresh_state(dim=6, chains=3)
     cfg = HmcConfig(step_size=0.4, variant=SamplerVariant.RANDOM_WALK)
     for _ in range(20):
-        for rec in advance(flat_energy(), state, cfg):
-            assert abs(np.linalg.norm(rec.proposed) - 1.0) <= 1e-9
+        proposed = advance(flat_energy(), state, cfg).proposed
+        assert np.abs(np.linalg.norm(proposed, axis=1) - 1.0).max() <= 1e-9
 
 
 def test_random_walk_acceptance_below_hmc_on_smooth_target():
@@ -234,7 +233,7 @@ def test_random_walk_acceptance_below_hmc_on_smooth_target():
             rngs=[np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)],
         )
         ctx = circle_energy()
-        return np.mean([rec.mh_accept for _ in range(500) for rec in advance(ctx, state, cfg)])
+        return np.mean([advance(ctx, state, cfg).mh_accept for _ in range(500)])
 
     assert rate(SamplerVariant.HMC, 9) > rate(SamplerVariant.RANDOM_WALK, 9)
 
@@ -255,18 +254,17 @@ def test_degenerate_proposal_records_a_rejection():
     healthy = fresh_state(dim=4, seed=31, chains=3)
     z_before = state.positions.copy()
     for _ in range(2):
-        records = advance(_DegenerateRows(stuck={1}), state, HmcConfig())
+        rec = advance(_DegenerateRows(stuck={1}), state, HmcConfig())
         want = advance(_DegenerateRows(stuck=set()), healthy, HmcConfig())
-        rec = records[1]
-        assert not rec.accepted and not rec.mh_accept and not rec.margin_pass
-        assert rec.alpha == 0.0
-        assert math.isnan(rec.h_init) and math.isnan(rec.h_prop)
-        assert np.array_equal(rec.proposed, z_before[1])
+        assert not rec.accepted[1] and not rec.mh_accept[1] and not rec.margin_pass[1]
+        assert rec.alpha[1] == 0.0
+        assert math.isnan(rec.h_init[1]) and math.isnan(rec.h_prop[1])
+        assert np.array_equal(rec.proposed[1], z_before[1])
         assert np.array_equal(state.positions[1], z_before[1])
         # the neighbours move exactly as they would beside a healthy chain
         for i in (0, 2):
-            assert records[i].accepted
-            assert np.array_equal(records[i].proposed, want[i].proposed)
+            assert rec.accepted[i]
+            assert np.array_equal(rec.proposed[i], want.proposed[i])
     # every chain, the stuck one too, drew momentum and uniform once per round
     draws = [rng.uniform() for rng in state.rngs]
     for i in range(3):
@@ -276,13 +274,13 @@ def test_degenerate_proposal_records_a_rejection():
             rng.uniform()
         assert draws[i] == rng.uniform()
     # the random-walk kernel shares the contract
-    records = advance(
+    rec = advance(
         _DegenerateRows(stuck={0}), fresh_state(dim=4, seed=32, chains=2),
         HmcConfig(variant=SamplerVariant.RANDOM_WALK),
     )
-    assert not records[0].accepted and records[0].alpha == 0.0
-    assert math.isnan(records[0].h_init)
-    assert records[1].accepted
+    assert not rec.accepted[0] and rec.alpha[0] == 0.0
+    assert math.isnan(rec.h_init[0])
+    assert rec.accepted[1]
 
 
 def test_lockstep_chains_match_chains_run_alone():
@@ -300,12 +298,12 @@ def test_lockstep_chains_match_chains_run_alone():
     together = chains(range(4))
     alone = [chains([i]) for i in range(4)]
     for _ in range(30):
-        records = advance(circle_energy(), together, cfg)
+        rec = advance(circle_energy(), together, cfg)
         for i, state in enumerate(alone):
-            (rec,) = advance(circle_energy(), state, cfg)
-            assert rec.mh_accept == records[i].mh_accept
-            assert np.array_equal(rec.proposed, records[i].proposed)
-            assert rec.h_prop == records[i].h_prop
+            one = advance(circle_energy(), state, cfg)
+            assert one.mh_accept[0] == rec.mh_accept[i]
+            assert np.array_equal(one.proposed[0], rec.proposed[i])
+            assert one.h_prop[0] == rec.h_prop[i]
 
 
 def test_identical_seed_gives_identical_record_stream(small_snapshot):
@@ -316,18 +314,14 @@ def test_identical_seed_gives_identical_record_stream(small_snapshot):
     def run(variant):
         cfg = HmcConfig(variant=variant, rng_seed=17)
         state = pair_state(small_snapshot, 17, t_minus, chains=2)
-        return [rec for _ in range(8) for rec in advance(ctx, state, cfg)]
+        return [advance(ctx, state, cfg) for _ in range(8)]
 
     for variant in SamplerVariant:
         first, second = run(variant), run(variant)
         for a, b in zip(first, second):
             assert np.array_equal(a.proposed, b.proposed)
-            assert (a.h_init, a.h_prop, a.alpha, a.accepted) == (
-                b.h_init,
-                b.h_prop,
-                b.alpha,
-                b.accepted,
-            )
+            for name in ("h_init", "h_prop", "alpha", "accepted"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_accepted_equals_mh_and_margin(small_snapshot):
@@ -338,5 +332,5 @@ def test_accepted_equals_mh_and_margin(small_snapshot):
         cfg = HmcConfig(variant=variant, rng_seed=23)
         state = pair_state(small_snapshot, 23, t_minus, chains=2)
         for _ in range(10):
-            for rec in advance(ctx, state, cfg):
-                assert rec.accepted == (rec.mh_accept and rec.margin_pass)
+            rec = advance(ctx, state, cfg)
+            assert np.array_equal(rec.accepted, rec.mh_accept & rec.margin_pass)

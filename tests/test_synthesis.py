@@ -207,7 +207,7 @@ def test_batch_export_round_trip(tmp_path):
         assert [int(v) for v in row[:4]] == [s.chain_index, s.pair.u, s.pair.v, s.round]
         assert [float(v) for v in row[4:]] == s.position.tolist()
     traces = [json.loads(line) for line in tpath.read_text().splitlines()]
-    assert len(traces) == sum(len(c.records) for c in batch.chains)
+    assert len(traces) == len(batch.chains) * len(batch.rounds)
     assert {t["accepted"] for t in traces} <= {True, False}
 
 
@@ -363,14 +363,15 @@ def _assert_parity(store, cfg, **kwargs):
     assert got.skipped == skipped
     assert len(got.chains) == len(want)
     size = 0
-    for run, (pair, t_minus, records) in zip(got.chains, want):
+    for i, (run, (pair, t_minus, records)) in enumerate(zip(got.chains, want)):
         assert run.pair == pair
         assert abs(run.t_minus - t_minus) <= 1e-10
-        assert len(run.records) == len(records)
-        for rec, (proposed, h_init, h_prop, mh, margin) in zip(run.records, records):
-            assert (rec.mh_accept, rec.margin_pass, rec.accepted) == (mh, margin, mh and margin)
-            assert np.abs(rec.proposed - proposed).max() <= 1e-10
-            for a, b in ((rec.h_init, h_init), (rec.h_prop, h_prop)):
+        assert len(got.rounds) == len(records)
+        for rec, (proposed, h_init, h_prop, mh, margin) in zip(got.rounds, records):
+            flags = (rec.mh_accept[i], rec.margin_pass[i], rec.accepted[i])
+            assert flags == (mh, margin, mh and margin)
+            assert np.abs(rec.proposed[i] - proposed).max() <= 1e-10
+            for a, b in ((rec.h_init[i], h_init), (rec.h_prop[i], h_prop)):
                 assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-10
         assert run.accepted == sum(mh and margin for _, _, _, mh, margin in records)
         size += run.accepted
@@ -428,7 +429,7 @@ def test_lockstep_matches_per_chain_path_through_degenerate_retries(variant):
     batch = _assert_parity(
         store, HmcConfig(variant=variant, rng_seed=7), k=1, delta=0.1, kappa=2.0, n_adj=2
     )
-    stuck = [run for run in batch.chains if {run.pair.u, run.pair.v} == {0, 1}]
+    stuck = [run.chain_index for run in batch.chains if {run.pair.u, run.pair.v} == {0, 1}]
     assert len(stuck) == 2
-    assert all(math.isnan(rec.h_init) for run in stuck for rec in run.records)
-    assert any(not math.isnan(rec.h_init) for run in batch.chains for rec in run.records)
+    assert all(np.isnan(rec.h_init[stuck]).all() for rec in batch.rounds)
+    assert any(not np.isnan(rec.h_init).all() for rec in batch.rounds)
