@@ -335,8 +335,9 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             batch = _synthesize(cfg, snapshot, hmc_cfg)
             synth_ms = (time.perf_counter() - t0) * 1000.0
             prototypes = snapshot.prototypes
+            positions = batch.positions()
             if len(batch):
-                ood_disc = ood_discernment_loss(batch.positions(), prototypes, tau)
+                ood_disc = ood_discernment_loss(positions, prototypes, tau)
             else:
                 ood_disc = 0.0  # empty batch: the discernment term is skipped
             l_disp, l_comp = cider_losses(id_test, id_labels, prototypes, tau)
@@ -351,10 +352,10 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
             reference = snapshot.embeddings
             k_det = min(cfg.k_detect, reference.shape[0])
             t0 = time.perf_counter()
-            id_scores = knn_scores(reference, id_test, k_det)
-            ood_scores = knn_scores(reference, ood_test, k_det)
+            id_scores = knn_scores(reference, id_test, k_det, snapshot.sq_norms)
+            ood_scores = knn_scores(reference, ood_test, k_det, snapshot.sq_norms)
             report = score_report(id_scores, ood_scores)
-            batch_scores = knn_scores(reference, batch.positions(), k_det)
+            batch_scores = knn_scores(reference, positions, k_det, snapshot.sq_norms)
             score_ms = (time.perf_counter() - t0) * 1000.0
             quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
             results.append(
@@ -510,6 +511,6 @@ def diversity_stds(cfg: BenchConfig, seed: int) -> tuple[float, float]:
     base_positions = baseline.positions()[: len(batch)]
     reference = snapshot.embeddings
     k_det = min(cfg.k_detect, reference.shape[0])
-    std_h = float(knn_scores(reference, batch.positions(), k_det).std())
-    std_g = float(knn_scores(reference, base_positions, k_det).std())
+    std_h = float(knn_scores(reference, batch.positions(), k_det, snapshot.sq_norms).std())
+    std_g = float(knn_scores(reference, base_positions, k_det, snapshot.sq_norms).std())
     return std_h, std_g

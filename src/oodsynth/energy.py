@@ -23,8 +23,9 @@ as piecewise smooth.
 
 An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
 against its own pair, so the M chains of a batch share every kNN query:
-one evaluation makes one ``kth_neighbors`` call per class, over the rows
-whose pair names that class. A degenerate row (a point on a k-th
+one evaluation ranks all 2M (row, class) queries in one matrix, filled by
+one GEMM per class over the rows whose pair names that class, and makes
+one ``select_kth`` pass over it. A degenerate row (a point on a k-th
 neighbor) gets a NaN potential instead of failing the whole batch. This
 is U(z); ``samplers`` adds the kinetic energy ||q||^2 / 2, makes one
 proposal per chain per round and rejects one that meets a degenerate row.
@@ -38,13 +39,13 @@ never needed. The densities of M points come from one (M x N) GEMM.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import blas
 from .errors import BadArgError, EmptyBufferError, InsufficientDataError
-from .metrics import kth_neighbors, shifted_logsumexp
+from .metrics import select_kth, shifted_logsumexp
 from .store import ClusterPair, IdSnapshot
 
 
@@ -63,10 +64,12 @@ def log_class_densities(store: IdSnapshot, z: np.ndarray, kappa: float) -> np.nd
         raise EmptyBufferError(f"classes {empty} have no embeddings for the density estimate")
     rows = z.reshape(-1, z.shape[-1])
     with blas.one_thread():
-        ips = kappa * (rows @ store.embeddings.T)
+        ips = rows @ store.embeddings.T
+    ips *= kappa
     starts = offsets[:-1]
     highs = np.maximum.reduceat(ips, starts, axis=1)
-    ips -= np.repeat(highs, counts, axis=1)
+    for c, (start, stop) in enumerate(zip(starts, offsets[1:])):
+        ips[:, start:stop] -= highs[:, c : c + 1]
     sums = np.add.reduceat(np.exp(ips, out=ips), starts, axis=1)
     logs = highs + np.log(sums) - np.log(counts)
     return logs.reshape(z.shape[:-1] + (len(counts),))
@@ -102,37 +105,53 @@ class EnergyContext:
     k: int
     kappa: float
     grad_mode: str = "analytic"
+    # (first, end, query rows) per class the pairs name: the class owns rows
+    # first:end of ``store.embeddings``, and the query rows index the stacked
+    # u-rows and v-rows of ``_pair_query``
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        for c in sorted({c for p in self.pairs for c in (p.u, p.v)}):
+        classes = np.array([p.u for p in self.pairs] + [p.v for p in self.pairs], dtype=np.intp)
+        offsets = self.store.offsets.tolist()
+        groups = []
+        for c in sorted(set(classes.tolist())):
             if self.store.count(c) < self.k:
                 raise InsufficientDataError(
                     f"class {c} holds {self.store.count(c)} embeddings, fewer than k={self.k}"
                 )
+            groups.append((offsets[c], offsets[c + 1], np.flatnonzero(classes == c)))
+        object.__setattr__(self, "_groups", tuple(groups))
         if self.grad_mode not in ("analytic", "scaled"):
             raise BadArgError(f"unknown grad_mode {self.grad_mode!r}")
 
-    def _pair_query(self, z: np.ndarray):
-        """k-th distances and neighbors of every row against both classes of its pair.
+    def _pair_query(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """k-th distances and ``embeddings`` row indices, (2, M) each: u-class row, v-class row.
 
-        The u-rows and v-rows are stacked (2M queries) and each class is
-        queried once, for the rows whose pair names it.
+        The u-rows and v-rows are stacked (2M queries) and ranked in one
+        (2M, max class count) matrix: one GEMM per class fills the rows
+        whose pair names it, ``+inf`` pads the columns past a class's
+        count, and one ``select_kth`` call selects every row's neighbor.
         """
         rows = z.reshape(-1, z.shape[-1])
         m = rows.shape[0]
         if m != len(self.pairs):
             raise ValueError(f"{m} rows for {len(self.pairs)} pairs")
-        classes = np.array([p.u for p in self.pairs] + [p.v for p in self.pairs])
+        store = self.store
         queries = np.concatenate([rows, rows])
-        dist = np.empty(2 * m)
-        nbrs = np.empty_like(queries)
-        for c in np.unique(classes).tolist():
-            sel = np.flatnonzero(classes == c)
-            emb = self.store.class_embeddings(c)
-            dist[sel], idx = kth_neighbors(emb, queries[sel], self.k)
-            nbrs[sel] = emb[idx]
-        return dist[:m], nbrs[:m], dist[m:], nbrs[m:]
+        width = max((end - first for first, end, _ in self._groups), default=0)
+        ranking = np.full((2 * m, width), np.inf)
+        firsts = np.empty(2 * m, dtype=np.intp)
+        with blas.one_thread():
+            for first, end, sel in self._groups:
+                sq_norms = store.sq_norms[first:end]
+                block = (-2.0 * queries[sel]) @ store.embeddings[first:end].T
+                block += sq_norms
+                ranking[sel, : end - first] = block
+                firsts[sel] = first
+        sq_max = store.sq_norms.max()  # over every class: a window only widens
+        dist, idx = select_kth(ranking, self.k, store.embeddings, queries, sq_max, firsts)
+        return dist.reshape(2, m), idx.reshape(2, m)
 
     def potential(self, z: np.ndarray) -> np.ndarray:
         """-log of the OOD-ness, the mean of the two per-class k-th-neighbor distances.
@@ -141,7 +160,7 @@ class EnergyContext:
         is 0 (z on buffered points of both classes).
         """
         z = np.asarray(z, dtype=float)
-        d_u, _, d_v, _ = self._pair_query(z)
+        (d_u, d_v), _ = self._pair_query(z)
         p = (0.5 * (d_u + d_v)).reshape(z.shape[:-1])
         return -np.log(np.where(p > 0.0, p, np.nan))
 
@@ -153,7 +172,8 @@ class EnergyContext:
         """
         z = np.asarray(z, dtype=float)
         rows = z.reshape(-1, z.shape[-1])
-        d_u, n_u, d_v, n_v = self._pair_query(rows)
+        (d_u, d_v), idx = self._pair_query(rows)
+        n_u, n_v = self.store.embeddings[idx]
         degenerate = (d_u == 0.0) | (d_v == 0.0)
         d_u = np.where(degenerate, 1.0, d_u)
         d_v = np.where(degenerate, 1.0, d_v)

@@ -30,13 +30,15 @@ MIN_CALIBRATION_SCORES = 20
 KNN_BLOCK_ELEMENTS = 2**16
 
 
-def knn_scores(reference: np.ndarray, zs: np.ndarray, k: int) -> np.ndarray:
+def knn_scores(
+    reference: np.ndarray, zs: np.ndarray, k: int, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Negative k-th-neighbor distance of every row of ``zs``, computed exactly."""
-    return -kth_neighbors(reference, np.atleast_2d(zs), k)[0]
+    return -kth_neighbors(reference, np.atleast_2d(zs), k, sq_norms)[0]
 
 
 def kth_neighbors(
-    reference: np.ndarray, queries: np.ndarray, k: int
+    reference: np.ndarray, queries: np.ndarray, k: int, sq_norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """k-th nearest reference row of every query row: (distances, indices).
 
@@ -44,16 +46,16 @@ def kth_neighbors(
     exact ties the lowest index wins, and each distance has the same bits
     as the k-th smallest of ``norm(reference - q, axis=1)``.
 
-    Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows.
-    Each block ranks the reference through one GEMM and the expansion
+    ``sq_norms`` are the reference rows' squared norms (``IdSnapshot``
+    keeps them); they are computed here when not given. Query rows go in
+    blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows. Each block ranks
+    the reference through one GEMM and the expansion
     ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2, leaving out ||q||^2, which
-    shifts a whole row and so cannot change its order. The k-th entry of
-    each row is selected and that neighbor's distance recomputed directly.
-    The expansion can misorder values that lie within its rounding error
-    of each other, so a row with another value inside a window around its
-    k-th takes the k-th of the exact norms of every candidate in that
-    window instead, in a stable sort. The GEMMs run on one BLAS thread
-    (see ``blas``).
+    shifts a whole row and so cannot change its order, and ``select_kth``
+    picks the k-th of each row: a row whose (k-1)-th or (k+1)-th value
+    lies within the expansion's rounding window of its k-th takes the k-th
+    of the exact norms of every candidate in that window instead. The
+    GEMMs run on one BLAS thread (see ``blas``).
     """
     reference = np.asarray(reference, dtype=float)
     queries = np.asarray(queries, dtype=float)
@@ -62,32 +64,74 @@ def kth_neighbors(
         raise BadArgError(f"k must be >= 1, got {k}")
     if n < k:
         raise InsufficientDataError(f"reference holds {n} embeddings, fewer than k={k}")
-    ref_sq = np.einsum("ij,ij->i", reference, reference)
-    ref_sq_max = float(ref_sq.max())
+    if sq_norms is None:
+        sq_norms = np.einsum("ij,ij->i", reference, reference)
+    sq_max = float(sq_norms.max())
     block = max(1, KNN_BLOCK_ELEMENTS // n)
     distances = np.empty(queries.shape[0])
     indices = np.empty(queries.shape[0], dtype=np.intp)
     with blas.one_thread():
         for start in range(0, queries.shape[0], block):
             q = queries[start : start + block]
-            d2 = (-2.0 * q) @ reference.T
-            d2 += ref_sq
-            idx = np.argpartition(d2, k - 1, axis=1)[:, k - 1]
-            dist = np.linalg.norm(reference[idx] - q, axis=1)
-            kth = d2[np.arange(q.shape[0]), idx]
-            # the expansion's rounding error is ~1e-15 of this scale
-            window = 1e-9 * (ref_sq_max + np.einsum("ij,ij->i", q, q) + 1.0)
-            lo = (kth - window)[:, None]
-            hi = (kth + window)[:, None]
-            below = np.count_nonzero(d2 < lo, axis=1)
-            for i in np.flatnonzero(np.count_nonzero(d2 <= hi, axis=1) - below > 1):
-                near = np.flatnonzero((d2[i] >= lo[i]) & (d2[i] <= hi[i]))
-                exact = np.linalg.norm(reference[near] - q[i], axis=1)
-                j = np.argsort(exact, kind="stable")[k - 1 - below[i]]
-                idx[i], dist[i] = near[j], exact[j]
-            distances[start : start + q.shape[0]] = dist
-            indices[start : start + q.shape[0]] = idx
+            ranking = (-2.0 * q) @ reference.T
+            ranking += sq_norms
+            stop = start + q.shape[0]
+            distances[start:stop], indices[start:stop] = select_kth(
+                ranking, k, reference, q, sq_max
+            )
     return distances, indices
+
+
+def select_kth(
+    ranking: np.ndarray,
+    k: int,
+    reference: np.ndarray,
+    queries: np.ndarray,
+    sq_max: float,
+    first: int | np.ndarray = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k-th neighbor of every row of a ranking matrix: (distances, reference rows).
+
+    Column j of row i ranks reference row ``first[i] + j`` (``first`` may
+    be a scalar) against ``queries[i]`` by ||r||^2 - 2 r.q; columns past a
+    row's reference hold ``+inf``, and every row has at least k finite
+    entries. ``sq_max`` is at least the largest ||r||^2 ranked; a larger
+    value only widens the window below. One ``argpartition`` at k leaves
+    the k smallest values of a row in front, so their maximum is the k-th,
+    the runner-up the (k-1)-th, and position k the (k+1)-th. The expansion can misorder
+    values within its rounding error of each other, so a row whose
+    (k-1)-th or (k+1)-th lies within a window around its k-th takes the
+    k-th, in (exact distance, index) order, of the exact norms of every
+    candidate in that window, offset by the count below the window. Every
+    other row's k-th is unique, and its distance is recomputed directly.
+    """
+    rows = np.arange(ranking.shape[0])
+    if k < ranking.shape[1]:
+        order = np.argpartition(ranking, k, axis=1)
+        after = ranking[rows, order[:, k]]
+        head = order[:, :k]
+    else:
+        after = np.full(ranking.shape[0], np.inf)
+        head = np.broadcast_to(np.arange(k), (ranking.shape[0], k))
+    smallest = np.take_along_axis(ranking, head, axis=1)
+    at = np.argmax(smallest, axis=1)
+    idx = head[rows, at]
+    kth = smallest[rows, at]
+    smallest[rows, at] = -np.inf
+    before = smallest.max(axis=1)  # -inf when k = 1
+    # the expansion's rounding error is ~1e-15 of this scale
+    window = 1e-9 * (sq_max + np.einsum("ij,ij->i", queries, queries) + 1.0)
+    lo = kth - window
+    hi = kth + window
+    first = np.broadcast_to(first, rows.shape)
+    dist = np.linalg.norm(reference[first + idx] - queries, axis=1)
+    for i in np.flatnonzero((before >= lo) | (after <= hi)):
+        below = np.count_nonzero(ranking[i] < lo[i])
+        near = np.flatnonzero((ranking[i] >= lo[i]) & (ranking[i] <= hi[i]))
+        exact = np.linalg.norm(reference[first[i] + near] - queries[i], axis=1)
+        j = np.argsort(exact, kind="stable")[k - 1 - below]
+        idx[i], dist[i] = near[j], exact[j]
+    return dist, first + idx
 
 
 def shifted_logsumexp(a: np.ndarray) -> np.ndarray:

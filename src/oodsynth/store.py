@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,17 +75,25 @@ class IdSnapshot:
     ``embeddings`` holds every buffered embedding in one (N, d) array,
     classes in order and oldest first within a class; class c owns rows
     ``offsets[c]:offsets[c + 1]``. ``prototypes`` is (C, d), with the rows
-    where ``has_prototype`` is False left at zero. Every array is
-    read-only, and the views handed out are too.
+    where ``has_prototype`` is False left at zero. ``sq_norms`` is the
+    (N,) squared norms of the ``embeddings`` rows, computed once here so
+    that kNN queries need not. Every array is read-only, and the views
+    handed out are too.
     """
 
     embeddings: np.ndarray
     offsets: np.ndarray
     prototypes: np.ndarray
     has_prototype: np.ndarray
+    sq_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for array in (self.embeddings, self.offsets, self.prototypes, self.has_prototype):
+        object.__setattr__(
+            self, "sq_norms", np.einsum("ij,ij->i", self.embeddings, self.embeddings)
+        )
+        for array in (
+            self.embeddings, self.offsets, self.prototypes, self.has_prototype, self.sq_norms
+        ):
             array.setflags(write=False)
 
     @property

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import cluster_store
+from oodsynth import blas
 from oodsynth.energy import (
     EnergyContext,
     log_class_densities,
@@ -97,6 +98,112 @@ def test_context_requires_k_entries():
     store = two_point_store(np.eye(3)[1], np.eye(3)[2])
     with pytest.raises(InsufficientDataError):
         EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=2, kappa=2.0)
+
+
+# -- one-pass pair query ------------------------------------------------------
+
+
+def uneven_store(counts, dim=8, seed=0, duplicates=0):
+    """Snapshot of a store whose class c holds ``counts[c]`` rows, the first
+    ``duplicates`` of them buffered twice."""
+    rng = np.random.default_rng(seed)
+    store = IdStore(len(counts), dim, capacity=max(counts))
+    for c, n in enumerate(counts):
+        center = normalize(rng.standard_normal(dim))
+        rows = normalize(center + 0.4 * rng.standard_normal((n - min(duplicates, n // 2), dim)))
+        rows = np.concatenate([rows, rows[: n - len(rows)]])
+        store.insert_batch(rows, np.full(n, c))
+        store.update_prototype(c, center)
+    return store.snapshot()
+
+
+def per_class_pair_query(ctx, zs):
+    """The pair query as one ``kth_neighbors`` call per class: (2, M) distances,
+    ``embeddings`` indices and neighbors."""
+    store = ctx.store
+    classes = np.array([p.u for p in ctx.pairs] + [p.v for p in ctx.pairs])
+    queries = np.concatenate([zs, zs])
+    dist = np.empty(len(queries))
+    idx = np.empty(len(queries), dtype=np.intp)
+    nbrs = np.empty_like(queries)
+    for c in np.unique(classes).tolist():
+        sel = np.flatnonzero(classes == c)
+        emb = store.class_embeddings(c)
+        dist[sel], local = kth_neighbors(emb, queries[sel], ctx.k)
+        idx[sel] = store.offsets[c] + local
+        nbrs[sel] = emb[local]
+    m = len(zs)
+    return dist.reshape(2, m), idx.reshape(2, m), nbrs.reshape(2, m, -1)
+
+
+def assert_pair_query_matches_per_class(ctx, zs):
+    dist, idx = ctx._pair_query(zs)
+    want_dist, want_idx, want_nbrs = per_class_pair_query(ctx, zs)
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(ctx.store.embeddings[idx], want_nbrs)
+
+
+@pytest.mark.parametrize(
+    "counts, k",
+    [
+        ((37, 5, 60, 12), 1),  # unequal counts: shorter classes are padded
+        ((37, 5, 60, 12), 5),  # class 1 holds exactly k rows
+        ((5, 5, 5), 5),  # every class holds exactly k: no column past the k-th
+        ((1, 9, 4), 1),
+    ],
+)
+def test_pair_query_equals_per_class_kth_neighbors(counts, k):
+    store = uneven_store(counts, seed=len(counts) + k, duplicates=3)
+    c = len(counts)
+    pairs = [ClusterPair(u, v) for u in range(c) for v in range(c) if u != v]
+    rng = np.random.default_rng(k)
+    zs = normalize(rng.standard_normal((len(pairs), 8)))
+    zs[0] = store.class_embeddings(pairs[0].u)[0]  # on a buffered row
+    zs[1] = store.class_embeddings(pairs[1].v)[-1]  # on a duplicate
+    ctx = EnergyContext(store=store, pairs=pairs, k=k, kappa=2.0)
+    assert_pair_query_matches_per_class(ctx, zs)
+    # every row on a buffered point of its pair's u-class
+    on_rows = [store.class_embeddings(p.u)[i % store.count(p.u)] for i, p in enumerate(pairs)]
+    assert_pair_query_matches_per_class(ctx, np.array(on_rows))
+
+
+def at_angles(q, angles):
+    """Unit rows at the given angles from unit q, each along its own axis orthogonal to q."""
+    axes = np.eye(q.size)[1 : len(angles) + 1]
+    return np.cos(angles)[:, None] * q + np.sin(angles)[:, None] * axes
+
+
+def test_pair_query_takes_the_exact_fallback_on_planted_near_ties(monkeypatch):
+    # k = 3; class 0 plants a near-tie between its 2nd and 3rd nearest rows to
+    # q, class 1 between its 3rd and 4th, both ~6e-13 apart in squared distance
+    q = np.eye(8)[0]
+    rows = [
+        at_angles(q, np.array([0.9, 0.3 + 1e-12, 0.1, 0.3, 0.6])),
+        at_angles(q, np.array([0.4 + 1e-12, 0.1, 0.9, 0.2, 0.4])),
+    ]
+    store = IdStore(2, 8, capacity=5)
+    for c, r in enumerate(rows):
+        store.insert_batch(r, np.full(5, c))
+    snap = store.snapshot()
+    ctx = EnergyContext(store=snap, pairs=[ClusterPair(0, 1)] * 2, k=3, kappa=2.0)
+    zs = np.stack([q, normalize(np.random.default_rng(2).standard_normal(8))])
+    want_dist, want_idx, _ = per_class_pair_query(ctx, zs)
+    assert want_idx[:, 0].tolist() == [1, 5 + 4]  # the 3rd nearest of each by exact distance
+    exact_rankings = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        exact_rankings.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    dist, idx = ctx._pair_query(zs)
+    monkeypatch.undo()
+    # q's u-row and v-row fall back, each over its two tied rows; the other query does not
+    assert exact_rankings == [2, 2]
+    assert np.array_equal(dist, want_dist)
+    assert np.array_equal(idx, want_idx)
 
 
 # -- gradients ----------------------------------------------------------------
@@ -251,6 +358,21 @@ def test_id_prob_invariant_to_shared_kernel_constant():
     z = normalize(np.ones(5))
     want = -math.log(brute_force_id_prob(store, z, const=7.3e-4).max())
     assert np.isclose(neg_log_max_id_prob(store, z, 2.0), want, rtol=1e-12)
+
+
+def test_log_class_densities_equal_the_repeat_formula_on_unequal_counts():
+    store = uneven_store((37, 5, 60, 12), seed=4, duplicates=3)
+    zs = normalize(np.random.default_rng(4).standard_normal((2, 3, 8)))
+    kappa = 7.5
+    # the per-class maxima subtracted through np.repeat, as before they were broadcast
+    starts, counts = store.offsets[:-1], np.diff(store.offsets)
+    with blas.one_thread():
+        ips = kappa * (zs.reshape(-1, 8) @ store.embeddings.T)
+    highs = np.maximum.reduceat(ips, starts, axis=1)
+    ips -= np.repeat(highs, counts, axis=1)
+    sums = np.add.reduceat(np.exp(ips), starts, axis=1)
+    want = (highs + np.log(sums) - np.log(counts)).reshape(2, 3, 4)
+    assert np.array_equal(log_class_densities(store, zs, kappa), want)
 
 
 # -- hard margin ---------------------------------------------------------------

@@ -356,6 +356,21 @@ def test_snapshot_is_independent(small_store):
     assert np.array_equal(snap.class_embeddings(0), before)
 
 
+def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store):
+    snap = small_store.snapshot()
+    want = np.einsum("ij,ij->i", snap.embeddings, snap.embeddings)
+    assert snap.sq_norms.shape == (snap.embeddings.shape[0],)
+    assert np.array_equal(snap.sq_norms, want)
+    with pytest.raises(ValueError, match="read-only"):
+        snap.sq_norms[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.sq_norms = want
+    for array in (snap.embeddings, *small_store._bufs):
+        assert not np.shares_memory(snap.sq_norms, array)
+    small_store.insert_batch(np.tile(unit(np.ones(small_store.dim)), (5, 1)), np.zeros(5))
+    assert np.array_equal(snap.sq_norms, want)
+
+
 def wrapped_store() -> IdStore:
     """Capacity-5 buffers, one overfilled, one prototype left undefined."""
     rng = np.random.default_rng(3)
