@@ -203,23 +203,28 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
     return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
-def generate_synthetic_id(cfg: BenchConfig) -> IdStore:
-    """Seeded synthetic store: uniform prototypes, vMF clusters, full buffers."""
-    proto_seed, data_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    proto_rng = np.random.default_rng(proto_seed)
-    data_rng = np.random.default_rng(data_seed)
-    centers = uniform_sphere(cfg.num_classes, cfg.dim, proto_rng)
-    store = IdStore(cfg.num_classes, cfg.dim, cfg.points_per_class, cfg.ema_factor)
-    for c in range(cfg.num_classes):
-        points = sample_vmf(centers[c], cfg.cluster_kappa, cfg.points_per_class, data_rng)
-        store.insert_batch(points, np.full(len(points), c))
-        store.update_prototype(c, points.mean(axis=0))
-    return store
-
-
 def _cluster_centers(cfg: BenchConfig) -> np.ndarray:
     proto_seed, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     return uniform_sphere(cfg.num_classes, cfg.dim, np.random.default_rng(proto_seed))
+
+
+def _refresh(
+    store: IdStore, centers: np.ndarray, kappa: float, n: int, rng: np.random.Generator
+) -> None:
+    """Insert n vMF draws around each center into its class, then EMA-update the prototype."""
+    for c, center in enumerate(centers):
+        points = sample_vmf(center, kappa, n, rng)
+        store.insert(c, points)
+        store.update_prototype(c, points.mean(axis=0))
+
+
+def generate_synthetic_id(cfg: BenchConfig) -> IdStore:
+    """Seeded synthetic store: uniform prototypes, vMF clusters, full buffers."""
+    _, data_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    data_rng = np.random.default_rng(data_seed)
+    store = IdStore(cfg.num_classes, cfg.dim, cfg.points_per_class, cfg.ema_factor)
+    _refresh(store, _cluster_centers(cfg), cfg.cluster_kappa, cfg.points_per_class, data_rng)
+    return store
 
 
 def make_ood_test_set(cfg: BenchConfig, store: IdStore, rng: np.random.Generator) -> np.ndarray:
@@ -325,10 +330,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
     try:
         for t in range(1, cfg.iterations + 1):
             iter_rng = np.random.default_rng(iter_seeds[t - 1])
-            for c in range(cfg.num_classes):
-                fresh = sample_vmf(centers[c], cfg.cluster_kappa, cfg.insert_per_class, iter_rng)
-                store.insert_batch(fresh, np.full(len(fresh), c))
-                store.update_prototype(c, fresh.mean(axis=0))
+            _refresh(store, centers, cfg.cluster_kappa, cfg.insert_per_class, iter_rng)
             snapshot = store.snapshot()
             hmc_cfg = dataclasses.replace(cfg.hmc, rng_seed=cfg.hmc.rng_seed + t - 1)
             t0 = time.perf_counter()

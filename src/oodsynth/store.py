@@ -6,11 +6,12 @@ It is the write side only: ``snapshot()`` freezes its current state into
 an IdSnapshot, the in-distribution prior every downstream component
 queries.
 
-Concurrency contract: one writer, readers hold immutable snapshots.
-``insert``, ``insert_batch`` and ``update_prototype`` need exclusive access
-to the store; an IdSnapshot shares no memory with it and every array it
-holds is read-only, so any number of readers may query one concurrently
-while the store keeps changing.
+Concurrency contract: one writer, readers hold immutable snapshots. The
+two writes, ``insert`` (the one method that adds rows) and
+``update_prototype``, need exclusive access to the store; an IdSnapshot
+shares no memory with it and every array it holds is read-only, so any
+number of readers may query one concurrently while the store keeps
+changing.
 
 Serialization: ``save``/``load`` support two formats, chosen by file
 extension. ``.json`` produces a plain JSON document. Any other extension
@@ -171,53 +172,43 @@ class IdStore:
         self._protos = np.zeros((num_classes, dim))
         self._has_proto = [False] * num_classes
 
-    def insert(self, class_id: int, z: np.ndarray) -> None:
-        """Append z to the class buffer, evicting the oldest entry when full."""
-        _check_class(class_id, self.num_classes)
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise BadArgError(f"embedding shape {z.shape} does not match dim {self.dim}")
-        self.insert_batch(z[None, :], [class_id])
-
-    def insert_batch(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
-        """Append rows to their classes' buffers, in order, as repeated ``insert`` would.
+    def insert(self, class_id: int, rows: np.ndarray) -> None:
+        """Append an (n, d) block or one (d,) row to a class buffer, oldest first.
 
         Every row is validated before any is stored, so a bad row leaves the
-        store unchanged. Each class's buffer is then replaced by its newest
-        ``capacity`` rows, old and new together.
+        store unchanged. The buffer then keeps its newest ``capacity`` rows,
+        old and new together.
         """
-        embeddings = np.asarray(embeddings, dtype=float)
-        labels = np.asarray(labels, dtype=int)
-        if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
-            raise BadArgError(f"embeddings shape {embeddings.shape} does not match dim {self.dim}")
-        if labels.shape != (embeddings.shape[0],):
-            raise BadArgError(f"{labels.shape} labels for {embeddings.shape[0]} embeddings")
-        classes = np.unique(labels).tolist()
-        for c in classes:
-            _check_class(c, self.num_classes)
-        finite = np.isfinite(embeddings).all(axis=1)
+        _check_class(class_id, self.num_classes)
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim not in (1, 2) or rows.shape[-1] != self.dim:
+            raise BadArgError(f"embeddings shape {rows.shape} does not match dim {self.dim}")
+        rows = rows.reshape(-1, self.dim)
+        finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
-        deviation = np.abs(np.linalg.norm(embeddings, axis=1) - 1.0)
+        deviation = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
         if np.any(deviation > UNIT_TOL):
             i = int(np.argmax(deviation > UNIT_TOL))
-            norm = np.linalg.norm(embeddings[i])
-            raise NotUnitError(f"embedding {i} norm {norm:.8f} deviates from 1")
-        for c in classes:
-            new = embeddings[labels == c][-self.capacity :]
-            old = self._bufs[c]
-            kept = old[max(0, len(old) + len(new) - self.capacity) :]  # a slice, not a copy
-            self._bufs[c] = np.concatenate([kept, new])
+            raise NotUnitError(f"embedding {i} norm {np.linalg.norm(rows[i]):.8f} deviates from 1")
+        new = rows[-self.capacity :]
+        old = self._bufs[class_id]
+        kept = old[max(0, len(old) + len(new) - self.capacity) :]  # a slice, not a copy
+        self._bufs[class_id] = np.concatenate([kept, new])
 
     def update_prototype(self, class_id: int, batch_mean: np.ndarray) -> None:
         """EMA-blend the prototype with a batch mean and re-normalize.
 
         First call defines the prototype directly as normalize(batch_mean).
+        A batch mean that is not a finite (d,) vector is a BadArgError and
+        leaves the prototype unchanged.
         """
         _check_class(class_id, self.num_classes)
         if len(self._bufs[class_id]) == 0:
             raise EmptyBufferError(f"class {class_id} has no embeddings yet")
         batch_mean = np.asarray(batch_mean, dtype=float)
+        if batch_mean.shape != (self.dim,) or not np.isfinite(batch_mean).all():
+            raise BadArgError(f"batch mean must be a finite vector of dimension {self.dim}")
         if self._has_proto[class_id]:
             g = self.ema_factor
             blended = g * self._protos[class_id] + (1.0 - g) * batch_mean
@@ -239,7 +230,6 @@ class IdStore:
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
-        snap = self.snapshot()
         if path.suffix == ".json":
             doc = {
                 "num_classes": self.num_classes,
@@ -247,11 +237,8 @@ class IdStore:
                 "capacity": self.capacity,
                 "ema_factor": self.ema_factor,
                 "classes": [
-                    {
-                        "prototype": snap.prototypes[c].tolist() if snap.has_prototype[c] else None,
-                        "buffer": snap.class_embeddings(c).tolist(),
-                    }
-                    for c in range(self.num_classes)
+                    {"prototype": proto.tolist() if has else None, "buffer": buf.tolist()}
+                    for buf, proto, has in zip(self._bufs, self._protos, self._has_proto)
                 ],
             }
             path.write_text(json.dumps(doc))
@@ -260,12 +247,11 @@ class IdStore:
             _MAGIC,
             struct.pack("<IIId", self.num_classes, self.dim, self.capacity, self.ema_factor),
         ]
-        for c in range(self.num_classes):
-            emb = snap.class_embeddings(c)
-            chunks.append(struct.pack("<IB", emb.shape[0], int(snap.has_prototype[c])))
-            if snap.has_prototype[c]:
-                chunks.append(snap.prototypes[c].tobytes())
-            chunks.append(emb.tobytes())
+        for buf, proto, has in zip(self._bufs, self._protos, self._has_proto):
+            chunks.append(struct.pack("<IB", len(buf), int(has)))
+            if has:
+                chunks.append(proto.tobytes())
+            chunks.append(buf.tobytes())
         path.write_bytes(b"".join(chunks))
 
     @classmethod
@@ -323,17 +309,14 @@ class IdStore:
                 raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
         store = cls(*header)
         for c, (rows, proto) in enumerate(classes):
-            store._load_class(c, rows)
+            if rows.shape[0] > store.capacity:
+                raise CorruptStoreError(
+                    f"class {c} holds {rows.shape[0]} rows, over the capacity {store.capacity}"
+                )
+            store.insert(c, rows)
             if proto is not None:
                 store._load_prototype(c, np.asarray(proto, dtype=float))
         return store
-
-    def _load_class(self, class_id: int, rows: np.ndarray) -> None:
-        if rows.shape[0] > self.capacity:
-            raise CorruptStoreError(
-                f"class {class_id} holds {rows.shape[0]} rows, over the capacity {self.capacity}"
-            )
-        self.insert_batch(rows, np.full(rows.shape[0], class_id))
 
     def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:
         if (

@@ -23,8 +23,7 @@ def cluster_store(
         pts = np.array(
             [normalize(centers[c] + spread * rng.standard_normal(dim)) for _ in range(n_per_class)]
         )
-        for z in pts:
-            store.insert(c, z)
+        store.insert(c, pts)
         store.update_prototype(c, pts.mean(axis=0))
     return store
 

@@ -501,8 +501,8 @@ _HUGE_HEADERS = {
 def _write_corrupt_store(tmp_path, corrupt):
     store = IdStore(2, 4, capacity=3)
     rows = normalize(np.array([[1.0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]))
-    store.insert_batch(rows, [0, 0, 1, 1])
     for c in range(2):
+        store.insert(c, rows[2 * c : 2 * c + 2])
         store.update_prototype(c, rows[2 * c])
     store.save(tmp_path / "good.json")
     store.save(tmp_path / "good.idstore")

@@ -112,7 +112,7 @@ def uneven_store(counts, dim=8, seed=0, duplicates=0):
         center = normalize(rng.standard_normal(dim))
         rows = normalize(center + 0.4 * rng.standard_normal((n - min(duplicates, n // 2), dim)))
         rows = np.concatenate([rows, rows[: n - len(rows)]])
-        store.insert_batch(rows, np.full(n, c))
+        store.insert(c, rows)
         store.update_prototype(c, center)
     return store.snapshot()
 
@@ -184,7 +184,7 @@ def test_pair_query_takes_the_exact_fallback_on_planted_near_ties(monkeypatch):
     ]
     store = IdStore(2, 8, capacity=5)
     for c, r in enumerate(rows):
-        store.insert_batch(r, np.full(5, c))
+        store.insert(c, r)
     snap = store.snapshot()
     ctx = EnergyContext(store=snap, pairs=[ClusterPair(0, 1)] * 2, k=3, kappa=2.0)
     zs = np.stack([q, normalize(np.random.default_rng(2).standard_normal(8))])

@@ -83,6 +83,11 @@ def test_insert_errors():
         store.insert(2, unit([1, 0, 0]))
     with pytest.raises(NotUnitError):
         store.insert(0, np.array([1.0, 1.0, 0.0]))  # norm sqrt(2)
+    # a 3-D array, a block or row of the wrong width, a scalar
+    for rows in (np.ones((1, 1, 3)) / np.sqrt(3), np.eye(4)[:2], np.eye(2)[0], np.float64(1.0)):
+        with pytest.raises(BadArgError):
+            store.insert(0, rows)
+    assert store.snapshot().count(0) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -94,16 +99,28 @@ def test_insert_rejects_non_finite_embeddings(bad):
     assert store.snapshot().count(0) == 0
 
 
-def test_insert_batch_with_a_bad_row_leaves_the_store_unchanged():
+def test_insert_with_a_bad_row_leaves_the_store_unchanged():
     store = IdStore(2, 3, capacity=4)
     store.insert(1, unit([0, 1, 0]))
     rows = np.array([unit([1, 0, 0]), unit([0, 0, 1]), [np.nan, 0.0, 0.0]])
-    with pytest.raises(NotUnitError):
-        store.insert_batch(rows, [0, 1, 0])
+    for c in range(2):
+        with pytest.raises(NotUnitError):
+            store.insert(c, rows)
     with pytest.raises(BadClassError):
-        store.insert_batch(rows[:2], [0, 2])
+        store.insert(2, rows[:2])
     snap = store.snapshot()
     assert (snap.count(0), snap.count(1)) == (0, 1)
+    assert np.array_equal(snap.class_embeddings(1), [unit([0, 1, 0])])
+
+
+def test_insert_takes_a_block_or_one_row():
+    store = IdStore(2, 3, capacity=4)
+    block = np.array([unit([1, 0, 0]), unit([0, 1, 0]), unit([0, 0, 1])])
+    store.insert(0, block)
+    store.insert(0, unit([1, 1, 0]))
+    want = np.concatenate([block, [unit([1, 1, 0])]])
+    block[0] = unit([1, 1, 1])  # the store keeps its own copy
+    assert np.array_equal(store.snapshot().class_embeddings(0), want)
 
 
 @pytest.mark.parametrize("batches", [[3], [5], [7], [2, 3], [4, 13], [1, 2, 17, 1]])
@@ -117,7 +134,8 @@ def test_block_insert_equals_row_by_row_insert(tmp_path, batches):
         rows = rng.standard_normal((n, 4))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         labels = rng.integers(0, 2, size=n)
-        by_block.insert_batch(rows, labels)
+        for c in range(2):
+            by_block.insert(c, rows[labels == c])
         for z, label in zip(rows, labels):
             by_row.insert(int(label), z)
     block_snap, row_snap = by_block.snapshot(), by_row.snapshot()
@@ -159,6 +177,22 @@ def test_prototype_symmetric_blend():
     assert np.allclose(
         store.snapshot().prototype(0), [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], ids=["nan", "inf", "d+1"]
+)
+def test_update_prototype_rejects_a_mean_that_is_not_a_finite_d_vector(bad):
+    store = IdStore(2, 3, capacity=4)
+    store.insert(0, unit([1, 0, 0]))
+    store.insert(1, unit([0, 1, 0]))
+    store.update_prototype(1, np.array([0.0, 1.0, 0.0]))
+    for c in range(2):
+        with pytest.raises(BadArgError):
+            store.update_prototype(c, np.array(bad))
+    snap = store.snapshot()
+    assert snap.has_prototype.tolist() == [False, True]
+    assert np.array_equal(snap.prototypes, [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_prototype_undefined_raises():
@@ -367,7 +401,7 @@ def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store):
         snap.sq_norms = want
     for array in (snap.embeddings, *small_store._bufs):
         assert not np.shares_memory(snap.sq_norms, array)
-    small_store.insert_batch(np.tile(unit(np.ones(small_store.dim)), (5, 1)), np.zeros(5))
+    small_store.insert(0, np.tile(unit(np.ones(small_store.dim)), (5, 1)))
     assert np.array_equal(snap.sq_norms, want)
 
 
@@ -377,7 +411,7 @@ def wrapped_store() -> IdStore:
     store = IdStore(3, 4, capacity=5, ema_factor=0.9)
     for c, n in enumerate((13, 5, 2)):
         rows = rng.standard_normal((n, 4))
-        store.insert_batch(rows / np.linalg.norm(rows, axis=1, keepdims=True), np.full(n, c))
+        store.insert(c, rows / np.linalg.norm(rows, axis=1, keepdims=True))
     store.update_prototype(0, np.ones(4))
     store.update_prototype(2, -np.ones(4))
     return store
