@@ -15,6 +15,14 @@ chain owns its Generator and draws from it, in order, its momentum (or
 random-walk noise) and then its MH uniform, so it sees exactly the random
 numbers it would see alone.
 
+The chain state carries each chain's potential (and, for the Hamiltonian
+kernels, its gradient) at its position, as HMC carries U(z) and grad U(z)
+with z: the start of a round is the end of an accepted proposal or the
+start of a rejected one, both already evaluated. So no point is evaluated
+twice, and after one evaluation at the starting positions a round costs
+``leapfrog_steps`` ``value_and_grad`` calls (HMC, MALA) or one
+``potential`` call (random walk).
+
 The momentum q is a standard normal draw projected onto the tangent space
 at z, and the kinetic energy is K = ||q||^2 / 2. The volume-preserving,
 reversible geodesic leapfrog with the MH test leaves exp(-U(z) - K(q))
@@ -78,12 +86,19 @@ class HmcConfig:
 class ChainState:
     """M chains in lockstep: row i of ``positions`` and ``rngs[i]`` belong to chain i.
 
-    ``t_minus`` holds each chain's hard-margin threshold.
+    ``t_minus`` holds each chain's hard-margin threshold. ``potential``
+    ((M,)) and ``grad`` ((M, d)) cache the energy at ``positions``: the
+    first ``advance`` fills them (``grad`` stays None for the random walk)
+    and every accepted proposal overwrites its row. A state therefore
+    belongs to the one energy it is advanced with; a caller that replaces
+    ``positions`` resets both fields to None.
     """
 
     positions: np.ndarray
     t_minus: np.ndarray
     rngs: list[np.random.Generator]
+    potential: np.ndarray | None = None
+    grad: np.ndarray | None = None
 
     def __post_init__(self):
         self.positions = np.array(self.positions, dtype=float, ndmin=2)
@@ -122,24 +137,32 @@ def kinetic(q: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...i,...i->...", q, q)
 
 
-def _integrate(ctx, z0: np.ndarray, q0: np.ndarray, steps: int, step_size: float):
-    """Leapfrog trajectories that also report the endpoint potentials.
+def _integrate(
+    ctx,
+    z0: np.ndarray,
+    q0: np.ndarray,
+    u0: np.ndarray,
+    grad0: np.ndarray,
+    steps: int,
+    step_size: float,
+):
+    """Leapfrog trajectories from z0, whose potential u0 and gradient grad0 are given.
 
     Each update is a half momentum kick with the tangent-projected
     gradient, a great-circle rotation of position and momentum, and a
     second half kick at the new position.
 
-    Returns (z, q, potential(z0), potential(z), degenerate), where a row is
-    degenerate when any point of its trajectory has a NaN potential.
-    Potential and gradient come from a single neighbor query per point,
-    and the gradient at the end of one update is reused at the start of
-    the next, so the whole trajectory costs steps + 1 energy evaluations.
+    Returns (z, q, potential(z), gradient at z, degenerate), where a row is
+    degenerate when any point of its trajectory, z0 included, has a NaN
+    potential. Potential and gradient come from a single neighbor query
+    per point, and the gradient at the end of one update is reused at the
+    start of the next, so the whole trajectory costs ``steps`` energy
+    evaluations.
     """
     z = np.asarray(z0, dtype=float)
     q = np.asarray(q0, dtype=float)
     eps = step_size
-    u, grad = ctx.value_and_grad(z)
-    u_first = u
+    u, grad = u0, grad0
     degenerate = np.isnan(u)
     for _ in range(steps):
         q = q - 0.5 * eps * project_tangent(grad, z)
@@ -147,7 +170,7 @@ def _integrate(ctx, z0: np.ndarray, q0: np.ndarray, steps: int, step_size: float
         u, grad = ctx.value_and_grad(z)
         degenerate |= np.isnan(u)
         q = q - 0.5 * eps * project_tangent(grad, z)
-    return z, q, u_first, u, degenerate
+    return z, q, u, grad, degenerate
 
 
 def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -157,25 +180,31 @@ def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
 def _hamiltonian_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     """Momentum draws, MH uniforms, then one leapfrog trajectory per chain."""
     z = chains.positions
+    if chains.potential is None:
+        chains.potential, chains.grad = ctx.value_and_grad(z)
     q = draw_momentum(z, chains.rngs)
     uniforms = _uniforms(chains.rngs)
-    z_prop, q_prop, u_init, u_prop, degenerate = _integrate(
-        ctx, z, q, cfg.leapfrog_steps, cfg.step_size
+    z_prop, q_prop, u_prop, grad_prop, degenerate = _integrate(
+        ctx, z, q, chains.potential, chains.grad, cfg.leapfrog_steps, cfg.step_size
     )
-    h_init = u_init + kinetic(q)
+    h_init = chains.potential + kinetic(q)
     h_prop = u_prop + kinetic(q_prop)
-    return z_prop, h_init, h_prop, degenerate, uniforms
+    return z_prop, u_prop, grad_prop, h_init, h_prop, degenerate, uniforms
 
 
 def _random_walk_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     """Gaussian-perturbation proposals re-projected to the sphere."""
     z = chains.positions
+    if chains.potential is None:
+        chains.potential = ctx.potential(z)
     g = _normals(chains.rngs, z.shape[-1])
     uniforms = _uniforms(chains.rngs)
     z_prop = normalize(z + cfg.step_size * g) if cfg.step_size > 0 else z.copy()
-    u_init = ctx.potential(z)
     u_prop = ctx.potential(z_prop)
-    return z_prop, u_init, u_prop, np.isnan(u_init) | np.isnan(u_prop), uniforms
+    # h_init is a copy: advance writes NaN into its degenerate rows
+    h_init = chains.potential.copy()
+    degenerate = np.isnan(h_init) | np.isnan(u_prop)
+    return z_prop, u_prop, None, h_init, u_prop, degenerate, uniforms
 
 
 def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
@@ -183,7 +212,8 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
 
     ``cfg.variant`` picks the random walk or the Hamiltonian kernel.
     Returns the round's record, one row per chain in chain order. An
-    accepted proposal becomes the chain's position; a degenerate one is
+    accepted proposal becomes the chain's position, and its endpoint
+    potential and gradient the chain's cached ones; a degenerate one is
     recorded as a rejection with NaN energies, alpha = 0 and the current
     position.
     """
@@ -191,7 +221,7 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
         propose = _random_walk_proposal
     else:
         propose = _hamiltonian_proposal
-    z_prop, h_init, h_prop, degenerate, uniforms = propose(ctx, chains, cfg)
+    z_prop, u_prop, grad_prop, h_init, h_prop, degenerate, uniforms = propose(ctx, chains, cfg)
     z_prop[degenerate] = chains.positions[degenerate]
     h_init[degenerate] = h_prop[degenerate] = np.nan
     with np.errstate(over="ignore"):
@@ -201,4 +231,7 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
     margin_pass = ctx.margin_exceeds(z_prop, chains.t_minus) & ~degenerate
     accepted = mh_accept & margin_pass
     chains.positions[accepted] = z_prop[accepted]
+    chains.potential[accepted] = u_prop[accepted]
+    if grad_prop is not None:
+        chains.grad[accepted] = grad_prop[accepted]
     return TransitionRecord(z_prop, h_init, h_prop, alpha, mh_accept, margin_pass, accepted)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodsynth.sphere import normalize
-from oodsynth.store import IdSnapshot, IdStore
+from oodsynth.store import ClusterPair, IdSnapshot, IdStore
 
 
 def cluster_store(
@@ -26,6 +26,20 @@ def cluster_store(
         store.insert(c, pts)
         store.update_prototype(c, pts.mean(axis=0))
     return store
+
+
+def degenerate_store() -> IdSnapshot:
+    """4 classes, d = 8, whose pair (0, 1) midpoint is buffered in classes 0 and 1.
+
+    At k = 1 chains (0, 1) and (1, 0) started there sit on a neighbor of
+    each class: every proposal is degenerate for the Hamiltonian and the
+    random-walk kernels.
+    """
+    store = cluster_store(num_classes=4, dim=8, n_per_class=30, capacity=31, seed=17)
+    mid = store.snapshot().midpoint(ClusterPair(0, 1))
+    store.insert(0, mid)
+    store.insert(1, mid)
+    return store.snapshot()
 
 
 @pytest.fixture

@@ -16,8 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from oodsynth.bench import BenchConfig, diversity_stds, generate_synthetic_id
-from oodsynth.energy import EnergyContext, passes_margin
+from oodsynth.bench import BenchConfig, diversity_stds, generate_synthetic_id, sample_vmf
+from oodsynth.energy import EnergyContext, neg_log_max_id_prob, passes_margin
 from oodsynth.metrics import aupr, auroc, fpr_at_tpr95, knn_scores, kth_neighbors
 from oodsynth.objectives import cider_losses, ood_discernment_loss
 from oodsynth.samplers import ChainState, HmcConfig, SamplerVariant, advance
@@ -210,6 +210,56 @@ def test_every_variant_is_stationary_on_the_circle(variant):
     tv = 0.5 * float(np.abs(empirical - exact).sum())
     assert tv <= 0.05
     _report(f"stationarity ({variant.value})", f"TV={tv:.4f}", t0, 60.0)
+
+
+def test_hmc_is_stationary_on_the_knn_energy_with_margin():
+    # criterion 3's bound on the production target exp(-U) * 1[margin]: the
+    # kNN potential of pair (0, 1) on S^1, with the KDE margin at the
+    # production threshold, against the exact target on a 36 000-point grid
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(0)
+    store = IdStore(3, 2, capacity=30)
+    for c, angle in enumerate((0.0, 2.0, 4.0)):
+        pts = sample_vmf(np.array([math.cos(angle), math.sin(angle)]), 20.0, 30, rng)
+        store.insert(c, pts)
+        store.update_prototype(c, pts.mean(axis=0))
+    snap = store.snapshot()
+    pair, k, kappa, delta = ClusterPair(0, 1), 3, 2.0, 0.1
+    midpoint = snap.midpoint(pair)
+    t_minus = float(neg_log_max_id_prob(snap, midpoint, kappa)) - delta
+    chains = 64
+    cfg = HmcConfig(leapfrog_steps=5, step_size=0.5, rng_seed=123)
+    state = ChainState(
+        positions=np.tile(midpoint, (chains, 1)),
+        t_minus=np.full(chains, t_minus),
+        rngs=[np.random.default_rng(s) for s in np.random.SeedSequence(123).spawn(chains)],
+    )
+    ctx = EnergyContext(store=snap, pairs=[pair] * chains, k=k, kappa=kappa)
+    per_chain, burn = 2_500, 200
+    thetas = np.empty((per_chain, chains))
+    for i in range(per_chain + burn):
+        advance(ctx, state, cfg)
+        if i >= burn:
+            thetas[i - burn] = np.arctan2(state.positions[:, 1], state.positions[:, 0])
+    edges = np.linspace(-np.pi, np.pi, 37)
+    counts, _ = np.histogram(thetas, bins=edges)
+    empirical = counts / counts.sum()
+    n_grid = 36_000
+    grid_theta = -np.pi + (np.arange(n_grid) + 0.5) * (2.0 * np.pi / n_grid)
+    grid = np.stack([np.cos(grid_theta), np.sin(grid_theta)], axis=1)
+    u, _ = EnergyContext(store=snap, pairs=[pair] * n_grid, k=k, kappa=kappa).value_and_grad(grid)
+    inside = passes_margin(snap, grid, kappa, t_minus) & np.isfinite(u)
+    weights = np.where(inside, np.exp(-np.where(inside, u, 0.0)), 0.0)
+    exact = np.bincount(np.digitize(grid_theta, edges) - 1, weights, minlength=36)
+    exact /= exact.sum()
+    tv = 0.5 * float(np.abs(empirical - exact).sum())
+    assert tv <= 0.05
+    _report(
+        "stationarity (hmc, kNN energy with margin)",
+        f"TV={tv:.4f} over 36 bins, {thetas.size} samples from {chains} lockstep chains",
+        t0,
+        20.0,
+    )
 
 
 # -- 4. acceptance rate -------------------------------------------------------------

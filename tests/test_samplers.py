@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import cluster_store
+from conftest import cluster_store, degenerate_store
 from oodsynth.energy import EnergyContext, neg_log_max_id_prob
 from oodsynth.errors import BadConfigError
 from oodsynth.samplers import (
@@ -146,7 +147,8 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
     store.update_prototype(1, -e2)
     ctx = pair_energy(store.snapshot(), k=1)
     q0 = np.array([0.0, 0.0, 0.8])  # tangent at e1, orthogonal to both buffer points
-    z_lf, q_lf, _, _, _ = _integrate(ctx, e1[None], q0[None], steps=4, step_size=0.3)
+    u0, grad0 = ctx.value_and_grad(e1[None])
+    z_lf, q_lf, _, _, _ = _integrate(ctx, e1[None], q0[None], u0, grad0, steps=4, step_size=0.3)
     z_geo, q_geo = e1, q0
     for _ in range(4):
         z_geo, q_geo = geodesic_step(z_geo, q_geo, 0.3)
@@ -159,7 +161,8 @@ def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
     rng = np.random.default_rng(3)
     z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (5, 1))
     q = draw_momentum(z, [rng] * 5)
-    z2, q2, u0, u2, _ = _integrate(ctx, z, q, steps=3, step_size=1e-4)
+    u0, grad0 = ctx.value_and_grad(z)
+    z2, q2, u2, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=1e-4)
     assert np.abs((u2 + kinetic(q2)) - (u0 + kinetic(q))).max() <= 1e-6
 
 
@@ -168,7 +171,8 @@ def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
     rng = np.random.default_rng(4)
     z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (3, 1))
     q = draw_momentum(z, [rng] * 3)
-    z2, q2, _, _, _ = _integrate(ctx, z, q, steps=3, step_size=0.1)
+    u0, grad0 = ctx.value_and_grad(z)
+    z2, q2, _, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=0.1)
     assert np.abs(np.linalg.norm(z2, axis=1) - 1.0).max() <= 1e-9
     assert np.abs(np.einsum("ij,ij->i", z2, q2)).max() <= 1e-8
 
@@ -334,3 +338,108 @@ def test_accepted_equals_mh_and_margin(small_snapshot):
         for _ in range(10):
             rec = advance(ctx, state, cfg)
             assert np.array_equal(rec.accepted, rec.mh_accept & rec.margin_pass)
+
+
+# -- the cached potential and gradient -------------------------------------------
+# ChainState carries each chain's energy at its position, so a round only
+# evaluates its proposal.
+
+
+def _assert_cache_is_fresh(ctx, state, variant):
+    if variant is SamplerVariant.RANDOM_WALK:
+        assert state.grad is None
+        assert np.array_equal(state.potential, ctx.potential(state.positions), equal_nan=True)
+    else:
+        u, grad = ctx.value_and_grad(state.positions)
+        assert np.array_equal(state.potential, u, equal_nan=True)
+        assert np.array_equal(state.grad, grad, equal_nan=True)
+
+
+@pytest.mark.parametrize("variant", list(SamplerVariant))
+def test_cached_energy_equals_a_fresh_evaluation(small_snapshot, variant):
+    chains = 4
+    midpoint = small_snapshot.midpoint(ClusterPair(0, 1))
+    t_minus = neg_log_max_id_prob(small_snapshot, midpoint, 2.0) - 0.1
+    ctx = pair_energy(small_snapshot, k=3, chains=chains)
+    state = pair_state(small_snapshot, 41, t_minus, chains=chains)
+    cfg = HmcConfig(variant=variant, step_size=0.3, rng_seed=41)
+    accepted = []
+    for _ in range(12):
+        accepted.append(advance(ctx, state, cfg).accepted)
+        _assert_cache_is_fresh(ctx, state, variant)
+    # both the accepted and the kept rows of the cache were checked
+    assert np.any(accepted) and not np.all(accepted)
+
+
+@pytest.mark.parametrize("variant", list(SamplerVariant))
+def test_cached_energy_equals_a_fresh_evaluation_on_a_degenerate_store(variant):
+    store = degenerate_store()
+    pairs = [ClusterPair(0, 1), ClusterPair(1, 0), ClusterPair(2, 3), ClusterPair(0, 2)]
+    starts = np.array([store.midpoint(pair) for pair in pairs])
+    state = ChainState(
+        positions=starts,
+        t_minus=neg_log_max_id_prob(store, starts, 2.0) - 0.1,
+        rngs=[np.random.default_rng(51 + i) for i in range(len(pairs))],
+    )
+    ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
+    cfg = HmcConfig(variant=variant, rng_seed=51)
+    for _ in range(8):
+        rec = advance(ctx, state, cfg)
+        _assert_cache_is_fresh(ctx, state, variant)
+        assert np.isnan(state.potential[:2]).all() and np.isnan(rec.h_init[:2]).all()
+    assert np.isfinite(state.potential[2:]).all()
+
+
+class _CountingEnergy:
+    """Delegates to an energy and counts its potential and value_and_grad calls."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.calls = Counter()
+
+    def potential(self, z):
+        self.calls["potential"] += 1
+        return self.ctx.potential(z)
+
+    def value_and_grad(self, z):
+        self.calls["value_and_grad"] += 1
+        return self.ctx.value_and_grad(z)
+
+    def margin_exceeds(self, z, t_minus):
+        return self.ctx.margin_exceeds(z, t_minus)
+
+
+@pytest.mark.parametrize(
+    "variant, want",
+    [
+        (SamplerVariant.HMC, {"value_and_grad": 1 + 5 * 3}),
+        (SamplerVariant.MALA, {"value_and_grad": 1 + 5}),
+        (SamplerVariant.RANDOM_WALK, {"potential": 1 + 5}),
+    ],
+)
+def test_rounds_evaluate_only_their_proposals(small_snapshot, variant, want):
+    # R = 5 rounds at L = 3: one evaluation at the start, then L per
+    # Hamiltonian round or one per random-walk round
+    ctx = _CountingEnergy(pair_energy(small_snapshot, k=3, chains=3))
+    state = pair_state(small_snapshot, 61, -math.inf, chains=3)
+    cfg = HmcConfig(variant=variant, leapfrog_steps=3, rounds=5)
+    for _ in range(cfg.rounds):
+        advance(ctx, state, cfg)
+    assert ctx.calls == Counter(want)
+
+
+@pytest.mark.parametrize("variant", list(SamplerVariant))
+def test_record_nan_never_reaches_the_cache(variant):
+    # NaN only at round 2's proposals: round 2 records NaN energies, and
+    # round 3 starts from the energy cached before them
+    ctx = _DegenerateRows(stuck=set())
+    state = fresh_state(dim=4, seed=71, chains=3)
+    cfg = HmcConfig(variant=variant)
+    assert advance(ctx, state, cfg).accepted.all()
+    ctx.stuck = {0, 1, 2}
+    rec = advance(ctx, state, cfg)
+    assert np.isnan(rec.h_init).all() and not rec.accepted.any()
+    ctx.stuck = set()
+    rec = advance(ctx, state, cfg)
+    assert np.isfinite(rec.h_init).all() and rec.accepted.all()
+    assert np.array_equal(state.potential, np.zeros(3))

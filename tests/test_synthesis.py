@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import cluster_store
+from conftest import cluster_store, degenerate_store
 from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.energy import passes_margin
 from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
@@ -346,17 +346,6 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
     return skipped, chains
 
 
-def _degenerate_store():
-    # the midpoint of pair (0, 1) is buffered in both classes, so at k = 1
-    # chains (0, 1) and (1, 0) sit on a neighbor of each class: every
-    # proposal is degenerate for the Hamiltonian and the random-walk kernels
-    store = cluster_store(num_classes=4, dim=8, n_per_class=30, capacity=31, seed=17)
-    mid = store.snapshot().midpoint(ClusterPair(0, 1))
-    store.insert(0, mid)
-    store.insert(1, mid)
-    return store.snapshot()
-
-
 def _assert_parity(store, cfg, **kwargs):
     skipped, want = legacy_synthesize_batch(store, cfg, **kwargs)
     got = synthesize_batch(store, cfg, **kwargs)
@@ -425,7 +414,7 @@ def test_lockstep_matches_per_chain_path_on_criterion_10_store():
 
 @pytest.mark.parametrize("variant", [SamplerVariant.HMC, SamplerVariant.RANDOM_WALK])
 def test_lockstep_matches_per_chain_path_through_degenerate_retries(variant):
-    store = _degenerate_store()
+    store = degenerate_store()
     batch = _assert_parity(
         store, HmcConfig(variant=variant, rng_seed=7), k=1, delta=0.1, kappa=2.0, n_adj=2
     )
