@@ -25,10 +25,14 @@ An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
 against its own pair, so the M chains of a batch share every kNN query:
 one evaluation ranks all 2M (row, class) queries in one matrix, filled by
 one GEMM per class over the rows whose pair names that class, and makes
-one ``select_kth`` pass over it. A degenerate row (a point on a k-th
-neighbor) gets a NaN potential instead of failing the whole batch. This
-is U(z); ``samplers`` adds the kinetic energy ||q||^2 / 2, makes one
-proposal per chain per round and rejects one that meets a degenerate row.
+one ``select_kth`` pass over it. It offers the samplers two methods:
+``value_and_grad(z)``, the one evaluation of the energy, which every
+kernel uses, and ``margin_exceeds(z, t_minus)``, the hard-margin test. A
+row is degenerate when either of its k-th distances is 0 (z sits on its
+k-th neighbor in that class): it gets a NaN potential and a zero gradient
+instead of failing the whole batch. This is U(z); ``samplers`` adds the
+kinetic energy ||q||^2 / 2, makes one proposal per chain per round and
+rejects one that meets a degenerate row.
 
 The ID probability is a kernel density estimate with the (unnormalized)
 von Mises-Fisher kernel exp(kappa * mu^T z); the normalizer is class
@@ -153,22 +157,13 @@ class EnergyContext:
         dist, idx = select_kth(ranking, self.k, store.embeddings, queries, sq_max, firsts)
         return dist.reshape(2, m), idx.reshape(2, m)
 
-    def potential(self, z: np.ndarray) -> np.ndarray:
-        """-log of the OOD-ness, the mean of the two per-class k-th-neighbor distances.
-
-        May be negative since distances can exceed 1. NaN where the OOD-ness
-        is 0 (z on buffered points of both classes).
-        """
-        z = np.asarray(z, dtype=float)
-        (d_u, d_v), _ = self._pair_query(z)
-        p = (0.5 * (d_u + d_v)).reshape(z.shape[:-1])
-        return -np.log(np.where(p > 0.0, p, np.nan))
-
     def value_and_grad(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Potential and its ambient-space gradient (``grad_mode``) from one neighbor query.
 
-        A row whose k-th neighbor in either class coincides with it has a
-        NaN potential and a zero gradient.
+        The potential is -log of the OOD-ness, the mean of the two
+        per-class k-th-neighbor distances; it may be negative since
+        distances can exceed 1. A row whose k-th neighbor in either class
+        coincides with it has a NaN potential and a zero gradient.
         """
         z = np.asarray(z, dtype=float)
         rows = z.reshape(-1, z.shape[-1])

@@ -15,24 +15,25 @@ chain owns its Generator and draws from it, in order, its momentum (or
 random-walk noise) and then its MH uniform, so it sees exactly the random
 numbers it would see alone.
 
-The chain state carries each chain's potential (and, for the Hamiltonian
-kernels, its gradient) at its position, as HMC carries U(z) and grad U(z)
-with z: the start of a round is the end of an accepted proposal or the
-start of a rejected one, both already evaluated. So no point is evaluated
-twice, and after one evaluation at the starting positions a round costs
-``leapfrog_steps`` ``value_and_grad`` calls (HMC, MALA) or one
-``potential`` call (random walk).
+The chain state carries each chain's potential and gradient at its
+position, as HMC carries U(z) and grad U(z) with z: the start of a round
+is the end of an accepted proposal or the start of a rejected one, both
+already evaluated. So no point is evaluated twice: ``advance`` evaluates
+the starting positions once, and after that a round costs
+``leapfrog_steps`` ``value_and_grad`` calls (HMC, MALA) or one (random
+walk, which keeps the gradient it does not use so that every kernel
+shares one state and one degenerate rule).
 
 The momentum q is a standard normal draw projected onto the tangent space
 at z, and the kinetic energy is K = ||q||^2 / 2. The volume-preserving,
 reversible geodesic leapfrog with the MH test leaves exp(-U(z) - K(q))
 invariant, whose z-marginal is exp(-U(z)).
 
-Kernels only need an energy object exposing ``potential(z)``,
-``value_and_grad(z)`` and ``margin_exceeds(z, t_minus)`` over the rows of
-z, so they can be validated against analytic stand-in targets
-independently of the kNN energy. No burn-in or step-size adaptation is
-performed here: chains are meant to roam, not to converge.
+Kernels only need an energy object exposing ``value_and_grad(z)`` and
+``margin_exceeds(z, t_minus)`` over the rows of z, so they can be
+validated against analytic stand-in targets independently of the kNN
+energy. No burn-in or step-size adaptation is performed here: chains are
+meant to roam, not to converge.
 """
 
 from __future__ import annotations
@@ -88,10 +89,9 @@ class ChainState:
 
     ``t_minus`` holds each chain's hard-margin threshold. ``potential``
     ((M,)) and ``grad`` ((M, d)) cache the energy at ``positions``: the
-    first ``advance`` fills them (``grad`` stays None for the random walk)
-    and every accepted proposal overwrites its row. A state therefore
-    belongs to the one energy it is advanced with; a caller that replaces
-    ``positions`` resets both fields to None.
+    first ``advance`` fills them and every accepted proposal overwrites its
+    row. A state therefore belongs to the one energy it is advanced with; a
+    caller that replaces ``positions`` resets both fields to None.
     """
 
     positions: np.ndarray
@@ -180,8 +180,6 @@ def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
 def _hamiltonian_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     """Momentum draws, MH uniforms, then one leapfrog trajectory per chain."""
     z = chains.positions
-    if chains.potential is None:
-        chains.potential, chains.grad = ctx.value_and_grad(z)
     q = draw_momentum(z, chains.rngs)
     uniforms = _uniforms(chains.rngs)
     z_prop, q_prop, u_prop, grad_prop, degenerate = _integrate(
@@ -195,16 +193,14 @@ def _hamiltonian_proposal(ctx, chains: ChainState, cfg: HmcConfig):
 def _random_walk_proposal(ctx, chains: ChainState, cfg: HmcConfig):
     """Gaussian-perturbation proposals re-projected to the sphere."""
     z = chains.positions
-    if chains.potential is None:
-        chains.potential = ctx.potential(z)
     g = _normals(chains.rngs, z.shape[-1])
     uniforms = _uniforms(chains.rngs)
     z_prop = normalize(z + cfg.step_size * g) if cfg.step_size > 0 else z.copy()
-    u_prop = ctx.potential(z_prop)
+    u_prop, grad_prop = ctx.value_and_grad(z_prop)
     # h_init is a copy: advance writes NaN into its degenerate rows
     h_init = chains.potential.copy()
     degenerate = np.isnan(h_init) | np.isnan(u_prop)
-    return z_prop, u_prop, None, h_init, u_prop, degenerate, uniforms
+    return z_prop, u_prop, grad_prop, h_init, u_prop, degenerate, uniforms
 
 
 def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
@@ -217,6 +213,8 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
     recorded as a rejection with NaN energies, alpha = 0 and the current
     position.
     """
+    if chains.potential is None:
+        chains.potential, chains.grad = ctx.value_and_grad(chains.positions)
     if cfg.variant is SamplerVariant.RANDOM_WALK:
         propose = _random_walk_proposal
     else:
@@ -232,6 +230,5 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
     accepted = mh_accept & margin_pass
     chains.positions[accepted] = z_prop[accepted]
     chains.potential[accepted] = u_prop[accepted]
-    if grad_prop is not None:
-        chains.grad[accepted] = grad_prop[accepted]
+    chains.grad[accepted] = grad_prop[accepted]
     return TransitionRecord(z_prop, h_init, h_prop, alpha, mh_accept, margin_pass, accepted)

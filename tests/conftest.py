@@ -32,8 +32,8 @@ def degenerate_store() -> IdSnapshot:
     """4 classes, d = 8, whose pair (0, 1) midpoint is buffered in classes 0 and 1.
 
     At k = 1 chains (0, 1) and (1, 0) started there sit on a neighbor of
-    each class: every proposal is degenerate for the Hamiltonian and the
-    random-walk kernels.
+    each class, and a chain of pair (0, 2) started there on a neighbor of
+    class 0 alone: for every kernel each of them is degenerate.
     """
     store = cluster_store(num_classes=4, dim=8, n_per_class=30, capacity=31, seed=17)
     mid = store.snapshot().midpoint(ClusterPair(0, 1))

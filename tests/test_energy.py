@@ -46,8 +46,9 @@ def test_ood_prob_unit_distances():
     n_u = np.array([0.5, np.sqrt(3) / 2, 0.0])
     n_v = np.array([0.5, -np.sqrt(3) / 2, 0.0])
     ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
-    assert np.isclose(math.exp(-ctx.potential(z)), 1.0, atol=1e-12)
-    assert np.isclose(ctx.potential(z), 0.0, atol=1e-12)
+    u, _ = ctx.value_and_grad(z)
+    assert np.isclose(math.exp(-u), 1.0, atol=1e-12)
+    assert np.isclose(u, 0.0, atol=1e-12)
 
 
 def test_ood_prob_zero_when_duplicated():
@@ -56,7 +57,7 @@ def test_ood_prob_zero_when_duplicated():
     ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
     for c in (0, 1):
         assert kth_neighbors(store.class_embeddings(c), z[None, :], 1)[0][0] == 0.0
-    assert math.isnan(ctx.potential(z))
+    assert math.isnan(ctx.value_and_grad(z)[0])
 
 
 def test_potential_negative_beyond_unit_distance():
@@ -68,7 +69,7 @@ def test_potential_negative_beyond_unit_distance():
         kappa=2.0,
     )
     z = np.eye(3)[0]
-    assert np.isclose(ctx.potential(z), -0.5 * math.log(2.0), atol=1e-12)
+    assert np.isclose(ctx.value_and_grad(z)[0], -0.5 * math.log(2.0), atol=1e-12)
 
 
 def test_ood_prob_matches_oracle_and_round_trips():
@@ -81,17 +82,20 @@ def test_ood_prob_matches_oracle_and_round_trips():
             oracle_knn_dist(store.class_embeddings(0), z, 5)
             + oracle_knn_dist(store.class_embeddings(1), z, 5)
         )
-        assert np.isclose(ctx.potential(z), -math.log(want), rtol=1e-12)
+        u, _ = ctx.value_and_grad(z)
+        assert np.isclose(u, -math.log(want), rtol=1e-12)
         # exp(-U) recovers the OOD-ness exactly
-        assert np.isclose(math.exp(-ctx.potential(z)), want, rtol=1e-12)
+        assert np.isclose(math.exp(-u), want, rtol=1e-12)
 
 
 def test_potential_pair_permutation_invariant():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=6).snapshot()
     z = normalize(np.ones(8))
-    u1 = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=3, kappa=2.0).potential(z)
-    u2 = EnergyContext(store=store, pairs=[ClusterPair(1, 0)], k=3, kappa=2.0).potential(z)
-    assert u1 == u2
+
+    def u(pair):
+        return EnergyContext(store=store, pairs=[pair], k=3, kappa=2.0).value_and_grad(z)[0]
+
+    assert u(ClusterPair(0, 1)) == u(ClusterPair(1, 0))
 
 
 def test_context_requires_k_entries():
@@ -258,7 +262,7 @@ def test_grad_scaled_mode_direction_and_magnitude():
         cos = g_scaled @ g_analytic / (np.linalg.norm(g_scaled) * np.linalg.norm(g_analytic))
         assert cos >= 0.999999
         ratio = np.linalg.norm(g_scaled) / np.linalg.norm(g_analytic)
-        want = 2.0 * math.exp(-ctx.potential(z)) ** 2
+        want = 2.0 * math.exp(-ctx.value_and_grad(z)[0]) ** 2
         assert abs(ratio - want) <= 1e-8 * want
 
 
@@ -269,8 +273,6 @@ def test_grad_degenerate_when_on_neighbor():
     value, grad = ctx.value_and_grad(z)
     assert math.isnan(value)
     assert not grad.any()
-    # only the p = 0 condition makes the potential itself degenerate
-    assert np.isfinite(ctx.potential(z))
 
 
 def test_rows_are_evaluated_against_their_own_pairs():

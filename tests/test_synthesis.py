@@ -269,13 +269,6 @@ class _LegacyEnergy:
         d_v, n_v = _legacy_knn_distance(self.store.class_embeddings(self.pair.v), z, self.k)
         return d_u, n_u, d_v, n_v
 
-    def potential(self, z):
-        d_u, _, d_v, _ = self._query(z)
-        p = 0.5 * (d_u + d_v)
-        if p == 0.0:
-            raise _LegacyDegenerate
-        return -math.log(p)
-
     def value_and_grad(self, z):
         d_u, n_u, d_v, n_v = self._query(z)
         if d_u == 0.0 or d_v == 0.0:
@@ -297,7 +290,7 @@ def _legacy_proposal(energy, z, rng, cfg):
         u = rng.uniform()
         z_prop = z + cfg.step_size * g
         z_prop = z_prop / float(np.linalg.norm(z_prop)) if cfg.step_size > 0 else z.copy()
-        return z_prop, energy.potential(z), energy.potential(z_prop), u
+        return z_prop, energy.value_and_grad(z)[0], energy.value_and_grad(z_prop)[0], u
     q0 = _legacy_tangent(rng.standard_normal(z.shape[0]), z)
     u = rng.uniform()
     eps = cfg.step_size
