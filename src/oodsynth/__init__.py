@@ -10,7 +10,6 @@ metrics. Everything runs at desk scale on plain numpy arrays.
 from .bench import (
     BenchConfig,
     OodTestSpec,
-    RunArtifacts,
     ablation_sweep,
     diversity_stds,
     generate_synthetic_id,
@@ -59,7 +58,6 @@ __all__ = [
     "OodTestSpec",
     "OutlierBatch",
     "QualityAngles",
-    "RunArtifacts",
     "SamplerVariant",
     "ScoreReport",
     "TransitionRecord",

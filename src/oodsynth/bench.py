@@ -264,12 +264,6 @@ class IterationResult:
     score_time_ms: float
 
 
-@dataclass
-class RunArtifacts:
-    iterations: list[IterationResult]
-    out_dir: Path | None
-
-
 def _iteration_row(res: IterationResult) -> dict:
     row = {
         "iteration": res.iteration,
@@ -302,15 +296,14 @@ def _synthesize(cfg: BenchConfig, snapshot: IdSnapshot, hmc: HmcConfig) -> Outli
     )
 
 
-def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
+def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResult]:
     """Execute the full loop for ``cfg.iterations`` iterations.
 
     When ``cfg.out_dir`` is set, artifacts are written there; whatever has
     been produced is flushed even if an iteration aborts.
     """
-    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if cfg.out_dir:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     store = generate_synthetic_id(cfg)
     centers = _cluster_centers(cfg)
     ss = np.random.SeedSequence(cfg.seed + 1)
@@ -373,18 +366,15 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> RunArtifacts:
                 )
             )
     finally:
-        if out_dir:
-            _flush_artifacts(cfg, results, out_dir, store, trace)
-    return RunArtifacts(iterations=results, out_dir=out_dir)
+        if cfg.out_dir:
+            _flush_artifacts(cfg, results, store, trace)
+    return results
 
 
 def _flush_artifacts(
-    cfg: BenchConfig,
-    results: list[IterationResult],
-    out_dir: Path,
-    store: IdStore,
-    trace: bool,
+    cfg: BenchConfig, results: list[IterationResult], store: IdStore, trace: bool
 ) -> None:
+    out_dir = Path(cfg.out_dir)
     cfg.save_json(out_dir / "config.json")
     rows = [_iteration_row(r) for r in results]
     if rows:
@@ -455,18 +445,19 @@ class SweepRow:
     synth_time_ms: float
 
 
-def ablation_sweep(
-    cfg: BenchConfig, axis: str, values, out_dir: str | Path | None = None
-) -> list[SweepRow]:
-    """One run per axis value under a shared seed; returns the merged table."""
+def ablation_sweep(cfg: BenchConfig, axis: str, values) -> list[SweepRow]:
+    """One run per axis value under a shared seed; returns the merged table.
+
+    When ``cfg.out_dir`` is set, the run for value v is written to
+    ``cfg.out_dir/{axis}_{v}`` and the table to ``cfg.out_dir/sweep.csv``.
+    """
     rows: list[SweepRow] = []
-    out_dir = Path(out_dir) if out_dir else None
     for value in values:
         sub = _apply_axis(cfg, axis, value)
-        if out_dir:
-            sub = dataclasses.replace(sub, out_dir=str(out_dir / f"{axis}_{value}"))
-        art = run_experiment(sub)
-        last = art.iterations[-1]
+        if cfg.out_dir:
+            sub = dataclasses.replace(sub, out_dir=str(Path(cfg.out_dir) / f"{axis}_{value}"))
+        results = run_experiment(sub)
+        last = results[-1]
         rows.append(
             SweepRow(
                 axis=axis,
@@ -476,12 +467,11 @@ def ablation_sweep(
                 aupr=last.report.aupr,
                 batch_size=len(last.batch),
                 mh_acceptance=round_summary(last.batch)["mh_acceptance"],
-                synth_time_ms=float(
-                    np.mean([r.synth_time_ms for r in art.iterations])
-                ),
+                synth_time_ms=float(np.mean([r.synth_time_ms for r in results])),
             )
         )
-    if out_dir:
+    if cfg.out_dir:
+        out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         names = [f.name for f in dataclasses.fields(SweepRow)]
         write_csv(out_dir / "sweep.csv", names, ([getattr(r, n) for n in names] for r in rows))

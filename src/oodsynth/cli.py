@@ -9,6 +9,9 @@ Subcommands:
 
 Every flag mirrors a BenchConfig field; ``--config FILE`` supplies a JSON
 document with any subset of fields, and explicit flags override the file.
+``--out-dir`` (the ``out_dir`` field) is where ``run`` writes its artifacts
+(default ``runs/latest``) and where ``sweep`` writes one run directory per
+value, named ``{axis}_{value}``, plus ``sweep.csv`` (default ``runs/sweep``).
 Exit codes: 0 success, 2 config error (including an output path that
 cannot be written), 3 data error, 4 numerical failure.
 """
@@ -127,11 +130,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if cfg.out_dir is None:
         cfg = dataclasses.replace(cfg, out_dir="runs/latest")
-    art = run_experiment(cfg, trace=args.trace)
-    last = art.iterations[-1]
+    last = run_experiment(cfg, trace=args.trace)[-1]
     print(
         f"run complete: {cfg.iterations} iterations, final fpr95={last.report.fpr95:.4f} "
-        f"auroc={last.report.auroc:.4f} aupr={last.report.aupr:.4f} -> {art.out_dir}"
+        f"auroc={last.report.auroc:.4f} aupr={last.report.aupr:.4f} -> {cfg.out_dir}"
     )
     return 0
 
@@ -141,14 +143,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise BadConfigError(f"sweep axis {args.axis!r} got no values from {args.values!r}")
-    out_dir = args.sweep_dir or (Path(cfg.out_dir) if cfg.out_dir else Path("runs/sweep"))
-    rows = ablation_sweep(cfg, args.axis, values, out_dir=out_dir)
+    if cfg.out_dir is None:
+        cfg = dataclasses.replace(cfg, out_dir="runs/sweep")
+    rows = ablation_sweep(cfg, args.axis, values)
     for r in rows:
         print(
             f"{r.axis}={r.value}: fpr95={r.fpr95:.4f} auroc={r.auroc:.4f} "
             f"aupr={r.aupr:.4f} synth={r.synth_time_ms:.1f}ms"
         )
-    print(f"sweep table -> {Path(out_dir) / 'sweep.csv'}")
+    print(f"sweep table -> {Path(cfg.out_dir) / 'sweep.csv'}")
     return 0
 
 
@@ -234,7 +237,6 @@ def make_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sweep.add_argument("--sweep-dir", help="directory for per-value runs and sweep.csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_score = sub.add_parser("score", help="compute metrics from score files")

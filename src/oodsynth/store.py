@@ -115,11 +115,6 @@ class IdSnapshot:
             raise PrototypeUndefinedError(f"prototype of class {class_id} was never updated")
         return self.prototypes[class_id]
 
-    def class_embeddings(self, class_id: int) -> np.ndarray:
-        """Buffered embeddings of one class, oldest first (a read-only view)."""
-        _check_class(class_id, self.num_classes)
-        return self.embeddings[self.offsets[class_id] : self.offsets[class_id + 1]]
-
     def class_offsets(self) -> np.ndarray:
         """``offsets``; the FLOP counter in ``perfbench/layers.py`` reads it by this name."""
         return self.offsets

@@ -28,6 +28,11 @@ def cluster_store(
     return store
 
 
+def class_rows(snapshot: IdSnapshot, class_id: int) -> np.ndarray:
+    """The buffered rows of one class, oldest first: a slice of ``embeddings``."""
+    return snapshot.embeddings[snapshot.offsets[class_id] : snapshot.offsets[class_id + 1]]
+
+
 def degenerate_store() -> IdSnapshot:
     """4 classes, d = 8, whose pair (0, 1) midpoint is buffered in classes 0 and 1.
 

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import class_rows
 from oodsynth.bench import BenchConfig, diversity_stds, generate_synthetic_id, sample_vmf
 from oodsynth.energy import EnergyContext, neg_log_max_id_prob, passes_margin
 from oodsynth.metrics import aupr, auroc, fpr_at_tpr95, knn_scores, kth_neighbors
@@ -106,7 +107,7 @@ def test_criterion_2_gradient_suite():
     for d in (4, 16, 64):
         for _ in range(34):
             ctx, z = _random_energy_instance(d, rng)
-            emb_u, emb_v = ctx.store.class_embeddings(0), ctx.store.class_embeddings(1)
+            emb_u, emb_v = class_rows(ctx.store, 0), class_rows(ctx.store, 1)
             n_u = emb_u[kth_neighbors(emb_u, z[None, :], ctx.k)[1][0]]
             n_v = emb_v[kth_neighbors(emb_v, z[None, :], ctx.k)[1][0]]
             g_analytic = dataclasses.replace(ctx, grad_mode="analytic").value_and_grad(z)[1]
@@ -385,7 +386,7 @@ def test_criterion_8_oracle_equivalences():
         store = IdStore(2, d, capacity=n)
         for _ in range(n):
             store.insert(0, normalize(rng.standard_normal(d)))
-        emb = store.snapshot().class_embeddings(0)
+        emb = class_rows(store.snapshot(), 0)
         z = normalize(rng.standard_normal(d))
         k = int(rng.integers(1, n + 1))
         (dist,), (index,) = kth_neighbors(emb, z[None, :], k)

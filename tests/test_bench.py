@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import class_rows
 from oodsynth.bench import (
     BenchConfig,
     OodTestSpec,
@@ -88,7 +89,7 @@ def test_generate_synthetic_id_deterministic():
     a = generate_synthetic_id(SMALL).snapshot()
     b = generate_synthetic_id(SMALL).snapshot()
     for c in range(SMALL.num_classes):
-        assert np.array_equal(a.class_embeddings(c), b.class_embeddings(c))
+        assert np.array_equal(class_rows(a, c), class_rows(b, c))
         assert np.array_equal(a.prototype(c), b.prototype(c))
 
 
@@ -128,30 +129,30 @@ def test_effective_clipping():
 
 
 def test_minimal_run_completes_and_writes_artifacts(tmp_path):
-    cfg = dataclasses.replace(SMALL, out_dir=str(tmp_path / "run"))
-    art = run_experiment(cfg, trace=True)
-    assert len(art.iterations) == 1
-    assert len(art.iterations[0].batch) > 0
+    run_dir = tmp_path / "run"
+    results = run_experiment(dataclasses.replace(SMALL, out_dir=str(run_dir)), trace=True)
+    assert len(results) == 1
+    assert len(results[0].batch) > 0
     for name in (
         "config.json", "metrics.csv", "batches.jsonl", "scores_final.json",
         "timings.json", "store.idstore", "trace.jsonl",
     ):
-        assert (art.out_dir / name).exists(), name
-    lines = (art.out_dir / "batches.jsonl").read_text().splitlines()
+        assert (run_dir / name).exists(), name
+    lines = (run_dir / "batches.jsonl").read_text().splitlines()
     batches = [json.loads(line) for line in lines]
     assert len(batches) == 1
-    assert len(batches[0]["samples"]) == len(art.iterations[0].batch)
-    report = art.iterations[-1].report
+    assert len(batches[0]["samples"]) == len(results[0].batch)
+    report = results[-1].report
     assert 0.0 <= report.auroc <= 1.0
 
 
 def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
-    cfg = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "run"))
-    art = run_experiment(cfg, trace=True)
-    with open(art.out_dir / "metrics.csv", newline="") as fh:
+    cfg = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path))
+    results = run_experiment(cfg, trace=True)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    for row, res in zip(rows, art.iterations):
+    for row, res in zip(rows, results):
         chains = len(res.batch.chains)
         counts = [
             int(row[key])
@@ -160,9 +161,9 @@ def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
         assert sum(counts) == chains * cfg.hmc.rounds
         assert int(row["skipped_pairs"]) == len(res.batch.skipped) == 0
     # the trace of the last batch gives the same counts as its metrics row
-    lines = (art.out_dir / "trace.jsonl").read_text().splitlines()
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines()
     trace = [json.loads(line) for line in lines]
-    assert len(trace) == len(art.iterations[-1].batch.chains) * cfg.hmc.rounds
+    assert len(trace) == len(results[-1].batch.chains) * cfg.hmc.rounds
     degenerate = [t["h_init"] is None for t in trace]
     want = {
         "batch_size": sum(t["accepted"] for t in trace),
@@ -174,9 +175,9 @@ def test_metrics_csv_counts_why_rounds_were_rejected(tmp_path):
 
 
 def test_config_echo_reproduces_config(tmp_path):
-    cfg = dataclasses.replace(SMALL, out_dir=str(tmp_path / "run"))
-    art = run_experiment(cfg)
-    assert BenchConfig.load_json(art.out_dir / "config.json") == cfg
+    cfg = dataclasses.replace(SMALL, out_dir=str(tmp_path))
+    run_experiment(cfg)
+    assert BenchConfig.load_json(tmp_path / "config.json") == cfg
 
 
 def test_partial_artifacts_flushed_on_abort(tmp_path, monkeypatch):
@@ -248,7 +249,7 @@ def test_run_with_an_empty_batch_writes_nan_batch_scores(tmp_path):
     cfg = dataclasses.replace(
         SMALL, delta=0.0, hmc=HmcConfig(step_size=0.0), out_dir=str(tmp_path)
     )
-    (res,) = run_experiment(cfg).iterations
+    (res,) = run_experiment(cfg)
     assert len(res.batch) == 0 and res.batch_scores.shape == (0,)
     with open(tmp_path / "metrics.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
@@ -280,31 +281,59 @@ def test_bad_config_files_raise_config_errors(tmp_path):
 def test_runs_are_bit_exact(tmp_path):
     cfg_a = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "a"))
     cfg_b = dataclasses.replace(SMALL, iterations=2, out_dir=str(tmp_path / "b"))
-    art_a = run_experiment(cfg_a, trace=True)
-    art_b = run_experiment(cfg_b, trace=True)
+    run_experiment(cfg_a, trace=True)
+    run_experiment(cfg_b, trace=True)
     for name in (
         "metrics.csv", "batches.jsonl", "scores_final.json", "round_scores.csv", "store.idstore",
         "trace.jsonl",
     ):
-        assert (art_a.out_dir / name).read_bytes() == (art_b.out_dir / name).read_bytes(), name
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a stock run and a criterion-10 synthesis, each under one and two OpenBLAS threads
+    env = os.environ | {"PYTHONPATH": str(Path(oodsynth.__file__).resolve().parents[1])}
+    criterion_10 = ["--dim", "128", "--points-per-class", "1000", "--cluster-kappa", "60"]
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (
+            ["run", "--trace", "--iterations", "2", "--out-dir", str(out)],
+            ["synth", *criterion_10, "--out", str(out / "b.json"), "--trace", str(out / "t.jsonl")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "oodsynth", *argv],
+                env=env | {"OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+    names = [
+        "batches.jsonl", "metrics.csv", "scores_final.json", "round_scores.csv", "trace.jsonl",
+        "store.idstore", "b.json", "t.jsonl",
+    ]
+    one, two = tmp_path / "1", tmp_path / "2"
+    assert [n for n in names if (one / n).read_bytes() != (two / n).read_bytes()] == []
 
 
 def test_detector_separates_synthetic_ood():
     cfg = dataclasses.replace(SMALL, num_classes=4, n_adj=2, iterations=2, cluster_kappa=50.0)
-    art = run_experiment(cfg)
-    assert art.iterations[-1].report.auroc >= 0.9  # uniform OOD is far from tight clusters
+    assert run_experiment(cfg)[-1].report.auroc >= 0.9  # uniform OOD is far from tight clusters
 
 
-def test_sweep_single_value_matches_run(tmp_path):
+def test_sweep_single_value_matches_run():
     rows = ablation_sweep(SMALL, "eps", [SMALL.hmc.step_size])
-    art = run_experiment(SMALL)
-    assert rows[0].fpr95 == art.iterations[-1].report.fpr95
-    assert rows[0].auroc == art.iterations[-1].report.auroc
+    last = run_experiment(SMALL)[-1]
+    assert rows[0].fpr95 == last.report.fpr95
+    assert rows[0].auroc == last.report.auroc
 
 
 def test_sweep_writes_merged_csv(tmp_path):
-    rows = ablation_sweep(SMALL, "L", [1, 3], out_dir=tmp_path / "sweep")
-    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+    out_dir = tmp_path / "sweep"
+    rows = ablation_sweep(dataclasses.replace(SMALL, out_dir=str(out_dir)), "L", [1, 3])
+    for steps in (1, 3):
+        doc = json.loads((out_dir / f"L_{steps}" / "config.json").read_text())
+        assert doc["hmc"]["leapfrog_steps"] == steps
+    with open(out_dir / "sweep.csv", newline="") as fh:
         reader = csv.DictReader(fh)
         lines = list(reader)
     assert reader.fieldnames == [f.name for f in dataclasses.fields(SweepRow)]
@@ -356,9 +385,9 @@ def test_default_benchmark_ten_iterations_under_a_minute():
     import time
 
     t0 = time.perf_counter()
-    art = run_experiment(BenchConfig())  # C=10, d=16, B=500, 10 iterations
+    results = run_experiment(BenchConfig())  # C=10, d=16, B=500, 10 iterations
     elapsed = time.perf_counter() - t0
-    assert len(art.iterations) == 10
+    assert len(results) == 10
     assert elapsed < 60.0
 
 
@@ -366,9 +395,9 @@ def test_default_benchmark_ten_iterations_under_a_minute():
 
 
 def test_timings_hold_one_synth_and_one_score_time_per_iteration(tmp_path):
-    cfg = dataclasses.replace(SMALL, iterations=3, out_dir=str(tmp_path / "run"))
-    art = run_experiment(cfg)
-    timings = json.loads((art.out_dir / "timings.json").read_text())
+    cfg = dataclasses.replace(SMALL, iterations=3, out_dir=str(tmp_path))
+    run_experiment(cfg)
+    timings = json.loads((tmp_path / "timings.json").read_text())
     for key in ("synth_time_ms", "score_time_ms"):
         assert len(timings[key]) == cfg.iterations, key
         assert all(ms > 0.0 for ms in timings[key]), key
@@ -549,7 +578,7 @@ def test_cli_run_missing_config_exit_code(tmp_path, capsys):
     [("k", "abc"), ("L", "2.5"), ("variant", "bogus"), ("variant", "rmhmc"), ("eps", ",")],
 )
 def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
-    argv = ["sweep", "--axis", axis, "--values", value, "--sweep-dir", str(tmp_path / "sweep")]
+    argv = ["sweep", "--axis", axis, "--values", value, "--out-dir", str(tmp_path / "sweep")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(axis) in err and repr(value) in err
@@ -610,7 +639,7 @@ def test_cli_synth_clips_n_adj_by_the_store_classes(tmp_path):
         ("score", "--out", "missing/r.json"),
         ("score", "--csv", "missing/r.csv"),
         ("run", "--out-dir", "file/run"),
-        ("sweep", "--sweep-dir", "file/sw"),
+        ("sweep", "--out-dir", "file/sw"),
     ],
 )
 def test_cli_unwritable_output_exit_code(tmp_path, capsys, command, option, target):
@@ -691,11 +720,19 @@ def test_cli_malformed_config_value_exit_code(tmp_path, capsys, command, option,
     assert err.startswith("config error") and re.search(rf"\b{name}\b", err), err
 
 
-def test_cli_removed_variant_flag_exit_code(capsys):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--variant", "rmhmc"], "invalid choice: 'rmhmc'"),
+        (["sweep", "--axis", "L", "--values", "1", "--sweep-dir", "X"], "--sweep-dir"),
+    ],
+    ids=["variant-rmhmc", "sweep-dir"],
+)
+def test_cli_removed_variant_flag_exit_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--variant", "rmhmc"])
+        main(argv)
     assert exc.value.code == 2
-    assert "invalid choice: 'rmhmc'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_data_error_exit_code(tmp_path):

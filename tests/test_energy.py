@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cluster_store
+from conftest import class_rows, cluster_store
 from oodsynth import blas
 from oodsynth.energy import (
     EnergyContext,
@@ -56,7 +56,7 @@ def test_ood_prob_zero_when_duplicated():
     store = two_point_store(z, z)
     ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
     for c in (0, 1):
-        assert kth_neighbors(store.class_embeddings(c), z[None, :], 1)[0][0] == 0.0
+        assert kth_neighbors(class_rows(store, c), z[None, :], 1)[0][0] == 0.0
     assert math.isnan(ctx.value_and_grad(z)[0])
 
 
@@ -79,8 +79,8 @@ def test_ood_prob_matches_oracle_and_round_trips():
     for _ in range(10):
         z = normalize(rng.standard_normal(8))
         want = 0.5 * (
-            oracle_knn_dist(store.class_embeddings(0), z, 5)
-            + oracle_knn_dist(store.class_embeddings(1), z, 5)
+            oracle_knn_dist(class_rows(store, 0), z, 5)
+            + oracle_knn_dist(class_rows(store, 1), z, 5)
         )
         u, _ = ctx.value_and_grad(z)
         assert np.isclose(u, -math.log(want), rtol=1e-12)
@@ -132,7 +132,7 @@ def per_class_pair_query(ctx, zs):
     nbrs = np.empty_like(queries)
     for c in np.unique(classes).tolist():
         sel = np.flatnonzero(classes == c)
-        emb = store.class_embeddings(c)
+        emb = class_rows(store, c)
         dist[sel], local = kth_neighbors(emb, queries[sel], ctx.k)
         idx[sel] = store.offsets[c] + local
         nbrs[sel] = emb[local]
@@ -163,12 +163,12 @@ def test_pair_query_equals_per_class_kth_neighbors(counts, k):
     pairs = [ClusterPair(u, v) for u in range(c) for v in range(c) if u != v]
     rng = np.random.default_rng(k)
     zs = normalize(rng.standard_normal((len(pairs), 8)))
-    zs[0] = store.class_embeddings(pairs[0].u)[0]  # on a buffered row
-    zs[1] = store.class_embeddings(pairs[1].v)[-1]  # on a duplicate
+    zs[0] = class_rows(store, pairs[0].u)[0]  # on a buffered row
+    zs[1] = class_rows(store, pairs[1].v)[-1]  # on a duplicate
     ctx = EnergyContext(store=store, pairs=pairs, k=k, kappa=2.0)
     assert_pair_query_matches_per_class(ctx, zs)
     # every row on a buffered point of its pair's u-class
-    on_rows = [store.class_embeddings(p.u)[i % store.count(p.u)] for i, p in enumerate(pairs)]
+    on_rows = [class_rows(store, p.u)[i % store.count(p.u)] for i, p in enumerate(pairs)]
     assert_pair_query_matches_per_class(ctx, np.array(on_rows))
 
 
@@ -280,7 +280,7 @@ def test_rows_are_evaluated_against_their_own_pairs():
     pairs = [ClusterPair(0, 1), ClusterPair(2, 0), ClusterPair(1, 2), ClusterPair(0, 1)]
     rng = np.random.default_rng(6)
     zs = normalize(rng.standard_normal((4, 8)))
-    zs[3] = store.class_embeddings(1)[4]  # on a buffered point of class 1: degenerate
+    zs[3] = class_rows(store, 1)[4]  # on a buffered point of class 1: degenerate
     ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
     values, grads = ctx.value_and_grad(zs)
     assert values.shape == (4,) and grads.shape == (4, 8)
@@ -289,8 +289,8 @@ def test_rows_are_evaluated_against_their_own_pairs():
         value, grad = one.value_and_grad(zs[i])
         assert abs(values[i] - value) <= 1e-15
         assert np.array_equal(grads[i], grad)
-        (d_u,), _ = kth_neighbors(store.class_embeddings(pair.u), zs[i : i + 1], 1)
-        (d_v,), _ = kth_neighbors(store.class_embeddings(pair.v), zs[i : i + 1], 1)
+        (d_u,), _ = kth_neighbors(class_rows(store, pair.u), zs[i : i + 1], 1)
+        (d_v,), _ = kth_neighbors(class_rows(store, pair.v), zs[i : i + 1], 1)
         assert abs(values[i] + math.log(0.5 * (d_u + d_v))) <= 1e-12
     assert math.isnan(values[3]) and not grads[3].any()
 
@@ -312,7 +312,7 @@ def brute_force_id_prob(store, z, const=1.0):
     """Softmax of the per-class KDE values, summing const * exp(2 mu^T z) directly (kappa = 2)."""
     raw = np.array(
         [
-            const * np.mean(np.exp(2.0 * (store.class_embeddings(c) @ z)))
+            const * np.mean(np.exp(2.0 * (class_rows(store, c) @ z)))
             for c in range(store.num_classes)
         ]
     )

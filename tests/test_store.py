@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import cluster_store
+from conftest import class_rows, cluster_store
 from oodsynth.errors import (
     AntipodalPrototypesError,
     BadArgError,
@@ -33,7 +33,7 @@ def brute_force_knn(embeddings: np.ndarray, z: np.ndarray, k: int) -> tuple[floa
 
 def class_kth_neighbor(store: IdStore, class_id: int, z: np.ndarray, k: int):
     """(distance, neighbor) of z's k-th neighbor in one class of the store's snapshot."""
-    emb = store.snapshot().class_embeddings(class_id)
+    emb = class_rows(store.snapshot(), class_id)
     dist, idx = kth_neighbors(emb, z[None, :], k)
     return float(dist[0]), emb[idx[0]]
 
@@ -47,7 +47,7 @@ def test_insert_into_empty_buffer():
     store.insert(0, z)
     snap = store.snapshot()
     assert snap.count(0) == 1
-    assert np.array_equal(snap.class_embeddings(0)[0], z)
+    assert np.array_equal(class_rows(snap, 0)[0], z)
 
 
 def test_fifo_eviction_keeps_last_two_in_order():
@@ -55,7 +55,7 @@ def test_fifo_eviction_keeps_last_two_in_order():
     a, b, c = unit([1, 0]), unit([0, 1]), unit([1, 1])
     for z in (a, b, c):
         store.insert(0, z)
-    emb = store.snapshot().class_embeddings(0)
+    emb = class_rows(store.snapshot(), 0)
     assert np.array_equal(emb, np.stack([b, c]))
 
 
@@ -74,7 +74,7 @@ def test_eviction_preserves_most_recent_in_order():
     inserted = [unit(rng.standard_normal(3)) for _ in range(13)]
     for z in inserted:
         store.insert(1, z)
-    assert np.array_equal(store.snapshot().class_embeddings(1), np.stack(inserted[-cap:]))
+    assert np.array_equal(class_rows(store.snapshot(), 1), np.stack(inserted[-cap:]))
 
 
 def test_insert_errors():
@@ -110,7 +110,7 @@ def test_insert_with_a_bad_row_leaves_the_store_unchanged():
         store.insert(2, rows[:2])
     snap = store.snapshot()
     assert (snap.count(0), snap.count(1)) == (0, 1)
-    assert np.array_equal(snap.class_embeddings(1), [unit([0, 1, 0])])
+    assert np.array_equal(class_rows(snap, 1), [unit([0, 1, 0])])
 
 
 def test_insert_takes_a_block_or_one_row():
@@ -120,7 +120,7 @@ def test_insert_takes_a_block_or_one_row():
     store.insert(0, unit([1, 1, 0]))
     want = np.concatenate([block, [unit([1, 1, 0])]])
     block[0] = unit([1, 1, 1])  # the store keeps its own copy
-    assert np.array_equal(store.snapshot().class_embeddings(0), want)
+    assert np.array_equal(class_rows(store.snapshot(), 0), want)
 
 
 @pytest.mark.parametrize("batches", [[3], [5], [7], [2, 3], [4, 13], [1, 2, 17, 1]])
@@ -141,7 +141,7 @@ def test_block_insert_equals_row_by_row_insert(tmp_path, batches):
     block_snap, row_snap = by_block.snapshot(), by_row.snapshot()
     for c in range(2):
         assert block_snap.count(c) == row_snap.count(c)
-        assert np.array_equal(block_snap.class_embeddings(c), row_snap.class_embeddings(c))
+        assert np.array_equal(class_rows(block_snap, c), class_rows(row_snap, c))
         by_block.update_prototype(c, np.ones(4))
         by_row.update_prototype(c, np.ones(4))
     by_block.save(tmp_path / "block.idstore")
@@ -228,7 +228,7 @@ def test_knn_matches_brute_force_oracle():
     store = IdStore(2, 16, capacity=200)
     for _ in range(200):
         store.insert(0, unit(rng.standard_normal(16)))
-    emb = store.snapshot().class_embeddings(0)
+    emb = class_rows(store.snapshot(), 0)
     for trial in range(20):
         z = unit(rng.standard_normal(16))
         k = int(rng.integers(1, 31))
@@ -243,7 +243,7 @@ def test_knn_matches_oracle_at_two_thousand_entries():
     store = IdStore(2, 8, capacity=2000)
     for _ in range(2000):
         store.insert(0, unit(rng.standard_normal(8)))
-    emb = store.snapshot().class_embeddings(0)
+    emb = class_rows(store.snapshot(), 0)
     for k in (1, 200, 1999, 2000):
         z = unit(rng.standard_normal(8))
         dist, neighbor = class_kth_neighbor(store, 0, z, k)
@@ -369,14 +369,13 @@ def test_cluster_pair_validates():
 
 def test_snapshot_is_independent(small_store):
     snap = small_store.snapshot()
-    before = snap.class_embeddings(0).copy()
+    before = class_rows(snap, 0).copy()
     small_store.insert(0, unit(np.ones(small_store.dim)))
     small_store.update_prototype(0, np.ones(small_store.dim))
-    assert np.array_equal(snap.class_embeddings(0), before)
+    assert np.array_equal(class_rows(snap, 0), before)
     # nothing a snapshot hands out can be written through
     for name, array in [
         ("embeddings", snap.embeddings),
-        ("class_embeddings", snap.class_embeddings(0)),
         ("prototypes", snap.prototypes),
         ("prototype", snap.prototype(0)),
         ("offsets", snap.offsets),
@@ -387,7 +386,7 @@ def test_snapshot_is_independent(small_store):
         assert not array.flags.writeable, name
     with pytest.raises(dataclasses.FrozenInstanceError):
         snap.embeddings = before
-    assert np.array_equal(snap.class_embeddings(0), before)
+    assert np.array_equal(class_rows(snap, 0), before)
 
 
 def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store):

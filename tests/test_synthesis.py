@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from conftest import cluster_store, degenerate_store
+from conftest import class_rows, cluster_store, degenerate_store
 from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.energy import passes_margin
 from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
@@ -265,8 +265,8 @@ class _LegacyEnergy:
         self.store, self.pair, self.k, self.grad_mode = store, pair, k, grad_mode
 
     def _query(self, z):
-        d_u, n_u = _legacy_knn_distance(self.store.class_embeddings(self.pair.u), z, self.k)
-        d_v, n_v = _legacy_knn_distance(self.store.class_embeddings(self.pair.v), z, self.k)
+        d_u, n_u = _legacy_knn_distance(class_rows(self.store, self.pair.u), z, self.k)
+        d_v, n_v = _legacy_knn_distance(class_rows(self.store, self.pair.v), z, self.k)
         return d_u, n_u, d_v, n_v
 
     def value_and_grad(self, z):
