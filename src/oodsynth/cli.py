@@ -158,7 +158,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _read_scores(path: Path, key: str) -> np.ndarray:
     """Scores from a JSON array, a JSON object's ``key`` array, or a CSV first column.
 
-    A CSV file may start with one header line; any later row whose first
+    A JSON element that is a bool or a string is an error, not a score. A
+    CSV file may start with one header line; any later row whose first
     cell is not a number is an error, never a silently dropped score.
     """
     try:
@@ -174,6 +175,10 @@ def _read_scores(path: Path, key: str) -> np.ndarray:
             if key not in doc:
                 raise DataError(f"{path} has no {key!r} key")
             doc = doc[key]
+        # numpy would read true as 1.0 and "0.1" as 0.1
+        for value in doc if isinstance(doc, list) else ():
+            if isinstance(value, (bool, str)):
+                raise DataError(f"{path}: {key} holds {json.dumps(value)}, not a number")
         try:
             scores = np.asarray(doc, dtype=float)
         except (TypeError, ValueError) as err:

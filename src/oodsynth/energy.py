@@ -49,7 +49,7 @@ import numpy as np
 
 from . import blas
 from .errors import BadArgError, EmptyBufferError, InsufficientDataError
-from .metrics import select_kth, shifted_logsumexp
+from .metrics import select_kth, shifted_logsumexp, tie_window
 from .store import ClusterPair, IdSnapshot
 
 
@@ -153,8 +153,11 @@ class EnergyContext:
                 block += sq_norms
                 ranking[sel, : end - first] = block
                 firsts[sel] = first
-        sq_max = store.sq_norms.max()  # over every class: a window only widens
-        dist, idx = select_kth(ranking, self.k, store.embeddings, queries, sq_max, firsts)
+        window = tie_window(store.sq_norms.max(), queries)  # over every class: it only widens
+        idx = select_kth(
+            ranking, np.empty_like(ranking), self.k, window, store.embeddings, queries, firsts
+        )
+        dist = np.linalg.norm(store.embeddings[idx] - queries, axis=1)
         return dist.reshape(2, m), idx.reshape(2, m)
 
     def value_and_grad(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,10 @@ from . import blas
 from .errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 
 MIN_CALIBRATION_SCORES = 20
-# elements per kNN block temporary (512 KB of float64): query rows per block
-# = this // N. 2**17 was as fast but raised a stock run's peak RSS by 1-2 MB.
+# elements per kNN block buffer (512 KB of float64; the ranking and its
+# scratch copy are two): query rows per block = this // N. With both buffers
+# reused, 2**17 was within noise of it on a stock run and raised its peak
+# RSS by 0.4 MB.
 KNN_BLOCK_ELEMENTS = 2**16
 
 
@@ -48,13 +50,12 @@ def kth_neighbors(
 
     ``sq_norms`` are the reference rows' squared norms (``IdSnapshot``
     keeps them); they are computed here when not given. Query rows go in
-    blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows. Each block ranks
-    the reference through one GEMM and the expansion
-    ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2, leaving out ||q||^2, which
+    blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows. Each block's GEMM
+    writes the expansion ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2 into one
+    ranking buffer that every block reuses, leaving out ||q||^2, which
     shifts a whole row and so cannot change its order, and ``select_kth``
-    picks the k-th of each row: a row whose (k-1)-th or (k+1)-th value
-    lies within the expansion's rounding window of its k-th takes the k-th
-    of the exact norms of every candidate in that window instead. The
+    picks the k-th of each row. The near-tie windows and the exact
+    distances of the picked rows are computed once for all queries. The
     GEMMs run on one BLAS thread (see ``blas``).
     """
     reference = np.asarray(reference, dtype=float)
@@ -64,74 +65,89 @@ def kth_neighbors(
         raise BadArgError(f"k must be >= 1, got {k}")
     if n < k:
         raise InsufficientDataError(f"reference holds {n} embeddings, fewer than k={k}")
+    if queries.shape[0] == 0:  # an empty batch's positions are (0, 0)
+        return np.empty(0), np.empty(0, dtype=np.intp)
     if sq_norms is None:
         sq_norms = np.einsum("ij,ij->i", reference, reference)
-    sq_max = float(sq_norms.max())
+    window = tie_window(float(sq_norms.max()), queries)
     block = max(1, KNN_BLOCK_ELEMENTS // n)
-    distances = np.empty(queries.shape[0])
+    ranking = np.empty((min(block, queries.shape[0]), n))
+    scratch = np.empty_like(ranking)
     indices = np.empty(queries.shape[0], dtype=np.intp)
     with blas.one_thread():
         for start in range(0, queries.shape[0], block):
             q = queries[start : start + block]
-            ranking = (-2.0 * q) @ reference.T
-            ranking += sq_norms
             stop = start + q.shape[0]
-            distances[start:stop], indices[start:stop] = select_kth(
-                ranking, k, reference, q, sq_max
+            block_ranking = ranking[: q.shape[0]]
+            np.matmul(-2.0 * q, reference.T, out=block_ranking)
+            block_ranking += sq_norms
+            indices[start:stop] = select_kth(
+                block_ranking, scratch[: q.shape[0]], k, window[start:stop], reference, q
             )
-    return distances, indices
+    return np.linalg.norm(reference[indices] - queries, axis=1), indices
+
+
+def tie_window(sq_max: float, queries: np.ndarray) -> np.ndarray:
+    """Half-width of each query row's near-tie window in a ``select_kth`` ranking.
+
+    ``sq_max`` is at least the largest ||r||^2 ranked; a larger value only
+    widens the window. The expansion's rounding error is ~1e-15 of the
+    scale ||r||^2 + ||q||^2, and the window is 1e-9 of it.
+    """
+    return 1e-9 * (sq_max + np.einsum("ij,ij->i", queries, queries) + 1.0)
 
 
 def select_kth(
     ranking: np.ndarray,
+    scratch: np.ndarray,
     k: int,
+    window: np.ndarray,
     reference: np.ndarray,
     queries: np.ndarray,
-    sq_max: float,
     first: int | np.ndarray = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k-th neighbor of every row of a ranking matrix: (distances, reference rows).
+) -> np.ndarray:
+    """Reference row of the exact k-th neighbor of every row of a ranking matrix.
 
     Column j of row i ranks reference row ``first[i] + j`` (``first`` may
     be a scalar) against ``queries[i]`` by ||r||^2 - 2 r.q; columns past a
     row's reference hold ``+inf``, and every row has at least k finite
-    entries. ``sq_max`` is at least the largest ||r||^2 ranked; a larger
-    value only widens the window below. One ``argpartition`` at k leaves
-    the k smallest values of a row in front, so their maximum is the k-th,
-    the runner-up the (k-1)-th, and position k the (k+1)-th. The expansion can misorder
-    values within its rounding error of each other, so a row whose
-    (k-1)-th or (k+1)-th lies within a window around its k-th takes the
-    k-th, in (exact distance, index) order, of the exact norms of every
-    candidate in that window, offset by the count below the window. Every
-    other row's k-th is unique, and its distance is recomputed directly.
+    entries. ``window`` is each row's ``tie_window``. The k-th neighbor's
+    distance is ``norm(reference[row] - queries[i])``, and callers compute
+    it for all their rows at once.
+
+    ``scratch``, of the ranking's shape, receives a copy that one value
+    ``partition`` at k reorders in place: the k smallest values of a row
+    come first, so their maximum is the k-th, the runner-up the (k-1)-th,
+    and position k the (k+1)-th. ``ranking`` itself is left unchanged.
+    The expansion can misorder values within its rounding error of each
+    other, so a row whose (k-1)-th or (k+1)-th lies within the window
+    around its k-th takes the k-th, in (exact distance, index) order, of
+    the exact norms of every candidate in that window, offset by the count
+    below the window. On every other row no other value equals the k-th,
+    so the first column that holds it is its only column.
     """
     rows = np.arange(ranking.shape[0])
+    np.copyto(scratch, ranking)
     if k < ranking.shape[1]:
-        order = np.argpartition(ranking, k, axis=1)
-        after = ranking[rows, order[:, k]]
-        head = order[:, :k]
+        scratch.partition(k, axis=1)
+        after = scratch[:, k]
     else:
         after = np.full(ranking.shape[0], np.inf)
-        head = np.broadcast_to(np.arange(k), (ranking.shape[0], k))
-    smallest = np.take_along_axis(ranking, head, axis=1)
-    at = np.argmax(smallest, axis=1)
-    idx = head[rows, at]
-    kth = smallest[rows, at]
-    smallest[rows, at] = -np.inf
-    before = smallest.max(axis=1)  # -inf when k = 1
-    # the expansion's rounding error is ~1e-15 of this scale
-    window = 1e-9 * (sq_max + np.einsum("ij,ij->i", queries, queries) + 1.0)
+    head = scratch[:, :k]
+    at = np.argmax(head, axis=1)
+    kth = head[rows, at]
+    head[rows, at] = -np.inf
+    before = head.max(axis=1)  # -inf when k = 1
+    idx = np.argmax(ranking == kth[:, None], axis=1)
     lo = kth - window
     hi = kth + window
     first = np.broadcast_to(first, rows.shape)
-    dist = np.linalg.norm(reference[first + idx] - queries, axis=1)
     for i in np.flatnonzero((before >= lo) | (after <= hi)):
         below = np.count_nonzero(ranking[i] < lo[i])
         near = np.flatnonzero((ranking[i] >= lo[i]) & (ranking[i] <= hi[i]))
         exact = np.linalg.norm(reference[first[i] + near] - queries[i], axis=1)
-        j = np.argsort(exact, kind="stable")[k - 1 - below]
-        idx[i], dist[i] = near[j], exact[j]
-    return dist, first + idx
+        idx[i] = near[np.argsort(exact, kind="stable")[k - 1 - below]]
+    return first + idx
 
 
 def shifted_logsumexp(a: np.ndarray) -> np.ndarray:

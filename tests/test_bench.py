@@ -759,6 +759,28 @@ def test_cli_score_unreadable_inputs_exit_code(tmp_path, capsys):
         assert "data error" in capsys.readouterr().err
 
 
+def test_cli_score_rejects_bool_and_string_scores(tmp_path, capsys):
+    # numpy reads true as 1.0 and "0.1" as 0.1: both files used to score
+    # as auroc=1.0000 and exit 0
+    id_bools = tmp_path / "id_bools.json"
+    id_bools.write_text(json.dumps({"id_scores": [True] * 15 + [0.5] * 15}))
+    ood_strings = tmp_path / "ood_strings.json"
+    ood_strings.write_text(json.dumps({"ood_scores": ["0.1"] * 30}))
+    id_good = tmp_path / "id_good.json"
+    id_good.write_text(json.dumps({"id_scores": [1.5] * 30}))
+    ood_good = tmp_path / "ood_good.json"
+    ood_good.write_text(json.dumps({"ood_scores": [0.1] * 30}))
+    for id_file, ood_file, bad in (
+        (id_bools, ood_good, id_bools),
+        (id_good, ood_strings, ood_strings),
+        (id_bools, ood_strings, id_bools),
+    ):
+        assert main(["score", "--id-scores", str(id_file), "--ood-scores", str(ood_file)]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and bad.name in err
+    assert main(["score", "--id-scores", str(id_good), "--ood-scores", str(ood_good)]) == 0
+
+
 def test_cli_score_non_finite_scores_exit_code(tmp_path):
     id_csv = tmp_path / "id.csv"
     ood_csv = tmp_path / "ood.csv"

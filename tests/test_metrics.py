@@ -18,6 +18,8 @@ from oodsynth.metrics import (
     knn_scores,
     kth_neighbors,
     score_report,
+    select_kth,
+    tie_window,
 )
 from oodsynth.sphere import normalize
 
@@ -188,13 +190,14 @@ def test_knn_scores_runs_its_gemms_on_one_blas_thread(monkeypatch):
     get, _ = controls
     before = get()
     seen = []
-    argpartition = np.argpartition
+    matmul = np.matmul
 
     def spy(*args, **kwargs):
         seen.append(get())
-        return argpartition(*args, **kwargs)
+        return matmul(*args, **kwargs)
 
-    monkeypatch.setattr(np, "argpartition", spy)
+    # each block's GEMM is one np.matmul call into the reused ranking buffer
+    monkeypatch.setattr(np, "matmul", spy)
     ref = unit_rows(np.random.default_rng(11).standard_normal((300, 8)))
     knn_scores(ref, ref[:5], 3)
     monkeypatch.undo()
@@ -204,6 +207,130 @@ def test_knn_scores_runs_its_gemms_on_one_blas_thread(monkeypatch):
         assert get() == 1
         raise RuntimeError
     assert get() == before
+
+
+def argpartition_select_kth(ranking, k, reference, queries, sq_max, first=0):
+    """``select_kth`` as it was before its value partition, kept as its bit-exact
+    oracle: one ``argpartition`` and a gather per call; (distances, reference rows)."""
+    rows = np.arange(ranking.shape[0])
+    if k < ranking.shape[1]:
+        order = np.argpartition(ranking, k, axis=1)
+        after = ranking[rows, order[:, k]]
+        head = order[:, :k]
+    else:
+        after = np.full(ranking.shape[0], np.inf)
+        head = np.broadcast_to(np.arange(k), (ranking.shape[0], k))
+    smallest = np.take_along_axis(ranking, head, axis=1)
+    at = np.argmax(smallest, axis=1)
+    idx = head[rows, at]
+    kth = smallest[rows, at]
+    smallest[rows, at] = -np.inf
+    before = smallest.max(axis=1)
+    window = 1e-9 * (sq_max + np.einsum("ij,ij->i", queries, queries) + 1.0)
+    lo = kth - window
+    hi = kth + window
+    first = np.broadcast_to(first, rows.shape)
+    dist = np.linalg.norm(reference[first + idx] - queries, axis=1)
+    for i in np.flatnonzero((before >= lo) | (after <= hi)):
+        below = np.count_nonzero(ranking[i] < lo[i])
+        near = np.flatnonzero((ranking[i] >= lo[i]) & (ranking[i] <= hi[i]))
+        exact = np.linalg.norm(reference[first[i] + near] - queries[i], axis=1)
+        j = np.argsort(exact, kind="stable")[k - 1 - below]
+        idx[i], dist[i] = near[j], exact[j]
+    return dist, first + idx
+
+
+def padded_ranking(reference, queries, first, counts):
+    """Row i ranks ``reference[first[i] : first[i] + counts[i]]`` against
+    ``queries[i]``; ``+inf`` pads the row to the largest count."""
+    sq_norms = np.einsum("ij,ij->i", reference, reference)
+    ranking = np.full((len(queries), max(counts)), np.inf)
+    for i, (f, c) in enumerate(zip(first, counts)):
+        ranking[i, :c] = (-2.0 * queries[i]) @ reference[f : f + c].T + sq_norms[f : f + c]
+    return ranking, float(sq_norms.max())
+
+
+def assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, first):
+    kept = ranking.copy()
+    rows = select_kth(
+        ranking, np.empty_like(ranking), k, tie_window(sq_max, queries), reference, queries, first
+    )
+    assert np.array_equal(ranking, kept, equal_nan=True)  # only the scratch copy is partitioned
+    dist = np.linalg.norm(reference[rows] - queries, axis=1)
+    want_dist, want_rows = argpartition_select_kth(ranking, k, reference, queries, sq_max, first)
+    assert np.array_equal(dist, want_dist, equal_nan=True), k
+    # a NaN query row has no k-th neighbor: any row in range serves its NaN distance
+    finite = ~np.isnan(dist)
+    assert np.array_equal(rows[finite], want_rows[finite]), k
+    assert ((rows >= 0) & (rows < len(reference))).all()
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_kth_equals_the_argpartition_oracle_on_padded_rankings(seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(5, 60, size=6)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    reference = unit_rows(rng.standard_normal((offsets[-1], 8)))
+    reference[offsets[1] : offsets[1] + 3] = reference[offsets[1]]  # exact duplicates
+    cls = rng.integers(0, 6, size=40)
+    queries = unit_rows(rng.standard_normal((40, 8)))
+    queries[0] = reference[offsets[1]]  # on the duplicated row
+    first, row_counts = offsets[cls], counts[cls]
+    ranking, sq_max = padded_ranking(reference, queries, first, row_counts)
+    assert np.isinf(ranking).any()
+    for k in sorted({1, 2, 3, 4, int(row_counts.min())}):
+        assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, first)
+
+
+def test_select_kth_equals_the_oracle_at_k_equal_to_the_width():
+    rng = np.random.default_rng(4)
+    reference = unit_rows(rng.standard_normal((30, 8)))
+    queries = unit_rows(rng.standard_normal((7, 8)))
+    first, counts = np.zeros(7, dtype=np.intp), [30] * 7
+    ranking, sq_max = padded_ranking(reference, queries, first, counts)
+    for k in (1, 29, 30):
+        assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, 0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_select_kth_takes_the_fallback_on_exact_duplicates_at_the_kth(monkeypatch, k):
+    # rows 2, 3 and 4 are one point stored three times, the 2nd to 4th
+    # nearest to q: the k-th ties the (k+1)-th only at k = 2, both of them
+    # at k = 3, and the (k-1)-th only at k = 4
+    q = np.eye(8)[0]
+    angles = [0.05, 0.5, 0.1, 0.1, 0.1, 0.6, 0.7, 0.8]
+    axes = [1, 2, 3, 3, 3, 4, 5, 6]
+    reference = np.array([np.cos(a) * q + np.sin(a) * np.eye(8)[j] for a, j in zip(angles, axes)])
+    queries = q[None, :]
+    ranking, sq_max = padded_ranking(reference, queries, [0], [len(reference)])
+    assert ranking[0, 2] == ranking[0, 3] == ranking[0, 4]
+    exact_rankings = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        exact_rankings.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    rows = select_kth(
+        ranking, np.empty_like(ranking), k, tie_window(sq_max, queries), reference, queries
+    )
+    monkeypatch.undo()
+    assert exact_rankings == [3]  # the one row fell back, over its three tied copies
+    assert rows.tolist() == [k]  # the tied copies in index order: 2, 3, 4
+    assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, 0)
+
+
+def test_select_kth_gives_a_nan_query_row_a_nan_distance():
+    rng = np.random.default_rng(6)
+    reference = unit_rows(rng.standard_normal((50, 8)))
+    queries = unit_rows(rng.standard_normal((5, 8)))
+    queries[2] = np.nan
+    ranking, sq_max = padded_ranking(reference, queries, [0] * 5, [50] * 5)
+    for k in (1, 3, 50):
+        dist = assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, 0)
+        assert np.isnan(dist).tolist() == [False, False, True, False, False]
 
 
 # -- threshold calibration -------------------------------------------------------
