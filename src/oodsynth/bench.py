@@ -167,18 +167,21 @@ def uniform_sphere(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
+VMF_MAX_KAPPA = 1e15  # beyond it the radial scheme fails in math.log or never accepts
+
+
 def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n von Mises-Fisher samples around mean direction mu.
 
     The cosine of the angle to mu is drawn with the classic rejection
     scheme for the radial component; the remaining direction is uniform in
     the tangent hyperplane. kappa = 0 degenerates to the uniform sphere.
-    The log-space acceptance test keeps the scheme stable up to very large
-    concentrations (1e6 and beyond). A negative or non-finite kappa is a
-    BadArgError.
+    The log-space acceptance test keeps the scheme stable up to
+    ``VMF_MAX_KAPPA``. A negative kappa, or one that is NaN or above that
+    bound, is a BadArgError.
     """
-    if not 0.0 <= kappa < math.inf:
-        raise BadArgError(f"vMF kappa must be finite and >= 0, got {kappa}")
+    if not 0.0 <= kappa <= VMF_MAX_KAPPA:
+        raise BadArgError(f"vMF kappa must be in [0, {VMF_MAX_KAPPA:g}], got {kappa}")
     mu = normalize(mu)
     d = mu.size
     if kappa == 0.0:
@@ -330,7 +333,7 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
             batch = _synthesize(cfg, snapshot, hmc_cfg)
             synth_ms = (time.perf_counter() - t0) * 1000.0
             prototypes = snapshot.prototypes
-            positions = batch.positions()
+            positions = batch.samples.position
             if len(batch):
                 ood_disc = ood_discernment_loss(positions, prototypes, tau)
             else:
@@ -500,9 +503,9 @@ def diversity_stds(cfg: BenchConfig, seed: int) -> tuple[float, float]:
     baseline = gaussian_baseline_batch(
         snapshot, sigma=cfg.hmc.step_size, count_per_pair=per_pair, n_adj=batch.n_adj, seed=seed
     )
-    base_positions = baseline.positions()[: len(batch)]
+    base_positions = baseline.samples.position[: len(batch)]
     reference = snapshot.embeddings
     k_det = min(cfg.k_detect, reference.shape[0])
-    std_h = float(knn_scores(reference, batch.positions(), k_det, snapshot.sq_norms).std())
+    std_h = float(knn_scores(reference, batch.samples.position, k_det, snapshot.sq_norms).std())
     std_g = float(knn_scores(reference, base_positions, k_det, snapshot.sq_norms).std())
     return std_h, std_g

@@ -65,8 +65,6 @@ def kth_neighbors(
         raise BadArgError(f"k must be >= 1, got {k}")
     if n < k:
         raise InsufficientDataError(f"reference holds {n} embeddings, fewer than k={k}")
-    if queries.shape[0] == 0:  # an empty batch's positions are (0, 0)
-        return np.empty(0), np.empty(0, dtype=np.intp)
     if sq_norms is None:
         sq_norms = np.einsum("ij,ij->i", reference, reference)
     window = tie_window(float(sq_norms.max()), queries)

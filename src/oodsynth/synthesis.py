@@ -14,7 +14,10 @@ from one KDE evaluation at the M midpoints. Chains stay independent given
 the frozen store snapshot: each owns an RNG spawned deterministically
 from the batch seed and draws from it alone, so results do not depend on
 how the chains are grouped, and the batch is listed canonically by
-(class id, adjacency rank, round). ``OutlierBatch.rounds`` keeps the
+(class id, adjacency rank, round): ``OutlierBatch.samples`` holds one
+record per outlier, whose ``chain_index`` finds its chain (and pair) in
+``OutlierBatch.chains``; read rounds as ``samples["round"]``, since
+``samples.round`` is ndarray's method. ``OutlierBatch.rounds`` keeps the
 (rounds x chains) log: one ``TransitionRecord`` per round.
 """
 
@@ -49,16 +52,8 @@ class ChainRun:
 
 
 @dataclass
-class OutlierSample:
-    position: np.ndarray
-    pair: ClusterPair
-    chain_index: int
-    round: int
-
-
-@dataclass
 class OutlierBatch:
-    samples: list[OutlierSample]
+    samples: np.recarray  # see _sample_table
     chains: list[ChainRun]
     skipped: list[ClusterPair]
     config: HmcConfig | None
@@ -68,13 +63,16 @@ class OutlierBatch:
     n_adj: int
     rounds: list[TransitionRecord] = field(default_factory=list)  # empty for the baseline
 
-    def positions(self) -> np.ndarray:
-        if not self.samples:
-            return np.empty((0, 0))
-        return np.array([s.position for s in self.samples])
-
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def _sample_table(chain_index, rounds, positions: np.ndarray) -> np.recarray:
+    """One record per outlier: chain index, 1-based round, (d,) position; (0, d) when empty."""
+    dtype = [("chain_index", np.intp), ("round", np.intp), ("position", float, positions.shape[1:])]
+    table = np.recarray(len(positions), dtype=dtype)
+    table["chain_index"], table["round"], table["position"] = chain_index, rounds, positions
+    return table
 
 
 def _pair_chains(store: IdSnapshot, n_adj: int) -> tuple[list[ChainRun], list[ClusterPair]]:
@@ -132,7 +130,7 @@ def synthesize_batch(
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(C * n_adj)
     chains, skipped = _pair_chains(store, n_adj)
     rngs = [np.random.default_rng(seeds[run.class_id * n_adj + run.rank]) for run in chains]
-    rounds, samples = [], []
+    rounds, samples = [], _sample_table([], [], np.empty((0, store.dim)))
     if chains:
         starts = np.array([run.start for run in chains])
         t_minus = neg_log_max_id_prob(store, starts, kappa) - delta
@@ -146,12 +144,8 @@ def synthesize_batch(
         accepted = np.stack([rec.accepted for rec in rounds], axis=1)  # (chains, rounds)
         for run, n in zip(chains, accepted.sum(axis=1).tolist()):
             run.accepted = n
-        samples = [
-            OutlierSample(
-                position=rounds[r].proposed[i], pair=chains[i].pair, chain_index=i, round=r + 1
-            )
-            for i, r in np.argwhere(accepted).tolist()
-        ]
+        i, r = np.nonzero(accepted)  # by chain, then by round
+        samples = _sample_table(i, r + 1, np.stack([rec.proposed for rec in rounds])[r, i])
     return OutlierBatch(
         samples=samples,
         chains=chains,
@@ -197,12 +191,12 @@ class RoundScores:
 
 def round_wise_scores(batch: OutlierBatch, scores: np.ndarray) -> list[RoundScores]:
     """The batch's detection scores (one per sample, in order) grouped by synthesis round."""
-    if not batch.samples:
+    if not len(batch):
         raise BadArgError("cannot compute round-wise scores of an empty batch")
     all_scores = np.asarray(scores, dtype=float)
     if all_scores.shape != (len(batch),):
         raise BadArgError(f"{all_scores.shape} scores for a batch of {len(batch)} samples")
-    rounds = np.array([s.round for s in batch.samples])
+    rounds = batch.samples["round"]
     out = []
     for r in np.unique(rounds).tolist():
         scores = all_scores[rounds == r]
@@ -232,20 +226,19 @@ def gaussian_baseline_batch(
     routes can be compared sample-for-sample.
     """
     rng = np.random.default_rng(seed)
-    samples: list[OutlierSample] = []
     chains, skipped = _pair_chains(store, n_adj)
-    for run in chains:
+    positions = np.empty((len(chains), count_per_pair, store.dim))
+    for run, rows in zip(chains, positions):
         run.accepted = count_per_pair
         for i in range(count_per_pair):
             g = rng.standard_normal(store.dim)
-            pos = normalize(run.start + sigma * g) if sigma > 0 else run.start.copy()
-            samples.append(
-                OutlierSample(
-                    position=pos, pair=run.pair, chain_index=run.chain_index, round=i + 1
-                )
-            )
+            rows[i] = normalize(run.start + sigma * g) if sigma > 0 else run.start
     return OutlierBatch(
-        samples=samples,
+        samples=_sample_table(
+            np.repeat(np.arange(len(chains)), count_per_pair),
+            np.tile(np.arange(1, count_per_pair + 1), len(chains)),
+            positions.reshape(-1, store.dim),
+        ),
         chains=chains,
         skipped=skipped,
         config=None,
@@ -288,15 +281,18 @@ def batch_to_dict(batch: OutlierBatch) -> dict:
             for c in batch.chains
         ],
         "samples": [
-            {
-                "chain_index": s.chain_index,
-                "pair": [s.pair.u, s.pair.v],
-                "round": s.round,
-                "position": s.position.tolist(),
-            }
-            for s in batch.samples
+            {"chain_index": i, "pair": [pair.u, pair.v], "round": r, "position": x}
+            for i, pair, r, x in _sample_rows(batch)
         ],
     }
+
+
+def _sample_rows(batch: OutlierBatch):
+    """(chain index, pair, round, coordinates) of every sample, as Python values."""
+    pairs = [run.pair for run in batch.chains]
+    s = batch.samples
+    for i, r, x in zip(s.chain_index.tolist(), s["round"].tolist(), s.position.tolist()):
+        yield i, pairs[i], r, x
 
 
 def write_batch_json(batch: OutlierBatch, path: str | Path) -> None:
@@ -305,11 +301,11 @@ def write_batch_json(batch: OutlierBatch, path: str | Path) -> None:
 
 def write_batch_csv(batch: OutlierBatch, path: str | Path) -> None:
     """One row per sample: chain metadata then the raw coordinates."""
-    dim = batch.samples[0].position.shape[0] if batch.samples else 0
+    dim = batch.samples.position.shape[1]
     write_csv(
         path,
         ["chain_index", "class_u", "class_v", "round"] + [f"x{i}" for i in range(dim)],
-        ([s.chain_index, s.pair.u, s.pair.v, s.round, *s.position] for s in batch.samples),
+        ([i, pair.u, pair.v, r, *x] for i, pair, r, x in _sample_rows(batch)),
     )
 
 

@@ -358,7 +358,7 @@ def test_criterion_7_round_trend():
             kappa=cfg.kappa,
             n_adj=cfg.effective_n_adj(),
         )
-        scores = knn_scores(store.embeddings, batch.positions(), DEFAULT.k_detect)
+        scores = knn_scores(store.embeddings, batch.samples.position, DEFAULT.k_detect)
         rws = round_wise_scores(batch, scores)
         # detection scores are negative kNN distances
         first_dist, last_dist = -rws[0].mean, -rws[-1].mean

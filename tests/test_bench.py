@@ -15,6 +15,7 @@ import pytest
 
 from conftest import class_rows
 from oodsynth.bench import (
+    VMF_MAX_KAPPA,
     BenchConfig,
     OodTestSpec,
     SweepRow,
@@ -78,6 +79,38 @@ def test_vmf_rejects_negative_or_non_finite_concentration(kappa):
     # a NaN kappa would loop forever in the rejection sampler
     with pytest.raises(BadArgError):
         sample_vmf(np.eye(4)[0], kappa, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+@pytest.mark.parametrize("kappa", [1e16, 1e17, 1e200])
+def test_vmf_rejects_concentration_above_its_bound(dim, kappa):
+    # above the bound the sampler raised ValueError or OverflowError (d = 2),
+    # or never accepted a draw (d = 128 at 1e17)
+    with pytest.raises(BadArgError, match="kappa"):
+        sample_vmf(np.eye(dim)[0], kappa, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 128, 1024])
+def test_vmf_at_the_concentration_bound_hugs_the_mean(dim):
+    mu = np.eye(dim)[0]
+    pts = sample_vmf(mu, VMF_MAX_KAPPA, 20, np.random.default_rng(0))
+    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-12
+    assert (pts @ mu).min() >= 1.0 - 1e-9
+
+
+def test_cli_huge_cluster_kappa_exits_2_without_hanging(tmp_path):
+    # a subprocess with a timeout, so a sampler that never returns fails the test
+    env = os.environ | {"PYTHONPATH": str(Path(oodsynth.__file__).resolve().parents[1])}
+    argv = ["run", "--iterations", "1", "--dim", "128", "--cluster-kappa", "1e17"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "oodsynth", *argv, "--out-dir", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_uniform_sphere_norms():

@@ -15,7 +15,6 @@ from oodsynth.metrics import knn_scores
 from oodsynth.samplers import HmcConfig, SamplerVariant
 from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
-    OutlierBatch,
     batch_to_dict,
     gaussian_baseline_batch,
     round_wise_scores,
@@ -58,7 +57,7 @@ def test_batch_is_deterministic_and_canonically_ordered():
     assert json.dumps(batch_to_dict(one), sort_keys=True) == json.dumps(
         batch_to_dict(two), sort_keys=True
     )
-    keys = [(s.chain_index, s.round) for s in one.samples]
+    keys = list(zip(one.samples.chain_index.tolist(), one.samples["round"].tolist()))
     assert keys == sorted(keys)
 
 
@@ -80,6 +79,9 @@ def test_unreachable_margin_yields_valid_empty_batch():
     assert len(batch) == 0
     assert [c.accepted for c in batch.chains] == [0, 0]
     assert len(batch.chains) == 2
+    # the empty table keeps its width, so the detector scores it like any batch
+    assert batch.samples.position.shape == (0, 8)
+    assert knn_scores(store.embeddings, batch.samples.position, 5).shape == (0,)
 
 
 def test_antipodal_pairs_are_skipped_and_reported():
@@ -108,7 +110,7 @@ def test_round_wise_single_round():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
     batch = synthesize_batch(store, HmcConfig(rounds=1, rng_seed=2), **SYNTH_ARGS)
     assert len(batch) > 0
-    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.positions(), 5))
+    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.samples.position, 5))
     assert len(rws) == 1
     assert rws[0].round == 1
     assert len(rws[0].scores) == len(batch)
@@ -119,7 +121,7 @@ def test_round_wise_identical_samples_zero_std():
     # midpoint, so each round group has zero spread
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=10).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=3, n_adj=1, seed=0)
-    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.positions(), 5))
+    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.samples.position, 5))
     assert len(rws) == 3
     for r in rws:
         assert r.std <= 1e-12
@@ -128,7 +130,7 @@ def test_round_wise_identical_samples_zero_std():
 def test_round_wise_trend_on_cluster_benchmark():
     store = cluster_store(num_classes=4, dim=8, n_per_class=50, seed=11).snapshot()
     batch = synthesize_batch(store, HmcConfig(rng_seed=3), k=8, delta=0.1, kappa=2.0, n_adj=2)
-    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.positions(), 8))
+    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.samples.position, 8))
     # scores are negative distances: later rounds drift to higher OOD-ness
     assert -rws[-1].mean >= -rws[0].mean
 
@@ -204,7 +206,8 @@ def test_batch_export_round_trip(tmp_path):
     assert header[:4] == ["chain_index", "class_u", "class_v", "round"]
     assert len(rows) == len(batch) > 0
     for row, s in zip(rows, batch.samples):
-        assert [int(v) for v in row[:4]] == [s.chain_index, s.pair.u, s.pair.v, s.round]
+        pair = batch.chains[s.chain_index].pair
+        assert [int(v) for v in row[:4]] == [s.chain_index, pair.u, pair.v, s["round"]]
         assert [float(v) for v in row[4:]] == s.position.tolist()
     traces = [json.loads(line) for line in tpath.read_text().splitlines()]
     assert len(traces) == len(batch.chains) * len(batch.rounds)
@@ -212,9 +215,11 @@ def test_batch_export_round_trip(tmp_path):
 
 
 def test_empty_batch_csv_holds_only_its_header(tmp_path):
-    batch = OutlierBatch([], [], [], config=None, k=None, delta=None, kappa=None, n_adj=1)
+    store = cluster_store(num_classes=2, dim=3, n_per_class=10, seed=12).snapshot()
+    batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=0, n_adj=1)
     write_batch_csv(batch, tmp_path / "batch.csv")
-    assert (tmp_path / "batch.csv").read_bytes() == b"chain_index,class_u,class_v,round\r\n"
+    header = b"chain_index,class_u,class_v,round,x0,x1,x2\r\n"
+    assert (tmp_path / "batch.csv").read_bytes() == header
 
 
 # -- parity with the per-chain path -----------------------------------------------
