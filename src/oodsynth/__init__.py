@@ -35,7 +35,7 @@ from .objectives import (
     ood_discernment_loss,
     temperature_from_kappa,
 )
-from .samplers import ChainState, HmcConfig, SamplerVariant, TransitionRecord
+from .samplers import ChainState, HmcConfig, SamplerVariant
 from .sphere import geodesic_step, normalize, project_tangent
 from .store import ClusterPair, IdSnapshot, IdStore
 from .synthesis import (
@@ -60,7 +60,6 @@ __all__ = [
     "QualityAngles",
     "SamplerVariant",
     "ScoreReport",
-    "TransitionRecord",
     "ablation_sweep",
     "aupr",
     "auroc",

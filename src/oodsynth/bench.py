@@ -54,6 +54,8 @@ from .synthesis import (
     write_trace_jsonl,
 )
 
+VMF_MAX_KAPPA = 1e15  # beyond it the radial scheme fails in math.log or never accepts
+
 
 @dataclass
 class OodTestSpec:
@@ -68,6 +70,10 @@ class OodTestSpec:
         for name in ("n_uniform", "n_midpoint", "midpoint_kappa"):
             if getattr(self, name) < 0:
                 raise BadConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.midpoint_kappa > VMF_MAX_KAPPA:
+            raise BadConfigError(
+                f"midpoint_kappa must be <= {VMF_MAX_KAPPA:g}, got {self.midpoint_kappa}"
+            )
 
 
 @dataclass
@@ -106,6 +112,10 @@ class BenchConfig:
                 raise BadConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.cluster_kappa < 0 or self.kappa <= 0 or self.loss_kappa <= 0:
             raise BadConfigError("cluster_kappa must be >= 0; kappa and loss_kappa > 0")
+        if self.cluster_kappa > VMF_MAX_KAPPA:
+            raise BadConfigError(
+                f"cluster_kappa must be <= {VMF_MAX_KAPPA:g}, got {self.cluster_kappa}"
+            )
         if self.delta < 0 or self.lambda_d < 0:
             raise BadConfigError("delta and lambda_d must be nonnegative")
         if self.iterations < 1 or self.insert_per_class < 1:
@@ -165,9 +175,6 @@ def uniform_sphere(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """n points drawn uniformly on the unit sphere in R^dim."""
     g = rng.standard_normal((n, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-VMF_MAX_KAPPA = 1e15  # beyond it the radial scheme fails in math.log or never accepts
 
 
 def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:

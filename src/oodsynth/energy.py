@@ -115,6 +115,8 @@ class EnergyContext:
     _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.k < 1:
+            raise BadArgError(f"k must be >= 1, got {self.k}")
         object.__setattr__(self, "pairs", tuple(self.pairs))
         classes = np.array([p.u for p in self.pairs] + [p.v for p in self.pairs], dtype=np.intp)
         offsets = self.store.offsets.tolist()

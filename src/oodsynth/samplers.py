@@ -10,7 +10,7 @@ rejected with NaN energies and alpha = 0, as MH rejects a point of zero
 density.
 
 ``advance`` moves M chains one round together as one (M, d) array and
-logs the round as one ``TransitionRecord`` of per-chain arrays. Each
+logs the round as one (M,) record array (``transition_log``). Each
 chain owns its Generator and draws from it, in order, its momentum (or
 random-walk noise) and then its MH uniform, so it sees exactly the random
 numbers it would see alone.
@@ -105,21 +105,22 @@ class ChainState:
         self.t_minus = np.asarray(self.t_minus, dtype=float)
 
 
-@dataclass
-class TransitionRecord:
-    """One round of M chains: row i of every field belongs to chain i.
+def transition_log(shape: int | tuple[int, ...], dim: int) -> np.recarray:
+    """Uninitialised transition records of ``shape``: (M,) for a round, (rounds, M) for a batch.
 
-    ``proposed`` is (M, d); the other fields are (M,). A degenerate
-    proposal has NaN ``h_init`` and ``h_prop``.
+    ``proposed`` is each record's (dim,) proposal; a degenerate proposal
+    has NaN ``h_init`` and ``h_prop``.
     """
-
-    proposed: np.ndarray
-    h_init: np.ndarray
-    h_prop: np.ndarray
-    alpha: np.ndarray
-    mh_accept: np.ndarray
-    margin_pass: np.ndarray
-    accepted: np.ndarray
+    dtype = [
+        ("proposed", float, (dim,)),
+        ("h_init", float),
+        ("h_prop", float),
+        ("alpha", float),
+        ("mh_accept", bool),
+        ("margin_pass", bool),
+        ("accepted", bool),
+    ]
+    return np.recarray(shape, dtype=dtype)
 
 
 def _normals(rngs: Sequence[np.random.Generator], dim: int) -> np.ndarray:
@@ -177,58 +178,44 @@ def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
     return np.array([rng.uniform() for rng in rngs])
 
 
-def _hamiltonian_proposal(ctx, chains: ChainState, cfg: HmcConfig):
-    """Momentum draws, MH uniforms, then one leapfrog trajectory per chain."""
-    z = chains.positions
-    q = draw_momentum(z, chains.rngs)
-    uniforms = _uniforms(chains.rngs)
-    z_prop, q_prop, u_prop, grad_prop, degenerate = _integrate(
-        ctx, z, q, chains.potential, chains.grad, cfg.leapfrog_steps, cfg.step_size
-    )
-    h_init = chains.potential + kinetic(q)
-    h_prop = u_prop + kinetic(q_prop)
-    return z_prop, u_prop, grad_prop, h_init, h_prop, degenerate, uniforms
-
-
-def _random_walk_proposal(ctx, chains: ChainState, cfg: HmcConfig):
-    """Gaussian-perturbation proposals re-projected to the sphere."""
-    z = chains.positions
-    g = _normals(chains.rngs, z.shape[-1])
-    uniforms = _uniforms(chains.rngs)
-    z_prop = normalize(z + cfg.step_size * g) if cfg.step_size > 0 else z.copy()
-    u_prop, grad_prop = ctx.value_and_grad(z_prop)
-    # h_init is a copy: advance writes NaN into its degenerate rows
-    h_init = chains.potential.copy()
-    degenerate = np.isnan(h_init) | np.isnan(u_prop)
-    return z_prop, u_prop, grad_prop, h_init, u_prop, degenerate, uniforms
-
-
-def advance(ctx, chains: ChainState, cfg: HmcConfig) -> TransitionRecord:
+def advance(ctx, chains: ChainState, cfg: HmcConfig) -> np.recarray:
     """Advance every chain one round with one proposal each.
 
-    ``cfg.variant`` picks the random walk or the Hamiltonian kernel.
-    Returns the round's record, one row per chain in chain order. An
-    accepted proposal becomes the chain's position, and its endpoint
-    potential and gradient the chain's cached ones; a degenerate one is
-    recorded as a rejection with NaN energies, alpha = 0 and the current
-    position.
+    ``cfg.variant`` picks the random walk or the Hamiltonian kernel; each
+    chain draws its noise (or momentum) and then its MH uniform. Returns
+    the round's (M,) ``transition_log``, in chain order. An accepted
+    proposal becomes the chain's position, and its endpoint potential and
+    gradient the chain's cached ones; a degenerate one is recorded as a
+    rejection with NaN energies, alpha = 0 and the current position.
     """
     if chains.potential is None:
         chains.potential, chains.grad = ctx.value_and_grad(chains.positions)
+    z = chains.positions
+    rec = transition_log(len(z), z.shape[1])
     if cfg.variant is SamplerVariant.RANDOM_WALK:
-        propose = _random_walk_proposal
+        g = _normals(chains.rngs, z.shape[1])
+        uniforms = _uniforms(chains.rngs)
+        z_prop = normalize(z + cfg.step_size * g) if cfg.step_size > 0 else z
+        u_prop, grad_prop = ctx.value_and_grad(z_prop)
+        rec.h_init, rec.h_prop = chains.potential, u_prop
+        degenerate = np.isnan(chains.potential) | np.isnan(u_prop)
     else:
-        propose = _hamiltonian_proposal
-    z_prop, u_prop, grad_prop, h_init, h_prop, degenerate, uniforms = propose(ctx, chains, cfg)
-    z_prop[degenerate] = chains.positions[degenerate]
-    h_init[degenerate] = h_prop[degenerate] = np.nan
+        q = draw_momentum(z, chains.rngs)
+        uniforms = _uniforms(chains.rngs)
+        z_prop, q_prop, u_prop, grad_prop, degenerate = _integrate(
+            ctx, z, q, chains.potential, chains.grad, cfg.leapfrog_steps, cfg.step_size
+        )
+        rec.h_init, rec.h_prop = chains.potential + kinetic(q), u_prop + kinetic(q_prop)
+    z_prop = np.where(degenerate[:, None], z, z_prop)
+    rec.proposed = z_prop
+    rec.h_init[degenerate] = rec.h_prop[degenerate] = np.nan
     with np.errstate(over="ignore"):
-        alpha = np.exp(h_init - h_prop)
-    alpha[degenerate] = 0.0
-    mh_accept = uniforms < np.minimum(1.0, alpha)
-    margin_pass = ctx.margin_exceeds(z_prop, chains.t_minus) & ~degenerate
-    accepted = mh_accept & margin_pass
+        rec.alpha = np.exp(rec.h_init - rec.h_prop)
+    rec.alpha[degenerate] = 0.0
+    rec.mh_accept = uniforms < np.minimum(1.0, rec.alpha)
+    rec.margin_pass = ctx.margin_exceeds(z_prop, chains.t_minus) & ~degenerate
+    rec.accepted = accepted = rec.mh_accept & rec.margin_pass
     chains.positions[accepted] = z_prop[accepted]
     chains.potential[accepted] = u_prop[accepted]
     chains.grad[accepted] = grad_prop[accepted]
-    return TransitionRecord(z_prop, h_init, h_prop, alpha, mh_accept, margin_pass, accepted)
+    return rec

@@ -18,14 +18,15 @@ how the chains are grouped, and the batch is listed canonically by
 record per outlier, whose ``chain_index`` finds its chain (and pair) in
 ``OutlierBatch.chains``; read rounds as ``samples["round"]``, since
 ``samples.round`` is ndarray's method. ``OutlierBatch.rounds`` keeps the
-(rounds x chains) log: one ``TransitionRecord`` per round.
+log as one (rounds x chains) ``samplers.transition_log``, whose row r is
+the record array that ``advance`` returned for round r + 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .energy import EnergyContext, neg_log_max_id_prob
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from .metrics import write_csv
-from .samplers import ChainState, HmcConfig, TransitionRecord, advance
+from .samplers import ChainState, HmcConfig, advance, transition_log
 from .sphere import normalize
 from .store import ClusterPair, IdSnapshot
 
@@ -61,14 +62,14 @@ class OutlierBatch:
     delta: float | None
     kappa: float | None
     n_adj: int
-    rounds: list[TransitionRecord] = field(default_factory=list)  # empty for the baseline
+    rounds: np.recarray  # (rounds, chains) transition log; (0, chains) for the baseline
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
 def _sample_table(chain_index, rounds, positions: np.ndarray) -> np.recarray:
-    """One record per outlier: chain index, 1-based round, (d,) position; (0, d) when empty."""
+    """One record per outlier: chain index, 1-based round, (d,) position."""
     dtype = [("chain_index", np.intp), ("round", np.intp), ("position", float, positions.shape[1:])]
     table = np.recarray(len(positions), dtype=dtype)
     table["chain_index"], table["round"], table["position"] = chain_index, rounds, positions
@@ -130,7 +131,7 @@ def synthesize_batch(
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(C * n_adj)
     chains, skipped = _pair_chains(store, n_adj)
     rngs = [np.random.default_rng(seeds[run.class_id * n_adj + run.rank]) for run in chains]
-    rounds, samples = [], _sample_table([], [], np.empty((0, store.dim)))
+    rounds = transition_log((cfg.rounds, len(chains)), store.dim)
     if chains:
         starts = np.array([run.start for run in chains])
         t_minus = neg_log_max_id_prob(store, starts, kappa) - delta
@@ -140,14 +141,13 @@ def synthesize_batch(
             store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
         )
         state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs)
-        rounds = [advance(ctx, state, cfg) for _ in range(cfg.rounds)]
-        accepted = np.stack([rec.accepted for rec in rounds], axis=1)  # (chains, rounds)
-        for run, n in zip(chains, accepted.sum(axis=1).tolist()):
-            run.accepted = n
-        i, r = np.nonzero(accepted)  # by chain, then by round
-        samples = _sample_table(i, r + 1, np.stack([rec.proposed for rec in rounds])[r, i])
+        for r in range(cfg.rounds):
+            rounds[r] = advance(ctx, state, cfg)
+    for run, n in zip(chains, rounds.accepted.sum(axis=0).tolist()):
+        run.accepted = n
+    i, r = np.nonzero(rounds.accepted.T)  # by chain, then by round
     return OutlierBatch(
-        samples=samples,
+        samples=_sample_table(i, r + 1, rounds.proposed[r, i]),
         chains=chains,
         skipped=skipped,
         config=cfg,
@@ -165,11 +165,10 @@ def round_summary(batch: OutlierBatch) -> dict:
     A NaN ``h_init`` marks a degenerate rejection (the proposal met a
     degenerate point); otherwise a failed MH test is an MH rejection, and a
     passed MH test with a failed margin test is a margin rejection. The
-    rate is NaN for a batch without rounds.
+    rate is NaN for an empty log.
     """
-    mh = np.array([rec.mh_accept for rec in batch.rounds], dtype=bool)
-    margin = np.array([rec.margin_pass for rec in batch.rounds], dtype=bool)
-    degenerate = np.isnan(np.array([rec.h_init for rec in batch.rounds], dtype=float))
+    mh, margin = batch.rounds.mh_accept, batch.rounds.margin_pass
+    degenerate = np.isnan(batch.rounds.h_init)
     return {
         "mh_acceptance": float(mh.mean()) if mh.size else math.nan,
         "mh_rejections": int(np.count_nonzero(~mh & ~degenerate)),
@@ -246,6 +245,7 @@ def gaussian_baseline_batch(
         delta=None,
         kappa=None,
         n_adj=n_adj,
+        rounds=transition_log((0, len(chains)), store.dim),
     )
 
 
@@ -315,20 +315,12 @@ def write_trace_jsonl(batch: OutlierBatch, path: str | Path) -> None:
     def _num(x):
         return None if x != x else x  # NaN -> null
 
-    columns = [
-        {
-            "alpha": np.minimum(rec.alpha, 1e308).tolist(),
-            "h_init": rec.h_init.tolist(),
-            "h_prop": rec.h_prop.tolist(),
-            "mh_accept": rec.mh_accept.tolist(),
-            "margin_pass": rec.margin_pass.tolist(),
-            "accepted": rec.accepted.tolist(),
-        }
-        for rec in batch.rounds
-    ]
+    log = batch.rounds
+    columns = {name: log[name].T.tolist() for name in log.dtype.names if name != "proposed"}
+    columns["alpha"] = np.minimum(log.alpha, 1e308).T.tolist()
     with open(path, "w") as fh:
         for c in batch.chains:
-            for r, column in enumerate(columns, start=1):
-                row = {name: _num(values[c.chain_index]) for name, values in column.items()}
-                row |= {"chain_index": c.chain_index, "pair": [c.pair.u, c.pair.v], "round": r}
+            for r in range(len(log)):
+                row = {name: _num(values[c.chain_index][r]) for name, values in columns.items()}
+                row |= {"chain_index": c.chain_index, "pair": [c.pair.u, c.pair.v], "round": r + 1}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -99,18 +99,28 @@ def test_vmf_at_the_concentration_bound_hugs_the_mean(dim):
 
 
 def test_cli_huge_cluster_kappa_exits_2_without_hanging(tmp_path):
-    # a subprocess with a timeout, so a sampler that never returns fails the test
+    # a subprocess with a timeout, so a sampler that never returns fails the test;
+    # the config rejects the concentration, naming its field, before the run
+    # creates its output directory
     env = os.environ | {"PYTHONPATH": str(Path(oodsynth.__file__).resolve().parents[1])}
-    argv = ["run", "--iterations", "1", "--dim", "128", "--cluster-kappa", "1e17"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "oodsynth", *argv, "--out-dir", str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
+    cases = (
+        ("--cluster-kappa", "1e17", "cluster_kappa"),
+        ("--ood-midpoint-kappa", "1e200", "midpoint_kappa"),
     )
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
+    for option, value, name in cases:
+        out_dir = tmp_path / name
+        argv = ["run", "--iterations", "1", "--dim", "128", option, value]
+        proc = subprocess.run(
+            [sys.executable, "-m", "oodsynth", *argv, "--out-dir", str(out_dir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert name in proc.stderr
+        assert not out_dir.exists()
 
 
 def test_uniform_sphere_norms():

@@ -17,6 +17,7 @@ from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
     batch_to_dict,
     gaussian_baseline_batch,
+    round_summary,
     round_wise_scores,
     synthesize_batch,
     write_batch_csv,
@@ -47,6 +48,9 @@ def test_insufficient_buffer_raises():
     store = cluster_store(num_classes=2, dim=6, n_per_class=3, seed=3).snapshot()
     with pytest.raises(InsufficientDataError):
         synthesize_batch(store, HmcConfig(), k=5, delta=0.1, kappa=2.0, n_adj=1)
+    # k = 0 leaves the kNN energy no neighbor to select
+    with pytest.raises(BadArgError, match="k must be >= 1"):
+        synthesize_batch(store, HmcConfig(), k=0, delta=0.1, kappa=2.0, n_adj=1)
 
 
 def test_batch_is_deterministic_and_canonically_ordered():
@@ -95,6 +99,13 @@ def test_antipodal_pairs_are_skipped_and_reported():
     assert len(batch.chains) == 0
     assert len(batch.skipped) == 2  # (0,1) and (1,0)
     assert len(batch) == 0
+    # the log keeps one row per round, over no chains
+    assert batch.rounds.shape == (HmcConfig().rounds, 0)
+    summary = round_summary(batch)
+    assert math.isnan(summary["mh_acceptance"])
+    assert summary["mh_rejections"] == summary["margin_rejections"] == 0
+    assert summary["degenerate_rejections"] == 0
+    assert summary["skipped_pairs"] == 2
 
 
 def test_requires_two_classes():
@@ -171,6 +182,8 @@ def test_baseline_exact_count():
     batch = gaussian_baseline_batch(store, sigma=0.3, count_per_pair=7, n_adj=2, seed=1)
     assert len(batch) == len(batch.chains) * 7
     assert len(batch.chains) == 3 * 2
+    # the baseline runs no Markov chain, so its log has no rounds
+    assert batch.rounds.shape == (0, len(batch.chains))
 
 
 def test_baseline_small_sigma_stays_within_five_degrees():
