@@ -9,10 +9,13 @@ samples plus vMF clusters centered at pair midpoints, exercising the far
 and near OOD regimes).
 
 Reproducibility contract: a run is fully determined by its BenchConfig
-(including seeds). Deterministic artifacts (config echo, metric tables,
-batch dumps, score files) are byte-identical across invocations;
-wall-clock timings are reported separately in ``timings.json`` and are
-the only non-deterministic output.
+(including seeds) on one BLAS kernel, at any BLAS thread count.
+Deterministic artifacts (config echo, metric tables, batch dumps, score
+files) are byte-identical across invocations; wall-clock timings are
+reported separately in ``timings.json`` and are the only non-deterministic
+output. Another OpenBLAS kernel (``OPENBLAS_CORETYPE``) may round the
+float64 GEMMs of data generation and of the KDE differently, and so change
+the artifacts.
 """
 
 from __future__ import annotations

@@ -25,11 +25,9 @@ from . import blas
 from .errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 
 MIN_CALIBRATION_SCORES = 20
-# elements per kNN block buffer (512 KB of float64; the ranking and its
-# scratch copy are two): query rows per block = this // N. With both buffers
-# reused, 2**17 was within noise of it on a stock run and raised its peak
-# RSS by 0.4 MB.
-KNN_BLOCK_ELEMENTS = 2**16
+# elements per kNN block buffer (512 KB of float32; the ranking and its
+# scratch copy are two): query rows per block = this // N
+KNN_BLOCK_ELEMENTS = 2**17
 
 
 def knn_scores(
@@ -49,14 +47,21 @@ def kth_neighbors(
     as the k-th smallest of ``norm(reference - q, axis=1)``.
 
     ``sq_norms`` are the reference rows' squared norms (``IdSnapshot``
-    keeps them); they are computed here when not given. Query rows go in
-    blocks of at most ``KNN_BLOCK_ELEMENTS // N`` rows. Each block's GEMM
-    writes the expansion ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2 into one
-    ranking buffer that every block reuses, leaving out ||q||^2, which
-    shifts a whole row and so cannot change its order, and ``select_kth``
-    picks the k-th of each row. The near-tie windows and the exact
-    distances of the picked rows are computed once for all queries. The
-    GEMMs run on one BLAS thread (see ``blas``).
+    keeps them); they are computed here when not given. The ranking is in
+    float32: the reference, its squared norms and -2q are cast once per
+    call. Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N``
+    rows. Each block's GEMM writes the expansion
+    ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2 into one ranking buffer that
+    every block reuses, leaving out ||q||^2, which shifts a whole row and
+    so cannot change its order, and ``select_kth`` picks the k-th of each
+    row. The float32 ``tie_window`` sends a row whose order its rounding
+    could change to the exact float64 fallback, and the distances of the
+    picked rows are float64 norms, computed once for all queries. The GEMMs
+    run on one BLAS thread (see ``blas``).
+
+    Raises ``BadArgError`` when the largest squared norm of the reference
+    or of a query exceeds ``tie_window``'s float32 bound (1.3e36); a NaN
+    query row gets a NaN distance.
     """
     reference = np.asarray(reference, dtype=float)
     queries = np.asarray(queries, dtype=float)
@@ -67,32 +72,64 @@ def kth_neighbors(
         raise InsufficientDataError(f"reference holds {n} embeddings, fewer than k={k}")
     if sq_norms is None:
         sq_norms = np.einsum("ij,ij->i", reference, reference)
-    window = tie_window(float(sq_norms.max()), queries)
+    window = tie_window(float(sq_norms.max()), queries, np.float32)
+    reference32 = reference.astype(np.float32)
+    sq_norms32 = sq_norms.astype(np.float32)
+    scaled32 = (-2.0 * queries).astype(np.float32)
     block = max(1, KNN_BLOCK_ELEMENTS // n)
-    ranking = np.empty((min(block, queries.shape[0]), n))
+    ranking = np.empty((min(block, queries.shape[0]), n), dtype=np.float32)
     scratch = np.empty_like(ranking)
     indices = np.empty(queries.shape[0], dtype=np.intp)
     with blas.one_thread():
         for start in range(0, queries.shape[0], block):
-            q = queries[start : start + block]
-            stop = start + q.shape[0]
-            block_ranking = ranking[: q.shape[0]]
-            np.matmul(-2.0 * q, reference.T, out=block_ranking)
-            block_ranking += sq_norms
+            stop = min(start + block, queries.shape[0])
+            block_ranking = ranking[: stop - start]
+            np.matmul(scaled32[start:stop], reference32.T, out=block_ranking)
+            block_ranking += sq_norms32
             indices[start:stop] = select_kth(
-                block_ranking, scratch[: q.shape[0]], k, window[start:stop], reference, q
+                block_ranking,
+                scratch[: stop - start],
+                k,
+                window[start:stop],
+                reference,
+                queries[start:stop],
             )
     return np.linalg.norm(reference[indices] - queries, axis=1), indices
 
 
-def tie_window(sq_max: float, queries: np.ndarray) -> np.ndarray:
+def tie_window(sq_max: float, queries: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Half-width of each query row's near-tie window in a ``select_kth`` ranking.
 
-    ``sq_max`` is at least the largest ||r||^2 ranked; a larger value only
-    widens the window. The expansion's rounding error is ~1e-15 of the
-    scale ||r||^2 + ||q||^2, and the window is 1e-9 of it.
+    The ranking is ``fl(||r||^2) + fl(-2q) . fl(r)`` in ``dtype``, for every
+    ||r||^2 <= ``sq_max`` (a larger ``sq_max`` only widens the window). With
+    u = eps / 2 the unit roundoff of ``dtype`` (2^-24 for float32), each
+    ranking value is within (d + 5) u (||r||^2 + ||q||^2) of its exact
+    value: the casts of r and -2q add 2u, a d-term dot product summed in
+    any order, with or without FMA, adds d u, relative to
+    2 |r|.|q| <= ||r||^2 + ||q||^2; the cast of ||r||^2 adds u ||r||^2 and
+    the final add u (2 ||r||^2 + ||q||^2). Two values can swap only within
+    twice that bound, and the window is twice that again:
+    max(1e-9, 2 (d + 5) eps) (sq_max + ||q||^2 + 1). The + 1 covers the
+    absolute error of subnormal products. So no value outside the window
+    around a row's k-th can rank on the wrong side of the true k-th, and a
+    row whose neighbors in rank lie outside it has its exact k-th. The
+    float64 rounding of ``sq_norms`` and of the exact norms is 2^-29 of
+    the float32 bound and fits in that slack. The floor 1e-9 is the float64
+    window for every d below 2 million, far above its bound.
+
+    Raises ``BadArgError`` when ``sq_max`` or some ||q||^2 exceeds
+    finfo(dtype).max / 256 (1.3e36 for float32), which keeps every
+    ranking value and GEMM partial sum, at most 3 times that, finite. A NaN
+    query row passes and gets a NaN window.
     """
-    return 1e-9 * (sq_max + np.einsum("ij,ij->i", queries, queries) + 1.0)
+    sq_queries = np.einsum("ij,ij->i", queries, queries)
+    bound = float(np.finfo(dtype).max) / 256
+    if sq_max > bound or np.any(sq_queries > bound):
+        raise BadArgError(
+            f"a squared norm exceeds {bound:.3g}, the bound of a {np.dtype(dtype).name} ranking"
+        )
+    scale = max(1e-9, 2 * (queries.shape[1] + 5) * float(np.finfo(dtype).eps))
+    return scale * (sq_max + sq_queries + 1.0)
 
 
 def select_kth(
@@ -107,11 +144,13 @@ def select_kth(
     """Reference row of the exact k-th neighbor of every row of a ranking matrix.
 
     Column j of row i ranks reference row ``first[i] + j`` (``first`` may
-    be a scalar) against ``queries[i]`` by ||r||^2 - 2 r.q; columns past a
-    row's reference hold ``+inf``, and every row has at least k finite
-    entries. ``window`` is each row's ``tie_window``. The k-th neighbor's
-    distance is ``norm(reference[row] - queries[i])``, and callers compute
-    it for all their rows at once.
+    be a scalar) against ``queries[i]`` by ||r||^2 - 2 r.q, in the dtype
+    that ``window`` was derived for (``kth_neighbors`` ranks in float32,
+    the energy in float64); columns past a row's reference hold ``+inf``,
+    and every row has at least k finite entries. ``window`` is each row's
+    ``tie_window``. The k-th neighbor's distance is
+    ``norm(reference[row] - queries[i])``, and callers compute it for all
+    their rows at once.
 
     ``scratch``, of the ranking's shape, receives a copy that one value
     ``partition`` at k reorders in place: the k smallest values of a row

@@ -183,6 +183,95 @@ def test_knn_scores_exact_on_near_ties_the_expansion_misorders():
         assert_kth_neighbors_exact(ref, q[None, :], k)
 
 
+def exact_ranks(reference, zs):
+    """Per-row brute force in numpy: every row's exact distances and their
+    (exact distance, index) order; column k - 1 of the order is the k-th."""
+    exact = np.array([np.linalg.norm(reference - z, axis=1) for z in zs])
+    return exact, np.argsort(exact, axis=1, kind="stable")
+
+
+@pytest.mark.parametrize("d", [2, 16, 128])
+def test_kth_neighbors_equal_brute_force_across_blocks_in_every_dimension(d):
+    rng = np.random.default_rng(12 + d)
+    n = 700
+    ref = unit_rows(rng.standard_normal((n, d)))
+    ref[n // 2 :: 7] = ref[: n // 2 : 7][: len(ref[n // 2 :: 7])]  # exact duplicates
+    block = KNN_BLOCK_ELEMENTS // n
+    zs = unit_rows(rng.standard_normal((2 * block + 1, d)))
+    zs[::5] = ref[: len(zs[::5])]  # queries on reference rows
+    exact, order = exact_ranks(ref, zs)
+    for k in (1, 2, 7, 50, n // 2, n):
+        dist, idx = kth_neighbors(ref, zs, k)
+        assert np.array_equal(idx, order[:, k - 1]), (d, k)
+        assert np.array_equal(dist, exact[np.arange(len(zs)), idx]), (d, k)
+
+
+def test_kth_neighbors_exact_on_ties_float32_cannot_resolve(monkeypatch):
+    # 20 rows whose squared distances to q are 0.5 (1 + 1e-7 j), 10 rows nearer
+    # and 30 farther, in random directions: float64 keeps the 20 apart, but
+    # the float32 expansion's rounding (~1e-7 of the scale) scrambles them, so
+    # only the exact fallback gets a k-th among them right
+    rng = np.random.default_rng(13)
+    d = 16
+    q = normalize(rng.standard_normal(d))
+    sq_dists = np.concatenate(
+        [0.1 + 0.01 * np.arange(10), 0.5 * (1.0 + 1e-7 * np.arange(20)), 0.8 + 0.01 * np.arange(30)]
+    )
+    angles = np.arccos(1.0 - sq_dists / 2.0)
+    away = rng.standard_normal((len(angles), d))
+    away = unit_rows(away - np.outer(away @ q, q))
+    ref = np.cos(angles)[:, None] * q + np.sin(angles)[:, None] * away
+    ref = ref[rng.permutation(len(ref))]
+    exact = np.linalg.norm(ref - q, axis=1)
+    assert np.all(np.diff(np.sort(exact)[10:30]) > 0)
+    sq_norms32 = np.einsum("ij,ij->i", ref, ref).astype(np.float32)
+    by_float32 = sq_norms32 + ref.astype(np.float32) @ (-2.0 * q).astype(np.float32)
+    assert np.flatnonzero(exact[np.argsort(by_float32, kind="stable")] != np.sort(exact)).size > 5
+    exact_rankings = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        exact_rankings.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    for k in range(9, 33):
+        exact_rankings.clear()
+        monkeypatch.setattr(np, "argsort", spy)
+        kth_neighbors(ref, q[None, :], k)
+        monkeypatch.undo()
+        if 11 <= k <= 30:
+            assert exact_rankings and exact_rankings[0] >= 2, k  # the row fell back
+        assert_kth_neighbors_exact(ref, q[None, :], k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 128, 4096])
+def test_float64_tie_window_is_the_fixed_1e9_window(d):
+    rng = np.random.default_rng(14)
+    queries = rng.standard_normal((9, d)) * np.logspace(-3, 3, 9)[:, None]
+    for sq_max in (0.0, 1.0, 3.7, 1e6):
+        want = 1e-9 * (sq_max + np.einsum("ij,ij->i", queries, queries) + 1.0)
+        assert np.array_equal(tie_window(sq_max, queries), want)
+        assert np.array_equal(tie_window(np.float64(sq_max), queries, np.float64), want)
+
+
+def test_kth_neighbors_exact_at_every_scale_a_float32_ranking_holds():
+    rng = np.random.default_rng(15)
+    ref = unit_rows(rng.standard_normal((120, 16)))
+    zs = unit_rows(rng.standard_normal((9, 16)))
+    for scale in (1e-25, 1e-3, 1e3, 1e17):
+        for k in (1, 5, 120):
+            assert_kth_neighbors_exact(scale * ref, scale * zs, k)
+    for big_ref, big_zs in ((1e20, 1.0), (1.0, 1e20), (1e20, 1e20)):
+        with pytest.raises(BadArgError):
+            kth_neighbors(big_ref * ref, big_zs * zs, 5)
+    # a NaN query row passes the bound and keeps its NaN distance
+    zs[3] = np.nan
+    dist, _ = kth_neighbors(ref, zs, 5)
+    assert np.isnan(dist).tolist() == [i == 3 for i in range(9)]
+    finite = ~np.isnan(dist)
+    assert np.array_equal(-dist[finite], brute_knn_scores(ref, zs[finite], 5))
+
+
 def test_knn_scores_runs_its_gemms_on_one_blas_thread(monkeypatch):
     controls = blas.thread_controls()
     if controls is None or controls[0]() < 2:
