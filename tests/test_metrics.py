@@ -195,7 +195,7 @@ def test_kth_neighbors_equal_brute_force_across_blocks_in_every_dimension(d):
     rng = np.random.default_rng(12 + d)
     n = 700
     ref = unit_rows(rng.standard_normal((n, d)))
-    ref[n // 2 :: 7] = ref[: n // 2 : 7][: len(ref[n // 2 :: 7])]  # exact duplicates
+    ref[n // 2 :: 7] = ref[: n // 2 : 7]  # exact duplicates
     block = KNN_BLOCK_ELEMENTS // n
     zs = unit_rows(rng.standard_normal((2 * block + 1, d)))
     zs[::5] = ref[: len(zs[::5])]  # queries on reference rows
