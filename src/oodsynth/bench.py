@@ -57,7 +57,9 @@ from .synthesis import (
     write_trace_jsonl,
 )
 
-VMF_MAX_KAPPA = 1e15  # beyond it the radial scheme fails in math.log or never accepts
+# beyond it the vMF radial scheme fails in math.log or never accepts; it also
+# bounds loss_kappa, whose logits (at most loss_kappa) then stay finite in the losses
+VMF_MAX_KAPPA = 1e15
 
 
 @dataclass
@@ -115,10 +117,11 @@ class BenchConfig:
                 raise BadConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.cluster_kappa < 0 or self.kappa <= 0 or self.loss_kappa <= 0:
             raise BadConfigError("cluster_kappa must be >= 0; kappa and loss_kappa > 0")
-        if self.cluster_kappa > VMF_MAX_KAPPA:
-            raise BadConfigError(
-                f"cluster_kappa must be <= {VMF_MAX_KAPPA:g}, got {self.cluster_kappa}"
-            )
+        for name in ("cluster_kappa", "loss_kappa"):
+            if getattr(self, name) > VMF_MAX_KAPPA:
+                raise BadConfigError(
+                    f"{name} must be <= {VMF_MAX_KAPPA:g}, got {getattr(self, name)}"
+                )
         if self.delta < 0 or self.lambda_d < 0:
             raise BadConfigError("delta and lambda_d must be nonnegative")
         if self.iterations < 1 or self.insert_per_class < 1:

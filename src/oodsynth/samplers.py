@@ -18,20 +18,24 @@ numbers it would see alone.
 The chain state carries each chain's potential and gradient at its
 position, as HMC carries U(z) and grad U(z) with z: the start of a round
 is the end of an accepted proposal or the start of a rejected one, both
-already evaluated. So no point is evaluated twice: ``advance`` evaluates
-the starting positions once, and after that a round costs
-``leapfrog_steps`` ``value_and_grad`` calls (HMC, MALA) or one (random
-walk, which keeps the gradient it does not use so that every kernel
-shares one state and one degenerate rule).
+already evaluated. So no point is evaluated twice: the starting positions
+are evaluated once, and after that a round costs ``leapfrog_steps``
+evaluations (HMC, MALA) or one (random walk, which keeps the gradient it
+does not use so that every kernel shares one state and one degenerate
+rule). The last of them, at the proposal, is the energy's ``endpoint``,
+which also gives the margin statistic; the steps before it use
+``value_and_grad``.
 
 The momentum q is a standard normal draw projected onto the tangent space
 at z, and the kinetic energy is K = ||q||^2 / 2. The volume-preserving,
 reversible geodesic leapfrog with the MH test leaves exp(-U(z) - K(q))
 invariant, whose z-marginal is exp(-U(z)).
 
-Kernels only need an energy object exposing ``value_and_grad(z)`` and
-``margin_exceeds(z, t_minus)`` over the rows of z, so they can be
-validated against analytic stand-in targets independently of the kNN
+Kernels only need an energy object exposing ``value_and_grad(z)``, which
+returns (potential, gradient), and ``endpoint(z)``, which returns
+(potential, gradient, margin statistic), over the rows of z; a proposal
+passes the margin when its statistic exceeds its chain's t_-. So they can
+be validated against analytic stand-in targets independently of the kNN
 energy. No burn-in or step-size adaptation is performed here: chains are
 meant to roam, not to converge.
 """
@@ -46,6 +50,12 @@ import numpy as np
 
 from .errors import BadConfigError, require_field_types
 from .sphere import geodesic_step, normalize, project_tangent
+
+
+# Largest step size eps: eps^2 is at most sqrt(float max), so a trajectory's
+# momentum, about L eps ||grad U||, its square in the kinetic energy and the
+# geodesic arc ||q|| eps stay finite for every gradient below 1e77 / L.
+MAX_STEP_SIZE = float(np.finfo(float).max) ** 0.25
 
 
 class SamplerVariant(str, Enum):
@@ -73,8 +83,10 @@ class HmcConfig:
         require_field_types(self)
         if self.leapfrog_steps < 1:
             raise BadConfigError(f"leapfrog_steps must be >= 1, got {self.leapfrog_steps}")
-        if self.step_size < 0:
-            raise BadConfigError(f"step_size must be nonnegative, got {self.step_size}")
+        if not 0 <= self.step_size <= MAX_STEP_SIZE:
+            raise BadConfigError(
+                f"step_size must be in [0, {MAX_STEP_SIZE:.6g}], got {self.step_size}"
+            )
         if self.rounds < 1:
             raise BadConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.rng_seed < 0:
@@ -153,11 +165,12 @@ def _integrate(
     gradient, a great-circle rotation of position and momentum, and a
     second half kick at the new position.
 
-    Returns (z, q, potential(z), gradient at z, degenerate), where a row is
-    degenerate when any point of its trajectory, z0 included, has a NaN
-    potential. Potential and gradient come from a single neighbor query
-    per point, and the gradient at the end of one update is reused at the
-    start of the next, so the whole trajectory costs ``steps`` energy
+    Returns (z, q, potential(z), gradient at z, margin statistic at z,
+    degenerate), where a row is degenerate when any point of its
+    trajectory, z0 included, has a NaN potential. Potential and gradient
+    come from a single neighbor query per point, the last one the energy's
+    ``endpoint``, and the gradient at the end of one update is reused at
+    the start of the next, so the whole trajectory costs ``steps`` energy
     evaluations.
     """
     z = np.asarray(z0, dtype=float)
@@ -165,13 +178,16 @@ def _integrate(
     eps = step_size
     u, grad = u0, grad0
     degenerate = np.isnan(u)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         q = q - 0.5 * eps * project_tangent(grad, z)
         z, q = geodesic_step(z, q, eps)
-        u, grad = ctx.value_and_grad(z)
+        if step < steps:
+            u, grad = ctx.value_and_grad(z)
+        else:
+            u, grad, score = ctx.endpoint(z)
         degenerate |= np.isnan(u)
         q = q - 0.5 * eps * project_tangent(grad, z)
-    return z, q, u, grad, degenerate
+    return z, q, u, grad, score, degenerate
 
 
 def _uniforms(rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -196,16 +212,17 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> np.recarray:
         g = _normals(chains.rngs, z.shape[1])
         uniforms = _uniforms(chains.rngs)
         z_prop = normalize(z + cfg.step_size * g) if cfg.step_size > 0 else z
-        u_prop, grad_prop = ctx.value_and_grad(z_prop)
+        u_prop, grad_prop, score = ctx.endpoint(z_prop)
         rec.h_init, rec.h_prop = chains.potential, u_prop
         degenerate = np.isnan(chains.potential) | np.isnan(u_prop)
     else:
         q = draw_momentum(z, chains.rngs)
         uniforms = _uniforms(chains.rngs)
-        z_prop, q_prop, u_prop, grad_prop, degenerate = _integrate(
+        z_prop, q_prop, u_prop, grad_prop, score, degenerate = _integrate(
             ctx, z, q, chains.potential, chains.grad, cfg.leapfrog_steps, cfg.step_size
         )
         rec.h_init, rec.h_prop = chains.potential + kinetic(q), u_prop + kinetic(q_prop)
+    rec.margin_pass = (score > chains.t_minus) & ~degenerate
     z_prop = np.where(degenerate[:, None], z, z_prop)
     rec.proposed = z_prop
     rec.h_init[degenerate] = rec.h_prop[degenerate] = np.nan
@@ -213,7 +230,6 @@ def advance(ctx, chains: ChainState, cfg: HmcConfig) -> np.recarray:
         rec.alpha = np.exp(rec.h_init - rec.h_prop)
     rec.alpha[degenerate] = 0.0
     rec.mh_accept = uniforms < np.minimum(1.0, rec.alpha)
-    rec.margin_pass = ctx.margin_exceeds(z_prop, chains.t_minus) & ~degenerate
     rec.accepted = accepted = rec.mh_accept & rec.margin_pass
     chains.positions[accepted] = z_prop[accepted]
     chains.potential[accepted] = u_prop[accepted]

@@ -9,11 +9,12 @@ prototypes are antipodal have no midpoint and are skipped (and reported).
 
 All chains of a batch advance in lockstep (``samplers.advance``): their
 positions form one (M, d) array, so each energy evaluation, margin test
-and integrator step covers every chain at once, and all thresholds come
-from one KDE evaluation at the M midpoints. Chains stay independent given
-the frozen store snapshot: each owns an RNG spawned deterministically
-from the batch seed and draws from it alone, so results do not depend on
-how the chains are grouped, and the batch is listed canonically by
+and integrator step covers every chain at once. All thresholds, and the
+chains' starting potential and gradient, come from one ``endpoint``
+evaluation at the M midpoints. Chains stay independent given the frozen
+store snapshot: each owns an RNG spawned deterministically from the
+batch seed and draws from it alone, so results do not depend on how the
+chains are grouped, and the batch is listed canonically by
 (class id, adjacency rank, round): ``OutlierBatch.samples`` holds one
 record per outlier, whose ``chain_index`` finds its chain (and pair) in
 ``OutlierBatch.chains``; read rounds as ``samples["round"]``, since
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import EnergyContext, neg_log_max_id_prob
+from .energy import EnergyContext
 from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from .metrics import write_csv
 from .samplers import ChainState, HmcConfig, advance, transition_log
@@ -134,13 +135,14 @@ def synthesize_batch(
     rounds = transition_log((cfg.rounds, len(chains)), store.dim)
     if chains:
         starts = np.array([run.start for run in chains])
-        t_minus = neg_log_max_id_prob(store, starts, kappa) - delta
-        for run, t in zip(chains, t_minus.tolist()):
-            run.t_minus = t
         ctx = EnergyContext(
             store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
         )
-        state = ChainState(positions=starts, t_minus=t_minus, rngs=rngs)
+        potential, grad, score = ctx.endpoint(starts)
+        t_minus = score - delta
+        for run, t in zip(chains, t_minus.tolist()):
+            run.t_minus = t
+        state = ChainState(starts, t_minus, rngs, potential=potential, grad=grad)
         for r in range(cfg.rounds):
             rounds[r] = advance(ctx, state, cfg)
     for run, n in zip(chains, rounds.accepted.sum(axis=0).tolist()):

@@ -145,8 +145,8 @@ class _CircleEnergy:
         grad[:, 0] = -1.0 / (2.0 + z[:, 0])
         return -np.log(2.0 + z[:, 0]), grad
 
-    def margin_exceeds(self, z, t_minus):
-        return np.ones(len(z), dtype=bool)
+    def endpoint(self, z):
+        return *self.value_and_grad(z), np.full(len(z), math.inf)  # passes every margin
 
 
 def test_criterion_3_mh_correctness_circle():

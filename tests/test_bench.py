@@ -30,9 +30,10 @@ import oodsynth
 from oodsynth import cli
 from oodsynth.cli import main
 from oodsynth.errors import BadArgError, BadConfigError, ZeroVectorError
-from oodsynth.samplers import HmcConfig, SamplerVariant
+from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
 from oodsynth.sphere import normalize
 from oodsynth.store import IdStore
+from oodsynth.synthesis import round_summary
 
 SMALL = BenchConfig(
     dim=6,
@@ -121,6 +122,46 @@ def test_cli_huge_cluster_kappa_exits_2_without_hanging(tmp_path):
         assert "Traceback" not in proc.stderr
         assert name in proc.stderr
         assert not out_dir.exists()
+
+
+def test_cli_out_of_range_loss_kappa_and_step_size_exit_2(tmp_path):
+    # at the parent both ran to exit 0: the loss kappa with a NaN objective and
+    # infinite losses, the step size with every proposal degenerate, each after
+    # numpy warnings
+    env = os.environ | {"PYTHONPATH": str(Path(oodsynth.__file__).resolve().parents[1])}
+    cases = (
+        ("--loss-kappa", "1e308", "loss_kappa"),
+        ("--step-size", "1e160", "step_size"),
+        ("--step-size", "1e300", "step_size"),
+    )
+    for option, value, name in cases:
+        out_dir = tmp_path / f"{name}_{value}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "oodsynth", "run", "--iterations", "1", option, value]
+            + ["--out-dir", str(out_dir)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert name in proc.stderr
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("variant", list(SamplerVariant))
+def test_runs_at_the_loss_kappa_and_step_size_bounds_are_finite(variant):
+    # pytest turns every warning into an error, so no numpy warning is raised
+    hmc = HmcConfig(step_size=MAX_STEP_SIZE, variant=variant)
+    cfg = BenchConfig(iterations=1, loss_kappa=VMF_MAX_KAPPA, hmc=hmc)
+    (res,) = run_experiment(cfg)
+    assert all(math.isfinite(v) for v in res.losses.values())
+    assert round_summary(res.batch)["degenerate_rejections"] == 0
+    with pytest.raises(BadConfigError, match="loss_kappa"):
+        dataclasses.replace(cfg, loss_kappa=math.nextafter(VMF_MAX_KAPPA, math.inf))
+    with pytest.raises(BadConfigError, match="step_size"):
+        HmcConfig(step_size=math.nextafter(MAX_STEP_SIZE, math.inf))
 
 
 def test_uniform_sphere_norms():

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import class_rows, cluster_store
-from oodsynth import blas
+from oodsynth import blas, energy
 from oodsynth.energy import (
     EnergyContext,
     log_class_densities,
@@ -178,9 +179,12 @@ def at_angles(q, angles):
     return np.cos(angles)[:, None] * q + np.sin(angles)[:, None] * axes
 
 
-def test_pair_query_takes_the_exact_fallback_on_planted_near_ties(monkeypatch):
-    # k = 3; class 0 plants a near-tie between its 2nd and 3rd nearest rows to
-    # q, class 1 between its 3rd and 4th, both ~6e-13 apart in squared distance
+def near_tie_context():
+    """k = 3 context of pair (0, 1) and its two query rows, q and a random row.
+
+    Class 0 plants a near-tie between its 2nd and 3rd nearest rows to q,
+    class 1 between its 3rd and 4th, both ~6e-13 apart in squared distance.
+    """
     q = np.eye(8)[0]
     rows = [
         at_angles(q, np.array([0.9, 0.3 + 1e-12, 0.1, 0.3, 0.6])),
@@ -189,9 +193,12 @@ def test_pair_query_takes_the_exact_fallback_on_planted_near_ties(monkeypatch):
     store = IdStore(2, 8, capacity=5)
     for c, r in enumerate(rows):
         store.insert(c, r)
-    snap = store.snapshot()
-    ctx = EnergyContext(store=snap, pairs=[ClusterPair(0, 1)] * 2, k=3, kappa=2.0)
-    zs = np.stack([q, normalize(np.random.default_rng(2).standard_normal(8))])
+    ctx = EnergyContext(store=store.snapshot(), pairs=[ClusterPair(0, 1)] * 2, k=3, kappa=2.0)
+    return ctx, np.stack([q, normalize(np.random.default_rng(2).standard_normal(8))])
+
+
+def test_pair_query_takes_the_exact_fallback_on_planted_near_ties(monkeypatch):
+    ctx, zs = near_tie_context()
     want_dist, want_idx, _ = per_class_pair_query(ctx, zs)
     assert want_idx[:, 0].tolist() == [1, 5 + 4]  # the 3rd nearest of each by exact distance
     exact_rankings = []
@@ -423,3 +430,84 @@ def test_margin_always_passes_with_huge_delta():
     t = chain_threshold(store, ClusterPair(0, 1), 1e9)
     rng = np.random.default_rng(4)
     assert all(passes_margin(store, normalize(rng.standard_normal(3)), 2.0, t) for _ in range(20))
+
+
+# -- one inner-product pass at an endpoint -------------------------------------
+
+
+def assert_endpoint_matches(ctx, zs):
+    """``endpoint`` gives the bits of ``value_and_grad`` and ``neg_log_max_id_prob``."""
+    value, grad, score = ctx.endpoint(zs)
+    want_value, want_grad = ctx.value_and_grad(zs)
+    assert np.array_equal(value, want_value, equal_nan=True)
+    assert np.array_equal(grad, want_grad)
+    assert np.array_equal(score, neg_log_max_id_prob(ctx.store, zs, ctx.kappa))
+    return value
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40, 193])
+@pytest.mark.parametrize(
+    "counts, k, dim",
+    [
+        ((37, 5, 60, 12), 1, 8),  # unequal counts
+        ((37, 5, 60, 12), 5, 8),  # class 1 holds exactly k rows
+        ((5, 5, 5), 5, 8),  # every class holds exactly k
+        ((300, 41, 160, 97, 12), 7, 128),  # GEMM edge blocks at d = 128
+    ],
+)
+def test_endpoint_equals_value_and_grad_and_margin(m, counts, k, dim):
+    store = uneven_store(counts, dim=dim, seed=m + k, duplicates=3)
+    c = len(counts)
+    every = [ClusterPair(u, v) for u in range(c) for v in range(c) if u != v]
+    pairs = [every[i % len(every)] for i in range(m)]
+    zs = normalize(np.random.default_rng(m).standard_normal((m, dim)))
+    zs[0] = class_rows(store, pairs[0].u)[0]  # on a buffered row: degenerate at k = 1
+    if m > 1:
+        zs[1] = class_rows(store, pairs[1].v)[-1]  # on a duplicate
+    ctx = EnergyContext(store=store, pairs=pairs, k=k, kappa=2.0)
+    value = assert_endpoint_matches(ctx, zs)
+    assert math.isnan(value[0]) == (k == 1)
+    if m == 1:
+        value, grad, score = ctx.endpoint(zs[0])
+        assert value.shape == score.shape == () and grad.shape == (dim,)
+
+
+def test_endpoint_takes_the_exact_fallback_on_planted_near_ties(monkeypatch):
+    # q's u-row and v-row fall back from the sliced inner products as they do
+    # from the per-class GEMMs
+    ctx, zs = near_tie_context()
+    exact_rankings = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        exact_rankings.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    ctx.endpoint(zs)
+    monkeypatch.undo()
+    assert exact_rankings == [2, 2]
+    assert_endpoint_matches(ctx, zs)
+
+
+def test_default_batch_makes_ten_ranking_gemm_passes_and_six_kde_gemms(monkeypatch):
+    # HMC at R = 5, L = 3 evaluates 1 + R L = 16 points: the midpoints and the
+    # R proposals at ``endpoint`` (one KDE GEMM each, whose slices rank the
+    # pair classes) and the 2 R interior leapfrog points at ``value_and_grad``
+    # (one GEMM per pair class)
+    store = cluster_store(num_classes=4, dim=8, n_per_class=30, seed=3).snapshot()
+    calls = Counter()
+    pair_query, inner_products = EnergyContext._pair_query, energy._inner_products
+
+    def spy_pair_query(self, rows, ips=None):
+        calls["per-class GEMMs" if ips is None else "sliced"] += 1
+        return pair_query(self, rows, ips)
+
+    def spy_inner_products(*args):
+        calls["KDE GEMM"] += 1
+        return inner_products(*args)
+
+    monkeypatch.setattr(EnergyContext, "_pair_query", spy_pair_query)
+    monkeypatch.setattr(energy, "_inner_products", spy_inner_products)
+    synthesize_batch(store, HmcConfig(), k=3, delta=0.1, kappa=2.0, n_adj=3)
+    assert calls == Counter({"per-class GEMMs": 10, "sliced": 6, "KDE GEMM": 6})

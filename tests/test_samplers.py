@@ -31,8 +31,9 @@ class StandinEnergy:
     def value_and_grad(self, z):
         return np.array([self.fn(row) for row in z]), np.array([self.grad_fn(row) for row in z])
 
-    def margin_exceeds(self, z, t_minus):
-        return np.full(len(z), self.margin)
+    def endpoint(self, z):
+        # a margin statistic of +inf passes every threshold, -inf none
+        return *self.value_and_grad(z), np.full(len(z), math.inf if self.margin else -math.inf)
 
 
 def flat_energy(margin=True):
@@ -147,7 +148,7 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
     ctx = pair_energy(store.snapshot(), k=1)
     q0 = np.array([0.0, 0.0, 0.8])  # tangent at e1, orthogonal to both buffer points
     u0, grad0 = ctx.value_and_grad(e1[None])
-    z_lf, q_lf, _, _, _ = _integrate(ctx, e1[None], q0[None], u0, grad0, steps=4, step_size=0.3)
+    z_lf, q_lf, _, _, _, _ = _integrate(ctx, e1[None], q0[None], u0, grad0, steps=4, step_size=0.3)
     z_geo, q_geo = e1, q0
     for _ in range(4):
         z_geo, q_geo = geodesic_step(z_geo, q_geo, 0.3)
@@ -161,7 +162,7 @@ def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
     z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (5, 1))
     q = draw_momentum(z, [rng] * 5)
     u0, grad0 = ctx.value_and_grad(z)
-    z2, q2, u2, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=1e-4)
+    z2, q2, u2, _, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=1e-4)
     assert np.abs((u2 + kinetic(q2)) - (u0 + kinetic(q))).max() <= 1e-6
 
 
@@ -171,7 +172,7 @@ def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
     z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (3, 1))
     q = draw_momentum(z, [rng] * 3)
     u0, grad0 = ctx.value_and_grad(z)
-    z2, q2, _, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=0.1)
+    z2, q2, _, _, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=0.1)
     assert np.abs(np.linalg.norm(z2, axis=1) - 1.0).max() <= 1e-9
     assert np.abs(np.einsum("ij,ij->i", z2, q2)).max() <= 1e-8
 
@@ -393,7 +394,7 @@ def test_cached_energy_equals_a_fresh_evaluation_on_a_degenerate_store(variant):
 
 
 class _CountingEnergy:
-    """Delegates to an energy and counts its value_and_grad calls."""
+    """Delegates to an energy and counts its value_and_grad and endpoint calls."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -403,21 +404,23 @@ class _CountingEnergy:
         self.calls["value_and_grad"] += 1
         return self.ctx.value_and_grad(z)
 
-    def margin_exceeds(self, z, t_minus):
-        return self.ctx.margin_exceeds(z, t_minus)
+    def endpoint(self, z):
+        self.calls["endpoint"] += 1
+        return self.ctx.endpoint(z)
 
 
 @pytest.mark.parametrize(
     "variant, want",
     [
-        (SamplerVariant.HMC, {"value_and_grad": 1 + 5 * 3}),
-        (SamplerVariant.MALA, {"value_and_grad": 1 + 5}),
-        (SamplerVariant.RANDOM_WALK, {"value_and_grad": 1 + 5}),
+        (SamplerVariant.HMC, {"value_and_grad": 1 + 5 * 2, "endpoint": 5}),
+        (SamplerVariant.MALA, {"value_and_grad": 1, "endpoint": 5}),
+        (SamplerVariant.RANDOM_WALK, {"value_and_grad": 1, "endpoint": 5}),
     ],
 )
 def test_rounds_evaluate_only_their_proposals(small_snapshot, variant, want):
     # R = 5 rounds at L = 3: one evaluation at the start, then L per
-    # Hamiltonian round or one per random-walk round
+    # Hamiltonian round or one per random-walk round, the last of a round
+    # at its proposal (``endpoint``, which also gives the margin statistic)
     ctx = _CountingEnergy(pair_energy(small_snapshot, k=3, chains=3))
     state = pair_state(small_snapshot, 61, -math.inf, chains=3)
     cfg = HmcConfig(variant=variant, leapfrog_steps=3, rounds=5)
