@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadArgError, BadConfigError, require_field_types
+from .errors import AntipodalPrototypesError, BadArgError, BadConfigError, require_field_types
 from .metrics import (
     QualityAngles,
     ScoreReport,
@@ -46,7 +46,7 @@ from .objectives import (
 )
 from .samplers import HmcConfig, SamplerVariant
 from .sphere import normalize
-from .store import ClusterPair, IdSnapshot, IdStore
+from .store import IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     batch_to_dict,
@@ -244,16 +244,20 @@ def generate_synthetic_id(cfg: BenchConfig) -> IdStore:
 
 
 def make_ood_test_set(cfg: BenchConfig, store: IdStore, rng: np.random.Generator) -> np.ndarray:
-    """Held-out OOD points: uniform sphere plus vMF blobs at pair midpoints."""
-    snapshot = store.snapshot()
+    """Held-out OOD points: uniform sphere plus vMF blobs at pair midpoints.
+
+    The midpoints are the chain starts of ``synthesize_batch``, read from
+    the snapshot's ``pair_table``; an antipodal pair, which has no
+    midpoint, is an AntipodalPrototypesError.
+    """
     parts = []
     if cfg.ood.n_uniform > 0:
         parts.append(uniform_sphere(cfg.ood.n_uniform, cfg.dim, rng))
     if cfg.ood.n_midpoint > 0:
-        midpoints = []
-        for c in range(cfg.num_classes):
-            for j in snapshot.adjacent_clusters(c, cfg.effective_n_adj()):
-                midpoints.append(snapshot.midpoint(ClusterPair(c, j)))
+        pairs, midpoints, antipodal = store.snapshot().pair_table(cfg.effective_n_adj())
+        if antipodal.any():
+            u, v = pairs[antipodal][0].tolist()
+            raise AntipodalPrototypesError(f"prototypes of classes {u} and {v} are antipodal")
         counts = np.bincount(
             np.arange(cfg.ood.n_midpoint) % len(midpoints), minlength=len(midpoints)
         )

@@ -223,12 +223,14 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a synthetic ID store")
     _add_config_flags(p_gen)
-    p_gen.add_argument("--out", required=True, help="store file (.json or binary)")
+    p_gen.add_argument("--out", required=True, help="store file, binary IDSTORE1 format")
     p_gen.set_defaults(func=cmd_gen)
 
     p_synth = sub.add_parser("synth", help="synthesize one outlier batch")
     _add_config_flags(p_synth)
-    p_synth.add_argument("--store", help="existing store file; default: generate from config")
+    p_synth.add_argument(
+        "--store", help="existing IDSTORE1 store file; default: generate from config"
+    )
     p_synth.add_argument("--out", required=True, help="batch file (.json or .csv)")
     p_synth.add_argument("--trace", help="write per-transition JSON lines here")
     p_synth.set_defaults(func=cmd_synth)

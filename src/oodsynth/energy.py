@@ -22,7 +22,8 @@ indices are re-queried at every evaluation, so the potential is treated
 as piecewise smooth.
 
 An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
-against its own pair, so the M chains of a batch share every kNN query:
+against its own pair, row i of an (M, 2) array of class ids (a batch's
+``chains.pair``), so the M chains of a batch share every kNN query:
 one evaluation ranks all 2M (row, class) queries in one matrix, class by
 class, and makes one ``select_kth`` pass over it. It offers the samplers
 two methods. ``value_and_grad(z)`` fills each class's block of the
@@ -45,7 +46,6 @@ never needed. The densities of M points come from one (M x N) GEMM.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +53,7 @@ import numpy as np
 from . import blas
 from .errors import BadArgError, EmptyBufferError, InsufficientDataError
 from .metrics import select_kth, shifted_logsumexp, tie_window
-from .store import ClusterPair, IdSnapshot
+from .store import IdSnapshot
 
 
 def _inner_products(store: IdSnapshot, rows: np.ndarray) -> np.ndarray:
@@ -109,16 +109,18 @@ def passes_margin(
     return neg_log_max_id_prob(store, z, kappa) > t_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyContext:
     """Frozen view of the OOD-ness energy of M chains, row i against ``pairs[i]``.
 
-    Methods take z of shape (M, d), or (d,) when M = 1, and return one
-    value per row. Pure functions over a store snapshot.
+    ``pairs`` is an (M, 2) array of class ids, each row two distinct
+    classes; the context keeps a read-only copy. Methods take z of shape
+    (M, d), or (d,) when M = 1, and return one value per row. Pure
+    functions over a store snapshot.
     """
 
     store: IdSnapshot
-    pairs: Sequence[ClusterPair]
+    pairs: np.ndarray
     k: int
     kappa: float
     grad_mode: str = "analytic"
@@ -135,8 +137,16 @@ class EnergyContext:
     def __post_init__(self):
         if self.k < 1:
             raise BadArgError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        classes = np.array([p.u for p in self.pairs] + [p.v for p in self.pairs], dtype=np.intp)
+        pairs = np.array(self.pairs, dtype=np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise BadArgError(f"pairs must be an (M, 2) array of class ids, not {pairs.shape}")
+        same = pairs[:, 0] == pairs[:, 1]
+        if same.any():
+            u, v = pairs[same][0].tolist()
+            raise BadArgError(f"cluster pair needs two distinct classes, got ({u}, {v})")
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+        classes = pairs.T.ravel()  # every u, then every v
         offsets = self.store.offsets.tolist()
         groups, stacked = [], []
         for c in sorted(set(classes.tolist())):

@@ -13,9 +13,8 @@ shares no memory with it and every array it holds is read-only, so any
 number of readers may query one concurrently while the store keeps
 changing.
 
-Serialization: ``save``/``load`` support two formats, chosen by file
-extension. ``.json`` produces a plain JSON document. Any other extension
-writes the columnar binary layout (all little-endian):
+Serialization: ``save``/``load`` use one columnar binary format, IDSTORE1
+(all little-endian); ``save`` refuses a path with a ``.json`` suffix:
 
     magic   8 bytes  b"IDSTORE1"
     header  uint32 C, uint32 d, uint32 B, float64 gamma
@@ -28,7 +27,6 @@ writes the columnar binary layout (all little-endian):
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,32 +117,59 @@ class IdSnapshot:
         """``offsets``; the FLOP counter in ``perfbench/layers.py`` reads it by this name."""
         return self.offsets
 
-    def adjacent_clusters(self, class_id: int, n_adj: int) -> list[int]:
-        """The n_adj classes whose prototypes are most cosine-similar to this one.
+    def adjacency(self, n_adj: int) -> np.ndarray:
+        """(C, n_adj) class ids: row c lists the n_adj classes whose prototypes
+        are most cosine-similar to class c's, in descending similarity, ties
+        broken by lower class id.
 
-        Returned in descending similarity; ties broken by lower class id.
+        One matvec of the prototypes per class (a GEMM rounds some exact
+        cosine ties differently, and so reorders them), the diagonal masked
+        to -inf, then one stable argsort over every row.
         """
-        _check_class(class_id, self.num_classes)
         if not 1 <= n_adj <= self.num_classes - 1:
             raise BadArgError(f"n_adj={n_adj} outside [1, {self.num_classes - 1}]")
         missing = np.flatnonzero(~self.has_prototype).tolist()
         if missing:
             raise PrototypeUndefinedError(f"prototypes undefined for classes {missing}")
-        cos = self.prototypes @ self.prototypes[class_id]
-        others = np.array([c for c in range(self.num_classes) if c != class_id])
-        order = np.lexsort((others, -cos[others]))
-        return [int(others[i]) for i in order[:n_adj]]
+        cos = np.array([self.prototypes @ mu for mu in self.prototypes])
+        np.fill_diagonal(cos, -np.inf)
+        return np.argsort(-cos, axis=1, kind="stable")[:, :n_adj]
+
+    def pair_table(self, n_adj: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (class, adjacent class) pair, its midpoint, and whether it is antipodal.
+
+        Returns the (C * n_adj, 2) pairs, by class id and then adjacency
+        rank (pair i is class i // n_adj and its rank i % n_adj neighbor),
+        their (C * n_adj, d) midpoints, NaN where the pair is antipodal, and
+        the (C * n_adj,) antipodal mask.
+        """
+        adjacent = self.adjacency(n_adj)
+        pairs = np.stack([np.repeat(np.arange(self.num_classes), n_adj), adjacent.ravel()], axis=1)
+        mu = self.prototypes
+        midpoints, antipodal = _midpoints(mu[pairs[:, 0]], mu[pairs[:, 1]])
+        return pairs, midpoints, antipodal
 
     def midpoint(self, pair: ClusterPair) -> np.ndarray:
         """Normalized sum of the two prototypes of a cluster pair."""
-        mu_u = self.prototype(pair.u)
-        mu_v = self.prototype(pair.v)
-        s = mu_u + mu_v
-        if np.linalg.norm(s) < ANTIPODAL_TOL:
+        mu_u, mu_v = self.prototype(pair.u), self.prototype(pair.v)
+        midpoints, antipodal = _midpoints(mu_u[None], mu_v[None])
+        if antipodal[0]:
             raise AntipodalPrototypesError(
                 f"prototypes of classes {pair.u} and {pair.v} are antipodal"
             )
-        return normalize(s)
+        return midpoints[0]
+
+
+def _midpoints(mu_u: np.ndarray, mu_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized row sums of two (n, d) prototype arrays, NaN where antipodal, and that mask.
+
+    Each row's norm is a 1-D ``np.linalg.norm``, whose bits a batched
+    axis-1 norm does not reproduce.
+    """
+    sums = mu_u + mu_v
+    norms = np.array([np.linalg.norm(row) for row in sums])
+    antipodal = norms < ANTIPODAL_TOL
+    return sums / np.where(antipodal, np.nan, norms)[:, None], antipodal
 
 
 class IdStore:
@@ -224,20 +249,10 @@ class IdStore:
     # -- io ----------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write the store in the binary IDSTORE1 format; a ``.json`` path is a BadArgError."""
         path = Path(path)
         if path.suffix == ".json":
-            doc = {
-                "num_classes": self.num_classes,
-                "dim": self.dim,
-                "capacity": self.capacity,
-                "ema_factor": self.ema_factor,
-                "classes": [
-                    {"prototype": proto.tolist() if has else None, "buffer": buf.tolist()}
-                    for buf, proto, has in zip(self._bufs, self._protos, self._has_proto)
-                ],
-            }
-            path.write_text(json.dumps(doc))
-            return
+            raise BadArgError(f"id-store files use the binary IDSTORE1 format, not JSON: {path}")
         chunks = [
             _MAGIC,
             struct.pack("<IIId", self.num_classes, self.dim, self.capacity, self.ema_factor),
@@ -253,15 +268,15 @@ class IdStore:
     def load(cls, path: str | Path) -> "IdStore":
         """Read a store written by ``save``; a file that is not one raises CorruptStoreError.
 
-        The header must be one the constructor accepts, a JSON file must
-        list exactly ``num_classes`` classes, and every prototype must be a
-        finite unit vector of dimension d, as ``update_prototype`` leaves it.
+        The file must be in the binary IDSTORE1 format, its header one the
+        constructor accepts, and every prototype a finite unit vector of
+        dimension d over at least one row, as ``update_prototype`` leaves it.
         """
         path = Path(path)
         try:
             return cls._read(path)
-        except (  # JSONDecodeError is a ValueError; BadArgError is a header the store rejects
-            OSError, KeyError, TypeError, ValueError, struct.error,
+        except (  # BadArgError is a header the store rejects
+            OSError, ValueError, struct.error,
             BadArgError, NotUnitError, CorruptStoreError,
         ) as err:
             raise CorruptStoreError(f"cannot read id-store file {path}: {err}") from err
@@ -269,58 +284,42 @@ class IdStore:
     @classmethod
     def _read(cls, path: Path) -> "IdStore":
         """Parse and size-check every class record; only then build the store."""
-        if path.suffix == ".json":
-            doc = json.loads(path.read_text())
-            header = (doc["num_classes"], doc["dim"], doc["capacity"], doc["ema_factor"])
-            if len(doc["classes"]) != header[0]:
-                raise CorruptStoreError(
-                    f"{len(doc['classes'])} classes listed for a header of {header[0]}"
-                )
-            classes = [
-                (np.asarray(e["buffer"], dtype=float).reshape(-1, header[1]), e["prototype"])
-                for e in doc["classes"]
-            ]
-        else:
-            raw = path.read_bytes()
-            if raw[: len(_MAGIC)] != _MAGIC:
-                raise CorruptStoreError("not an id-store file")
-            off = len(_MAGIC)
-            header = struct.unpack_from("<IIId", raw, off)
-            off += struct.calcsize("<IIId")
-            dim = header[1]
-            classes = []
-            for c in range(header[0]):  # a truncated record raises struct.error
-                n_c, has_proto = struct.unpack_from("<IB", raw, off)
-                off += struct.calcsize("<IB")
-                proto_bytes = 8 * dim if has_proto else 0
-                end = off + proto_bytes + 8 * dim * n_c
-                if end > len(raw):
-                    raise CorruptStoreError(f"class {c} runs {end - len(raw)} bytes past the end")
-                proto = np.frombuffer(raw, "<f8", count=dim, offset=off) if has_proto else None
-                rows = np.frombuffer(raw, "<f8", count=n_c * dim, offset=off + proto_bytes)
-                classes.append((rows.reshape(n_c, dim), proto))
-                off = end
-            if off != len(raw):
-                raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
+        raw = path.read_bytes()
+        if raw[: len(_MAGIC)] != _MAGIC:
+            raise CorruptStoreError("not an id-store file in the binary IDSTORE1 format")
+        off = len(_MAGIC)
+        header = struct.unpack_from("<IIId", raw, off)
+        off += struct.calcsize("<IIId")
+        dim = header[1]
+        classes = []
+        for c in range(header[0]):  # a truncated record raises struct.error
+            n_c, has_proto = struct.unpack_from("<IB", raw, off)
+            off += struct.calcsize("<IB")
+            proto_bytes = 8 * dim if has_proto else 0
+            end = off + proto_bytes + 8 * dim * n_c
+            if end > len(raw):
+                raise CorruptStoreError(f"class {c} runs {end - len(raw)} bytes past the end")
+            proto = np.frombuffer(raw, "<f8", count=dim, offset=off) if has_proto else None
+            rows = np.frombuffer(raw, "<f8", count=n_c * dim, offset=off + proto_bytes)
+            classes.append((rows.reshape(n_c, dim), proto))
+            off = end
+        if off != len(raw):
+            raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
         store = cls(*header)
         for c, (rows, proto) in enumerate(classes):
             if rows.shape[0] > store.capacity:
                 raise CorruptStoreError(
                     f"class {c} holds {rows.shape[0]} rows, over the capacity {store.capacity}"
                 )
+            if proto is not None and rows.shape[0] == 0:
+                raise CorruptStoreError(f"class {c} has a prototype but no rows")
             store.insert(c, rows)
             if proto is not None:
-                store._load_prototype(c, np.asarray(proto, dtype=float))
+                store._load_prototype(c, proto)
         return store
 
     def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:
-        if (
-            proto.shape != (self.dim,)
-            or not np.isfinite(proto).all()
-            or abs(np.linalg.norm(proto) - 1.0) > UNIT_TOL
-        ):
-            raise CorruptStoreError(
-                f"prototype of class {class_id} is not a finite unit vector of dimension {self.dim}"
-            )
+        if not np.isfinite(proto).all() or abs(np.linalg.norm(proto) - 1.0) > UNIT_TOL:
+            raise CorruptStoreError(f"prototype of class {class_id} is not a finite unit vector")
         self._protos[class_id] = proto
         self._has_proto[class_id] = True

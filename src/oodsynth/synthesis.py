@@ -1,11 +1,13 @@
 """Batch synthesis of virtual outliers from midpoint-seeded Markov chains.
 
-One synthesis call builds a chain for every (class, adjacent class) pair:
-the chain starts at the normalized midpoint of the two prototypes, its
-hard-margin threshold is computed once from that midpoint, and the chain
-then runs a fixed number of rounds. Accepted positions across all chains
-form the outlier batch; rejected rounds contribute nothing. Pairs whose
-prototypes are antipodal have no midpoint and are skipped (and reported).
+One synthesis call builds a chain for every (class, adjacent class) pair
+of the snapshot's ``pair_table``: the chain starts at the normalized
+midpoint of the two prototypes, its hard-margin threshold is computed once
+from that midpoint, and the chain then runs a fixed number of rounds.
+Accepted positions across all chains form the outlier batch; rejected
+rounds contribute nothing. Pairs whose prototypes are antipodal have no
+midpoint and are skipped, and reported in ``OutlierBatch.skipped``, an
+(S, 2) array of class ids.
 
 All chains of a batch advance in lockstep (``samplers.advance``): their
 positions form one (M, d) array, so each energy evaluation, margin test
@@ -13,14 +15,18 @@ and integrator step covers every chain at once. All thresholds, and the
 chains' starting potential and gradient, come from one ``endpoint``
 evaluation at the M midpoints. Chains stay independent given the frozen
 store snapshot: each owns an RNG spawned deterministically from the
-batch seed and draws from it alone, so results do not depend on how the
-chains are grouped, and the batch is listed canonically by
-(class id, adjacency rank, round): ``OutlierBatch.samples`` holds one
-record per outlier, whose ``chain_index`` finds its chain (and pair) in
-``OutlierBatch.chains``; read rounds as ``samples["round"]``, since
-``samples.round`` is ndarray's method. ``OutlierBatch.rounds`` keeps the
-log as one (rounds x chains) ``samplers.transition_log``, whose row r is
-the record array that ``advance`` returned for round r + 1.
+batch seed (the pair's index in ``pair_table``) and draws from it alone,
+so results do not depend on how the chains are grouped, and the batch is
+listed canonically by (class id, adjacency rank, round).
+``OutlierBatch.chains`` is one record array, a row per chain:
+``chain_index``, the adjacency ``rank`` of the partner class, the (2,)
+``pair`` (class id first), ``t_minus``, the (d,) ``start`` and the count
+of ``accepted`` rounds. ``OutlierBatch.samples`` holds one record per
+outlier, whose ``chain_index`` is its chain's row in ``chains``; read
+rounds as ``samples["round"]``, since ``samples.round`` is ndarray's
+method. ``OutlierBatch.rounds`` keeps the log as one (rounds x chains)
+``samplers.transition_log``, whose row r is the record array that
+``advance`` returned for round r + 1.
 """
 
 from __future__ import annotations
@@ -33,31 +39,18 @@ from pathlib import Path
 import numpy as np
 
 from .energy import EnergyContext
-from .errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
+from .errors import BadArgError, InsufficientDataError
 from .metrics import write_csv
 from .samplers import ChainState, HmcConfig, advance, transition_log
 from .sphere import normalize
-from .store import ClusterPair, IdSnapshot
-
-
-@dataclass
-class ChainRun:
-    """Provenance of one chain inside a batch."""
-
-    chain_index: int
-    class_id: int
-    rank: int  # adjacency rank of the partner cluster (0 = closest)
-    pair: ClusterPair
-    t_minus: float
-    start: np.ndarray
-    accepted: int
+from .store import IdSnapshot
 
 
 @dataclass
 class OutlierBatch:
     samples: np.recarray  # see _sample_table
-    chains: list[ChainRun]
-    skipped: list[ClusterPair]
+    chains: np.recarray  # see _chain_table
+    skipped: np.ndarray  # (S, 2) class ids of the antipodal pairs
     config: HmcConfig | None
     k: int | None
     delta: float | None
@@ -77,34 +70,31 @@ def _sample_table(chain_index, rounds, positions: np.ndarray) -> np.recarray:
     return table
 
 
-def _pair_chains(store: IdSnapshot, n_adj: int) -> tuple[list[ChainRun], list[ClusterPair]]:
+def _chain_table(store: IdSnapshot, n_adj: int) -> tuple[np.recarray, np.ndarray, np.ndarray]:
     """One fresh chain per (class, adjacent class) pair, started at the pair midpoint.
 
-    Listed by (class id, adjacency rank); pairs with antipodal prototypes
-    get no chain and are returned as skipped.
+    Returns the chains, listed by (class id, adjacency rank) with ``t_minus``
+    NaN and ``accepted`` 0, the (S, 2) antipodal pairs, which get no chain,
+    and each chain's index in ``store.pair_table``.
     """
-    chains: list[ChainRun] = []
-    skipped: list[ClusterPair] = []
-    for c in range(store.num_classes):
-        for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
-            pair = ClusterPair(c, j)
-            try:
-                start = store.midpoint(pair)
-            except AntipodalPrototypesError:
-                skipped.append(pair)
-                continue
-            chains.append(
-                ChainRun(
-                    chain_index=len(chains),
-                    class_id=c,
-                    rank=rank,
-                    pair=pair,
-                    t_minus=math.nan,
-                    start=start,
-                    accepted=0,
-                )
-            )
-    return chains, skipped
+    pairs, midpoints, antipodal = store.pair_table(n_adj)
+    live = np.flatnonzero(~antipodal)
+    dtype = [
+        ("chain_index", np.intp),
+        ("rank", np.intp),
+        ("pair", np.intp, (2,)),
+        ("t_minus", float),
+        ("start", float, (store.dim,)),
+        ("accepted", np.intp),
+    ]
+    chains = np.recarray(len(live), dtype=dtype)
+    chains["chain_index"] = np.arange(len(live))
+    chains["rank"] = live % n_adj
+    chains["pair"] = pairs[live]
+    chains["t_minus"] = np.nan
+    chains["start"] = midpoints[live]
+    chains["accepted"] = 0
+    return chains, pairs[antipodal], live
 
 
 def synthesize_batch(
@@ -130,23 +120,18 @@ def synthesize_batch(
                 f"class {c} holds {store.count(c)} embeddings, fewer than k={k}; warm up buffers"
             )
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(C * n_adj)
-    chains, skipped = _pair_chains(store, n_adj)
-    rngs = [np.random.default_rng(seeds[run.class_id * n_adj + run.rank]) for run in chains]
+    chains, skipped, flat = _chain_table(store, n_adj)
     rounds = transition_log((cfg.rounds, len(chains)), store.dim)
-    if chains:
-        starts = np.array([run.start for run in chains])
-        ctx = EnergyContext(
-            store=store, pairs=[run.pair for run in chains], k=k, kappa=kappa, grad_mode=grad_mode
-        )
+    if len(chains):
+        starts = chains.start.copy()  # contiguous, as the GEMMs take it
+        ctx = EnergyContext(store=store, pairs=chains.pair, k=k, kappa=kappa, grad_mode=grad_mode)
         potential, grad, score = ctx.endpoint(starts)
-        t_minus = score - delta
-        for run, t in zip(chains, t_minus.tolist()):
-            run.t_minus = t
+        t_minus = chains["t_minus"] = score - delta
+        rngs = [np.random.default_rng(seeds[f]) for f in flat]
         state = ChainState(starts, t_minus, rngs, potential=potential, grad=grad)
         for r in range(cfg.rounds):
             rounds[r] = advance(ctx, state, cfg)
-    for run, n in zip(chains, rounds.accepted.sum(axis=0).tolist()):
-        run.accepted = n
+    chains["accepted"] = rounds.accepted.sum(axis=0)
     i, r = np.nonzero(rounds.accepted.T)  # by chain, then by round
     return OutlierBatch(
         samples=_sample_table(i, r + 1, rounds.proposed[r, i]),
@@ -224,21 +209,20 @@ def gaussian_baseline_batch(
     """Gaussian-perturbation baseline: noise around each pair midpoint.
 
     Shares the batch shape of ``synthesize_batch`` so the two synthesis
-    routes can be compared sample-for-sample.
+    routes can be compared sample-for-sample: a chain per pair, whose
+    ``accepted`` is ``count_per_pair`` and whose ``t_minus`` is NaN.
     """
-    rng = np.random.default_rng(seed)
-    chains, skipped = _pair_chains(store, n_adj)
-    positions = np.empty((len(chains), count_per_pair, store.dim))
-    for run, rows in zip(chains, positions):
-        run.accepted = count_per_pair
-        for i in range(count_per_pair):
-            g = rng.standard_normal(store.dim)
-            rows[i] = normalize(run.start + sigma * g) if sigma > 0 else run.start
+    chains, skipped, _ = _chain_table(store, n_adj)
+    chains["accepted"] = count_per_pair
+    positions = np.repeat(chains.start, count_per_pair, axis=0)
+    if sigma > 0:  # one 1-D normalize per row: a 2-D normalize rounds differently
+        noisy = positions + sigma * np.random.default_rng(seed).standard_normal(positions.shape)
+        positions = np.array([normalize(row) for row in noisy]).reshape(positions.shape)
     return OutlierBatch(
         samples=_sample_table(
             np.repeat(np.arange(len(chains)), count_per_pair),
             np.tile(np.arange(1, count_per_pair + 1), len(chains)),
-            positions.reshape(-1, store.dim),
+            positions,
         ),
         chains=chains,
         skipped=skipped,
@@ -256,6 +240,8 @@ def gaussian_baseline_batch(
 
 def batch_to_dict(batch: OutlierBatch) -> dict:
     """JSON-ready representation of a batch (samples plus chain metadata)."""
+    names = ("chain_index", "rank", "pair", "t_minus", "accepted")
+    chains = [dict(zip(names, row)) for row in zip(*(batch.chains[n].tolist() for n in names))]
     return {
         "n_adj": batch.n_adj,
         "k": batch.k,
@@ -270,20 +256,10 @@ def batch_to_dict(batch: OutlierBatch) -> dict:
             "variant": batch.config.variant.value,
             "rng_seed": batch.config.rng_seed,
         },
-        "skipped": [[p.u, p.v] for p in batch.skipped],
-        "chains": [
-            {
-                "chain_index": c.chain_index,
-                "class_id": c.class_id,
-                "rank": c.rank,
-                "pair": [c.pair.u, c.pair.v],
-                "t_minus": c.t_minus,
-                "accepted": c.accepted,
-            }
-            for c in batch.chains
-        ],
+        "skipped": batch.skipped.tolist(),
+        "chains": [chain | {"class_id": chain["pair"][0]} for chain in chains],
         "samples": [
-            {"chain_index": i, "pair": [pair.u, pair.v], "round": r, "position": x}
+            {"chain_index": i, "pair": pair, "round": r, "position": x}
             for i, pair, r, x in _sample_rows(batch)
         ],
     }
@@ -291,7 +267,7 @@ def batch_to_dict(batch: OutlierBatch) -> dict:
 
 def _sample_rows(batch: OutlierBatch):
     """(chain index, pair, round, coordinates) of every sample, as Python values."""
-    pairs = [run.pair for run in batch.chains]
+    pairs = batch.chains.pair.tolist()
     s = batch.samples
     for i, r, x in zip(s.chain_index.tolist(), s["round"].tolist(), s.position.tolist()):
         yield i, pairs[i], r, x
@@ -307,7 +283,7 @@ def write_batch_csv(batch: OutlierBatch, path: str | Path) -> None:
     write_csv(
         path,
         ["chain_index", "class_u", "class_v", "round"] + [f"x{i}" for i in range(dim)],
-        ([i, pair.u, pair.v, r, *x] for i, pair, r, x in _sample_rows(batch)),
+        ([i, *pair, r, *x] for i, pair, r, x in _sample_rows(batch)),
     )
 
 
@@ -321,8 +297,8 @@ def write_trace_jsonl(batch: OutlierBatch, path: str | Path) -> None:
     columns = {name: log[name].T.tolist() for name in log.dtype.names if name != "proposed"}
     columns["alpha"] = np.minimum(log.alpha, 1e308).T.tolist()
     with open(path, "w") as fh:
-        for c in batch.chains:
+        for i, pair in zip(batch.chains.chain_index.tolist(), batch.chains.pair.tolist()):
             for r in range(len(log)):
-                row = {name: _num(values[c.chain_index][r]) for name, values in columns.items()}
-                row |= {"chain_index": c.chain_index, "pair": [c.pair.u, c.pair.v], "round": r + 1}
+                row = {name: _num(values[i][r]) for name, values in columns.items()}
+                row |= {"chain_index": i, "pair": pair, "round": r + 1}
                 fh.write(json.dumps(row, sort_keys=True) + "\n")

@@ -83,7 +83,7 @@ def _random_energy_instance(d: int, rng) -> tuple[EnergyContext, np.ndarray]:
             store.insert(c, z)
         store.update_prototype(c, np.mean(pts, axis=0))
     k = int(rng.integers(1, 11))
-    ctx = EnergyContext(store=store.snapshot(), pairs=[ClusterPair(0, 1)], k=k, kappa=2.0)
+    ctx = EnergyContext(store=store.snapshot(), pairs=[(0, 1)], k=k, kappa=2.0)
     z = normalize(rng.standard_normal(d))
     return ctx, z
 
@@ -243,7 +243,7 @@ def test_every_variant_is_stationary_on_the_knn_energy_with_margin(variant, step
         t_minus=np.full(chains, t_minus),
         rngs=[np.random.default_rng(s) for s in np.random.SeedSequence(123).spawn(chains)],
     )
-    ctx = EnergyContext(store=snap, pairs=[pair] * chains, k=k, kappa=kappa)
+    ctx = EnergyContext(store=snap, pairs=[(0, 1)] * chains, k=k, kappa=kappa)
     per_chain, burn = 2_500, 200
     thetas = np.empty((per_chain, chains))
     for i in range(per_chain + burn):
@@ -256,7 +256,7 @@ def test_every_variant_is_stationary_on_the_knn_energy_with_margin(variant, step
     n_grid = 36_000
     grid_theta = -np.pi + (np.arange(n_grid) + 0.5) * (2.0 * np.pi / n_grid)
     grid = np.stack([np.cos(grid_theta), np.sin(grid_theta)], axis=1)
-    u, _ = EnergyContext(store=snap, pairs=[pair] * n_grid, k=k, kappa=kappa).value_and_grad(grid)
+    u, _ = EnergyContext(store=snap, pairs=[(0, 1)] * n_grid, k=k, kappa=kappa).value_and_grad(grid)
     inside = passes_margin(snap, grid, kappa, t_minus) & np.isfinite(u)
     weights = np.where(inside, np.exp(-np.where(inside, u, 0.0)), 0.0)
     exact = np.bincount(np.digitize(grid_theta, edges) - 1, weights, minlength=36)

@@ -22,18 +22,24 @@ from oodsynth.bench import (
     ablation_sweep,
     diversity_stds,
     generate_synthetic_id,
+    make_ood_test_set,
     run_experiment,
     sample_vmf,
     uniform_sphere,
 )
 import oodsynth
-from oodsynth import cli
+from oodsynth import bench, cli
 from oodsynth.cli import main
-from oodsynth.errors import BadArgError, BadConfigError, ZeroVectorError
+from oodsynth.errors import (
+    AntipodalPrototypesError,
+    BadArgError,
+    BadConfigError,
+    ZeroVectorError,
+)
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
 from oodsynth.sphere import normalize
 from oodsynth.store import IdStore
-from oodsynth.synthesis import round_summary
+from oodsynth.synthesis import round_summary, synthesize_batch
 
 SMALL = BenchConfig(
     dim=6,
@@ -167,6 +173,36 @@ def test_runs_at_the_loss_kappa_and_step_size_bounds_are_finite(variant):
 def test_uniform_sphere_norms():
     pts = uniform_sphere(100, 5, np.random.default_rng(2))
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-12
+
+
+def test_ood_test_set_blobs_sit_at_the_chain_starts(monkeypatch):
+    cfg = BenchConfig(num_classes=5, dim=6, points_per_class=30, n_adj=3)
+    store = generate_synthetic_id(cfg)
+    centers = []
+
+    def record(mu, kappa, n, rng):
+        centers.append(mu)
+        return sample_vmf(mu, kappa, n, rng)
+
+    monkeypatch.setattr(bench, "sample_vmf", record)
+    ood = make_ood_test_set(cfg, store, np.random.default_rng(0))
+    assert ood.shape == (cfg.ood.n_uniform + cfg.ood.n_midpoint, cfg.dim)
+    batch = synthesize_batch(store.snapshot(), cfg.hmc, k=5, delta=0.1, kappa=2.0, n_adj=3)
+    assert len(centers) == len(batch.chains) == 15
+    assert np.array_equal(np.array(centers), batch.chains.start)
+
+
+def test_ood_test_set_raises_on_an_antipodal_pair():
+    cfg = BenchConfig(num_classes=2, dim=3, points_per_class=1)
+    store = IdStore(2, 3, capacity=1)
+    for c, mu in enumerate((np.eye(3)[0], -np.eye(3)[0])):
+        store.insert(c, mu)
+        store.update_prototype(c, mu)
+    with pytest.raises(AntipodalPrototypesError, match="classes 0 and 1"):
+        make_ood_test_set(cfg, store, np.random.default_rng(0))
+    # with no midpoint blob there is no pair to take a midpoint of
+    no_blobs = dataclasses.replace(cfg, ood=OodTestSpec(n_midpoint=0))
+    assert make_ood_test_set(no_blobs, store, np.random.default_rng(0)).shape == (500, 3)
 
 
 def test_generate_synthetic_id_deterministic():
@@ -562,38 +598,21 @@ def test_cli_corrupt_store_exit_code(tmp_path):
     assert main(["synth", "--store", str(bad_store), "--out", str(batch)]) == 3
 
 
-def _prototype(doc, class_id):
-    return doc["classes"][class_id]["prototype"]
+def _corrupt_binary(fmt, offset, value, keep=None):
+    """Pack ``value`` at ``offset`` of a store file cut to its first ``keep`` bytes."""
 
-
-def _corrupt_json(edit):
-    def write(doc, raw):
-        edit(doc)
-        return ".json", json.dumps(doc).encode()
-
-    return write
-
-
-def _corrupt_binary(fmt, offset, value):
-    def write(doc, raw):
-        raw = bytearray(raw)
+    def write(raw):
+        raw = bytearray(raw[:keep])
         struct.pack_into(fmt, raw, offset, value)
-        return ".idstore", bytes(raw)
+        return bytes(raw)
 
     return write
 
 
 # binary layout: 8-byte magic, header uint32 C at 8, d at 12, B at 16, float64
 # gamma at 20; class 0's uint32 count and uint8 flag, then its prototype at 33
+# and its two rows; class 1's count at 129, its flag, prototype and rows to 230
 _CORRUPT_STORES = {
-    "json-extra-class": _corrupt_json(lambda doc: doc["classes"].append(doc["classes"][0])),
-    "json-missing-class": _corrupt_json(lambda doc: doc["classes"].pop()),
-    "json-one-class": _corrupt_json(lambda doc: doc.update(num_classes=1)),
-    "json-gamma-one": _corrupt_json(lambda doc: doc.update(ema_factor=1.0)),
-    "json-nan-prototype": _corrupt_json(lambda doc: _prototype(doc, 0).__setitem__(0, math.nan)),
-    # d = 4, so a broadcast would turn [0.5] into a unit vector
-    "json-short-prototype": _corrupt_json(lambda doc: doc["classes"][1].update(prototype=[0.5])),
-    "json-scaled-prototype": _corrupt_json(lambda doc: _prototype(doc, 0).__setitem__(0, 2.0)),
     "binary-one-class": _corrupt_binary("<I", 8, 1),
     "binary-dim-one": _corrupt_binary("<I", 12, 1),
     "binary-capacity-zero": _corrupt_binary("<I", 16, 0),
@@ -601,11 +620,13 @@ _CORRUPT_STORES = {
     "binary-gamma-nan": _corrupt_binary("<d", 20, math.nan),
     "binary-nan-prototype": _corrupt_binary("<d", 33, math.nan),
     "binary-off-unit-prototype": _corrupt_binary("<d", 33, 0.75),
+    # class 1 keeps its prototype, and its count and rows go; update_prototype
+    # never leaves this, and it would clip k to 0
+    "binary-prototype-without-rows": _corrupt_binary("<I", 129, 0, keep=230 - 64),
 }
 # headers the class records contradict; a store built from one would hold a
 # million buffers (211 MB) or rows of d = 2^32 - 1 floats
 _HUGE_HEADERS = {
-    "json-million-classes": _corrupt_json(lambda doc: doc.update(num_classes=10**6)),
     "binary-million-classes": _corrupt_binary("<I", 8, 10**6),
     "binary-huge-dim": _corrupt_binary("<I", 12, 2**32 - 1),
 }
@@ -617,13 +638,10 @@ def _write_corrupt_store(tmp_path, corrupt):
     for c in range(2):
         store.insert(c, rows[2 * c : 2 * c + 2])
         store.update_prototype(c, rows[2 * c])
-    store.save(tmp_path / "good.json")
     store.save(tmp_path / "good.idstore")
-    suffix, data = corrupt(
-        json.loads((tmp_path / "good.json").read_text()), (tmp_path / "good.idstore").read_bytes()
-    )
-    path = tmp_path / f"bad{suffix}"
-    path.write_bytes(data)
+    assert len((tmp_path / "good.idstore").read_bytes()) == 230
+    path = tmp_path / "bad.idstore"
+    path.write_bytes(corrupt((tmp_path / "good.idstore").read_bytes()))
     return path
 
 
@@ -649,6 +667,17 @@ def test_cli_synth_corrupt_store_files_exit_3(tmp_path, capsys, case):
     assert main([*argv, "--out", str(tmp_path / "b.json")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(path) in err
+
+
+def test_cli_store_files_are_binary_only(tmp_path, capsys):
+    json_store = tmp_path / "s.json"
+    assert main(["gen", "--classes", "2", "--out", str(json_store)]) == 2
+    assert "IDSTORE1" in capsys.readouterr().err
+    assert not json_store.exists()
+    json_store.write_text(json.dumps({"num_classes": 2, "dim": 16, "classes": []}))
+    assert main(["synth", "--store", str(json_store), "--out", str(tmp_path / "b.json")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "IDSTORE1" in err and str(json_store) in err
 
 
 def test_cli_run_missing_config_exit_code(tmp_path, capsys):

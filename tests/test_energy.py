@@ -13,7 +13,7 @@ from oodsynth.energy import (
     neg_log_max_id_prob,
     passes_margin,
 )
-from oodsynth.errors import InsufficientDataError
+from oodsynth.errors import BadArgError, BadClassError, InsufficientDataError
 from oodsynth.metrics import kth_neighbors
 from oodsynth.samplers import HmcConfig
 from oodsynth.sphere import normalize, project_tangent
@@ -46,7 +46,7 @@ def test_ood_prob_unit_distances():
     z = np.array([1.0, 0.0, 0.0])
     n_u = np.array([0.5, np.sqrt(3) / 2, 0.0])
     n_v = np.array([0.5, -np.sqrt(3) / 2, 0.0])
-    ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
+    ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[(0, 1)], k=1, kappa=2.0)
     u, _ = ctx.value_and_grad(z)
     assert np.isclose(math.exp(-u), 1.0, atol=1e-12)
     assert np.isclose(u, 0.0, atol=1e-12)
@@ -55,7 +55,7 @@ def test_ood_prob_unit_distances():
 def test_ood_prob_zero_when_duplicated():
     z = normalize(np.array([1.0, 2.0, 0.0]))
     store = two_point_store(z, z)
-    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[(0, 1)], k=1, kappa=2.0)
     for c in (0, 1):
         assert kth_neighbors(class_rows(store, c), z[None, :], 1)[0][0] == 0.0
     assert math.isnan(ctx.value_and_grad(z)[0])
@@ -65,7 +65,7 @@ def test_potential_negative_beyond_unit_distance():
     # distances sqrt(2) each: U = -log(sqrt(2)) < 0
     ctx = EnergyContext(
         store=two_point_store(np.eye(3)[1], -np.eye(3)[1]),
-        pairs=[ClusterPair(0, 1)],
+        pairs=[(0, 1)],
         k=1,
         kappa=2.0,
     )
@@ -75,7 +75,7 @@ def test_potential_negative_beyond_unit_distance():
 
 def test_ood_prob_matches_oracle_and_round_trips():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=3).snapshot()
-    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=5, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[(0, 1)], k=5, kappa=2.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
         z = normalize(rng.standard_normal(8))
@@ -96,13 +96,39 @@ def test_potential_pair_permutation_invariant():
     def u(pair):
         return EnergyContext(store=store, pairs=[pair], k=3, kappa=2.0).value_and_grad(z)[0]
 
-    assert u(ClusterPair(0, 1)) == u(ClusterPair(1, 0))
+    assert u((0, 1)) == u((1, 0))
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([(0, 1), (1, 1)], BadArgError),  # a pair needs two distinct classes
+        ([(0, 2)], BadClassError),
+        ([(-1, 0)], BadClassError),
+        ([0, 1], BadArgError),  # not an (M, 2) array
+        ([(0, 1, 0)], BadArgError),
+    ],
+)
+def test_context_rejects_a_bad_pair(pairs, error):
+    store = two_point_store(np.eye(3)[1], np.eye(3)[2])
+    with pytest.raises(error):
+        EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
+
+
+def test_context_keeps_a_read_only_copy_of_its_pairs():
+    store = two_point_store(np.eye(3)[1], np.eye(3)[2])
+    pairs = np.array([[0, 1], [1, 0]])
+    ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
+    pairs[0] = [1, 0]
+    assert ctx.pairs.tolist() == [[0, 1], [1, 0]] and ctx.pairs.dtype == np.intp
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.pairs[0, 0] = 1
 
 
 def test_context_requires_k_entries():
     store = two_point_store(np.eye(3)[1], np.eye(3)[2])
     with pytest.raises(InsufficientDataError):
-        EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=2, kappa=2.0)
+        EnergyContext(store=store, pairs=[(0, 1)], k=2, kappa=2.0)
 
 
 # -- one-pass pair query ------------------------------------------------------
@@ -126,7 +152,7 @@ def per_class_pair_query(ctx, zs):
     """The pair query as one ``kth_neighbors`` call per class: (2, M) distances,
     ``embeddings`` indices and neighbors."""
     store = ctx.store
-    classes = np.array([p.u for p in ctx.pairs] + [p.v for p in ctx.pairs])
+    classes = np.concatenate([ctx.pairs[:, 0], ctx.pairs[:, 1]])
     queries = np.concatenate([zs, zs])
     dist = np.empty(len(queries))
     idx = np.empty(len(queries), dtype=np.intp)
@@ -161,15 +187,15 @@ def assert_pair_query_matches_per_class(ctx, zs):
 def test_pair_query_equals_per_class_kth_neighbors(counts, k):
     store = uneven_store(counts, seed=len(counts) + k, duplicates=3)
     c = len(counts)
-    pairs = [ClusterPair(u, v) for u in range(c) for v in range(c) if u != v]
+    pairs = [(u, v) for u in range(c) for v in range(c) if u != v]
     rng = np.random.default_rng(k)
     zs = normalize(rng.standard_normal((len(pairs), 8)))
-    zs[0] = class_rows(store, pairs[0].u)[0]  # on a buffered row
-    zs[1] = class_rows(store, pairs[1].v)[-1]  # on a duplicate
+    zs[0] = class_rows(store, pairs[0][0])[0]  # on a buffered row
+    zs[1] = class_rows(store, pairs[1][1])[-1]  # on a duplicate
     ctx = EnergyContext(store=store, pairs=pairs, k=k, kappa=2.0)
     assert_pair_query_matches_per_class(ctx, zs)
     # every row on a buffered point of its pair's u-class
-    on_rows = [class_rows(store, p.u)[i % store.count(p.u)] for i, p in enumerate(pairs)]
+    on_rows = [class_rows(store, u)[i % store.count(u)] for i, (u, _) in enumerate(pairs)]
     assert_pair_query_matches_per_class(ctx, np.array(on_rows))
 
 
@@ -193,7 +219,7 @@ def near_tie_context():
     store = IdStore(2, 8, capacity=5)
     for c, r in enumerate(rows):
         store.insert(c, r)
-    ctx = EnergyContext(store=store.snapshot(), pairs=[ClusterPair(0, 1)] * 2, k=3, kappa=2.0)
+    ctx = EnergyContext(store=store.snapshot(), pairs=[(0, 1)] * 2, k=3, kappa=2.0)
     return ctx, np.stack([q, normalize(np.random.default_rng(2).standard_normal(8))])
 
 
@@ -238,7 +264,7 @@ def test_grad_mirror_symmetry_is_radial():
     # tangent-projected gradient (the part the sampler uses) vanishes
     ctx = EnergyContext(
         store=two_point_store(np.eye(3)[1], -np.eye(3)[1]),
-        pairs=[ClusterPair(0, 1)],
+        pairs=[(0, 1)],
         k=1,
         kappa=2.0,
     )
@@ -251,7 +277,7 @@ def test_grad_mirror_symmetry_is_radial():
 
 def test_grad_analytic_matches_finite_differences():
     n_u, n_v = np.eye(2)[1], -np.eye(2)[1]
-    ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
+    ctx = EnergyContext(store=two_point_store(n_u, n_v), pairs=[(0, 1)], k=1, kappa=2.0)
     z = np.eye(2)[0]
     _, grad = ctx.value_and_grad(z)
     fd = central_fd(z, n_u, n_v)
@@ -260,7 +286,7 @@ def test_grad_analytic_matches_finite_differences():
 
 def test_grad_scaled_mode_direction_and_magnitude():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=8).snapshot()
-    ctx = EnergyContext(store=store, pairs=[ClusterPair(0, 1)], k=4, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[(0, 1)], k=4, kappa=2.0)
     rng = np.random.default_rng(2)
     for _ in range(10):
         z = normalize(rng.standard_normal(8))
@@ -276,7 +302,7 @@ def test_grad_scaled_mode_direction_and_magnitude():
 def test_grad_degenerate_when_on_neighbor():
     z = normalize(np.array([1.0, 1.0, 0.0]))
     other = np.eye(3)[2]
-    ctx = EnergyContext(store=two_point_store(z, other), pairs=[ClusterPair(0, 1)], k=1, kappa=2.0)
+    ctx = EnergyContext(store=two_point_store(z, other), pairs=[(0, 1)], k=1, kappa=2.0)
     value, grad = ctx.value_and_grad(z)
     assert math.isnan(value)
     assert not grad.any()
@@ -284,20 +310,20 @@ def test_grad_degenerate_when_on_neighbor():
 
 def test_rows_are_evaluated_against_their_own_pairs():
     store = cluster_store(num_classes=3, dim=8, n_per_class=30, seed=9).snapshot()
-    pairs = [ClusterPair(0, 1), ClusterPair(2, 0), ClusterPair(1, 2), ClusterPair(0, 1)]
+    pairs = [(0, 1), (2, 0), (1, 2), (0, 1)]
     rng = np.random.default_rng(6)
     zs = normalize(rng.standard_normal((4, 8)))
     zs[3] = class_rows(store, 1)[4]  # on a buffered point of class 1: degenerate
     ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
     values, grads = ctx.value_and_grad(zs)
     assert values.shape == (4,) and grads.shape == (4, 8)
-    for i, pair in enumerate(pairs[:3]):
-        one = EnergyContext(store=store, pairs=[pair], k=1, kappa=2.0)
+    for i, (u, v) in enumerate(pairs[:3]):
+        one = EnergyContext(store=store, pairs=[(u, v)], k=1, kappa=2.0)
         value, grad = one.value_and_grad(zs[i])
         assert abs(values[i] - value) <= 1e-15
         assert np.array_equal(grads[i], grad)
-        (d_u,), _ = kth_neighbors(class_rows(store, pair.u), zs[i : i + 1], 1)
-        (d_v,), _ = kth_neighbors(class_rows(store, pair.v), zs[i : i + 1], 1)
+        (d_u,), _ = kth_neighbors(class_rows(store, u), zs[i : i + 1], 1)
+        (d_v,), _ = kth_neighbors(class_rows(store, v), zs[i : i + 1], 1)
         assert abs(values[i] + math.log(0.5 * (d_u + d_v))) <= 1e-12
     assert math.isnan(values[3]) and not grads[3].any()
 
@@ -396,38 +422,38 @@ def chain_threshold(store, pair, delta):
     batch = synthesize_batch(
         store, HmcConfig(rounds=1), k=1, delta=delta, kappa=2.0, n_adj=store.num_classes - 1
     )
-    return next(run.t_minus for run in batch.chains if run.pair == pair)
+    return next(run.t_minus for run in batch.chains if tuple(run.pair) == pair)
 
 
 def test_threshold_symmetric_closed_form():
     store = symmetric_two_class_store()
     for delta in (0.0, 0.1):
-        t = chain_threshold(store, ClusterPair(0, 1), delta)
+        t = chain_threshold(store, (0, 1), delta)
         assert np.isclose(t, math.log(2.0) - delta, atol=1e-12)
 
 
 def test_threshold_matches_oracle_minus_delta():
     store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=14).snapshot()
     oracle = -math.log(brute_force_id_prob(store, store.midpoint(ClusterPair(0, 1))).max())
-    t = chain_threshold(store, ClusterPair(0, 1), 0.1)
+    t = chain_threshold(store, (0, 1), 0.1)
     assert np.isclose(t, oracle - 0.1, rtol=1e-12)
 
 
 def test_margin_midpoint_passes_with_positive_delta():
     store = symmetric_two_class_store()
-    t = chain_threshold(store, ClusterPair(0, 1), 0.1)
+    t = chain_threshold(store, (0, 1), 0.1)
     assert passes_margin(store, store.midpoint(ClusterPair(0, 1)), 2.0, t)
 
 
 def test_margin_rejects_point_deep_inside_cluster():
     store = symmetric_two_class_store()
-    t = chain_threshold(store, ClusterPair(0, 1), 0.1)
+    t = chain_threshold(store, (0, 1), 0.1)
     assert not passes_margin(store, np.eye(3)[0], 2.0, t)
 
 
 def test_margin_always_passes_with_huge_delta():
     store = symmetric_two_class_store()
-    t = chain_threshold(store, ClusterPair(0, 1), 1e9)
+    t = chain_threshold(store, (0, 1), 1e9)
     rng = np.random.default_rng(4)
     assert all(passes_margin(store, normalize(rng.standard_normal(3)), 2.0, t) for _ in range(20))
 
@@ -458,12 +484,12 @@ def assert_endpoint_matches(ctx, zs):
 def test_endpoint_equals_value_and_grad_and_margin(m, counts, k, dim):
     store = uneven_store(counts, dim=dim, seed=m + k, duplicates=3)
     c = len(counts)
-    every = [ClusterPair(u, v) for u in range(c) for v in range(c) if u != v]
+    every = [(u, v) for u in range(c) for v in range(c) if u != v]
     pairs = [every[i % len(every)] for i in range(m)]
     zs = normalize(np.random.default_rng(m).standard_normal((m, dim)))
-    zs[0] = class_rows(store, pairs[0].u)[0]  # on a buffered row: degenerate at k = 1
+    zs[0] = class_rows(store, pairs[0][0])[0]  # on a buffered row: degenerate at k = 1
     if m > 1:
-        zs[1] = class_rows(store, pairs[1].v)[-1]  # on a duplicate
+        zs[1] = class_rows(store, pairs[1][1])[-1]  # on a duplicate
     ctx = EnergyContext(store=store, pairs=pairs, k=k, kappa=2.0)
     value = assert_endpoint_matches(ctx, zs)
     assert math.isnan(value[0]) == (k == 1)

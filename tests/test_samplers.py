@@ -65,7 +65,7 @@ def pair_state(store, seed, t_minus, chains=1):
 
 
 def pair_energy(store, k, chains=1):
-    return EnergyContext(store=store, pairs=[ClusterPair(0, 1)] * chains, k=k, kappa=2.0)
+    return EnergyContext(store=store, pairs=[(0, 1)] * chains, k=k, kappa=2.0)
 
 
 # -- config -------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_cached_energy_equals_a_fresh_evaluation_on_a_degenerate_store(variant):
         t_minus=neg_log_max_id_prob(store, starts, 2.0) - 0.1,
         rngs=[np.random.default_rng(51 + i) for i in range(len(pairs))],
     )
-    ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=[(p.u, p.v) for p in pairs], k=1, kappa=2.0)
     cfg = HmcConfig(variant=variant, rng_seed=51)
     for _ in range(8):
         rec = advance(ctx, state, cfg)

@@ -286,8 +286,9 @@ def test_knn_insufficient_data():
 
 def test_adjacency_two_classes():
     store = cluster_store(num_classes=2).snapshot()
-    assert store.adjacent_clusters(0, 1) == [1]
-    assert store.adjacent_clusters(1, 1) == [0]
+    assert store.adjacency(1)[0].tolist() == [1]
+    assert store.adjacency(1)[1].tolist() == [0]
+    assert store.adjacency(1).shape == (2, 1)
 
 
 def test_adjacency_forced_ordering():
@@ -297,15 +298,15 @@ def test_adjacency_forced_ordering():
         store.insert(c, unit(mu))
         store.update_prototype(c, mu)
     snap = store.snapshot()
-    assert snap.adjacent_clusters(0, 1) == [1]  # cos 0 beats cos -1
-    assert snap.adjacent_clusters(0, 2) == [1, 2]
+    assert snap.adjacency(1)[0].tolist() == [1]  # cos 0 beats cos -1
+    assert snap.adjacency(2)[0].tolist() == [1, 2]
 
 
 def test_adjacency_matches_brute_force():
     store = cluster_store(num_classes=10, dim=6, n_per_class=5, seed=4).snapshot()
     protos = np.array([store.prototype(c) for c in range(10)])
     for c in range(10):
-        got = store.adjacent_clusters(c, 4)
+        got = store.adjacency(4)[c].tolist()
         cos = protos @ protos[c]
         want = sorted((j for j in range(10) if j != c), key=lambda j: (-cos[j], j))[:4]
         assert got == want
@@ -314,7 +315,7 @@ def test_adjacency_matches_brute_force():
 def test_adjacency_is_cosine_descending():
     store = cluster_store(num_classes=8, dim=5, n_per_class=4, seed=9).snapshot()
     protos = np.array([store.prototype(c) for c in range(8)])
-    order = store.adjacent_clusters(3, 7)
+    order = store.adjacency(7)[3]
     cos = [protos[j] @ protos[3] for j in order]
     assert all(a >= b for a, b in zip(cos, cos[1:]))
 
@@ -322,9 +323,76 @@ def test_adjacency_is_cosine_descending():
 def test_adjacency_bad_arg():
     store = cluster_store(num_classes=3).snapshot()
     with pytest.raises(BadArgError):
-        store.adjacent_clusters(0, 3)
+        store.adjacency(3)
     with pytest.raises(BadArgError):
-        store.adjacent_clusters(0, 0)
+        store.adjacency(0)
+    partial = IdStore(3, 3, capacity=2)
+    for c in range(3):
+        partial.insert(c, np.eye(3)[c])
+    partial.update_prototype(0, np.eye(3)[0])
+    with pytest.raises(PrototypeUndefinedError, match=r"\[1, 2\]"):
+        partial.snapshot().adjacency(1)
+
+
+def prototype_store(prototypes) -> IdStore:
+    """One row per class, each class's prototype set to the given vector."""
+    prototypes = np.asarray(prototypes, dtype=float)
+    store = IdStore(len(prototypes), prototypes.shape[1], capacity=1)
+    for c, mu in enumerate(prototypes):
+        store.insert(c, unit(mu))
+        store.update_prototype(c, mu)
+    return store
+
+
+def lexsort_adjacency(snap, n_adj):
+    """Per-class oracle: one matvec per class, then a lexsort on (-cos, class id)."""
+    rows = []
+    for c in range(snap.num_classes):
+        cos = snap.prototypes @ snap.prototypes[c]
+        others = np.array([j for j in range(snap.num_classes) if j != c])
+        rows.append(others[np.lexsort((others, -cos[others]))][:n_adj])
+    return np.array(rows)
+
+
+_TIED_PROTOTYPES = {
+    # every cosine 0 or -1: the order is the class ids, past the negation
+    "axis-aligned": np.concatenate([np.eye(4), -np.eye(4)]),
+    # classes 0, 2 and 5 share one prototype: cosine 1 ties
+    "duplicated": np.eye(5)[[0, 1, 0, 2, 3, 0, 4]] + 0.5,
+    # each prototype and its negation, in shuffled order
+    "negated": np.random.default_rng(1).standard_normal((4, 6))[[0, 1, 2, 3, 0, 1, 2, 3]]
+    * np.array([1, 1, -1, 1, -1, -1, 1, -1])[:, None],
+}
+
+
+@pytest.mark.parametrize("case", list(_TIED_PROTOTYPES))
+def test_adjacency_equals_the_per_class_lexsort_on_planted_ties(case):
+    snap = prototype_store(_TIED_PROTOTYPES[case]).snapshot()
+    for n_adj in range(1, snap.num_classes):
+        got = snap.adjacency(n_adj)
+        assert got.shape == (snap.num_classes, n_adj)
+        assert (got == lexsort_adjacency(snap, n_adj)).all(), n_adj
+
+
+def test_pair_table_lists_pairs_by_class_and_rank_with_their_midpoints():
+    snap = prototype_store(_TIED_PROTOTYPES["negated"]).snapshot()
+    n_adj = 7
+    pairs, midpoints, antipodal = snap.pair_table(n_adj)
+    adjacency = snap.adjacency(n_adj)
+    assert pairs.tolist() == [[c, j] for c in range(8) for j in adjacency[c].tolist()]
+    assert antipodal.tolist() == [
+        bool(np.all(snap.prototypes[u] == -snap.prototypes[v])) for u, v in pairs.tolist()
+    ]
+    assert antipodal.sum() == 8  # each class against its negation
+    for (u, v), midpoint, skip in zip(pairs.tolist(), midpoints, antipodal):
+        if skip:
+            assert np.isnan(midpoint).all()
+            with pytest.raises(AntipodalPrototypesError):
+                snap.midpoint(ClusterPair(u, v))
+        else:  # the bits of a 1-D normalize of the prototype sum
+            want = normalize(snap.prototypes[u] + snap.prototypes[v])
+            assert np.array_equal(midpoint, want)
+            assert np.array_equal(snap.midpoint(ClusterPair(u, v)), want)
 
 
 def test_midpoint_identical_prototypes():
@@ -416,33 +484,40 @@ def wrapped_store() -> IdStore:
     return store
 
 
-@pytest.mark.parametrize("suffix", [".idstore", ".json"])
+@pytest.mark.parametrize("suffix", [".idstore"])
 def test_load_rejects_corrupt_files(tmp_path, suffix):
     from oodsynth.errors import CorruptStoreError
 
     path = tmp_path / f"bad{suffix}"
-    path.write_bytes(b"{not a store" if suffix == ".json" else b"garbage bytes")
-    with pytest.raises(CorruptStoreError):
+    path.write_bytes(b"garbage bytes")
+    with pytest.raises(CorruptStoreError, match="IDSTORE1"):
         IdStore.load(path)
 
 
-@pytest.mark.parametrize("suffix", [".idstore", ".json"])
+@pytest.mark.parametrize("suffix", [".idstore"])
 def test_load_rejects_rows_over_capacity(tmp_path, small_store, suffix):
     # a FIFO insert would silently evict the oldest rows
     from oodsynth.errors import CorruptStoreError
 
     path = tmp_path / f"store{suffix}"
     small_store.save(path)
-    if suffix == ".json":
-        doc = json.loads(path.read_text())
-        doc["capacity"] -= 1
-        path.write_text(json.dumps(doc))
-    else:
-        raw = bytearray(path.read_bytes())
-        # header: magic, then uint32 C, uint32 d, uint32 B at byte 16
-        struct.pack_into("<I", raw, 16, small_store.capacity - 1)
-        path.write_bytes(bytes(raw))
+    raw = bytearray(path.read_bytes())
+    # header: magic, then uint32 C, uint32 d, uint32 B at byte 16
+    struct.pack_into("<I", raw, 16, small_store.capacity - 1)
+    path.write_bytes(bytes(raw))
     with pytest.raises(CorruptStoreError, match="capacity"):
+        IdStore.load(path)
+
+
+def test_save_refuses_a_json_path_and_load_reads_no_json(tmp_path, small_store):
+    from oodsynth.errors import CorruptStoreError
+
+    path = tmp_path / "store.json"
+    with pytest.raises(BadArgError, match="IDSTORE1"):
+        small_store.save(path)
+    assert not path.exists()
+    path.write_text(json.dumps({"num_classes": 3, "dim": 8, "capacity": 40, "ema_factor": 0.95}))
+    with pytest.raises(CorruptStoreError, match="IDSTORE1"):
         IdStore.load(path)
 
 
@@ -464,7 +539,7 @@ def test_load_names_a_missing_path(tmp_path):
             IdStore.load(tmp_path / name)
 
 
-@pytest.mark.parametrize("suffix", [".idstore", ".json"])
+@pytest.mark.parametrize("suffix", [".idstore"])
 def test_save_load_round_trip(tmp_path, suffix, small_store):
     for name, store in [("small", small_store), ("wrapped", wrapped_store())]:
         path = tmp_path / f"{name}{suffix}"

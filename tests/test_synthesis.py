@@ -13,6 +13,7 @@ from oodsynth.energy import passes_margin
 from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
 from oodsynth.metrics import knn_scores
 from oodsynth.samplers import HmcConfig, SamplerVariant
+from oodsynth.sphere import normalize
 from oodsynth.store import ClusterPair, IdStore
 from oodsynth.synthesis import (
     batch_to_dict,
@@ -108,6 +109,45 @@ def test_antipodal_pairs_are_skipped_and_reported():
     assert summary["skipped_pairs"] == 2
 
 
+def test_chains_are_one_table_by_class_and_adjacency_rank():
+    store = cluster_store(num_classes=4, dim=8, n_per_class=30, seed=5).snapshot()
+    batch = synthesize_batch(store, HmcConfig(rng_seed=1), **(SYNTH_ARGS | {"n_adj": 3}))
+    chains = batch.chains
+    assert chains.dtype.names == ("chain_index", "rank", "pair", "t_minus", "start", "accepted")
+    assert chains.shape == (12,) and batch.skipped.shape == (0, 2)
+    assert chains.chain_index.tolist() == list(range(12))
+    assert chains.rank.tolist() == [0, 1, 2] * 4
+    adjacency = store.adjacency(3)
+    assert chains.pair.tolist() == [[c, j] for c in range(4) for j in adjacency[c].tolist()]
+    assert np.array_equal(chains.start, store.pair_table(3)[1])
+    assert np.array_equal(chains.accepted, batch.rounds.accepted.sum(axis=0))
+    assert np.isfinite(chains.t_minus).all()
+
+
+def axis_store(dim=3, n_per_class=20, seed=0):
+    """Classes 0 and 1 about e0 and -e0 (an antipodal pair), class c >= 2 about e(c - 1)."""
+    centers = np.concatenate([np.eye(dim)[:1], -np.eye(dim)[:1], np.eye(dim)[1:]])
+    rng = np.random.default_rng(seed)
+    store = IdStore(len(centers), dim, n_per_class)
+    for c, mu in enumerate(centers):
+        rows = mu + 0.3 * rng.standard_normal((n_per_class, dim))
+        store.insert(c, rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        store.update_prototype(c, mu)
+    return store.snapshot()
+
+
+@pytest.mark.parametrize("variant", [SamplerVariant.HMC, SamplerVariant.RANDOM_WALK])
+def test_a_skipped_antipodal_pair_leaves_every_other_chain_its_own_rng(variant):
+    # each chain draws from the seed of its pair's flat (class, rank) index, so
+    # the chains after a skipped pair see the random numbers they would see alone
+    store = axis_store()
+    cfg = HmcConfig(variant=variant, rng_seed=3)
+    batch = _assert_parity(store, cfg, k=3, delta=0.1, kappa=2.0, n_adj=3)
+    assert sorted(batch.skipped.tolist()) == [[0, 1], [1, 0]]
+    assert len(batch.chains) == 4 * 3 - 2
+    assert len(batch) > 0
+
+
 def test_requires_two_classes():
     store = cluster_store(num_classes=2, dim=6, n_per_class=10, seed=8).snapshot()
     with pytest.raises(BadArgError):
@@ -186,6 +226,23 @@ def test_baseline_exact_count():
     assert batch.rounds.shape == (0, len(batch.chains))
 
 
+@pytest.mark.parametrize("sigma, count", [(0.3, 7), (1e-3, 1), (0.5, 0)])
+def test_baseline_positions_equal_a_per_row_draw_and_normalize(sigma, count):
+    store = cluster_store(num_classes=4, dim=8, n_per_class=20, seed=14).snapshot()
+    batch = gaussian_baseline_batch(store, sigma=sigma, count_per_pair=count, n_adj=2, seed=6)
+    rng = np.random.default_rng(6)
+    want = [
+        normalize(start + sigma * rng.standard_normal(8))
+        for start in batch.chains.start
+        for _ in range(count)
+    ]
+    assert batch.samples.position.shape == (len(want), 8)
+    assert np.array_equal(batch.samples.position, np.reshape(want, (-1, 8)))
+    assert np.array_equal(batch.chains.start, store.pair_table(2)[1])
+    assert batch.chains.accepted.tolist() == [count] * 8
+    assert np.isnan(batch.chains.t_minus).all()
+
+
 def test_baseline_small_sigma_stays_within_five_degrees():
     store = cluster_store(num_classes=2, dim=16, n_per_class=20, seed=15).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.01, count_per_pair=500, n_adj=1, seed=2)
@@ -220,7 +277,7 @@ def test_batch_export_round_trip(tmp_path):
     assert len(rows) == len(batch) > 0
     for row, s in zip(rows, batch.samples):
         pair = batch.chains[s.chain_index].pair
-        assert [int(v) for v in row[:4]] == [s.chain_index, pair.u, pair.v, s["round"]]
+        assert [int(v) for v in row[:4]] == [s.chain_index, *pair, s["round"]]
         assert [float(v) for v in row[4:]] == s.position.tolist()
     traces = [json.loads(line) for line in tpath.read_text().splitlines()]
     assert len(traces) == len(batch.chains) * len(batch.rounds)
@@ -327,7 +384,10 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(store.num_classes * n_adj)
     skipped, chains = [], []
     for c in range(store.num_classes):
-        for rank, j in enumerate(store.adjacent_clusters(c, n_adj)):
+        cos = store.prototypes @ store.prototypes[c]
+        others = np.array([j for j in range(store.num_classes) if j != c])
+        adjacent = others[np.lexsort((others, -cos[others]))][:n_adj].tolist()
+        for rank, j in enumerate(adjacent):
             pair = ClusterPair(c, j)
             try:
                 z = store.midpoint(pair)
@@ -360,11 +420,11 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
 def _assert_parity(store, cfg, **kwargs):
     skipped, want = legacy_synthesize_batch(store, cfg, **kwargs)
     got = synthesize_batch(store, cfg, **kwargs)
-    assert got.skipped == skipped
+    assert got.skipped.tolist() == [[pair.u, pair.v] for pair in skipped]
     assert len(got.chains) == len(want)
     size = 0
     for i, (run, (pair, t_minus, records)) in enumerate(zip(got.chains, want)):
-        assert run.pair == pair
+        assert (run.chain_index, run.pair.tolist()) == (i, [pair.u, pair.v])
         assert abs(run.t_minus - t_minus) <= 1e-10
         assert len(got.rounds) == len(records)
         for rec, (proposed, h_init, h_prop, mh, margin) in zip(got.rounds, records):
@@ -429,7 +489,7 @@ def test_lockstep_matches_per_chain_path_through_degenerate_retries(variant):
     batch = _assert_parity(
         store, HmcConfig(variant=variant, rng_seed=7), k=1, delta=0.1, kappa=2.0, n_adj=2
     )
-    stuck = [run.chain_index for run in batch.chains if {run.pair.u, run.pair.v} == {0, 1}]
+    stuck = [run.chain_index for run in batch.chains if set(run.pair.tolist()) == {0, 1}]
     assert len(stuck) == 2
     assert all(np.isnan(rec.h_init[stuck]).all() for rec in batch.rounds)
     assert any(not np.isnan(rec.h_init).all() for rec in batch.rounds)
