@@ -37,7 +37,7 @@ from .objectives import (
 )
 from .samplers import ChainState, HmcConfig, SamplerVariant
 from .sphere import geodesic_step, normalize, project_tangent
-from .store import ClusterPair, IdSnapshot, IdStore
+from .store import IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     gaussian_baseline_batch,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchConfig",
     "ChainState",
-    "ClusterPair",
     "EnergyContext",
     "HmcConfig",
     "IdSnapshot",

@@ -79,6 +79,8 @@ class OodTestSpec:
             raise BadConfigError(
                 f"midpoint_kappa must be <= {VMF_MAX_KAPPA:g}, got {self.midpoint_kappa}"
             )
+        if self.n_uniform + self.n_midpoint < 1:
+            raise BadConfigError("OOD test spec generates no samples")
 
 
 @dataclass
@@ -139,11 +141,6 @@ class BenchConfig:
     def effective_k(self, store: IdSnapshot) -> int:
         return min(self.knn_k, min(store.count(c) for c in range(store.num_classes)))
 
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["hmc"]["variant"] = self.hmc.variant.value
-        return doc
-
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchConfig":
         doc = dict(doc)
@@ -157,7 +154,7 @@ class BenchConfig:
             raise BadConfigError(f"invalid config document: {err}") from err
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2))
+        Path(path).write_text(json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2))
 
     @classmethod
     def load_json(cls, path: str | Path) -> "BenchConfig":
@@ -264,8 +261,6 @@ def make_ood_test_set(cfg: BenchConfig, store: IdStore, rng: np.random.Generator
         for b, cnt in zip(midpoints, counts):
             if cnt:
                 parts.append(sample_vmf(b, cfg.ood.midpoint_kappa, int(cnt), rng))
-    if not parts:
-        raise BadConfigError("OOD test spec generates no samples")
     return np.concatenate(parts, axis=0)
 
 
@@ -408,11 +403,10 @@ def _flush_artifacts(
         last = results[-1]
         last.report.save_json(out_dir / "scores_final.json")
         if len(last.batch):
-            rws = round_wise_scores(last.batch, last.batch_scores)
             write_csv(
                 out_dir / "round_scores.csv",
                 ["round", "count", "mean", "std", "min", "max"],
-                [[r.round, len(r.scores), r.mean, r.std, r.min, r.max] for r in rws],
+                round_wise_scores(last.batch, last.batch_scores),
             )
         if trace:
             write_trace_jsonl(last.batch, out_dir / "trace.jsonl")
@@ -471,9 +465,10 @@ def ablation_sweep(cfg: BenchConfig, axis: str, values) -> list[SweepRow]:
     When ``cfg.out_dir`` is set, the run for value v is written to
     ``cfg.out_dir/{axis}_{v}`` and the table to ``cfg.out_dir/sweep.csv``.
     """
+    # every value is checked before the first run writes anything
+    subs = [(value, _apply_axis(cfg, axis, value)) for value in values]
     rows: list[SweepRow] = []
-    for value in values:
-        sub = _apply_axis(cfg, axis, value)
+    for value, sub in subs:
         if cfg.out_dir:
             sub = dataclasses.replace(sub, out_dir=str(Path(cfg.out_dir) / f"{axis}_{value}"))
         results = run_experiment(sub)

@@ -107,7 +107,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     store = generate_synthetic_id(cfg)
     store.save(args.out)
-    print(f"wrote store with {cfg.num_classes} classes x {cfg.points_per_class} points to {args.out}")
+    shape = f"{cfg.num_classes} classes x {cfg.points_per_class} points"
+    print(f"wrote store with {shape} to {args.out}")
     return 0
 
 

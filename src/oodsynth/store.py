@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AntipodalPrototypesError,
     BadArgError,
     BadClassError,
     CorruptStoreError,
@@ -48,18 +47,6 @@ UNIT_TOL = 1e-6  # accepted deviation of ||z|| from 1 on insert
 ANTIPODAL_TOL = 1e-8
 
 _MAGIC = b"IDSTORE1"
-
-
-@dataclass(frozen=True)
-class ClusterPair:
-    """An unordered-in-meaning, ordered-in-storage pair of class ids."""
-
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.u == self.v:
-            raise BadArgError(f"cluster pair needs two distinct classes, got ({self.u}, {self.v})")
 
 
 def _check_class(class_id: int, num_classes: int) -> None:
@@ -107,12 +94,6 @@ class IdSnapshot:
         _check_class(class_id, self.num_classes)
         return int(self.offsets[class_id + 1] - self.offsets[class_id])
 
-    def prototype(self, class_id: int) -> np.ndarray:
-        _check_class(class_id, self.num_classes)
-        if not self.has_prototype[class_id]:
-            raise PrototypeUndefinedError(f"prototype of class {class_id} was never updated")
-        return self.prototypes[class_id]
-
     def class_offsets(self) -> np.ndarray:
         """``offsets``; the FLOP counter in ``perfbench/layers.py`` reads it by this name."""
         return self.offsets
@@ -148,16 +129,6 @@ class IdSnapshot:
         mu = self.prototypes
         midpoints, antipodal = _midpoints(mu[pairs[:, 0]], mu[pairs[:, 1]])
         return pairs, midpoints, antipodal
-
-    def midpoint(self, pair: ClusterPair) -> np.ndarray:
-        """Normalized sum of the two prototypes of a cluster pair."""
-        mu_u, mu_v = self.prototype(pair.u), self.prototype(pair.v)
-        midpoints, antipodal = _midpoints(mu_u[None], mu_v[None])
-        if antipodal[0]:
-            raise AntipodalPrototypesError(
-                f"prototypes of classes {pair.u} and {pair.v} are antipodal"
-            )
-        return midpoints[0]
 
 
 def _midpoints(mu_u: np.ndarray, mu_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

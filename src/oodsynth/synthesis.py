@@ -27,13 +27,17 @@ rounds as ``samples["round"]``, since ``samples.round`` is ndarray's
 method. ``OutlierBatch.rounds`` keeps the log as one (rounds x chains)
 ``samplers.transition_log``, whose row r is the record array that
 ``advance`` returned for round r + 1.
+
+The columns are the only model down to disk: ``round_wise_scores``
+returns the ``round_scores.csv`` rows, and the exporters write the batch
+JSON, CSV and trace straight from the record arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -165,38 +169,23 @@ def round_summary(batch: OutlierBatch) -> dict:
     }
 
 
-@dataclass
-class RoundScores:
-    round: int
-    mean: float
-    std: float
-    min: float
-    max: float
-    scores: np.ndarray
+def round_wise_scores(batch: OutlierBatch, scores: np.ndarray) -> list[list]:
+    """The batch's detection scores (one per sample, in order) grouped by synthesis round.
 
-
-def round_wise_scores(batch: OutlierBatch, scores: np.ndarray) -> list[RoundScores]:
-    """The batch's detection scores (one per sample, in order) grouped by synthesis round."""
+    One ``round_scores.csv`` row per round that has a sample: the round,
+    the count of its samples, and their mean, std, min and max score.
+    """
     if not len(batch):
         raise BadArgError("cannot compute round-wise scores of an empty batch")
     all_scores = np.asarray(scores, dtype=float)
     if all_scores.shape != (len(batch),):
         raise BadArgError(f"{all_scores.shape} scores for a batch of {len(batch)} samples")
     rounds = batch.samples["round"]
-    out = []
+    rows = []
     for r in np.unique(rounds).tolist():
-        scores = all_scores[rounds == r]
-        out.append(
-            RoundScores(
-                round=r,
-                mean=float(scores.mean()),
-                std=float(scores.std()),
-                min=float(scores.min()),
-                max=float(scores.max()),
-                scores=scores,
-            )
-        )
-    return out
+        s = all_scores[rounds == r]
+        rows.append([r, len(s), float(s.mean()), float(s.std()), float(s.min()), float(s.max())])
+    return rows
 
 
 def gaussian_baseline_batch(
@@ -238,39 +227,35 @@ def gaussian_baseline_batch(
 # -- export ----------------------------------------------------------------
 
 
+def _records(columns: dict[str, list]) -> list[dict]:
+    """One dict per row of equal-length column lists, keyed by column name."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def batch_to_dict(batch: OutlierBatch) -> dict:
     """JSON-ready representation of a batch (samples plus chain metadata)."""
+    chains, samples = batch.chains, batch.samples
     names = ("chain_index", "rank", "pair", "t_minus", "accepted")
-    chains = [dict(zip(names, row)) for row in zip(*(batch.chains[n].tolist() for n in names))]
     return {
         "n_adj": batch.n_adj,
         "k": batch.k,
         "delta": batch.delta,
         "kappa": batch.kappa,
-        "config": None
-        if batch.config is None
-        else {
-            "leapfrog_steps": batch.config.leapfrog_steps,
-            "step_size": batch.config.step_size,
-            "rounds": batch.config.rounds,
-            "variant": batch.config.variant.value,
-            "rng_seed": batch.config.rng_seed,
-        },
+        "config": None if batch.config is None else asdict(batch.config),
         "skipped": batch.skipped.tolist(),
-        "chains": [chain | {"class_id": chain["pair"][0]} for chain in chains],
-        "samples": [
-            {"chain_index": i, "pair": pair, "round": r, "position": x}
-            for i, pair, r, x in _sample_rows(batch)
-        ],
+        "chains": _records(
+            {name: chains[name].tolist() for name in names}
+            | {"class_id": chains.pair[:, 0].tolist()}
+        ),
+        "samples": _records(
+            {
+                "chain_index": samples.chain_index.tolist(),
+                "pair": chains.pair[samples.chain_index].tolist(),
+                "round": samples["round"].tolist(),
+                "position": samples.position.tolist(),
+            }
+        ),
     }
-
-
-def _sample_rows(batch: OutlierBatch):
-    """(chain index, pair, round, coordinates) of every sample, as Python values."""
-    pairs = batch.chains.pair.tolist()
-    s = batch.samples
-    for i, r, x in zip(s.chain_index.tolist(), s["round"].tolist(), s.position.tolist()):
-        yield i, pairs[i], r, x
 
 
 def write_batch_json(batch: OutlierBatch, path: str | Path) -> None:
@@ -279,26 +264,25 @@ def write_batch_json(batch: OutlierBatch, path: str | Path) -> None:
 
 def write_batch_csv(batch: OutlierBatch, path: str | Path) -> None:
     """One row per sample: chain metadata then the raw coordinates."""
-    dim = batch.samples.position.shape[1]
+    s = batch.samples
+    coords = s.position.T.tolist()
+    pairs = batch.chains.pair[s.chain_index].T.tolist()
     write_csv(
         path,
-        ["chain_index", "class_u", "class_v", "round"] + [f"x{i}" for i in range(dim)],
-        ([i, *pair, r, *x] for i, pair, r, x in _sample_rows(batch)),
+        ["chain_index", "class_u", "class_v", "round"] + [f"x{i}" for i in range(len(coords))],
+        zip(s.chain_index.tolist(), *pairs, s["round"].tolist(), *coords),
     )
 
 
 def write_trace_jsonl(batch: OutlierBatch, path: str | Path) -> None:
-    """Per-transition trace (one JSON object per line, by chain then round)."""
-
-    def _num(x):
-        return None if x != x else x  # NaN -> null
-
-    log = batch.rounds
-    columns = {name: log[name].T.tolist() for name in log.dtype.names if name != "proposed"}
-    columns["alpha"] = np.minimum(log.alpha, 1e308).T.tolist()
+    """Per-transition trace (one JSON object per line, by chain then round); NaN is null."""
+    log = batch.rounds.T  # (chains, rounds)
+    columns = {name: log[name].ravel() for name in log.dtype.names if name != "proposed"}
+    columns["alpha"] = np.minimum(columns["alpha"], 1e308)
+    columns = {name: [None if x != x else x for x in col.tolist()] for name, col in columns.items()}
+    rounds = log.shape[1]
+    columns["chain_index"] = np.repeat(batch.chains.chain_index, rounds).tolist()
+    columns["pair"] = np.repeat(batch.chains.pair, rounds, axis=0).tolist()
+    columns["round"] = np.tile(np.arange(1, rounds + 1), len(log)).tolist()
     with open(path, "w") as fh:
-        for i, pair in zip(batch.chains.chain_index.tolist(), batch.chains.pair.tolist()):
-            for r in range(len(log)):
-                row = {name: _num(values[i][r]) for name, values in columns.items()}
-                row |= {"chain_index": i, "pair": pair, "round": r + 1}
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in _records(columns))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodsynth.sphere import normalize
-from oodsynth.store import ClusterPair, IdSnapshot, IdStore
+from oodsynth.store import IdSnapshot, IdStore
 
 
 def cluster_store(
@@ -28,6 +28,11 @@ def cluster_store(
     return store
 
 
+def midpoint(snapshot: IdSnapshot, u: int, v: int) -> np.ndarray:
+    """The chain start of pair (u, v): the bits of its row in ``pair_table``."""
+    return normalize(snapshot.prototypes[u] + snapshot.prototypes[v])
+
+
 def class_rows(snapshot: IdSnapshot, class_id: int) -> np.ndarray:
     """The buffered rows of one class, oldest first: a slice of ``embeddings``."""
     return snapshot.embeddings[snapshot.offsets[class_id] : snapshot.offsets[class_id + 1]]
@@ -41,7 +46,7 @@ def degenerate_store() -> IdSnapshot:
     class 0 alone: for every kernel each of them is degenerate.
     """
     store = cluster_store(num_classes=4, dim=8, n_per_class=30, capacity=31, seed=17)
-    mid = store.snapshot().midpoint(ClusterPair(0, 1))
+    mid = midpoint(store.snapshot(), 0, 1)
     store.insert(0, mid)
     store.insert(1, mid)
     return store.snapshot()

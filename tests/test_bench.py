@@ -210,7 +210,7 @@ def test_generate_synthetic_id_deterministic():
     b = generate_synthetic_id(SMALL).snapshot()
     for c in range(SMALL.num_classes):
         assert np.array_equal(class_rows(a, c), class_rows(b, c))
-        assert np.array_equal(a.prototype(c), b.prototype(c))
+        assert np.array_equal(a.prototypes[c], b.prototypes[c])
 
 
 # -- config ----------------------------------------------------------------------
@@ -234,6 +234,17 @@ def test_config_validation():
         BenchConfig(grad_mode="nonsense")
     with pytest.raises(BadConfigError, match="midpoint_kappa"):
         OodTestSpec(midpoint_kappa=-1.0)
+    with pytest.raises(BadConfigError, match="no samples"):
+        OodTestSpec(n_uniform=0, n_midpoint=0)
+
+
+def test_cli_ood_spec_with_no_samples_exits_2_before_creating_the_out_dir(tmp_path, capsys):
+    # the empty spec used to fail only once the run had created its output directory
+    out_dir = tmp_path / "run"
+    argv = ["run", "--iterations", "1", "--ood-uniform", "0", "--ood-midpoint", "0"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "OOD test spec generates no samples" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_effective_clipping():
@@ -695,6 +706,16 @@ def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(axis) in err and repr(value) in err
+
+
+@pytest.mark.parametrize("values", ["1,x", "1,0"])
+def test_cli_sweep_checks_every_value_before_the_first_run(tmp_path, capsys, values):
+    # a bad second value used to fail only after the first value's run was written
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--axis", "L", "--values", values, "--iterations", "1"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def _flag_value(default, kwargs):

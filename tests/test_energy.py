@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import class_rows, cluster_store
+from conftest import class_rows, cluster_store, midpoint
 from oodsynth import blas, energy
 from oodsynth.energy import (
     EnergyContext,
@@ -17,7 +17,7 @@ from oodsynth.errors import BadArgError, BadClassError, InsufficientDataError
 from oodsynth.metrics import kth_neighbors
 from oodsynth.samplers import HmcConfig
 from oodsynth.sphere import normalize, project_tangent
-from oodsynth.store import ClusterPair, IdStore
+from oodsynth.store import IdStore
 from oodsynth.synthesis import synthesize_batch
 
 
@@ -434,7 +434,7 @@ def test_threshold_symmetric_closed_form():
 
 def test_threshold_matches_oracle_minus_delta():
     store = cluster_store(num_classes=3, dim=6, n_per_class=20, seed=14).snapshot()
-    oracle = -math.log(brute_force_id_prob(store, store.midpoint(ClusterPair(0, 1))).max())
+    oracle = -math.log(brute_force_id_prob(store, midpoint(store, 0, 1)).max())
     t = chain_threshold(store, (0, 1), 0.1)
     assert np.isclose(t, oracle - 0.1, rtol=1e-12)
 
@@ -442,7 +442,7 @@ def test_threshold_matches_oracle_minus_delta():
 def test_margin_midpoint_passes_with_positive_delta():
     store = symmetric_two_class_store()
     t = chain_threshold(store, (0, 1), 0.1)
-    assert passes_margin(store, store.midpoint(ClusterPair(0, 1)), 2.0, t)
+    assert passes_margin(store, midpoint(store, 0, 1), 2.0, t)
 
 
 def test_margin_rejects_point_deep_inside_cluster():

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import cluster_store, degenerate_store
+from conftest import cluster_store, degenerate_store, midpoint
 from oodsynth.energy import EnergyContext, neg_log_max_id_prob
 from oodsynth.errors import BadConfigError
 from oodsynth.samplers import (
@@ -17,7 +17,7 @@ from oodsynth.samplers import (
     kinetic,
 )
 from oodsynth.sphere import geodesic_step, normalize
-from oodsynth.store import ClusterPair, IdStore
+from oodsynth.store import IdStore
 
 
 class StandinEnergy:
@@ -58,7 +58,7 @@ def fresh_state(dim=3, seed=0, t_minus=-math.inf, chains=1):
 def pair_state(store, seed, t_minus, chains=1):
     """Chains at the (0, 1) midpoint of ``store``, generators seed, seed + 1, ..."""
     return ChainState(
-        positions=np.tile(store.midpoint(ClusterPair(0, 1)), (chains, 1)),
+        positions=np.tile(midpoint(store, 0, 1), (chains, 1)),
         t_minus=np.full(chains, t_minus),
         rngs=[np.random.default_rng(seed + i) for i in range(chains)],
     )
@@ -159,7 +159,7 @@ def test_leapfrog_reduces_to_geodesic_on_radial_gradient():
 def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=5)
     rng = np.random.default_rng(3)
-    z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (5, 1))
+    z = np.tile(midpoint(small_snapshot, 0, 1), (5, 1))
     q = draw_momentum(z, [rng] * 5)
     u0, grad0 = ctx.value_and_grad(z)
     z2, q2, u2, _, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=1e-4)
@@ -169,7 +169,7 @@ def test_leapfrog_conserves_energy_at_small_step(small_snapshot):
 def test_leapfrog_default_steps_stay_on_sphere(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=3)
     rng = np.random.default_rng(4)
-    z = np.tile(small_snapshot.midpoint(ClusterPair(0, 1)), (3, 1))
+    z = np.tile(midpoint(small_snapshot, 0, 1), (3, 1))
     q = draw_momentum(z, [rng] * 3)
     u0, grad0 = ctx.value_and_grad(z)
     z2, q2, _, _, _, _ = _integrate(ctx, z, q, u0, grad0, steps=3, step_size=0.1)
@@ -200,7 +200,7 @@ def test_two_cluster_acceptance_rate(small_snapshot):
     # synthetic two-cluster instance at default sampler settings
     store = cluster_store(num_classes=2, dim=8, n_per_class=60, seed=21).snapshot()
     ctx = pair_energy(store, k=10, chains=5)
-    t_minus = neg_log_max_id_prob(store, store.midpoint(ClusterPair(0, 1)), 2.0) - 0.1
+    t_minus = neg_log_max_id_prob(store, midpoint(store, 0, 1), 2.0) - 0.1
     cfg = HmcConfig(rng_seed=5)
     state = pair_state(store, 5, t_minus, chains=5)
     accepts = []
@@ -313,8 +313,7 @@ def test_lockstep_chains_match_chains_run_alone():
 
 def test_identical_seed_gives_identical_record_stream(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=2)
-    midpoint = small_snapshot.midpoint(ClusterPair(0, 1))
-    t_minus = neg_log_max_id_prob(small_snapshot, midpoint, 2.0) - 0.1
+    t_minus = neg_log_max_id_prob(small_snapshot, midpoint(small_snapshot, 0, 1), 2.0) - 0.1
 
     def run(variant):
         cfg = HmcConfig(variant=variant, rng_seed=17)
@@ -331,8 +330,7 @@ def test_identical_seed_gives_identical_record_stream(small_snapshot):
 
 def test_accepted_equals_mh_and_margin(small_snapshot):
     ctx = pair_energy(small_snapshot, k=3, chains=2)
-    midpoint = small_snapshot.midpoint(ClusterPair(0, 1))
-    t_minus = neg_log_max_id_prob(small_snapshot, midpoint, 2.0) - 0.1
+    t_minus = neg_log_max_id_prob(small_snapshot, midpoint(small_snapshot, 0, 1), 2.0) - 0.1
     for variant in SamplerVariant:
         cfg = HmcConfig(variant=variant, rng_seed=23)
         state = pair_state(small_snapshot, 23, t_minus, chains=2)
@@ -355,8 +353,7 @@ def _assert_cache_is_fresh(ctx, state):
 @pytest.mark.parametrize("variant", list(SamplerVariant))
 def test_cached_energy_equals_a_fresh_evaluation(small_snapshot, variant):
     chains = 4
-    midpoint = small_snapshot.midpoint(ClusterPair(0, 1))
-    t_minus = neg_log_max_id_prob(small_snapshot, midpoint, 2.0) - 0.1
+    t_minus = neg_log_max_id_prob(small_snapshot, midpoint(small_snapshot, 0, 1), 2.0) - 0.1
     ctx = pair_energy(small_snapshot, k=3, chains=chains)
     state = pair_state(small_snapshot, 41, t_minus, chains=chains)
     cfg = HmcConfig(variant=variant, step_size=0.3, rng_seed=41)
@@ -371,11 +368,11 @@ def test_cached_energy_equals_a_fresh_evaluation(small_snapshot, variant):
 @pytest.mark.parametrize("variant", list(SamplerVariant))
 def test_cached_energy_equals_a_fresh_evaluation_on_a_degenerate_store(variant):
     store = degenerate_store()
-    pairs = [ClusterPair(0, 1), ClusterPair(1, 0), ClusterPair(2, 3), ClusterPair(0, 2)]
-    starts = np.array([store.midpoint(pair) for pair in pairs])
+    pairs = [(0, 1), (1, 0), (2, 3), (0, 2)]
+    starts = np.array([midpoint(store, u, v) for u, v in pairs])
     # chain 4 runs pair (0, 2) from the (0, 1) midpoint, which only class 0
     # buffers: one k-th distance of 0 is degenerate for every kernel
-    pairs.append(ClusterPair(0, 2))
+    pairs.append((0, 2))
     starts = np.vstack([starts, starts[0]])
     stuck = [0, 1, 4]
     state = ChainState(
@@ -383,7 +380,7 @@ def test_cached_energy_equals_a_fresh_evaluation_on_a_degenerate_store(variant):
         t_minus=neg_log_max_id_prob(store, starts, 2.0) - 0.1,
         rngs=[np.random.default_rng(51 + i) for i in range(len(pairs))],
     )
-    ctx = EnergyContext(store=store, pairs=[(p.u, p.v) for p in pairs], k=1, kappa=2.0)
+    ctx = EnergyContext(store=store, pairs=pairs, k=1, kappa=2.0)
     cfg = HmcConfig(variant=variant, rng_seed=51)
     for _ in range(8):
         rec = advance(ctx, state, cfg)

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import class_rows, cluster_store
 from oodsynth.errors import (
-    AntipodalPrototypesError,
     BadArgError,
     BadClassError,
     InsufficientDataError,
@@ -16,7 +15,7 @@ from oodsynth.errors import (
 )
 from oodsynth.metrics import kth_neighbors
 from oodsynth.sphere import normalize
-from oodsynth.store import ClusterPair, IdStore
+from oodsynth.store import IdStore
 
 
 def unit(v):
@@ -156,7 +155,7 @@ def test_prototype_first_update_normalizes_mean():
     store = IdStore(2, 3, capacity=4)
     store.insert(0, unit([1, 0, 0]))
     store.update_prototype(0, np.array([2.0, 0.0, 0.0]))
-    assert np.allclose(store.snapshot().prototype(0), [1, 0, 0], atol=1e-12)
+    assert np.allclose(store.snapshot().prototypes[0], [1, 0, 0], atol=1e-12)
 
 
 def test_prototype_fixed_point():
@@ -165,7 +164,7 @@ def test_prototype_fixed_point():
     store.insert(0, e1)
     store.update_prototype(0, e1)
     store.update_prototype(0, e1)
-    assert np.allclose(store.snapshot().prototype(0), e1, atol=1e-12)
+    assert np.allclose(store.snapshot().prototypes[0], e1, atol=1e-12)
 
 
 def test_prototype_symmetric_blend():
@@ -175,7 +174,7 @@ def test_prototype_symmetric_blend():
     store.update_prototype(0, e1)
     store.update_prototype(0, e2)
     assert np.allclose(
-        store.snapshot().prototype(0), [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12
+        store.snapshot().prototypes[0], [1 / np.sqrt(2), 1 / np.sqrt(2), 0], atol=1e-12
     )
 
 
@@ -193,12 +192,6 @@ def test_update_prototype_rejects_a_mean_that_is_not_a_finite_d_vector(bad):
     snap = store.snapshot()
     assert snap.has_prototype.tolist() == [False, True]
     assert np.array_equal(snap.prototypes, [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-
-def test_prototype_undefined_raises():
-    store = IdStore(2, 3, capacity=4)
-    with pytest.raises(PrototypeUndefinedError):
-        store.snapshot().prototype(0)
 
 
 # -- kNN queries --------------------------------------------------------------
@@ -304,7 +297,7 @@ def test_adjacency_forced_ordering():
 
 def test_adjacency_matches_brute_force():
     store = cluster_store(num_classes=10, dim=6, n_per_class=5, seed=4).snapshot()
-    protos = np.array([store.prototype(c) for c in range(10)])
+    protos = store.prototypes
     for c in range(10):
         got = store.adjacency(4)[c].tolist()
         cos = protos @ protos[c]
@@ -314,7 +307,7 @@ def test_adjacency_matches_brute_force():
 
 def test_adjacency_is_cosine_descending():
     store = cluster_store(num_classes=8, dim=5, n_per_class=4, seed=9).snapshot()
-    protos = np.array([store.prototype(c) for c in range(8)])
+    protos = store.prototypes
     order = store.adjacency(7)[3]
     cos = [protos[j] @ protos[3] for j in order]
     assert all(a >= b for a, b in zip(cos, cos[1:]))
@@ -387,12 +380,8 @@ def test_pair_table_lists_pairs_by_class_and_rank_with_their_midpoints():
     for (u, v), midpoint, skip in zip(pairs.tolist(), midpoints, antipodal):
         if skip:
             assert np.isnan(midpoint).all()
-            with pytest.raises(AntipodalPrototypesError):
-                snap.midpoint(ClusterPair(u, v))
         else:  # the bits of a 1-D normalize of the prototype sum
-            want = normalize(snap.prototypes[u] + snap.prototypes[v])
-            assert np.array_equal(midpoint, want)
-            assert np.array_equal(snap.midpoint(ClusterPair(u, v)), want)
+            assert np.array_equal(midpoint, normalize(snap.prototypes[u] + snap.prototypes[v]))
 
 
 def test_midpoint_identical_prototypes():
@@ -401,7 +390,7 @@ def test_midpoint_identical_prototypes():
     for c in range(2):
         store.insert(c, e1)
         store.update_prototype(c, e1)
-    assert np.allclose(store.snapshot().midpoint(ClusterPair(0, 1)), e1, atol=1e-12)
+    assert np.allclose(store.snapshot().pair_table(1)[1], [e1, e1], atol=1e-12)
 
 
 def test_midpoint_symmetric():
@@ -409,27 +398,9 @@ def test_midpoint_symmetric():
     for c, mu in enumerate(np.eye(3)[:2]):
         store.insert(c, mu)
         store.update_prototype(c, mu)
-    assert np.allclose(
-        store.snapshot().midpoint(ClusterPair(0, 1)),
-        [1 / np.sqrt(2), 1 / np.sqrt(2), 0],
-        atol=1e-12,
-    )
-
-
-def test_midpoint_antipodal_raises():
-    store = IdStore(2, 3, capacity=2)
-    e1 = np.eye(3)[0]
-    store.insert(0, e1)
-    store.update_prototype(0, e1)
-    store.insert(1, -e1)
-    store.update_prototype(1, -e1)
-    with pytest.raises(AntipodalPrototypesError):
-        store.snapshot().midpoint(ClusterPair(0, 1))
-
-
-def test_cluster_pair_validates():
-    with pytest.raises(BadArgError):
-        ClusterPair(1, 1)
+    pairs, midpoints, _ = store.snapshot().pair_table(1)
+    assert pairs.tolist() == [[0, 1], [1, 0]]
+    assert np.allclose(midpoints, [[1 / np.sqrt(2), 1 / np.sqrt(2), 0]] * 2, atol=1e-12)
 
 
 # -- snapshots and serialization ----------------------------------------------
@@ -445,7 +416,6 @@ def test_snapshot_is_independent(small_store):
     for name, array in [
         ("embeddings", snap.embeddings),
         ("prototypes", snap.prototypes),
-        ("prototype", snap.prototype(0)),
         ("offsets", snap.offsets),
         ("has_prototype", snap.has_prototype),
     ]:

@@ -10,12 +10,13 @@ from scipy.special import logsumexp
 from conftest import class_rows, cluster_store, degenerate_store
 from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.energy import passes_margin
-from oodsynth.errors import AntipodalPrototypesError, BadArgError, InsufficientDataError
-from oodsynth.metrics import knn_scores
-from oodsynth.samplers import HmcConfig, SamplerVariant
+from oodsynth.errors import BadArgError, InsufficientDataError
+from oodsynth.metrics import knn_scores, write_csv
+from oodsynth.samplers import HmcConfig, SamplerVariant, transition_log
 from oodsynth.sphere import normalize
-from oodsynth.store import ClusterPair, IdStore
+from oodsynth.store import ANTIPODAL_TOL, IdStore
 from oodsynth.synthesis import (
+    OutlierBatch,
     batch_to_dict,
     gaussian_baseline_batch,
     round_summary,
@@ -161,10 +162,10 @@ def test_round_wise_single_round():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
     batch = synthesize_batch(store, HmcConfig(rounds=1, rng_seed=2), **SYNTH_ARGS)
     assert len(batch) > 0
-    rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.samples.position, 5))
-    assert len(rws) == 1
-    assert rws[0].round == 1
-    assert len(rws[0].scores) == len(batch)
+    scores = knn_scores(store.embeddings, batch.samples.position, 5)
+    [(r, count, mean, std, low, high)] = round_wise_scores(batch, scores)
+    assert (r, count) == (1, len(batch))
+    assert [mean, std, low, high] == [scores.mean(), scores.std(), scores.min(), scores.max()]
 
 
 def test_round_wise_identical_samples_zero_std():
@@ -173,9 +174,9 @@ def test_round_wise_identical_samples_zero_std():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=10).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=3, n_adj=1, seed=0)
     rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.samples.position, 5))
-    assert len(rws) == 3
-    for r in rws:
-        assert r.std <= 1e-12
+    assert [row[:2] for row in rws] == [[1, 2], [2, 2], [3, 2]]  # round, count
+    for row in rws:
+        assert row[3] <= 1e-12  # std
 
 
 def test_round_wise_trend_on_cluster_benchmark():
@@ -183,7 +184,7 @@ def test_round_wise_trend_on_cluster_benchmark():
     batch = synthesize_batch(store, HmcConfig(rng_seed=3), k=8, delta=0.1, kappa=2.0, n_adj=2)
     rws = round_wise_scores(batch, knn_scores(store.embeddings, batch.samples.position, 8))
     # scores are negative distances: later rounds drift to higher OOD-ness
-    assert -rws[-1].mean >= -rws[0].mean
+    assert -rws[-1][2] >= -rws[0][2]  # column 2: the mean
 
 
 def test_round_wise_empty_batch_raises():
@@ -284,6 +285,107 @@ def test_batch_export_round_trip(tmp_path):
     assert {t["accepted"] for t in traces} <= {True, False}
 
 
+def _hand_batch(baseline: bool) -> OutlierBatch:
+    """Two chains, three samples; unless ``baseline``, a two-round log with an
+    infinite alpha and a degenerate round (NaN energies, alpha 0)."""
+    chains = np.rec.array(
+        [
+            (0, 0, (0, 1), math.nan if baseline else 0.25, (0.6, 0.8), 2),
+            (1, 0, (1, 0), math.nan if baseline else -0.5, (0.6, 0.8), 1),
+        ],
+        dtype=[
+            ("chain_index", np.intp),
+            ("rank", np.intp),
+            ("pair", np.intp, (2,)),
+            ("t_minus", float),
+            ("start", float, (2,)),
+            ("accepted", np.intp),
+        ],
+    )
+    samples = np.rec.array(
+        [(0, 1, (1.0, 0.0)), (0, 2, (0.0, 1.0)), (1, 2, (0.0, -1.0))],
+        dtype=[("chain_index", np.intp), ("round", np.intp), ("position", float, (2,))],
+    )
+    rounds = transition_log((0 if baseline else 2, 2), 2)
+    if not baseline:
+        rounds[0] = [
+            ((1.0, 0.0), 1.5, 1.25, math.inf, True, True, True),
+            ((0.6, 0.8), math.nan, math.nan, 0.0, False, False, False),
+        ]
+        rounds[1] = [
+            ((0.0, 1.0), 0.5, 0.75, 0.5, True, True, True),
+            ((0.0, -1.0), -0.25, -1.0, 1.0, True, True, True),
+        ]
+    cfg = HmcConfig(leapfrog_steps=2, step_size=0.125, rounds=2, rng_seed=7)
+    return OutlierBatch(
+        samples=samples,
+        chains=chains,
+        skipped=np.array([[2, 1]]),
+        config=None if baseline else cfg,
+        k=None if baseline else 3,
+        delta=None if baseline else 0.1,
+        kappa=None if baseline else 2.0,
+        n_adj=1,
+        rounds=rounds,
+    )
+
+
+_HAND_CHAINS = (
+    '"chains": [{"accepted": 2, "chain_index": 0, "class_id": 0, "pair": [0, 1], "rank": 0, '
+    '"t_minus": %s}, {"accepted": 1, "chain_index": 1, "class_id": 1, "pair": [1, 0], '
+    '"rank": 0, "t_minus": %s}]'
+)
+_HAND_SAMPLES = (
+    '"samples": [{"chain_index": 0, "pair": [0, 1], "position": [1.0, 0.0], "round": 1}, '
+    '{"chain_index": 0, "pair": [0, 1], "position": [0.0, 1.0], "round": 2}, '
+    '{"chain_index": 1, "pair": [1, 0], "position": [0.0, -1.0], "round": 2}], '
+    '"skipped": [[2, 1]]}'
+)
+
+
+def test_exports_of_a_hand_built_batch_are_pinned_to_the_byte(tmp_path):
+    batch = _hand_batch(baseline=False)
+    write_batch_json(batch, tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_text() == (
+        "{" + _HAND_CHAINS % ("0.25", "-0.5") + ', "config": {"leapfrog_steps": 2, '
+        '"rng_seed": 7, "rounds": 2, "step_size": 0.125, "variant": "hmc"}, "delta": 0.1, '
+        '"k": 3, "kappa": 2.0, "n_adj": 1, ' + _HAND_SAMPLES
+    )
+    write_batch_csv(batch, tmp_path / "b.csv")
+    assert (tmp_path / "b.csv").read_bytes() == (
+        b"chain_index,class_u,class_v,round,x0,x1\r\n"
+        b"0,0,1,1,1.0,0.0\r\n0,0,1,2,0.0,1.0\r\n1,1,0,2,0.0,-1.0\r\n"
+    )
+    # by chain then round; NaN is null and an infinite alpha 1e308
+    write_trace_jsonl(batch, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_text() == (
+        '{"accepted": true, "alpha": 1e+308, "chain_index": 0, "h_init": 1.5, "h_prop": 1.25, '
+        '"margin_pass": true, "mh_accept": true, "pair": [0, 1], "round": 1}\n'
+        '{"accepted": true, "alpha": 0.5, "chain_index": 0, "h_init": 0.5, "h_prop": 0.75, '
+        '"margin_pass": true, "mh_accept": true, "pair": [0, 1], "round": 2}\n'
+        '{"accepted": false, "alpha": 0.0, "chain_index": 1, "h_init": null, "h_prop": null, '
+        '"margin_pass": false, "mh_accept": false, "pair": [1, 0], "round": 1}\n'
+        '{"accepted": true, "alpha": 1.0, "chain_index": 1, "h_init": -0.25, "h_prop": -1.0, '
+        '"margin_pass": true, "mh_accept": true, "pair": [1, 0], "round": 2}\n'
+    )
+    rows = round_wise_scores(batch, np.array([-1.0, -0.5, -0.25]))
+    write_csv(tmp_path / "r.csv", ["round", "count", "mean", "std", "min", "max"], rows)
+    assert (tmp_path / "r.csv").read_bytes() == (
+        b"round,count,mean,std,min,max\r\n1,1,-1.0,0.0,-1.0,-1.0\r\n2,2,-0.375,0.125,-0.5,-0.25\r\n"
+    )
+
+
+def test_exports_of_a_hand_built_baseline_batch_are_pinned_to_the_byte(tmp_path):
+    batch = _hand_batch(baseline=True)
+    write_batch_json(batch, tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_text() == (
+        "{" + _HAND_CHAINS % ("NaN", "NaN") + ', "config": null, "delta": null, "k": null, '
+        '"kappa": null, "n_adj": 1, ' + _HAND_SAMPLES
+    )
+    write_trace_jsonl(batch, tmp_path / "t.jsonl")  # a baseline has no transition log
+    assert (tmp_path / "t.jsonl").read_text() == ""
+
+
 def test_empty_batch_csv_holds_only_its_header(tmp_path):
     store = cluster_store(num_classes=2, dim=3, n_per_class=10, seed=12).snapshot()
     batch = gaussian_baseline_batch(store, sigma=0.0, count_per_pair=0, n_adj=1)
@@ -340,8 +442,8 @@ class _LegacyEnergy:
         self.store, self.pair, self.k, self.grad_mode = store, pair, k, grad_mode
 
     def _query(self, z):
-        d_u, n_u = _legacy_knn_distance(class_rows(self.store, self.pair.u), z, self.k)
-        d_v, n_v = _legacy_knn_distance(class_rows(self.store, self.pair.v), z, self.k)
+        d_u, n_u = _legacy_knn_distance(class_rows(self.store, self.pair[0]), z, self.k)
+        d_v, n_v = _legacy_knn_distance(class_rows(self.store, self.pair[1]), z, self.k)
         return d_u, n_u, d_v, n_v
 
     def value_and_grad(self, z):
@@ -388,12 +490,13 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
         others = np.array([j for j in range(store.num_classes) if j != c])
         adjacent = others[np.lexsort((others, -cos[others]))][:n_adj].tolist()
         for rank, j in enumerate(adjacent):
-            pair = ClusterPair(c, j)
-            try:
-                z = store.midpoint(pair)
-            except AntipodalPrototypesError:
+            pair = (c, j)
+            total = store.prototypes[c] + store.prototypes[j]
+            norm = np.linalg.norm(total)
+            if norm < ANTIPODAL_TOL:
                 skipped.append(pair)
                 continue
+            z = total / norm
             t_minus = _legacy_neg_log_max(store, z, kappa) - delta
             energy = _LegacyEnergy(store, pair, k, grad_mode)
             rng = np.random.default_rng(seeds[c * n_adj + rank])
@@ -420,11 +523,11 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
 def _assert_parity(store, cfg, **kwargs):
     skipped, want = legacy_synthesize_batch(store, cfg, **kwargs)
     got = synthesize_batch(store, cfg, **kwargs)
-    assert got.skipped.tolist() == [[pair.u, pair.v] for pair in skipped]
+    assert got.skipped.tolist() == [list(pair) for pair in skipped]
     assert len(got.chains) == len(want)
     size = 0
     for i, (run, (pair, t_minus, records)) in enumerate(zip(got.chains, want)):
-        assert (run.chain_index, run.pair.tolist()) == (i, [pair.u, pair.v])
+        assert (run.chain_index, run.pair.tolist()) == (i, list(pair))
         assert abs(run.t_minus - t_minus) <= 1e-10
         assert len(got.rounds) == len(records)
         for rec, (proposed, h_init, h_prop, mh, margin) in zip(got.rounds, records):
