@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import AntipodalPrototypesError, BadArgError, BadConfigError, require_field_types
 from .metrics import (
-    QualityAngles,
     ScoreReport,
     hypersphere_quality,
     knn_scores,
@@ -141,13 +140,25 @@ class BenchConfig:
     def effective_k(self, store: IdSnapshot) -> int:
         return min(self.knn_k, min(store.count(c) for c in range(store.num_classes)))
 
+    def with_fields(self, **changes) -> "BenchConfig":
+        """This config with each named field replaced, top-level or in ``hmc`` or ``ood``.
+
+        Field names are unique across BenchConfig, HmcConfig and OodTestSpec,
+        so a name alone places its field.
+        """
+        for section in ("hmc", "ood"):
+            owner = getattr(self, section)
+            names = [f.name for f in dataclasses.fields(owner) if f.name in changes]
+            if names:
+                mine = {name: changes.pop(name) for name in names}
+                changes[section] = dataclasses.replace(owner, **mine)
+        return dataclasses.replace(self, **changes)
+
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchConfig":
         doc = dict(doc)
         try:
             hmc_doc = dict(doc.pop("hmc", {}))
-            if "variant" in hmc_doc:
-                hmc_doc["variant"] = SamplerVariant(hmc_doc["variant"])
             ood_doc = dict(doc.pop("ood", {}))
             return cls(hmc=HmcConfig(**hmc_doc), ood=OodTestSpec(**ood_doc), **doc)
         except (TypeError, ValueError) as err:
@@ -269,33 +280,12 @@ def make_ood_test_set(cfg: BenchConfig, store: IdStore, rng: np.random.Generator
 
 @dataclass
 class IterationResult:
-    iteration: int
+    row: dict  # the iteration's metrics.csv row
     batch: OutlierBatch
     report: ScoreReport
-    quality: QualityAngles
-    losses: dict[str, float]
     batch_scores: np.ndarray  # detection score of each batch sample, in batch order
     synth_time_ms: float
     score_time_ms: float
-
-
-def _iteration_row(res: IterationResult) -> dict:
-    row = {
-        "iteration": res.iteration,
-        "batch_size": len(res.batch),
-        **round_summary(res.batch),
-        "batch_score_mean": float(res.batch_scores.mean()) if len(res.batch) else math.nan,
-        "batch_score_std": float(res.batch_scores.std()) if len(res.batch) else math.nan,
-        "fpr95": res.report.fpr95,
-        "auroc": res.report.auroc,
-        "aupr": res.report.aupr,
-        "threshold": res.report.threshold,
-        "separation_deg": res.quality.separation_deg,
-        "dispersion_deg": res.quality.dispersion_deg,
-        "compactness_deg": res.quality.compactness_deg,
-    }
-    row.update(res.losses)
-    return row
 
 
 def _synthesize(cfg: BenchConfig, snapshot: IdSnapshot, hmc: HmcConfig) -> OutlierBatch:
@@ -351,14 +341,6 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
             else:
                 ood_disc = 0.0  # empty batch: the discernment term is skipped
             l_disp, l_comp = cider_losses(id_test, id_labels, prototypes, tau)
-            losses = {
-                "ood_disc_loss": ood_disc,
-                "dispersion_loss": l_disp,
-                "compactness_loss": l_comp,
-                "combined_objective": combined_objective(
-                    0.0, l_disp + l_comp, ood_disc, cfg.lambda_d
-                ),
-            }
             reference = snapshot.embeddings
             k_det = min(cfg.k_detect, reference.shape[0])
             t0 = time.perf_counter()
@@ -368,18 +350,20 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
             batch_scores = knn_scores(reference, positions, k_det, snapshot.sq_norms)
             score_ms = (time.perf_counter() - t0) * 1000.0
             quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
-            results.append(
-                IterationResult(
-                    iteration=t,
-                    batch=batch,
-                    report=report,
-                    quality=quality,
-                    losses=losses,
-                    batch_scores=batch_scores,
-                    synth_time_ms=synth_ms,
-                    score_time_ms=score_ms,
-                )
-            )
+            row = {
+                "iteration": t,
+                "batch_size": len(batch),
+                **round_summary(batch),
+                "batch_score_mean": float(batch_scores.mean()) if len(batch) else math.nan,
+                "batch_score_std": float(batch_scores.std()) if len(batch) else math.nan,
+                **report.to_dict(include_scores=False),
+                **dataclasses.asdict(quality),
+                "ood_disc_loss": ood_disc,
+                "dispersion_loss": l_disp,
+                "compactness_loss": l_comp,
+                "combined_objective": combined_objective(l_disp + l_comp, ood_disc, cfg.lambda_d),
+            }
+            results.append(IterationResult(row, batch, report, batch_scores, synth_ms, score_ms))
     finally:
         if cfg.out_dir:
             _flush_artifacts(cfg, results, store, trace)
@@ -391,9 +375,8 @@ def _flush_artifacts(
 ) -> None:
     out_dir = Path(cfg.out_dir)
     cfg.save_json(out_dir / "config.json")
-    rows = [_iteration_row(r) for r in results]
-    if rows:
-        write_csv(out_dir / "metrics.csv", list(rows[0]), [row.values() for row in rows])
+    if results:
+        write_csv(out_dir / "metrics.csv", list(results[0].row), [r.row.values() for r in results])
     else:  # the first iteration aborted
         (out_dir / "metrics.csv").write_text("")
     with open(out_dir / "batches.jsonl", "w") as fh:
@@ -420,76 +403,68 @@ def _flush_artifacts(
 
 # -- ablation sweeps --------------------------------------------------------
 
-# sweep axis -> (nested config holding the field, or None; field; value type)
+# sweep axis -> (config field, value type)
 _SWEEP_FIELDS = {
-    "lambda_d": (None, "lambda_d", float),
-    "k": (None, "knn_k", int),
-    "delta": (None, "delta", float),
-    "L": ("hmc", "leapfrog_steps", int),
-    "eps": ("hmc", "step_size", float),
-    "n_adj": (None, "n_adj", int),
-    "R": ("hmc", "rounds", int),
-    "variant": ("hmc", "variant", SamplerVariant),
+    "lambda_d": ("lambda_d", float),
+    "k": ("knn_k", int),
+    "delta": ("delta", float),
+    "L": ("leapfrog_steps", int),
+    "eps": ("step_size", float),
+    "n_adj": ("n_adj", int),
+    "R": ("rounds", int),
+    "variant": ("variant", SamplerVariant),
 }
 SWEEP_AXES = tuple(_SWEEP_FIELDS)
+# the sweep.csv header: the axis, the value, five columns of the value's last
+# metrics.csv row and the run's mean synthesis time
+SWEEP_COLUMNS = (
+    "axis", "value", "fpr95", "auroc", "aupr", "batch_size", "mh_acceptance", "synth_time_ms"
+)
 
 
 def _apply_axis(cfg: BenchConfig, axis: str, value) -> BenchConfig:
     if axis not in _SWEEP_FIELDS:
         raise BadArgError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
-    section, name, kind = _SWEEP_FIELDS[axis]
+    name, kind = _SWEEP_FIELDS[axis]
     try:
         value = kind(value)
     except ValueError as err:
         raise BadConfigError(f"sweep axis {axis!r} cannot take the value {value!r}") from err
-    if section == "hmc":
-        return dataclasses.replace(cfg, hmc=dataclasses.replace(cfg.hmc, **{name: value}))
-    return dataclasses.replace(cfg, **{name: value})
+    return cfg.with_fields(**{name: value})
 
 
-@dataclass
-class SweepRow:
-    axis: str
-    value: str
-    fpr95: float
-    auroc: float
-    aupr: float
-    batch_size: int
-    mh_acceptance: float
-    synth_time_ms: float
-
-
-def ablation_sweep(cfg: BenchConfig, axis: str, values) -> list[SweepRow]:
-    """One run per axis value under a shared seed; returns the merged table.
+def ablation_sweep(cfg: BenchConfig, axis: str, values) -> list[dict]:
+    """One run per axis value under a shared seed; returns the sweep.csv rows.
 
     When ``cfg.out_dir`` is set, the run for value v is written to
     ``cfg.out_dir/{axis}_{v}`` and the table to ``cfg.out_dir/sweep.csv``.
+    Each value names its run directory, so a repeated value is a
+    BadConfigError.
     """
     # every value is checked before the first run writes anything
-    subs = [(value, _apply_axis(cfg, axis, value)) for value in values]
-    rows: list[SweepRow] = []
-    for value, sub in subs:
+    subs = [(str(value), _apply_axis(cfg, axis, value)) for value in values]
+    names = [name for name, _ in subs]
+    for name in names:
+        if names.count(name) > 1:
+            raise BadConfigError(f"sweep axis {axis!r} repeats the value {name!r}")
+    rows = []
+    for name, sub in subs:
         if cfg.out_dir:
-            sub = dataclasses.replace(sub, out_dir=str(Path(cfg.out_dir) / f"{axis}_{value}"))
+            sub = sub.with_fields(out_dir=str(Path(cfg.out_dir) / f"{axis}_{name}"))
         results = run_experiment(sub)
-        last = results[-1]
+        last = results[-1].row
         rows.append(
-            SweepRow(
-                axis=axis,
-                value=str(value),
-                fpr95=last.report.fpr95,
-                auroc=last.report.auroc,
-                aupr=last.report.aupr,
-                batch_size=len(last.batch),
-                mh_acceptance=round_summary(last.batch)["mh_acceptance"],
-                synth_time_ms=float(np.mean([r.synth_time_ms for r in results])),
-            )
+            {
+                "axis": axis,
+                "value": name,
+                **{column: last[column] for column in SWEEP_COLUMNS[2:-1]},
+                "synth_time_ms": float(np.mean([r.synth_time_ms for r in results])),
+            }
         )
     if cfg.out_dir:
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        names = [f.name for f in dataclasses.fields(SweepRow)]
-        write_csv(out_dir / "sweep.csv", names, ([getattr(r, n) for n in names] for r in rows))
+        write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, (row.values() for row in rows))
     return rows
 
 
@@ -502,9 +477,7 @@ def diversity_stds(cfg: BenchConfig, seed: int) -> tuple[float, float]:
     The baseline uses sigma equal to the sampler step size and is truncated
     to the same sample count as the synthesized batch.
     """
-    cfg = dataclasses.replace(
-        cfg, seed=seed, hmc=dataclasses.replace(cfg.hmc, rng_seed=seed)
-    )
+    cfg = cfg.with_fields(seed=seed, rng_seed=seed)
     store = generate_synthetic_id(cfg)
     snapshot = store.snapshot()
     batch = _synthesize(cfg, snapshot, cfg.hmc)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -41,36 +40,35 @@ from .samplers import SamplerVariant
 from .store import IdStore
 from .synthesis import write_batch_csv, write_batch_json, write_trace_jsonl
 
-# One row per config flag: (option strings, section, BenchConfig field,
-# add_argument keywords). The section is None for top-level fields, or the
-# name of the nested config ("hmc", "ood") that holds the field.
+# One row per config flag: (option strings, config field, add_argument
+# keywords). ``BenchConfig.with_fields`` places each field in its section.
 _CONFIG_FLAGS = (
-    (("--dim",), None, "dim", {"type": int}),
-    (("--classes",), None, "num_classes", {"type": int}),
-    (("--points-per-class",), None, "points_per_class", {"type": int}),
-    (("--cluster-kappa",), None, "cluster_kappa", {"type": float}),
-    (("--seed",), None, "seed", {"type": int}),
-    (("--k",), None, "knn_k", {"type": int, "help": "k for the synthesis OOD-ness distance"}),
-    (("--k-detect",), None, "k_detect", {"type": int, "help": "k for the inference-time detector"}),
-    (("--delta",), None, "delta", {"type": float, "help": "hard margin"}),
-    (("--kappa",), None, "kappa", {"type": float, "help": "vMF KDE bandwidth"}),
-    (("--loss-kappa",), None, "loss_kappa", {"type": float}),
-    (("--lambda-d",), None, "lambda_d", {"type": float}),
-    (("--n-adj",), None, "n_adj", {"type": int}),
-    (("--ema-factor",), None, "ema_factor", {"type": float}),
-    (("--grad-mode",), None, "grad_mode", {"choices": ["analytic", "scaled"]}),
-    (("--iterations",), None, "iterations", {"type": int}),
-    (("--insert-per-class",), None, "insert_per_class", {"type": int}),
-    (("--id-test-per-class",), None, "id_test_per_class", {"type": int}),
-    (("--out-dir",), None, "out_dir", {}),
-    (("--leapfrog-steps", "-L"), "hmc", "leapfrog_steps", {"type": int}),
-    (("--step-size",), "hmc", "step_size", {"type": float}),
-    (("--rounds", "-R"), "hmc", "rounds", {"type": int}),
-    (("--variant",), "hmc", "variant", {"choices": [v.value for v in SamplerVariant]}),
-    (("--sampler-seed",), "hmc", "rng_seed", {"type": int}),
-    (("--ood-uniform",), "ood", "n_uniform", {"type": int}),
-    (("--ood-midpoint",), "ood", "n_midpoint", {"type": int}),
-    (("--ood-midpoint-kappa",), "ood", "midpoint_kappa", {"type": float}),
+    (("--dim",), "dim", {"type": int}),
+    (("--classes",), "num_classes", {"type": int}),
+    (("--points-per-class",), "points_per_class", {"type": int}),
+    (("--cluster-kappa",), "cluster_kappa", {"type": float}),
+    (("--seed",), "seed", {"type": int}),
+    (("--k",), "knn_k", {"type": int, "help": "k for the synthesis OOD-ness distance"}),
+    (("--k-detect",), "k_detect", {"type": int, "help": "k for the inference-time detector"}),
+    (("--delta",), "delta", {"type": float, "help": "hard margin"}),
+    (("--kappa",), "kappa", {"type": float, "help": "vMF KDE bandwidth"}),
+    (("--loss-kappa",), "loss_kappa", {"type": float}),
+    (("--lambda-d",), "lambda_d", {"type": float}),
+    (("--n-adj",), "n_adj", {"type": int}),
+    (("--ema-factor",), "ema_factor", {"type": float}),
+    (("--grad-mode",), "grad_mode", {"choices": ["analytic", "scaled"]}),
+    (("--iterations",), "iterations", {"type": int}),
+    (("--insert-per-class",), "insert_per_class", {"type": int}),
+    (("--id-test-per-class",), "id_test_per_class", {"type": int}),
+    (("--out-dir",), "out_dir", {}),
+    (("--leapfrog-steps", "-L"), "leapfrog_steps", {"type": int}),
+    (("--step-size",), "step_size", {"type": float}),
+    (("--rounds", "-R"), "rounds", {"type": int}),
+    (("--variant",), "variant", {"choices": [v.value for v in SamplerVariant]}),
+    (("--sampler-seed",), "rng_seed", {"type": int}),
+    (("--ood-uniform",), "n_uniform", {"type": int}),
+    (("--ood-midpoint",), "n_midpoint", {"type": int}),
+    (("--ood-midpoint-kappa",), "midpoint_kappa", {"type": float}),
 )
 
 
@@ -82,25 +80,14 @@ def _dest(flags: tuple[str, ...]) -> str:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="JSON file with BenchConfig fields")
     g = parser.add_argument_group("config overrides")
-    for flags, _, _, kwargs in _CONFIG_FLAGS:
+    for flags, _, kwargs in _CONFIG_FLAGS:
         g.add_argument(*flags, dest=_dest(flags), **kwargs)
 
 
 def build_config(args: argparse.Namespace) -> BenchConfig:
-    if args.config is not None:
-        cfg = BenchConfig.load_json(args.config)
-    else:
-        cfg = BenchConfig()
-    changes: dict = {None: {}, "hmc": {}, "ood": {}}
-    for flags, section, field, _ in _CONFIG_FLAGS:
-        value = getattr(args, _dest(flags), None)
-        if value is not None:
-            changes[section][field] = value
-    top = changes.pop(None)
-    for section, fields in changes.items():
-        if fields:
-            top[section] = dataclasses.replace(getattr(cfg, section), **fields)
-    return dataclasses.replace(cfg, **top) if top else cfg
+    cfg = BenchConfig.load_json(args.config) if args.config is not None else BenchConfig()
+    given = {field: getattr(args, _dest(flags), None) for flags, field, _ in _CONFIG_FLAGS}
+    return cfg.with_fields(**{field: value for field, value in given.items() if value is not None})
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -130,7 +117,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     if cfg.out_dir is None:
-        cfg = dataclasses.replace(cfg, out_dir="runs/latest")
+        cfg = cfg.with_fields(out_dir="runs/latest")
     last = run_experiment(cfg, trace=args.trace)[-1]
     print(
         f"run complete: {cfg.iterations} iterations, final fpr95={last.report.fpr95:.4f} "
@@ -145,12 +132,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise BadConfigError(f"sweep axis {args.axis!r} got no values from {args.values!r}")
     if cfg.out_dir is None:
-        cfg = dataclasses.replace(cfg, out_dir="runs/sweep")
+        cfg = cfg.with_fields(out_dir="runs/sweep")
     rows = ablation_sweep(cfg, args.axis, values)
     for r in rows:
         print(
-            f"{r.axis}={r.value}: fpr95={r.fpr95:.4f} auroc={r.auroc:.4f} "
-            f"aupr={r.aupr:.4f} synth={r.synth_time_ms:.1f}ms"
+            f"{r['axis']}={r['value']}: fpr95={r['fpr95']:.4f} auroc={r['auroc']:.4f} "
+            f"aupr={r['aupr']:.4f} synth={r['synth_time_ms']:.1f}ms"
         )
     print(f"sweep table -> {Path(cfg.out_dir) / 'sweep.csv'}")
     return 0

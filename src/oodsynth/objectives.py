@@ -59,11 +59,9 @@ def cider_losses(
     return l_disp, l_comp
 
 
-def combined_objective(
-    ce_value: float, id_con_value: float, ood_disc_value: float, lambda_d: float
-) -> float:
-    """Weighted total: classification + ID contrastive + lambda_d * discernment."""
-    return ce_value + id_con_value + lambda_d * ood_disc_value
+def combined_objective(id_con_value: float, ood_disc_value: float, lambda_d: float) -> float:
+    """Weighted total: ID contrastive + lambda_d * discernment."""
+    return id_con_value + lambda_d * ood_disc_value
 
 
 def temperature_from_kappa(kappa: float) -> float:

@@ -17,8 +17,8 @@ from conftest import class_rows
 from oodsynth.bench import (
     VMF_MAX_KAPPA,
     BenchConfig,
+    SWEEP_COLUMNS,
     OodTestSpec,
-    SweepRow,
     ablation_sweep,
     diversity_stds,
     generate_synthetic_id,
@@ -162,7 +162,8 @@ def test_runs_at_the_loss_kappa_and_step_size_bounds_are_finite(variant):
     hmc = HmcConfig(step_size=MAX_STEP_SIZE, variant=variant)
     cfg = BenchConfig(iterations=1, loss_kappa=VMF_MAX_KAPPA, hmc=hmc)
     (res,) = run_experiment(cfg)
-    assert all(math.isfinite(v) for v in res.losses.values())
+    losses = ("ood_disc_loss", "dispersion_loss", "compactness_loss", "combined_objective")
+    assert all(math.isfinite(res.row[name]) for name in losses)
     assert round_summary(res.batch)["degenerate_rejections"] == 0
     with pytest.raises(BadConfigError, match="loss_kappa"):
         dataclasses.replace(cfg, loss_kappa=math.nextafter(VMF_MAX_KAPPA, math.inf))
@@ -454,8 +455,8 @@ def test_detector_separates_synthetic_ood():
 def test_sweep_single_value_matches_run():
     rows = ablation_sweep(SMALL, "eps", [SMALL.hmc.step_size])
     last = run_experiment(SMALL)[-1]
-    assert rows[0].fpr95 == last.report.fpr95
-    assert rows[0].auroc == last.report.auroc
+    assert rows[0]["fpr95"] == last.report.fpr95
+    assert rows[0]["auroc"] == last.report.auroc
 
 
 def test_sweep_writes_merged_csv(tmp_path):
@@ -467,14 +468,31 @@ def test_sweep_writes_merged_csv(tmp_path):
     with open(out_dir / "sweep.csv", newline="") as fh:
         reader = csv.DictReader(fh)
         lines = list(reader)
-    assert reader.fieldnames == [f.name for f in dataclasses.fields(SweepRow)]
+    assert reader.fieldnames == list(SWEEP_COLUMNS)
     assert len(lines) == len(rows) == 2
     assert [lines[0]["axis"], lines[0]["value"]] == ["L", "1"]
     for line, row in zip(lines, rows):
-        assert [line["axis"], line["value"]] == [row.axis, row.value]
-        assert int(line["batch_size"]) == row.batch_size
+        assert [line["axis"], line["value"]] == [row["axis"], row["value"]]
+        assert int(line["batch_size"]) == row["batch_size"]
         for name in ("fpr95", "auroc", "aupr", "mh_acceptance", "synth_time_ms"):
-            assert float(line[name]) == getattr(row, name), name
+            assert float(line[name]) == row[name], name
+
+
+def test_sweep_without_values_writes_the_header_alone(tmp_path):
+    out_dir = tmp_path / "sweep"
+    assert ablation_sweep(dataclasses.replace(SMALL, out_dir=str(out_dir)), "L", []) == []
+    header = b"axis,value,fpr95,auroc,aupr,batch_size,mh_acceptance,synth_time_ms\r\n"
+    assert (out_dir / "sweep.csv").read_bytes() == header
+
+
+@pytest.mark.parametrize("out_dir", [None, "sweep"])
+@pytest.mark.parametrize("values", [[1, 1], [3, "1", 1]])
+def test_sweep_rejects_a_repeated_value_before_the_first_run(tmp_path, out_dir, values):
+    # both runs of a repeated value used to write one directory, the second overwriting the first
+    cfg = dataclasses.replace(SMALL, out_dir=out_dir and str(tmp_path / out_dir))
+    with pytest.raises(BadConfigError, match="repeats the value '1'"):
+        ablation_sweep(cfg, "L", values)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_axis():
@@ -507,9 +525,9 @@ def test_diversity_comparison_script_writes_one_row_per_seed(tmp_path):
 def test_variant_sweep_smoke_every_variant():
     variants = [v.value for v in SamplerVariant]
     rows = ablation_sweep(SMALL, "variant", variants)
-    assert [r.value for r in rows] == variants
+    assert [r["value"] for r in rows] == variants
     for r in rows:
-        assert np.isfinite(r.auroc) and r.synth_time_ms > 0.0
+        assert np.isfinite(r["auroc"]) and r["synth_time_ms"] > 0.0
 
 
 def test_default_benchmark_ten_iterations_under_a_minute():
@@ -708,7 +726,7 @@ def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
     assert "config error" in err and repr(axis) in err and repr(value) in err
 
 
-@pytest.mark.parametrize("values", ["1,x", "1,0"])
+@pytest.mark.parametrize("values", ["1,x", "1,0", "1,1"])
 def test_cli_sweep_checks_every_value_before_the_first_run(tmp_path, capsys, values):
     # a bad second value used to fail only after the first value's run was written
     out_dir = tmp_path / "sweep"
@@ -731,8 +749,10 @@ def _flag_value(default, kwargs):
 
 @pytest.mark.parametrize("flag", cli._CONFIG_FLAGS, ids=lambda flag: flag[0][-1])
 def test_each_config_flag_sets_its_field(flag):
-    flags, section, field, kwargs = flag
+    flags, field, kwargs = flag
     base = BenchConfig()
+    sections = {f.name: s for s in ("hmc", "ood") for f in dataclasses.fields(getattr(base, s))}
+    section = sections.get(field)
     owner = getattr(base, section) if section else base
     value = _flag_value(getattr(owner, field), kwargs)
     for option in flags:
@@ -944,6 +964,27 @@ def test_cli_numerical_error_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli_mod, "cmd_gen", boom)
     assert main(["gen", "--out", str(tmp_path / "x.idstore")]) == 4
+
+
+def test_config_field_names_are_unique_across_the_sections():
+    # BenchConfig.with_fields places a field by its name alone
+    names = [
+        f.name
+        for config in (BenchConfig, HmcConfig, OodTestSpec)
+        for f in dataclasses.fields(config)
+        if f.name not in ("hmc", "ood")
+    ]
+    assert len(names) == len(set(names))
+
+
+def test_cli_flag_keeps_the_config_file_fields_of_its_section(tmp_path):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"hmc": {"leapfrog_steps": 1, "rounds": 2}}))
+    args = cli.make_parser().parse_args(
+        ["run", "--config", str(cfg_path), "--step-size", "0.05"]
+    )
+    hmc = cli.build_config(args).hmc
+    assert (hmc.leapfrog_steps, hmc.rounds, hmc.step_size) == (1, 2, 0.05)
 
 
 def test_cli_flag_overrides_config_file(tmp_path):
