@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .errors import AntipodalPrototypesError, BadArgError, BadConfigError, require_field_types
 from .metrics import (
     ScoreReport,
@@ -200,6 +201,11 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
     The log-space acceptance test keeps the scheme stable up to
     ``VMF_MAX_KAPPA``. A negative kappa, or one that is NaN or above that
     bound, is a BadArgError.
+
+    The draw order is part of the data contract: one beta and then one
+    uniform per try, until n tries are accepted, then one (n, d) normal
+    block for the tangent directions. Every ID store, test set and run
+    artifact rests on it, so a reordering changes all of them.
     """
     if not 0.0 <= kappa <= VMF_MAX_KAPPA:
         raise BadArgError(f"vMF kappa must be in [0, {VMF_MAX_KAPPA:g}], got {kappa}")
@@ -213,11 +219,14 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
     # log(1 - x0^2) assembled from b to stay finite as x0 -> 1
     c = kappa * x0 + dm * (math.log(2.0 * b / (1.0 + b)) + math.log1p(x0))
     ws = np.empty(n)
+    # rng.random() reads the double that rng.uniform() returns as 0.0 + 1.0 * x
+    beta_draw, uniform, log, log1p = rng.beta, rng.random, math.log, math.log1p
+    half, one_plus_b, one_minus_b = dm / 2.0, 1.0 + b, 1.0 - b
     for i in range(n):
         while True:
-            beta = rng.beta(dm / 2.0, dm / 2.0)
-            w = (1.0 - (1.0 + b) * beta) / (1.0 - (1.0 - b) * beta)
-            if kappa * w + dm * math.log1p(-x0 * w) - c >= math.log(rng.uniform()):
+            beta = beta_draw(half, half)
+            w = (1.0 - one_plus_b * beta) / (1.0 - one_minus_b * beta)
+            if kappa * w + dm * log1p(-x0 * w) - c >= log(uniform()):
                 ws[i] = w
                 break
     tangent = rng.standard_normal((n, d))
@@ -396,6 +405,9 @@ def _flush_artifacts(
     timings = {
         "synth_time_ms": [r.synth_time_ms for r in results],
         "score_time_ms": [r.score_time_ms for r in results],
+        "blas_core": blas.core_name(),
+        "blas_threads": blas.thread_count(),
+        "numpy": np.__version__,
     }
     (out_dir / "timings.json").write_text(json.dumps(timings))
     store.save(out_dir / "store.idstore")
@@ -422,15 +434,15 @@ SWEEP_COLUMNS = (
 )
 
 
-def _apply_axis(cfg: BenchConfig, axis: str, value) -> BenchConfig:
+def _parse_axis(axis: str, value) -> tuple[str, object]:
+    """(config field, parsed value) of one sweep value."""
     if axis not in _SWEEP_FIELDS:
         raise BadArgError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
     name, kind = _SWEEP_FIELDS[axis]
     try:
-        value = kind(value)
+        return name, kind(value)
     except ValueError as err:
         raise BadConfigError(f"sweep axis {axis!r} cannot take the value {value!r}") from err
-    return cfg.with_fields(**{name: value})
 
 
 def ablation_sweep(cfg: BenchConfig, axis: str, values) -> list[dict]:
@@ -438,15 +450,21 @@ def ablation_sweep(cfg: BenchConfig, axis: str, values) -> list[dict]:
 
     When ``cfg.out_dir`` is set, the run for value v is written to
     ``cfg.out_dir/{axis}_{v}`` and the table to ``cfg.out_dir/sweep.csv``.
-    Each value names its run directory, so a repeated value is a
-    BadConfigError.
+    A value that parses equal to an earlier one, however it is spelled
+    ("0.1" and "0.10"), is a BadConfigError.
     """
     # every value is checked before the first run writes anything
-    subs = [(str(value), _apply_axis(cfg, axis, value)) for value in values]
-    names = [name for name, _ in subs]
-    for name in names:
-        if names.count(name) > 1:
-            raise BadConfigError(f"sweep axis {axis!r} repeats the value {name!r}")
+    subs, spellings = [], {}
+    for value in values:
+        field_name, parsed = _parse_axis(axis, value)
+        spelling = str(value)
+        if parsed in spellings:
+            raise BadConfigError(
+                f"sweep axis {axis!r} repeats the value {spelling!r}"
+                f" (given before as {spellings[parsed]!r})"
+            )
+        spellings[parsed] = spelling
+        subs.append((spelling, cfg.with_fields(**{field_name: parsed})))
     rows = []
     for name, sub in subs:
         if cfg.out_dir:

@@ -224,16 +224,14 @@ class IdStore:
         path = Path(path)
         if path.suffix == ".json":
             raise BadArgError(f"id-store files use the binary IDSTORE1 format, not JSON: {path}")
-        chunks = [
-            _MAGIC,
-            struct.pack("<IIId", self.num_classes, self.dim, self.capacity, self.ema_factor),
-        ]
-        for buf, proto, has in zip(self._bufs, self._protos, self._has_proto):
-            chunks.append(struct.pack("<IB", len(buf), int(has)))
-            if has:
-                chunks.append(proto.tobytes())
-            chunks.append(buf.tobytes())
-        path.write_bytes(b"".join(chunks))
+        with open(path, "wb") as fh:
+            header = (self.num_classes, self.dim, self.capacity, self.ema_factor)
+            fh.write(_MAGIC + struct.pack("<IIId", *header))
+            for buf, proto, has in zip(self._bufs, self._protos, self._has_proto):
+                fh.write(struct.pack("<IB", len(buf), int(has)))
+                if has:
+                    fh.write(proto.tobytes())
+                fh.write(buf)  # straight from the C-contiguous buffer, zero rows too
 
     @classmethod
     def load(cls, path: str | Path) -> "IdStore":

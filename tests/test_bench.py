@@ -28,7 +28,7 @@ from oodsynth.bench import (
     uniform_sphere,
 )
 import oodsynth
-from oodsynth import bench, cli
+from oodsynth import bench, blas, cli
 from oodsynth.cli import main
 from oodsynth.errors import (
     AntipodalPrototypesError,
@@ -103,6 +103,49 @@ def test_vmf_at_the_concentration_bound_hugs_the_mean(dim):
     pts = sample_vmf(mu, VMF_MAX_KAPPA, 20, np.random.default_rng(0))
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() <= 1e-12
     assert (pts @ mu).min() >= 1.0 - 1e-9
+
+
+def _sample_vmf_oracle(mu, kappa, n, rng):
+    """``sample_vmf`` as first written: its output bits and draw order are the data contract."""
+    if not 0.0 <= kappa <= VMF_MAX_KAPPA:
+        raise BadArgError(f"vMF kappa must be in [0, {VMF_MAX_KAPPA:g}], got {kappa}")
+    mu = normalize(mu)
+    d = mu.size
+    if kappa == 0.0:
+        return uniform_sphere(n, d, rng)
+    dm = d - 1
+    b = dm / (math.sqrt(4.0 * kappa**2 + dm**2) + 2.0 * kappa)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + dm * (math.log(2.0 * b / (1.0 + b)) + math.log1p(x0))
+    ws = np.empty(n)
+    for i in range(n):
+        while True:
+            beta = rng.beta(dm / 2.0, dm / 2.0)
+            w = (1.0 - (1.0 + b) * beta) / (1.0 - (1.0 - b) * beta)
+            if kappa * w + dm * math.log1p(-x0 * w) - c >= math.log(rng.uniform()):
+                ws[i] = w
+                break
+    tangent = rng.standard_normal((n, d))
+    tangent -= np.outer(tangent @ mu, mu)
+    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
+    out = ws[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - ws**2))[:, None] * tangent
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+
+# d = 2 and d = 3 take numpy's Johnk path for beta(a, a) with a <= 1
+@pytest.mark.parametrize("dim", [2, 3, 4, 16, 128])
+@pytest.mark.parametrize("kappa", [0.0, 1e-3, 1.0, 20.0, 60.0, 1e4, VMF_MAX_KAPPA])
+def test_vmf_draws_the_bits_and_the_stream_of_the_oracle(dim, kappa):
+    # every data digest rests on these bits, and every later draw on the generator state
+    mu = normalize(np.arange(1.0, dim + 1.0) * (-1.0) ** np.arange(dim))
+    for seed in (0, 1, 2):
+        for n in (0, 1, 37):
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_vmf(mu, kappa, n, rng)
+            want = _sample_vmf_oracle(mu, kappa, n, oracle_rng)
+            assert got.shape == want.shape == (n, dim)
+            assert got.tobytes() == want.tobytes(), (seed, n)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, (seed, n)
 
 
 def test_cli_huge_cluster_kappa_exits_2_without_hanging(tmp_path):
@@ -495,6 +538,20 @@ def test_sweep_rejects_a_repeated_value_before_the_first_run(tmp_path, out_dir, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "axis, values, spelling",
+    [("eps", [0.1, "0.10"], "0.10"), ("eps", ["1e-1", "0.1"], "0.1"), ("L", ["3", "03"], "03")],
+)
+def test_sweep_rejects_two_spellings_of_one_value_before_the_first_run(
+    tmp_path, axis, values, spelling
+):
+    # the parsed values are compared: eps_0.1/ and eps_0.10/ used to run one config twice
+    cfg = dataclasses.replace(SMALL, out_dir=str(tmp_path / "sweep"))
+    with pytest.raises(BadConfigError, match=f"repeats the value {spelling!r}"):
+        ablation_sweep(cfg, axis, values)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_unknown_axis():
     from oodsynth.errors import BadArgError
 
@@ -550,6 +607,16 @@ def test_timings_hold_one_synth_and_one_score_time_per_iteration(tmp_path):
     for key in ("synth_time_ms", "score_time_ms"):
         assert len(timings[key]) == cfg.iterations, key
         assert all(ms > 0.0 for ms in timings[key]), key
+
+
+def test_timings_name_the_blas_core_its_threads_and_numpy(tmp_path):
+    # timings.json is the one artifact that may differ between runs of one config
+    run_experiment(dataclasses.replace(SMALL, out_dir=str(tmp_path)))
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert timings["numpy"] == np.__version__
+    assert timings["blas_core"] == blas.core_name()
+    assert timings["blas_threads"] == blas.thread_count()
+    assert timings["blas_core"] is None or timings["blas_core"].isalnum()
 
 
 def small_cli_flags(tmp_path):
@@ -724,6 +791,14 @@ def test_cli_sweep_bad_axis_value_exit_code(tmp_path, capsys, axis, value):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(axis) in err and repr(value) in err
+
+
+def test_cli_sweep_rejects_two_spellings_of_one_value(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    argv = ["sweep", "--axis", "eps", "--values", "0.1,0.10", "--iterations", "1"]
+    assert main(argv + ["--out-dir", str(out_dir)]) == 2
+    assert "repeats the value '0.10'" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("values", ["1,x", "1,0", "1,1"])

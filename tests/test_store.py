@@ -509,6 +509,50 @@ def test_load_names_a_missing_path(tmp_path):
             IdStore.load(tmp_path / name)
 
 
+def _joined_bytes(store: IdStore) -> bytes:
+    """The IDSTORE1 bytes as first written: every record joined, then written at once."""
+    chunks = [
+        b"IDSTORE1",
+        struct.pack("<IIId", store.num_classes, store.dim, store.capacity, store.ema_factor),
+    ]
+    snap = store.snapshot()
+    for c in range(store.num_classes):
+        rows = class_rows(snap, c)
+        chunks.append(struct.pack("<IB", len(rows), int(snap.has_prototype[c])))
+        if snap.has_prototype[c]:
+            chunks.append(snap.prototypes[c].tobytes())
+        chunks.append(rows.tobytes())
+    return b"".join(chunks)
+
+
+def sparse_store() -> IdStore:
+    """Class 0 stocked, class 1 with rows but no prototype, class 2 with no rows."""
+    store = cluster_store(num_classes=3, dim=5, n_per_class=7, seed=4)
+    sparse = IdStore(3, 5, capacity=7, ema_factor=0.95)
+    sparse.insert(0, class_rows(store.snapshot(), 0))
+    sparse.update_prototype(0, np.ones(5))
+    sparse.insert(1, class_rows(store.snapshot(), 1))
+    return sparse
+
+
+def test_save_writes_the_joined_record_bytes(tmp_path):
+    from oodsynth.bench import BenchConfig, generate_synthetic_id
+
+    stores = {
+        "stock": generate_synthetic_id(BenchConfig()),
+        "d2": cluster_store(num_classes=4, dim=2, n_per_class=9, seed=5),
+        "sparse": sparse_store(),
+        "wrapped": wrapped_store(),
+    }
+    for name, store in stores.items():
+        path = tmp_path / f"{name}.idstore"
+        store.save(path)
+        assert path.read_bytes() == _joined_bytes(store), name
+        loaded = IdStore.load(path).snapshot()
+        assert np.array_equal(loaded.embeddings, store.snapshot().embeddings), name
+        assert np.array_equal(loaded.has_prototype, store.snapshot().has_prototype), name
+
+
 @pytest.mark.parametrize("suffix", [".idstore"])
 def test_save_load_round_trip(tmp_path, suffix, small_store):
     for name, store in [("small", small_store), ("wrapped", wrapped_store())]:
