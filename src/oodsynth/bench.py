@@ -58,7 +58,8 @@ from .synthesis import (
 )
 
 # beyond it the vMF radial scheme fails in math.log or never accepts; it also
-# bounds loss_kappa, whose logits (at most loss_kappa) then stay finite in the losses
+# bounds loss_kappa, whose logits (at most loss_kappa) then stay finite in the
+# losses, and lambda_d, whose product with the discernment loss then stays finite
 VMF_MAX_KAPPA = 1e15
 
 
@@ -101,7 +102,7 @@ class BenchConfig:
     lambda_d: float = 0.1
     n_adj: int = 4  # effective value is min(n_adj, num_classes - 1)
     ema_factor: float = 0.95
-    grad_mode: str = "analytic"
+    grad_mode: str = "analytic"  # read by perfbench/workloads.py until ROADMAP item 2
     iterations: int = 10
     insert_per_class: int = 32
     id_test_per_class: int = 100
@@ -119,19 +120,21 @@ class BenchConfig:
                 raise BadConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.cluster_kappa < 0 or self.kappa <= 0 or self.loss_kappa <= 0:
             raise BadConfigError("cluster_kappa must be >= 0; kappa and loss_kappa > 0")
-        for name in ("cluster_kappa", "loss_kappa"):
+        for name in ("cluster_kappa", "loss_kappa", "lambda_d"):
             if getattr(self, name) > VMF_MAX_KAPPA:
                 raise BadConfigError(
                     f"{name} must be <= {VMF_MAX_KAPPA:g}, got {getattr(self, name)}"
                 )
         if self.delta < 0 or self.lambda_d < 0:
             raise BadConfigError("delta and lambda_d must be nonnegative")
+        if not 0.0 < self.ema_factor < 1.0:
+            raise BadConfigError(f"ema_factor must lie in (0, 1), got {self.ema_factor}")
         if self.iterations < 1 or self.insert_per_class < 1:
             raise BadConfigError("iterations and insert_per_class must be >= 1")
         if not 1 <= self.effective_n_adj() <= self.num_classes - 1:
             raise BadConfigError(f"n_adj={self.n_adj} leaves no valid adjacent cluster")
-        if self.grad_mode not in ("analytic", "scaled"):
-            raise BadConfigError(f"unknown grad_mode {self.grad_mode!r}")
+        if self.grad_mode != "analytic":
+            raise BadConfigError(f"grad_mode must be 'analytic', got {self.grad_mode!r}")
 
     def effective_n_adj(self, store: IdSnapshot | None = None) -> int:
         """n_adj clipped to the classes of ``store``, or of this config without one."""
@@ -306,7 +309,6 @@ def _synthesize(cfg: BenchConfig, snapshot: IdSnapshot, hmc: HmcConfig) -> Outli
         delta=cfg.delta,
         kappa=cfg.kappa,
         n_adj=cfg.effective_n_adj(snapshot),
-        grad_mode=cfg.grad_mode,
     )
 
 

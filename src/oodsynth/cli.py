@@ -56,7 +56,6 @@ _CONFIG_FLAGS = (
     (("--lambda-d",), "lambda_d", {"type": float}),
     (("--n-adj",), "n_adj", {"type": int}),
     (("--ema-factor",), "ema_factor", {"type": float}),
-    (("--grad-mode",), "grad_mode", {"choices": ["analytic", "scaled"]}),
     (("--iterations",), "iterations", {"type": int}),
     (("--insert-per-class",), "insert_per_class", {"type": int}),
     (("--id-test-per-class",), "id_test_per_class", {"type": int}),

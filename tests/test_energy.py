@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import Counter
 
@@ -269,10 +268,9 @@ def test_grad_mirror_symmetry_is_radial():
         kappa=2.0,
     )
     z = np.eye(3)[0]
-    for mode in ("analytic", "scaled"):
-        grad = dataclasses.replace(ctx, grad_mode=mode).value_and_grad(z)[1]
-        assert np.allclose(np.cross(grad, z), 0.0, atol=1e-15)
-        assert np.abs(project_tangent(grad, z)).max() <= 1e-15
+    grad = ctx.value_and_grad(z)[1]
+    assert np.allclose(np.cross(grad, z), 0.0, atol=1e-15)
+    assert np.abs(project_tangent(grad, z)).max() <= 1e-15
 
 
 def test_grad_analytic_matches_finite_differences():
@@ -282,21 +280,6 @@ def test_grad_analytic_matches_finite_differences():
     _, grad = ctx.value_and_grad(z)
     fd = central_fd(z, n_u, n_v)
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) <= 1e-5
-
-
-def test_grad_scaled_mode_direction_and_magnitude():
-    store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=8).snapshot()
-    ctx = EnergyContext(store=store, pairs=[(0, 1)], k=4, kappa=2.0)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        z = normalize(rng.standard_normal(8))
-        g_scaled = dataclasses.replace(ctx, grad_mode="scaled").value_and_grad(z)[1]
-        g_analytic = dataclasses.replace(ctx, grad_mode="analytic").value_and_grad(z)[1]
-        cos = g_scaled @ g_analytic / (np.linalg.norm(g_scaled) * np.linalg.norm(g_analytic))
-        assert cos >= 0.999999
-        ratio = np.linalg.norm(g_scaled) / np.linalg.norm(g_analytic)
-        want = 2.0 * math.exp(-ctx.value_and_grad(z)[0]) ** 2
-        assert abs(ratio - want) <= 1e-8 * want
 
 
 def test_grad_degenerate_when_on_neighbor():

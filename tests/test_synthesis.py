@@ -203,8 +203,9 @@ def test_round_wise_scores_must_match_the_batch():
 
 def test_unknown_grad_mode_is_a_bad_arg_error():
     store = cluster_store(num_classes=2, dim=8, n_per_class=30, seed=9).snapshot()
-    with pytest.raises(BadArgError, match="grad_mode"):
-        synthesize_batch(store, HmcConfig(rounds=1), **SYNTH_ARGS, grad_mode="bogus")
+    for mode in ("bogus", "scaled"):  # the scaled gradient is gone
+        with pytest.raises(BadArgError, match="grad_mode"):
+            synthesize_batch(store, HmcConfig(rounds=1), **SYNTH_ARGS, grad_mode=mode)
 
 
 # -- gaussian baseline ----------------------------------------------------------
@@ -438,8 +439,8 @@ def _legacy_neg_log_max(store, z, kappa):
 
 
 class _LegacyEnergy:
-    def __init__(self, store, pair, k, grad_mode):
-        self.store, self.pair, self.k, self.grad_mode = store, pair, k, grad_mode
+    def __init__(self, store, pair, k):
+        self.store, self.pair, self.k = store, pair, k
 
     def _query(self, z):
         d_u, n_u = _legacy_knn_distance(class_rows(self.store, self.pair[0]), z, self.k)
@@ -452,8 +453,7 @@ class _LegacyEnergy:
             raise _LegacyDegenerate
         p = 0.5 * (d_u + d_v)
         dirs = (z - n_u) / d_u + (z - n_v) / d_v
-        grad = -p * dirs if self.grad_mode == "scaled" else -dirs / (2.0 * p)
-        return -math.log(p), grad
+        return -math.log(p), -dirs / (2.0 * p)
 
 
 def _legacy_kinetic(q):
@@ -481,7 +481,7 @@ def _legacy_proposal(energy, z, rng, cfg):
     return z_prop, u_init + _legacy_kinetic(q0), u_prop + _legacy_kinetic(q), u
 
 
-def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analytic"):
+def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj):
     """(skipped pairs, [(pair, t_minus, [(proposed, h_init, h_prop, mh, margin)])])."""
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(store.num_classes * n_adj)
     skipped, chains = [], []
@@ -498,7 +498,7 @@ def legacy_synthesize_batch(store, cfg, k, delta, kappa, n_adj, grad_mode="analy
                 continue
             z = total / norm
             t_minus = _legacy_neg_log_max(store, z, kappa) - delta
-            energy = _LegacyEnergy(store, pair, k, grad_mode)
+            energy = _LegacyEnergy(store, pair, k)
             rng = np.random.default_rng(seeds[c * n_adj + rank])
             records = []
             for _ in range(cfg.rounds):
@@ -569,12 +569,6 @@ def test_lockstep_matches_per_chain_path_for_every_variant(variant):
     store = _default_store(3)
     cfg = HmcConfig(variant=variant, rng_seed=5, rounds=8)
     _assert_parity(store, cfg, **_default_args(store))
-
-
-def test_lockstep_matches_per_chain_path_in_scaled_grad_mode():
-    store = _default_store(4)
-    args = _default_args(store) | {"grad_mode": "scaled"}
-    _assert_parity(store, HmcConfig(rng_seed=6), **args)
 
 
 def test_lockstep_matches_per_chain_path_on_criterion_10_store():
