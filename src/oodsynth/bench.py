@@ -365,8 +365,9 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
                 "iteration": t,
                 "batch_size": len(batch),
                 **round_summary(batch),
-                "batch_score_mean": float(batch_scores.mean()) if len(batch) else math.nan,
-                "batch_score_std": float(batch_scores.std()) if len(batch) else math.nan,
+                # an empty batch has no score: None writes an empty cell, not nan
+                "batch_score_mean": float(batch_scores.mean()) if len(batch) else None,
+                "batch_score_std": float(batch_scores.std()) if len(batch) else None,
                 **report.to_dict(include_scores=False),
                 **dataclasses.asdict(quality),
                 "ood_disc_loss": ood_disc,

@@ -3,7 +3,7 @@
 OpenBLAS splits a GEMM over its worker threads once the product is large
 enough, and the workers busy-wait for more work after each call returns.
 The kNN and KDE GEMMs are too thin for a second thread to pay off: the
-detector kernel's are 13x16 by 16x5000 at the stock config; at criterion
+detector kernel's are 26x16 by 16x5000 at the stock config; at criterion
 10 an energy evaluation makes one of about 8x128 by 128x1000 per class
 and the KDE margin one of 40x128 by 128x10000. So they run on one thread,
 which leaves the second vCPU free.

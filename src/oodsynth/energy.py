@@ -16,7 +16,10 @@ An ``EnergyContext`` evaluates the rows of an (M, d) array at once, row i
 against its own pair, row i of an (M, 2) array of class ids (a batch's
 ``chains.pair``), so the M chains of a batch share every kNN query:
 one evaluation ranks all 2M (row, class) queries in one matrix, class by
-class, and makes one ``select_kth`` pass over it. It offers the samplers
+class, and makes one ``select_kth`` pass over it. Every ranking entry
+carries one per-evaluation ``ranking_shift`` added to the squared norms,
+which keeps it positive and changes no row's order, so that pass
+partitions the float64 ranking as int64. It offers the samplers
 two methods. ``value_and_grad(z)`` fills each class's block of the
 ranking with one GEMM of the rows against that class. ``endpoint(z)``,
 for the points where the margin is tested, makes the KDE's one (M x N)
@@ -43,7 +46,7 @@ import numpy as np
 
 from . import blas
 from .errors import BadArgError, EmptyBufferError, InsufficientDataError
-from .metrics import select_kth, shifted_logsumexp, tie_window
+from .metrics import ranking_shift, select_kth, shifted_logsumexp, tie_window
 from .store import IdSnapshot
 
 
@@ -161,9 +164,11 @@ class EnergyContext:
         The 2M (row, class) queries are ranked class-major in one (2M, max
         class count) matrix, ``+inf`` past a class's count. Each class's
         block is one GEMM of its query rows against the class, or, given
-        the rows' ``_inner_products`` ``ips``, -2 times their column slice;
-        ``tie_window`` covers either summation order, so both select the
-        same neighbors. One ``select_kth`` call selects every row's neighbor.
+        the rows' ``_inner_products`` ``ips``, -2 times their column slice,
+        plus the class's squared norms and the evaluation's
+        ``ranking_shift``; ``tie_window`` covers either summation order, so
+        both select the same neighbors. One ``select_kth`` call selects every
+        row's neighbor.
         """
         m = rows.shape[0]
         if m != len(self.pairs):
@@ -171,6 +176,8 @@ class EnergyContext:
         store = self.store
         queries = rows[self._points]
         width = max((end - first for first, end, _, _ in self._groups), default=0)
+        sq_max = float(store.sq_norms.max())  # over every class: it only widens the window
+        shift = ranking_shift(sq_max, queries)
         ranking = np.empty((2 * m, width))
         with blas.one_thread():
             for first, end, start, stop in self._groups:
@@ -179,9 +186,9 @@ class EnergyContext:
                     np.matmul(-2.0 * queries[start:stop], store.embeddings[first:end].T, out=block)
                 else:
                     np.multiply(ips[self._points[start:stop], first:end], -2.0, out=block)
-                block += store.sq_norms[first:end]
+                block += store.sq_norms[first:end] + shift
                 ranking[start:stop, end - first :] = np.inf
-        window = tie_window(store.sq_norms.max(), queries)  # over every class: it only widens
+        window = tie_window(sq_max + shift, queries)
         idx = select_kth(
             ranking, np.empty_like(ranking), self.k, window, store.embeddings, queries, self._firsts
         )

@@ -48,20 +48,22 @@ def kth_neighbors(
 
     ``sq_norms`` are the reference rows' squared norms (``IdSnapshot``
     keeps them); they are computed here when not given. The ranking is in
-    float32: the reference, its squared norms and -2q are cast once per
-    call. Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N``
+    float32: the reference, its shifted squared norms and -2q are cast once
+    per call. Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N``
     rows. Each block's GEMM writes the expansion
     ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2 into one ranking buffer that
-    every block reuses, leaving out ||q||^2, which shifts a whole row and
-    so cannot change its order, and ``select_kth`` picks the k-th of each
-    row. The float32 ``tie_window`` sends a row whose order its rounding
-    could change to the exact float64 fallback, and the distances of the
-    picked rows are float64 norms, computed once for all queries. The GEMMs
-    run on one BLAS thread (see ``blas``).
+    every block reuses, leaving out ||q||^2 and adding the call's
+    ``ranking_shift`` s to every ||r||^2. Neither changes the order of a
+    row, and the shift makes every entry positive, so ``select_kth`` picks
+    the k-th of each row with an integer partition. The float32
+    ``tie_window`` sends a row whose order its rounding could change to the
+    exact float64 fallback, and the distances of the picked rows are
+    float64 norms, computed once for all queries. The GEMMs run on one BLAS
+    thread (see ``blas``).
 
     Raises ``BadArgError`` when the largest squared norm of the reference
-    or of a query exceeds ``tie_window``'s float32 bound (1.3e36); a NaN
-    query row gets a NaN distance.
+    plus the shift, or of a query, exceeds ``tie_window``'s float32 bound
+    (1.3e36); a NaN query row gets a NaN distance.
     """
     reference = np.asarray(reference, dtype=float)
     queries = np.asarray(queries, dtype=float)
@@ -72,9 +74,11 @@ def kth_neighbors(
         raise InsufficientDataError(f"reference holds {n} embeddings, fewer than k={k}")
     if sq_norms is None:
         sq_norms = np.einsum("ij,ij->i", reference, reference)
-    window = tie_window(float(sq_norms.max()), queries, np.float32)
+    sq_max = float(sq_norms.max())
+    shift = ranking_shift(sq_max, queries, np.float32)
+    window = tie_window(sq_max + shift, queries, np.float32)
     reference32 = reference.astype(np.float32)
-    sq_norms32 = sq_norms.astype(np.float32)
+    sq_norms32 = (sq_norms + shift).astype(np.float32)
     scaled32 = (-2.0 * queries).astype(np.float32)
     block = max(1, KNN_BLOCK_ELEMENTS // n)
     ranking = np.empty((min(block, queries.shape[0]), n), dtype=np.float32)
@@ -97,25 +101,56 @@ def kth_neighbors(
     return np.linalg.norm(reference[indices] - queries, axis=1), indices
 
 
+def _window_scale(d: int, dtype) -> float:
+    """``tie_window``'s factor: at least 4 (d + 5) u, u the unit roundoff of ``dtype``."""
+    return max(1e-9, 2 * (d + 5) * float(np.finfo(dtype).eps))
+
+
+def ranking_shift(sq_max: float, queries: np.ndarray, dtype=np.float64) -> float:
+    """The constant s a caller adds to every ||r||^2 of a ``select_kth`` ranking.
+
+    With Q the largest ||q||^2 of the query rows that are not NaN (a NaN
+    row is ignored) and ``sq_max`` the largest ||r||^2, s is
+    Q + 1 + w (sq_max + Q + 1), where w is ``tie_window``'s factor. Every
+    exact entry ||r||^2 - 2 r.q + s = ||r - q||^2 - ||q||^2 + s is then at
+    least 1 + w (sq_max + Q + 1), which ``tie_window`` shows exceeds its
+    rounding error: every finite computed entry is positive, as
+    ``select_kth`` requires. s is the same for every entry, so it changes
+    the order of no row.
+    """
+    sq_queries = np.einsum("ij,ij->i", queries, queries)
+    q_max = float(np.fmax.reduce(sq_queries, initial=0.0))
+    return q_max + 1.0 + _window_scale(queries.shape[1], dtype) * (float(sq_max) + q_max + 1.0)
+
+
 def tie_window(sq_max: float, queries: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Half-width of each query row's near-tie window in a ``select_kth`` ranking.
 
-    The ranking is ``fl(||r||^2) + fl(-2q) . fl(r)`` in ``dtype``, for every
-    ||r||^2 <= ``sq_max`` (a larger ``sq_max`` only widens the window). With
-    u = eps / 2 the unit roundoff of ``dtype`` (2^-24 for float32), each
-    ranking value is within (d + 5) u (||r||^2 + ||q||^2) of its exact
-    value: the casts of r and -2q add 2u, a d-term dot product summed in
-    any order, with or without FMA, adds d u, relative to
-    2 |r|.|q| <= ||r||^2 + ||q||^2; the cast of ||r||^2 adds u ||r||^2 and
-    the final add u (2 ||r||^2 + ||q||^2). Two values can swap only within
-    twice that bound, and the window is twice that again:
-    max(1e-9, 2 (d + 5) eps) (sq_max + ||q||^2 + 1). The + 1 covers the
-    absolute error of subnormal products. So no value outside the window
-    around a row's k-th can rank on the wrong side of the true k-th, and a
-    row whose neighbors in rank lie outside it has its exact k-th. The
-    float64 rounding of ``sq_norms`` and of the exact norms is 2^-29 of
-    the float32 bound and fits in that slack. The floor 1e-9 is the float64
-    window for every d below 2 million, far above its bound.
+    The ranking is ``fl(t) + fl(-2q) . fl(r)`` in ``dtype``, with
+    t = ||r||^2 + s for ``ranking_shift``'s s, and ``sq_max`` bounds every
+    t (a larger ``sq_max`` only widens the window). With u = eps / 2 the
+    unit roundoff of ``dtype`` (2^-24 for float32), each ranking value is
+    within (d + 5) u (t + ||q||^2) of its exact value: the casts of r and
+    -2q add 2u, a d-term dot product summed in any order, with or without
+    FMA, adds d u, relative to 2 |r|.|q| <= ||r||^2 + ||q||^2 <= t + ||q||^2;
+    the cast of t adds u t and the final add u (2 t + ||q||^2). Two values
+    can swap only within twice that bound, and the window is twice that
+    again: w (sq_max + ||q||^2 + 1) with w = max(1e-9, 2 (d + 5) eps). The
+    + 1 covers the absolute error of subnormal products. So no value
+    outside the window around a row's k-th can rank on the wrong side of
+    the true k-th, and a row whose neighbors in rank lie outside it has its
+    exact k-th. The float64 rounding of the squared norms, of s and of the
+    exact norms is 2^-29 of the float32 bound and fits in that slack. A
+    float64 ranking adds the float64 error of its squared norms, at most
+    d u ||r||^2; the floor 1e-9 is more than four times the sum for every
+    d below a million.
+
+    The shift keeps every value positive. Its exact value is at least
+    s - Q = 1 + w (R + Q + 1), where R is the largest ||r||^2 and Q the
+    largest ||q||^2, and the bound above is at most
+    (w / 4) (R + s + Q) = (w / 4) (R + 2 Q + 1 + w (R + Q + 1)), which is
+    less than 1 + w (R + Q + 1) while w <= 2, that is for every d below 8
+    million in float32.
 
     Raises ``BadArgError`` when ``sq_max`` or some ||q||^2 exceeds
     finfo(dtype).max / 256 (1.3e36 for float32), which keeps every
@@ -128,8 +163,7 @@ def tie_window(sq_max: float, queries: np.ndarray, dtype=np.float64) -> np.ndarr
         raise BadArgError(
             f"a squared norm exceeds {bound:.3g}, the bound of a {np.dtype(dtype).name} ranking"
         )
-    scale = max(1e-9, 2 * (queries.shape[1] + 5) * float(np.finfo(dtype).eps))
-    return scale * (sq_max + sq_queries + 1.0)
+    return _window_scale(queries.shape[1], dtype) * (sq_max + sq_queries + 1.0)
 
 
 def select_kth(
@@ -144,29 +178,35 @@ def select_kth(
     """Reference row of the exact k-th neighbor of every row of a ranking matrix.
 
     Column j of row i ranks reference row ``first[i] + j`` (``first`` may
-    be a scalar) against ``queries[i]`` by ||r||^2 - 2 r.q, in the dtype
-    that ``window`` was derived for (``kth_neighbors`` ranks in float32,
-    the energy in float64); columns past a row's reference hold ``+inf``,
-    and every row has at least k finite entries. ``window`` is each row's
+    be a scalar) against ``queries[i]`` by ||r||^2 - 2 r.q + s, s the
+    caller's ``ranking_shift``, in the dtype that ``window`` was derived for
+    (``kth_neighbors`` ranks in float32, the energy in float64); columns
+    past a row's reference hold ``+inf``, and every row has at least k
+    finite entries. Every finite entry must have its sign bit clear
+    (>= +0.0), which the shift guarantees. ``window`` is each row's
     ``tie_window``. The k-th neighbor's distance is
     ``norm(reference[row] - queries[i])``, and callers compute it for all
     their rows at once.
 
-    ``scratch``, of the ranking's shape, receives a copy that one value
-    ``partition`` at k reorders in place: the k smallest values of a row
-    come first, so their maximum is the k-th, the runner-up the (k-1)-th,
-    and position k the (k+1)-th. ``ranking`` itself is left unchanged.
-    The expansion can misorder values within its rounding error of each
-    other, so a row whose (k-1)-th or (k+1)-th lies within the window
-    around its k-th takes the k-th, in (exact distance, index) order, of
-    the exact norms of every candidate in that window, offset by the count
-    below the window. On every other row no other value equals the k-th,
-    so the first column that holds it is its only column.
+    ``scratch``, of the ranking's shape, receives a copy that one
+    ``partition`` at k reorders in place, through a view of its bytes as
+    integers of the same width: the bits of floats with a clear sign bit,
+    ``+inf`` included, order as integers exactly as the floats do, and
+    integers partition faster. The k smallest values of a row come first,
+    so their maximum is the k-th, the runner-up the (k-1)-th, and position
+    k the (k+1)-th; every value is read back as a float. ``ranking`` itself
+    is left unchanged. The expansion can misorder values within its
+    rounding error of each other, so a row whose (k-1)-th or (k+1)-th lies
+    within the window around its k-th takes the k-th, in (exact distance,
+    index) order, of the exact norms of every candidate in that window,
+    offset by the count below the window. On every other row no other
+    value equals the k-th, so the first column that holds it is its only
+    column.
     """
     rows = np.arange(ranking.shape[0])
     np.copyto(scratch, ranking)
     if k < ranking.shape[1]:
-        scratch.partition(k, axis=1)
+        scratch.view(f"i{scratch.itemsize}").partition(k, axis=1)
         after = scratch[:, k]
     else:
         after = np.full(ranking.shape[0], np.inf)

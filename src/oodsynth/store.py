@@ -178,10 +178,12 @@ class IdStore:
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
-        deviation = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
+        with np.errstate(over="ignore"):  # an entry near float max has an inf norm: not unit
+            norms = np.linalg.norm(rows, axis=1)
+        deviation = np.abs(norms - 1.0)
         if np.any(deviation > UNIT_TOL):
             i = int(np.argmax(deviation > UNIT_TOL))
-            raise NotUnitError(f"embedding {i} norm {np.linalg.norm(rows[i]):.8f} deviates from 1")
+            raise NotUnitError(f"embedding {i} norm {norms[i]:.8f} deviates from 1")
         new = rows[-self.capacity :]
         old = self._bufs[class_id]
         kept = old[max(0, len(old) + len(new) - self.capacity) :]  # a slice, not a copy
@@ -288,7 +290,9 @@ class IdStore:
         return store
 
     def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:
-        if not np.isfinite(proto).all() or abs(np.linalg.norm(proto) - 1.0) > UNIT_TOL:
+        with np.errstate(over="ignore"):  # as in ``insert``: an inf norm is not unit
+            norm = np.linalg.norm(proto)
+        if not np.isfinite(proto).all() or abs(norm - 1.0) > UNIT_TOL:
             raise CorruptStoreError(f"prototype of class {class_id} is not a finite unit vector")
         self._protos[class_id] = proto
         self._has_proto[class_id] = True

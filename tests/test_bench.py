@@ -467,7 +467,7 @@ def test_abort_in_first_iteration_leaves_empty_metrics_csv(tmp_path, monkeypatch
     assert not (run_dir / "scores_final.json").exists()
 
 
-def test_run_with_an_empty_batch_writes_nan_batch_scores(tmp_path):
+def test_run_with_an_empty_batch_writes_empty_batch_score_cells(tmp_path):
     # a zero step never leaves the midpoint, and delta = 0 rejects the midpoint
     cfg = dataclasses.replace(
         SMALL, delta=0.0, hmc=HmcConfig(step_size=0.0), out_dir=str(tmp_path)
@@ -476,7 +476,7 @@ def test_run_with_an_empty_batch_writes_nan_batch_scores(tmp_path):
     assert len(res.batch) == 0 and res.batch_scores.shape == (0,)
     with open(tmp_path / "metrics.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["batch_score_mean"] == row["batch_score_std"] == "nan"
+    assert row["batch_score_mean"] == row["batch_score_std"] == ""
     assert not (tmp_path / "round_scores.csv").exists()
 
 

@@ -1,22 +1,27 @@
 """Property tests of the CLI boundaries: mutated inputs get a documented exit code.
 
-Each example writes a small config document with one mutation and drives
+Each example writes a small input with one mutation, a ``run --config``
+document or the IDSTORE1 bytes of a ``synth --store`` file, and drives
 ``cli.main`` in-process. Whatever the mutation, the exit code is 0, 2, 3 or
-4, no exception escapes (pytest turns every numpy warning into one), and a
-config error (exit 2) leaves no output directory behind.
+4, no exception escapes (pytest turns every numpy warning into one), a
+config error (exit 2) leaves no output directory behind, and a run that
+exits 0 writes no ``nan`` cell in ``metrics.csv``.
 """
 
 import copy
+import csv
 import dataclasses
+import functools
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oodsynth.bench import VMF_MAX_KAPPA, BenchConfig, OodTestSpec
+from oodsynth.bench import VMF_MAX_KAPPA, BenchConfig, OodTestSpec, generate_synthetic_id
 from oodsynth.cli import main
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
 
@@ -128,6 +133,7 @@ def _mutated(path: tuple[str, ...], value) -> dict:
 @given(st.one_of(field_mutations, unknown_keys, broken_sections))
 @example((("ema_factor",), 1.5))
 @example((("lambda_d",), 1e308))
+@example((("step_size",), 1e77))  # every proposal is rejected: an empty batch
 def test_run_config_mutations_exit_with_a_documented_code(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         config, out_dir = Path(tmp) / "config.json", Path(tmp) / "run"
@@ -137,3 +143,82 @@ def test_run_config_mutations_exit_with_a_documented_code(mutation):
         assert code in (0, 2, 3, 4)
         if code == 2:
             assert not out_dir.exists()
+        if code == 0:
+            with open(out_dir / "metrics.csv", newline="") as fh:
+                cells = [cell for row in csv.reader(fh) for cell in row]
+            assert "nan" not in cells
+
+
+# -- IDSTORE1 bytes behind synth --store ---------------------------------------
+
+@functools.cache
+def _store_bytes() -> bytes:
+    """A valid d=4, C=3 store of 30 rows per class, saved once."""
+    cfg = BenchConfig(**{k: v for k, v in BASE.items() if k not in ("hmc", "ood")})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.idstore"
+        generate_synthetic_id(cfg).save(path)
+        return path.read_bytes()
+
+
+# IDSTORE1 offsets: the uint32 counts C, d and B follow the 8-byte magic;
+# each class record then starts with its uint32 row count and uint8
+# prototype flag (d=4, 30 rows, a prototype: 5 + 8 * 4 * 31 bytes a record)
+HEADER_COUNTS = {"C": 8, "d": 12, "B": 16}
+RECORD = 5 + 8 * 4 * 31
+SIZE = 28 + 3 * RECORD
+RECORD_FIELDS = {
+    f"class {c} {name}": (28 + c * RECORD + at, fmt)
+    for c in range(3)
+    for name, at, fmt in (("rows", 0, "<I"), ("has_prototype", 4, "<B"))
+}
+COUNT_VALUES = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 5, 29, 30, 31, 255, 2**31, 2**32 - 1]),
+    st.integers(0, 2**32 - 1),
+)
+
+bit_flips = st.tuples(
+    st.just("flip"), st.lists(st.integers(0, 8 * SIZE - 1), min_size=1, max_size=3)
+)
+truncations = st.tuples(st.just("truncate"), st.integers(0, SIZE - 1))
+count_rewrites = st.tuples(
+    st.just("rewrite"),
+    st.sampled_from(
+        [(at, "<I") for at in HEADER_COUNTS.values()] + list(RECORD_FIELDS.values())
+    ),
+    COUNT_VALUES,
+)
+
+
+def _mutated_store(mutation) -> bytes:
+    raw = bytearray(_store_bytes())
+    assert len(raw) == SIZE
+    kind, *args = mutation
+    if kind == "flip":
+        for bit in args[0]:
+            raw[bit // 8] ^= 1 << (bit % 8)
+    elif kind == "truncate":
+        del raw[args[0] :]
+    else:
+        (at, fmt), value = args
+        struct.pack_into(fmt, raw, at, value % (1 << (8 * struct.calcsize(fmt))))
+    return bytes(raw)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(bit_flips, truncations, count_rewrites))
+@example(("flip", []))  # the valid store itself
+@example(("rewrite", (HEADER_COUNTS["d"], "<I"), 2**32 - 1))
+@example(("rewrite", RECORD_FIELDS["class 2 rows"], 0))
+# the top exponent bit of a prototype coordinate and of a row coordinate:
+# each becomes about 4e307, whose square overflows the norm's unit check
+@example(("flip", [(28 + 5 + 7) * 8 + 6]))
+@example(("flip", [(28 + 5 + 32 + 7) * 8 + 6]))
+def test_synth_store_mutations_exit_with_a_documented_code(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        store, out = Path(tmp) / "s.idstore", Path(tmp) / "b.json"
+        store.write_bytes(_mutated_store(mutation))
+        code = main(["synth", "--store", str(store), "--out", str(out)])
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert out.exists() == (code == 0)

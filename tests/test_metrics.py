@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodsynth import blas
+from oodsynth import blas, energy, metrics
+from oodsynth.bench import BenchConfig, run_experiment
+from oodsynth.energy import EnergyContext
 from oodsynth.errors import BadArgError, DataError, InsufficientDataError, TooFewSamplesError
 from oodsynth.metrics import (
     KNN_BLOCK_ELEMENTS,
@@ -17,11 +19,13 @@ from oodsynth.metrics import (
     hypersphere_quality,
     knn_scores,
     kth_neighbors,
+    ranking_shift,
     score_report,
     select_kth,
     tie_window,
 )
 from oodsynth.sphere import normalize
+from oodsynth.store import IdSnapshot
 
 
 def oracle_auroc(id_scores, ood_scores):
@@ -331,12 +335,17 @@ def argpartition_select_kth(ranking, k, reference, queries, sq_max, first=0):
 
 def padded_ranking(reference, queries, first, counts):
     """Row i ranks ``reference[first[i] : first[i] + counts[i]]`` against
-    ``queries[i]``; ``+inf`` pads the row to the largest count."""
+    ``queries[i]``, shifted by ``ranking_shift`` as ``select_kth`` requires;
+    ``+inf`` pads the row to the largest count. Returns the ranking and the
+    ``sq_max`` of its ``tie_window``, the shift included."""
     sq_norms = np.einsum("ij,ij->i", reference, reference)
+    sq_max = float(sq_norms.max())
+    shift = ranking_shift(sq_max, queries)
     ranking = np.full((len(queries), max(counts)), np.inf)
     for i, (f, c) in enumerate(zip(first, counts)):
-        ranking[i, :c] = (-2.0 * queries[i]) @ reference[f : f + c].T + sq_norms[f : f + c]
-    return ranking, float(sq_norms.max())
+        shifted_norms = sq_norms[f : f + c] + shift
+        ranking[i, :c] = (-2.0 * queries[i]) @ reference[f : f + c].T + shifted_norms
+    return ranking, sq_max + shift
 
 
 def assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, first):
@@ -420,6 +429,92 @@ def test_select_kth_gives_a_nan_query_row_a_nan_distance():
     for k in (1, 3, 50):
         dist = assert_select_kth_matches_oracle(ranking, k, reference, queries, sq_max, 0)
         assert np.isnan(dist).tolist() == [False, False, True, False, False]
+
+
+# -- the shifted ranking's contract ----------------------------------------------
+
+
+def plant_kth_duplicate(reference, q, k):
+    """Copy q's k-th nearest row of ``reference`` over its (k+1)-th, in place:
+    the two are then exact duplicates at the k-th neighbor."""
+    order = np.argsort(np.linalg.norm(reference - q, axis=1), kind="stable")
+    reference[order[k]] = reference[order[k - 1]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    log_scale=st.integers(-25, 17),
+    spreads=st.lists(st.integers(-8, 0), min_size=6, max_size=6),
+    d=st.sampled_from([2, 3, 16]),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    nan_row=st.booleans(),
+)
+def test_both_shifted_rankings_select_the_float64_oracle(log_scale, spreads, d, k, seed, nan_row):
+    # one call's query norms span up to 8 orders of magnitude below the
+    # reference scale, so the shift, taken over the call, dwarfs the small ones
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    counts = np.array([k + 3, 2 * k + 5, 30])
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    reference = unit_rows(rng.standard_normal((offsets[-1], d))) * scale
+    queries = unit_rows(rng.standard_normal((6, d))) * (scale * 10.0 ** np.array(spreads))[:, None]
+    if nan_row:
+        queries[-1] = np.nan
+    ok = ~np.isnan(queries).any(axis=1)
+
+    detector_ref = reference.copy()
+    plant_kth_duplicate(detector_ref, queries[0], k)
+    dist, idx = kth_neighbors(detector_ref, queries, k)
+    exact, order = exact_ranks(detector_ref, queries)
+    assert np.isnan(dist).tolist() == (~ok).tolist()
+    assert np.array_equal(idx[ok], order[ok, k - 1])
+    assert np.array_equal(dist[ok], exact[ok, idx[ok]])
+
+    embeddings = reference.copy()
+    plant_kth_duplicate(embeddings[: counts[0]], queries[0], k)  # class 0, pair (0, 1)
+    store = IdSnapshot(embeddings, offsets, np.eye(3, d), np.ones(3, dtype=bool))
+    pairs = np.array([(0, 1), (1, 2), (2, 0), (0, 2), (1, 0), (2, 1)])
+    ctx = EnergyContext(store=store, pairs=pairs, k=k, kappa=1.0)
+    dist, idx = ctx._pair_query(queries)
+    for side in (0, 1):
+        for i, c in enumerate(pairs[:, side].tolist()):
+            if not ok[i]:
+                assert np.isnan(dist[side, i])
+                continue
+            exact = np.linalg.norm(embeddings[offsets[c] : offsets[c + 1]] - queries[i], axis=1)
+            j = np.argsort(exact, kind="stable")[k - 1]
+            assert (idx[side, i], dist[side, i]) == (offsets[c] + j, exact[j]), (side, i)
+    # the potential and gradient read those neighbors, on either ranking path
+    d_u, d_v = dist
+    n_u, n_v = embeddings[idx]
+    p = 0.5 * (d_u + d_v)
+    dirs = (queries - n_u) / d_u[:, None] + (queries - n_v) / d_v[:, None]
+    value, grad = ctx.value_and_grad(queries)
+    assert np.array_equal(value, -np.log(p), equal_nan=True)
+    assert np.array_equal(grad, -dirs / (2.0 * p)[:, None], equal_nan=True)
+    at_endpoint = ctx.endpoint(queries)
+    assert np.array_equal(at_endpoint[0], value, equal_nan=True)
+    assert np.array_equal(at_endpoint[1], grad, equal_nan=True)
+
+
+def test_a_stock_run_ranks_with_clear_sign_bits(monkeypatch):
+    # every ranking select_kth receives, from the detector and the energy,
+    # holds no finite entry with its sign bit set: the integer partition
+    # orders it as the floats
+    dtypes = set()
+
+    def spy(ranking, *args, **kwargs):
+        finite = ranking[np.isfinite(ranking)]
+        assert finite.size > 0 and not np.signbit(finite).any()
+        dtypes.add(ranking.dtype)
+        return select_kth(ranking, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "select_kth", spy)
+    monkeypatch.setattr(energy, "select_kth", spy)
+    (result,) = run_experiment(BenchConfig(iterations=1))
+    assert len(result.batch) > 0
+    assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
 
 
 # -- threshold calibration -------------------------------------------------------
