@@ -46,7 +46,7 @@ from .objectives import (
 )
 from .samplers import HmcConfig, SamplerVariant
 from .sphere import normalize
-from .store import IdSnapshot, IdStore
+from .store import MAX_DIM, IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     batch_to_dict,
@@ -113,6 +113,8 @@ class BenchConfig:
         require_field_types(self)
         if self.num_classes < 2 or self.dim < 2:
             raise BadConfigError("need num_classes >= 2 and dim >= 2")
+        if self.dim > MAX_DIM:
+            raise BadConfigError(f"dim must be <= {MAX_DIM}, got {self.dim}")
         if self.seed < 0:
             raise BadConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("points_per_class", "knn_k", "k_detect", "id_test_per_class"):
@@ -333,6 +335,14 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
     )
     id_labels = np.repeat(np.arange(cfg.num_classes), cfg.id_test_per_class)
     ood_test = make_ood_test_set(cfg, store, np.random.default_rng(ood_seed))
+    # the detector scores both test sets and each batch in one call; one
+    # buffer holds the test sets and room for the largest batch (a row per
+    # chain and round), so no iteration copies the test sets
+    n_id, n_tests = len(id_test), len(id_test) + len(ood_test)
+    max_batch = cfg.num_classes * cfg.effective_n_adj() * cfg.hmc.rounds
+    queries = np.empty((n_tests + max_batch, cfg.dim))
+    queries[:n_id], queries[n_id:n_tests] = id_test, ood_test
+    id_test, ood_test = queries[:n_id], queries[n_id:n_tests]
     tau = temperature_from_kappa(cfg.loss_kappa)
 
     results: list[IterationResult] = []
@@ -355,10 +365,11 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
             reference = snapshot.embeddings
             k_det = min(cfg.k_detect, reference.shape[0])
             t0 = time.perf_counter()
-            id_scores = knn_scores(reference, id_test, k_det, snapshot.sq_norms)
-            ood_scores = knn_scores(reference, ood_test, k_det, snapshot.sq_norms)
+            queries[n_tests : n_tests + len(batch)] = positions
+            scored = queries[: n_tests + len(batch)]
+            scores = knn_scores(reference, scored, k_det, snapshot.sq_norms)
+            id_scores, ood_scores, batch_scores = np.split(scores, [n_id, n_tests])
             report = score_report(id_scores, ood_scores)
-            batch_scores = knn_scores(reference, positions, k_det, snapshot.sq_norms)
             score_ms = (time.perf_counter() - t0) * 1000.0
             quality = hypersphere_quality(ood_test, id_test, id_labels, prototypes)
             row = {
@@ -512,6 +523,6 @@ def diversity_stds(cfg: BenchConfig, seed: int) -> tuple[float, float]:
     base_positions = baseline.samples.position[: len(batch)]
     reference = snapshot.embeddings
     k_det = min(cfg.k_detect, reference.shape[0])
-    std_h = float(knn_scores(reference, batch.samples.position, k_det, snapshot.sq_norms).std())
-    std_g = float(knn_scores(reference, base_positions, k_det, snapshot.sq_norms).std())
-    return std_h, std_g
+    queries = np.concatenate([batch.samples.position, base_positions])
+    scores = knn_scores(reference, queries, k_det, snapshot.sq_norms)
+    return float(scores[: len(batch)].std()), float(scores[len(batch) :].std())

@@ -168,7 +168,7 @@ def _read_scores(path: Path, key: str) -> np.ndarray:
                 raise DataError(f"{path}: {key} holds {json.dumps(value)}, not a number")
         try:
             scores = np.asarray(doc, dtype=float)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int past 1e308
             raise DataError(f"{path}: {key} is not a numeric array") from err
         if scores.ndim != 1:
             raise DataError(f"{path}: {key} is not a flat array of scores")

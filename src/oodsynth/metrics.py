@@ -48,18 +48,22 @@ def kth_neighbors(
 
     ``sq_norms`` are the reference rows' squared norms (``IdSnapshot``
     keeps them); they are computed here when not given. The ranking is in
-    float32: the reference, its shifted squared norms and -2q are cast once
-    per call. Query rows go in blocks of at most ``KNN_BLOCK_ELEMENTS // N``
-    rows. Each block's GEMM writes the expansion
-    ||r - q||^2 = ||r||^2 - 2 r.q + ||q||^2 into one ranking buffer that
-    every block reuses, leaving out ||q||^2 and adding the call's
-    ``ranking_shift`` s to every ||r||^2. Neither changes the order of a
-    row, and the shift makes every entry positive, so ``select_kth`` picks
-    the k-th of each row with an integer partition. The float32
-    ``tie_window`` sends a row whose order its rounding could change to the
-    exact float64 fallback, and the distances of the picked rows are
-    float64 norms, computed once for all queries. The GEMMs run on one BLAS
-    thread (see ``blas``).
+    float32, ||r||^2 - 2 r.q + s for the call's ``ranking_shift`` s: the
+    expansion of ||r - q||^2 without ||q||^2, plus one constant, so the
+    order of a row is unchanged and every entry is positive, and
+    ``select_kth`` picks the k-th of each row with an integer partition.
+    The norms are folded into the GEMM: each call builds one C-contiguous
+    (d + 1, N) operand, ``reference.T`` over the row ``||r||^2 + s``, and
+    the query operand is (rows, d + 1), -2q then a column of ones, so each
+    block's GEMM writes the finished ranking into one buffer that every
+    block reuses. The operand is built per call because s depends on the
+    queries; a caller with several query sets against one reference
+    stacks them into one call. Query rows go in blocks of at most
+    ``KNN_BLOCK_ELEMENTS // N`` rows. The float32 ``tie_window`` sends a
+    row whose order its rounding could change to the exact float64
+    fallback, and the distances of the picked rows are float64 norms,
+    computed once for all queries. The GEMMs run on one BLAS thread (see
+    ``blas``).
 
     Raises ``BadArgError`` when the largest squared norm of the reference
     plus the shift, or of a query, exceeds ``tie_window``'s float32 bound
@@ -67,7 +71,7 @@ def kth_neighbors(
     """
     reference = np.asarray(reference, dtype=float)
     queries = np.asarray(queries, dtype=float)
-    n = reference.shape[0]
+    n, d = reference.shape
     if k < 1:
         raise BadArgError(f"k must be >= 1, got {k}")
     if n < k:
@@ -77,9 +81,12 @@ def kth_neighbors(
     sq_max = float(sq_norms.max())
     shift = ranking_shift(sq_max, queries, np.float32)
     window = tie_window(sq_max + shift, queries, np.float32)
-    reference32 = reference.astype(np.float32)
-    sq_norms32 = (sq_norms + shift).astype(np.float32)
-    scaled32 = (-2.0 * queries).astype(np.float32)
+    folded = np.empty((d + 1, n), dtype=np.float32)
+    folded[:d] = reference.T
+    folded[d] = sq_norms + shift
+    scaled = np.empty((queries.shape[0], d + 1), dtype=np.float32)
+    np.multiply(queries, -2.0, out=scaled[:, :d], casting="same_kind")
+    scaled[:, d] = 1.0
     block = max(1, KNN_BLOCK_ELEMENTS // n)
     ranking = np.empty((min(block, queries.shape[0]), n), dtype=np.float32)
     scratch = np.empty_like(ranking)
@@ -88,8 +95,7 @@ def kth_neighbors(
         for start in range(0, queries.shape[0], block):
             stop = min(start + block, queries.shape[0])
             block_ranking = ranking[: stop - start]
-            np.matmul(scaled32[start:stop], reference32.T, out=block_ranking)
-            block_ranking += sq_norms32
+            np.matmul(scaled[start:stop], folded, out=block_ranking)
             indices[start:stop] = select_kth(
                 block_ranking,
                 scratch[: stop - start],
@@ -98,7 +104,9 @@ def kth_neighbors(
                 reference,
                 queries[start:stop],
             )
-    return np.linalg.norm(reference[indices] - queries, axis=1), indices
+    diff = reference[indices]
+    diff -= queries
+    return np.linalg.norm(diff, axis=1), indices
 
 
 def _window_scale(d: int, dtype) -> float:
@@ -126,31 +134,40 @@ def ranking_shift(sq_max: float, queries: np.ndarray, dtype=np.float64) -> float
 def tie_window(sq_max: float, queries: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Half-width of each query row's near-tie window in a ``select_kth`` ranking.
 
-    The ranking is ``fl(t) + fl(-2q) . fl(r)`` in ``dtype``, with
-    t = ||r||^2 + s for ``ranking_shift``'s s, and ``sq_max`` bounds every
-    t (a larger ``sq_max`` only widens the window). With u = eps / 2 the
-    unit roundoff of ``dtype`` (2^-24 for float32), each ranking value is
-    within (d + 5) u (t + ||q||^2) of its exact value: the casts of r and
-    -2q add 2u, a d-term dot product summed in any order, with or without
-    FMA, adds d u, relative to 2 |r|.|q| <= ||r||^2 + ||q||^2 <= t + ||q||^2;
-    the cast of t adds u t and the final add u (2 t + ||q||^2). Two values
-    can swap only within twice that bound, and the window is twice that
-    again: w (sq_max + ||q||^2 + 1) with w = max(1e-9, 2 (d + 5) eps). The
-    + 1 covers the absolute error of subnormal products. So no value
-    outside the window around a row's k-th can rank on the wrong side of
-    the true k-th, and a row whose neighbors in rank lie outside it has its
-    exact k-th. The float64 rounding of the squared norms, of s and of the
-    exact norms is 2^-29 of the float32 bound and fits in that slack. A
-    float64 ranking adds the float64 error of its squared norms, at most
-    d u ||r||^2; the floor 1e-9 is more than four times the sum for every
-    d below a million.
+    The ranking is t - 2 r.q in ``dtype``, with t = ||r||^2 + s for
+    ``ranking_shift``'s s, and ``sq_max`` bounds every t (a larger
+    ``sq_max`` only widens the window). Let u = eps / 2 be the unit
+    roundoff of ``dtype`` (2^-24 for float32), a = ||r|| and b = ||q||.
+    ``kth_neighbors`` folds t into its GEMM: each value is a (d + 1)-term
+    dot product whose terms are fl(-2q_j) fl(r_j) and fl(t) 1. The casts
+    of r and -2q add 2u relative to the products, whose magnitudes sum to
+    at most 2ab; the cast of t adds u t; and the sum, in any order, with
+    or without FMA, adds (d + 1) u times the terms' magnitudes, at most
+    2ab + t. So each value is within (d + 3) u 2ab + (d + 2) u t, and as
+    2ab <= a^2 + b^2 <= t + b^2, within (2d + 5) u (t + b^2), of its exact
+    value. A ranking whose GEMM leaves t out and adds it after, as
+    ``EnergyContext`` does in float64, is within the smaller
+    (d + 5) u (t + b^2). Two values can swap only within twice the bound,
+    (4d + 10) u (t + b^2), and the window is w (sq_max + b^2 + 1) with
+    w = max(1e-9, 2 (d + 5) eps) = 4 (d + 5) u or more. The + 1 covers
+    the absolute error of subnormal products. So no value outside the
+    window around a row's k-th can rank on the wrong side of the true
+    k-th, and a row whose neighbors in rank lie outside it has its exact
+    k-th. The window is twice the swap bound of the unfolded ranking, but
+    only (2d + 10) / (2d + 5) times that of the folded one: its slack
+    shrinks to 10 u (t + b^2). The float64 rounding of the squared norms,
+    of s and of the exact norms is about 2^-29 of the float32 bound and
+    fits in that slack. A float64 ranking adds the float64 error of its
+    squared norms, at most d u ||r||^2; the floor 1e-9 is more than four
+    times the sum for every d below a million.
 
-    The shift keeps every value positive. Its exact value is at least
-    s - Q = 1 + w (R + Q + 1), where R is the largest ||r||^2 and Q the
-    largest ||q||^2, and the bound above is at most
-    (w / 4) (R + s + Q) = (w / 4) (R + 2 Q + 1 + w (R + Q + 1)), which is
-    less than 1 + w (R + Q + 1) while w <= 2, that is for every d below 8
-    million in float32.
+    The shift keeps every value positive. Since s >= b^2 + 1 +
+    w (a^2 + b^2 + 1), the exact value t - 2 r.q >= a^2 + s - 2ab less the
+    bound above is at least
+    (1 - (d + 2) u) (a^2 + s) - (1 + (d + 3) u) 2ab
+    >= ((1 - (d + 2) u) (1 + w) - 1 - (d + 3) u) (a^2 + b^2 + 1),
+    which is positive while 4 (d + 2) (d + 5) u < 2d + 15, that is for
+    every d below 8 million in float32.
 
     Raises ``BadArgError`` when ``sq_max`` or some ||q||^2 exceeds
     finfo(dtype).max / 256 (1.3e36 for float32), which keeps every

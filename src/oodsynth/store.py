@@ -44,6 +44,10 @@ from .errors import (
 from .sphere import normalize
 
 UNIT_TOL = 1e-6  # accepted deviation of ||z|| from 1 on insert
+# largest embedding dimension a store accepts: an IDSTORE1 header names d,
+# and a store saved before any insert is valid, so this bound, not the file
+# size, keeps a header from sizing C x d prototypes of any size
+MAX_DIM = 2**16
 ANTIPODAL_TOL = 1e-8
 
 _MAGIC = b"IDSTORE1"
@@ -149,8 +153,8 @@ class IdStore:
     def __init__(self, num_classes: int, dim: int, capacity: int, ema_factor: float = 0.95):
         if num_classes < 2:
             raise BadArgError(f"need at least 2 classes, got {num_classes}")
-        if dim < 2:
-            raise BadArgError(f"need dimension >= 2, got {dim}")
+        if not 2 <= dim <= MAX_DIM:
+            raise BadArgError(f"dimension must lie in [2, {MAX_DIM}], got {dim}")
         if capacity < 1:
             raise BadArgError(f"need capacity >= 1, got {capacity}")
         if not 0.0 < ema_factor < 1.0:

@@ -38,7 +38,7 @@ from oodsynth.errors import (
 )
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
 from oodsynth.sphere import normalize
-from oodsynth.store import IdStore
+from oodsynth.store import MAX_DIM, IdStore
 from oodsynth.synthesis import round_summary, synthesize_batch
 
 SMALL = BenchConfig(
@@ -239,6 +239,15 @@ def test_cli_ema_factor_and_lambda_d_out_of_range_exit_2_before_the_out_dir(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and name in err
+    assert not out_dir.exists()
+
+
+def test_cli_dim_above_the_store_bound_exits_2_before_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--iterations", "1", "--dim", str(MAX_DIM + 1), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "dim" in err
     assert not out_dir.exists()
 
 

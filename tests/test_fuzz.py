@@ -1,21 +1,25 @@
 """Property tests of the CLI boundaries: mutated inputs get a documented exit code.
 
 Each example writes a small input with one mutation, a ``run --config``
-document or the IDSTORE1 bytes of a ``synth --store`` file, and drives
-``cli.main`` in-process. Whatever the mutation, the exit code is 0, 2, 3 or
-4, no exception escapes (pytest turns every numpy warning into one), a
-config error (exit 2) leaves no output directory behind, and a run that
-exits 0 writes no ``nan`` cell in ``metrics.csv``.
+document, the IDSTORE1 bytes of a ``synth --store`` file or the score files
+of ``score``, and drives ``cli.main`` in-process. Whatever the mutation, the
+exit code is 0, 2, 3 or 4, no exception escapes (pytest turns every numpy
+warning into one), a config error (exit 2) leaves no output directory
+behind, a run that exits 0 writes no ``nan`` cell in ``metrics.csv``, and a
+score that exits 0 prints no ``nan``.
 """
 
+import contextlib
 import copy
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from hypothesis import event, example, given, settings
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 from oodsynth.bench import VMF_MAX_KAPPA, BenchConfig, OodTestSpec, generate_synthetic_id
 from oodsynth.cli import main
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
+from oodsynth.store import MAX_DIM
 
 # d=4, C=3, 30 points per class, one iteration: small enough for hundreds of runs
 BASE = {
@@ -189,11 +194,19 @@ count_rewrites = st.tuples(
     COUNT_VALUES,
 )
 
+# a store saved before any insert: a header and C records of no rows and no
+# prototype, 28 + 5 C bytes that name any d
+empty_stores = st.tuples(st.just("empty"), st.integers(2, 4), COUNT_VALUES)
+
 
 def _mutated_store(mutation) -> bytes:
+    kind, *args = mutation
+    if kind == "empty":
+        classes, dim = args
+        header = b"IDSTORE1" + struct.pack("<IIId", classes, dim, 30, 0.95)
+        return header + struct.pack("<IB", 0, 0) * classes
     raw = bytearray(_store_bytes())
     assert len(raw) == SIZE
-    kind, *args = mutation
     if kind == "flip":
         for bit in args[0]:
             raw[bit // 8] ^= 1 << (bit % 8)
@@ -206,8 +219,9 @@ def _mutated_store(mutation) -> bytes:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(bit_flips, truncations, count_rewrites))
+@given(st.one_of(bit_flips, truncations, count_rewrites, empty_stores))
 @example(("flip", []))  # the valid store itself
+@example(("empty", 3, 2**20))  # 43 bytes that once sized 50 MB of prototypes
 @example(("rewrite", (HEADER_COUNTS["d"], "<I"), 2**32 - 1))
 @example(("rewrite", RECORD_FIELDS["class 2 rows"], 0))
 # the top exponent bit of a prototype coordinate and of a row coordinate:
@@ -218,7 +232,89 @@ def test_synth_store_mutations_exit_with_a_documented_code(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         store, out = Path(tmp) / "s.idstore", Path(tmp) / "b.json"
         store.write_bytes(_mutated_store(mutation))
-        code = main(["synth", "--store", str(store), "--out", str(out)])
+        oversized = mutation[0] == "empty" and mutation[2] > MAX_DIM
+        if oversized:
+            tracemalloc.start()
+        try:
+            code = main(["synth", "--store", str(store), "--out", str(out)])
+        finally:
+            if oversized:
+                _, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
         event(f"exit {code}")
         assert code in (0, 2, 3, 4)
         assert out.exists() == (code == 0)
+        if oversized:  # the header's d is refused before anything is sized by it
+            assert code == 3
+            assert peak < 2**20
+
+
+# -- score files behind score ------------------------------------------------------
+
+# a cell of a score file other than a finite float: JSON values and CSV text
+BAD_JSON_VALUES = (
+    math.nan, math.inf, -math.inf, True, False, None, "0.5", "", [], [1.0], {}, {"a": 1.0},
+    10**400, 1e308, -1e308,
+)
+BAD_CSV_CELLS = ("nan", "NaN", "inf", "-inf", "1e400", "abc", "", " ", "0x10", "1_0", "--1")
+
+finite_scores = st.lists(st.floats(-1e3, 1e3), min_size=20, max_size=30)
+json_mutations = st.one_of(
+    st.tuples(st.just("none")),
+    st.tuples(st.just("value"), st.integers(0, 29), st.sampled_from(BAD_JSON_VALUES)),
+    st.tuples(st.just("document"), st.sampled_from(BAD_JSON_VALUES + ([[1.0, 2.0]], [[1.0], 2.0]))),
+    st.tuples(st.just("key"), st.sampled_from(["scores", "ID_SCORES", ""])),
+)
+csv_mutations = st.one_of(
+    st.tuples(st.just("none")),
+    st.tuples(st.just("value"), st.integers(0, 29), st.sampled_from(BAD_CSV_CELLS)),
+    st.tuples(st.just("ragged"), st.integers(0, 29), st.lists(st.sampled_from(["1.0", "x", ""]))),
+    st.tuples(st.just("header"), st.sampled_from(["score", "1.0", "nan", "", "a,b,c"])),
+)
+score_files = st.one_of(
+    st.tuples(st.sampled_from(["json list", "json object"]), finite_scores, json_mutations),
+    st.tuples(st.just("csv"), finite_scores, csv_mutations),
+)
+
+
+def _score_file(directory: Path, key: str, spec) -> Path:
+    """One score file: ``spec`` is (format, scores, mutation)."""
+    form, scores, (kind, *args) = spec
+    if form == "csv":
+        rows = [[repr(v)] for v in scores]
+        if kind == "value" and args[0] < len(rows):
+            rows[args[0]] = [args[1]]
+        elif kind == "ragged" and args[0] < len(rows):  # extra cells, or an empty row
+            rows[args[0]] = rows[args[0]] + args[1] if args[1] else []
+        elif kind == "header":
+            rows.insert(0, args[0].split(","))
+        path = directory / f"{key}.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        return path
+    doc = list(scores)
+    if kind == "value" and args[0] < len(doc):
+        doc[args[0]] = args[1]
+    elif kind == "document":
+        doc = args[0]
+    if form == "json object":
+        doc = {args[0] if kind == "key" else key: doc}
+    path = directory / f"{key}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(score_files, score_files)
+@example(("json list", [0.5] * 20, ("value", 3, 10**400)), ("csv", [0.1] * 20, ("none",)))
+@example(("csv", [0.5] * 20, ("value", 3, "nan")), ("json object", [0.1] * 20, ("none",)))
+def test_score_file_mutations_exit_with_a_documented_code(id_spec, ood_spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        id_path = _score_file(Path(tmp), "id_scores", id_spec)
+        ood_path = _score_file(Path(tmp), "ood_scores", ood_spec)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["score", "--id-scores", str(id_path), "--ood-scores", str(ood_path)])
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert "nan" not in printed.getvalue().lower()

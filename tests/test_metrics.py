@@ -517,6 +517,73 @@ def test_a_stock_run_ranks_with_clear_sign_bits(monkeypatch):
     assert dtypes == {np.dtype(np.float32), np.dtype(np.float64)}
 
 
+# -- one detector pass per snapshot ------------------------------------------------
+
+# 4096 reference rows: detector blocks of 32 query rows, so parts of up to 70
+# rows start and end inside blocks and straddle their boundaries
+STACK_N = 4096
+
+
+def stack_fixture(rng, d, fixture):
+    """A (STACK_N, d) unit reference and a pool of queries to draw parts from.
+
+    "duplicates" stores rows up to three times and puts queries on them;
+    "near ties" puts 40 rows within 1e-7 of one query, their distances
+    0.1% apart, which only the exact fallback orders right.
+    """
+    reference = unit_rows(rng.standard_normal((STACK_N, d)))
+    pool = unit_rows(rng.standard_normal((210, d)))
+    if fixture == "duplicates":
+        reference[STACK_N // 2 :: 7] = reference[: STACK_N // 2 : 7]
+        reference[1::97] = reference[0]
+        pool[::3] = reference[: len(pool[::3])]
+    elif fixture == "near ties":
+        q = pool[0]
+        radii = 1e-7 * (1.0 + 1e-3 * np.arange(40))
+        reference[:40] = q + unit_rows(rng.standard_normal((40, d))) * radii[:, None]
+        pool[::5] = q
+    return reference, pool
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(st.integers(0, 70), min_size=3, max_size=3),
+    scales=st.lists(st.sampled_from([1.0, 1e-3, 10.0]), min_size=3, max_size=3),
+    d=st.sampled_from([2, 16]),
+    k=st.sampled_from([1, 2, 3, 20, 45, STACK_N]),
+    fixture=st.sampled_from(["random", "duplicates", "near ties"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_stacked_call_equals_one_call_per_part(sizes, scales, d, k, fixture, seed):
+    # the stacked call takes its shift and windows over every part, each
+    # part's own call over that part alone; neighbors are exact either way,
+    # so the distances and indices keep their bits
+    rng = np.random.default_rng(seed)
+    reference, pool = stack_fixture(rng, d, fixture)
+    sq_norms = np.einsum("ij,ij->i", reference, reference)
+    bounds = np.cumsum([0, *sizes])
+    parts = [scale * pool[lo:hi] for scale, lo, hi in zip(scales, bounds, bounds[1:])]
+    dist, idx = kth_neighbors(reference, np.concatenate(parts), k, sq_norms)
+    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+        part_dist, part_idx = kth_neighbors(reference, part, k, sq_norms)
+        assert np.array_equal(dist[lo:hi], part_dist)
+        assert np.array_equal(idx[lo:hi], part_idx)
+
+
+def test_a_stock_run_makes_one_detector_call_per_iteration(monkeypatch):
+    calls = []
+
+    def spy(reference, queries, *args, **kwargs):
+        calls.append(len(queries))
+        return kth_neighbors(reference, queries, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "kth_neighbors", spy)
+    results = run_experiment(BenchConfig(iterations=2))
+    cfg = BenchConfig()
+    tests = cfg.num_classes * cfg.id_test_per_class + cfg.ood.n_uniform + cfg.ood.n_midpoint
+    assert calls == [tests + len(r.batch) for r in results]
+
+
 # -- threshold calibration -------------------------------------------------------
 
 

@@ -15,7 +15,7 @@ from oodsynth.errors import (
 )
 from oodsynth.metrics import kth_neighbors
 from oodsynth.sphere import normalize
-from oodsynth.store import IdStore
+from oodsynth.store import MAX_DIM, IdStore
 
 
 def unit(v):
@@ -87,6 +87,13 @@ def test_insert_errors():
         with pytest.raises(BadArgError):
             store.insert(0, rows)
     assert store.snapshot().count(0) == 0
+
+
+def test_dimension_is_bounded_by_max_dim():
+    # an IDSTORE1 header's d sizes the prototypes before any row is read
+    assert IdStore(2, MAX_DIM, capacity=1).snapshot().prototypes.shape == (2, MAX_DIM)
+    with pytest.raises(BadArgError, match="dimension"):
+        IdStore(2, MAX_DIM + 1, capacity=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
