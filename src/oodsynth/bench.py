@@ -9,13 +9,16 @@ samples plus vMF clusters centered at pair midpoints, exercising the far
 and near OOD regimes).
 
 Reproducibility contract: a run is fully determined by its BenchConfig
-(including seeds) on one BLAS kernel, at any BLAS thread count.
-Deterministic artifacts (config echo, metric tables, batch dumps, score
-files) are byte-identical across invocations; wall-clock timings are
-reported separately in ``timings.json`` and are the only non-deterministic
-output. Another OpenBLAS kernel (``OPENBLAS_CORETYPE``) may round the
-float64 GEMMs of data generation and of the KDE differently, and so change
-the artifacts.
+(including seeds), at any BLAS thread count and on any OpenBLAS kernel
+(``OPENBLAS_CORETYPE``) but for one field. Deterministic artifacts (config
+echo, metric tables, batch dumps, score files) are byte-identical across
+invocations; wall-clock timings are reported separately in
+``timings.json`` and are the only non-deterministic output. Data
+generation, the losses and the quality angles take their norms and dot
+products from numpy's own reductions, never from BLAS, and the kNN
+rankings select exactly on any kernel. Only the KDE GEMM, and so each
+chain's written ``t_minus``, rounds per kernel: a kernel without FMA
+(Sandybridge) changes it in its last bits.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .objectives import (
 )
 from .samplers import HmcConfig, SamplerVariant
 from .sphere import normalize
-from .store import MAX_DIM, IdSnapshot, IdStore
+from .store import MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     batch_to_dict,
@@ -115,6 +118,11 @@ class BenchConfig:
             raise BadConfigError("need num_classes >= 2 and dim >= 2")
         if self.dim > MAX_DIM:
             raise BadConfigError(f"dim must be <= {MAX_DIM}, got {self.dim}")
+        if self.num_classes * self.dim > MAX_PROTOTYPE_ENTRIES:
+            raise BadConfigError(
+                f"num_classes x dim must be <= {MAX_PROTOTYPE_ENTRIES},"
+                f" got {self.num_classes} x {self.dim}"
+            )
         if self.seed < 0:
             raise BadConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("points_per_class", "knn_k", "k_detect", "id_test_per_class"):
@@ -235,7 +243,7 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
                 ws[i] = w
                 break
     tangent = rng.standard_normal((n, d))
-    tangent -= np.outer(tangent @ mu, mu)
+    tangent -= np.outer((tangent * mu).sum(axis=1), mu)
     tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
     out = ws[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - ws**2))[:, None] * tangent
     return out / np.linalg.norm(out, axis=1, keepdims=True)

@@ -340,8 +340,8 @@ def hypersphere_quality(
     id_labels = np.asarray(id_labels, dtype=int)
     prototypes = np.asarray(prototypes, dtype=float)
     C = prototypes.shape[0]
-    cos_sep = float((ood_test @ prototypes.T).max(axis=1).mean())
-    proto_cos = prototypes @ prototypes.T
+    cos_sep = float(np.einsum("md,cd->mc", ood_test, prototypes).max(axis=1).mean())
+    proto_cos = np.einsum("id,jd->ij", prototypes, prototypes)
     cos_disp = float(proto_cos[~np.eye(C, dtype=bool)].mean())
     cos_comp = float(
         np.einsum("ij,ij->i", id_test, prototypes[id_labels]).mean()

@@ -31,7 +31,7 @@ def ood_discernment_loss(
     """
     outliers = np.atleast_2d(np.asarray(outliers, dtype=float))
     prototypes = np.asarray(prototypes, dtype=float)
-    logits = outliers @ prototypes.T / tau  # (M, C)
+    logits = np.einsum("md,cd->mc", outliers, prototypes) / tau
     return float(_log_softmax(logits).mean())
 
 
@@ -50,10 +50,10 @@ def cider_losses(
     labels = np.asarray(labels, dtype=int)
     prototypes = np.asarray(prototypes, dtype=float)
     C = prototypes.shape[0]
-    sims = prototypes @ prototypes.T / tau  # (C, C)
+    sims = np.einsum("id,jd->ij", prototypes, prototypes) / tau
     others = sims[~np.eye(C, dtype=bool)].reshape(C, C - 1)  # row i: sims to every j != i
     l_disp = float(np.mean(_logsumexp(others) - np.log(C - 1)))
-    logits = embeddings @ prototypes.T / tau  # (N, C)
+    logits = np.einsum("nd,cd->nc", embeddings, prototypes) / tau
     log_p = _log_softmax(logits)
     l_comp = float(-log_p[np.arange(len(labels)), labels].mean())
     return l_disp, l_comp

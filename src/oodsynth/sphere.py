@@ -22,11 +22,15 @@ def normalize(v: np.ndarray) -> np.ndarray:
 
     Raises ZeroVectorError when a norm is at machine-epsilon scale, which
     signals a degenerate input (e.g. the midpoint of antipodal prototypes).
+
+    The norm is numpy's own sum of squares, never a BLAS dot, so it does
+    not depend on the BLAS kernel, and each row of a C-contiguous array
+    rounds exactly like the same row normalized as a 1-D vector. A
+    Fortran-ordered array may sum its rows in another order and round
+    differently.
     """
     v = np.asarray(v, dtype=float)
-    # a 1-D vector keeps the BLAS dot of np.linalg.norm, whose bits stored
-    # prototypes depend on
-    n = np.linalg.norm(v) if v.ndim == 1 else np.linalg.norm(v, axis=-1, keepdims=True)
+    n = np.sqrt((v * v).sum(axis=-1, keepdims=True))
     if np.size(n) and np.min(n) <= ZERO_NORM_TOL:
         raise ZeroVectorError(f"cannot normalize vector with norm {np.min(n):.3e}")
     return v / n

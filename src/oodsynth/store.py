@@ -48,6 +48,10 @@ UNIT_TOL = 1e-6  # accepted deviation of ||z|| from 1 on insert
 # and a store saved before any insert is valid, so this bound, not the file
 # size, keeps a header from sizing C x d prototypes of any size
 MAX_DIM = 2**16
+# largest num_classes x dim a store accepts (8 MB of float64 prototypes): an
+# empty class record is 5 bytes, so the file size does not bound C x d either;
+# 228 bytes name C = 40 empty classes at d = MAX_DIM
+MAX_PROTOTYPE_ENTRIES = 2**20
 ANTIPODAL_TOL = 1e-8
 
 _MAGIC = b"IDSTORE1"
@@ -107,16 +111,17 @@ class IdSnapshot:
         are most cosine-similar to class c's, in descending similarity, ties
         broken by lower class id.
 
-        One matvec of the prototypes per class (a GEMM rounds some exact
-        cosine ties differently, and so reorders them), the diagonal masked
-        to -inf, then one stable argsort over every row.
+        Per class, the row sums of the prototypes times its prototype: every
+        cosine sums its d products in one order on any BLAS kernel, so exact
+        ties stay exact (a GEMM rounds some of them differently). Then the
+        diagonal is masked to -inf and one stable argsort orders every row.
         """
         if not 1 <= n_adj <= self.num_classes - 1:
             raise BadArgError(f"n_adj={n_adj} outside [1, {self.num_classes - 1}]")
         missing = np.flatnonzero(~self.has_prototype).tolist()
         if missing:
             raise PrototypeUndefinedError(f"prototypes undefined for classes {missing}")
-        cos = np.array([self.prototypes @ mu for mu in self.prototypes])
+        cos = np.array([(self.prototypes * mu).sum(axis=1) for mu in self.prototypes])
         np.fill_diagonal(cos, -np.inf)
         return np.argsort(-cos, axis=1, kind="stable")[:, :n_adj]
 
@@ -136,13 +141,9 @@ class IdSnapshot:
 
 
 def _midpoints(mu_u: np.ndarray, mu_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized row sums of two (n, d) prototype arrays, NaN where antipodal, and that mask.
-
-    Each row's norm is a 1-D ``np.linalg.norm``, whose bits a batched
-    axis-1 norm does not reproduce.
-    """
+    """Normalized row sums of two (n, d) prototype arrays, NaN where antipodal, and that mask."""
     sums = mu_u + mu_v
-    norms = np.array([np.linalg.norm(row) for row in sums])
+    norms = np.sqrt((sums * sums).sum(axis=1))
     antipodal = norms < ANTIPODAL_TOL
     return sums / np.where(antipodal, np.nan, norms)[:, None], antipodal
 
@@ -155,6 +156,10 @@ class IdStore:
             raise BadArgError(f"need at least 2 classes, got {num_classes}")
         if not 2 <= dim <= MAX_DIM:
             raise BadArgError(f"dimension must lie in [2, {MAX_DIM}], got {dim}")
+        if num_classes * dim > MAX_PROTOTYPE_ENTRIES:
+            raise BadArgError(
+                f"{num_classes} classes x dimension {dim} exceed {MAX_PROTOTYPE_ENTRIES} entries"
+            )
         if capacity < 1:
             raise BadArgError(f"need capacity >= 1, got {capacity}")
         if not 0.0 < ema_factor < 1.0:
@@ -295,7 +300,7 @@ class IdStore:
 
     def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:
         with np.errstate(over="ignore"):  # as in ``insert``: an inf norm is not unit
-            norm = np.linalg.norm(proto)
+            norm = np.sqrt((proto * proto).sum())
         if not np.isfinite(proto).all() or abs(norm - 1.0) > UNIT_TOL:
             raise CorruptStoreError(f"prototype of class {class_id} is not a finite unit vector")
         self._protos[class_id] = proto

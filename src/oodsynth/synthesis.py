@@ -206,9 +206,9 @@ def gaussian_baseline_batch(
     chains, skipped, _ = _chain_table(store, n_adj)
     chains["accepted"] = count_per_pair
     positions = np.repeat(chains.start, count_per_pair, axis=0)
-    if sigma > 0:  # one 1-D normalize per row: a 2-D normalize rounds differently
+    if sigma > 0:
         noisy = positions + sigma * np.random.default_rng(seed).standard_normal(positions.shape)
-        positions = np.array([normalize(row) for row in noisy]).reshape(positions.shape)
+        positions = normalize(noisy)
     return OutlierBatch(
         samples=_sample_table(
             np.repeat(np.arange(len(chains)), count_per_pair),

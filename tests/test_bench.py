@@ -38,7 +38,7 @@ from oodsynth.errors import (
 )
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
 from oodsynth.sphere import normalize
-from oodsynth.store import MAX_DIM, IdStore
+from oodsynth.store import MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdStore
 from oodsynth.synthesis import round_summary, synthesize_batch
 
 SMALL = BenchConfig(
@@ -105,11 +105,18 @@ def test_vmf_at_the_concentration_bound_hugs_the_mean(dim):
     assert (pts @ mu).min() >= 1.0 - 1e-9
 
 
-def _sample_vmf_oracle(mu, kappa, n, rng):
-    """``sample_vmf`` as first written: its output bits and draw order are the data contract."""
+def _sample_vmf_oracle(mu, kappa, n, rng, blas_products=False):
+    """``sample_vmf`` as first written: its output bits and draw order are the data contract.
+
+    The tangent projection takes numpy's row sums of ``tangent * mu``, as
+    ``sample_vmf`` does. ``blas_products=True`` gives the BLAS GEMV
+    ``tangent @ mu`` and the BLAS dot of ``np.linalg.norm(mu)`` that the
+    sampler used before, whose bits depend on the OpenBLAS kernel.
+    """
     if not 0.0 <= kappa <= VMF_MAX_KAPPA:
         raise BadArgError(f"vMF kappa must be in [0, {VMF_MAX_KAPPA:g}], got {kappa}")
-    mu = normalize(mu)
+    mu = np.asarray(mu, dtype=float)
+    mu = mu / np.linalg.norm(mu) if blas_products else normalize(mu)
     d = mu.size
     if kappa == 0.0:
         return uniform_sphere(n, d, rng)
@@ -126,7 +133,7 @@ def _sample_vmf_oracle(mu, kappa, n, rng):
                 ws[i] = w
                 break
     tangent = rng.standard_normal((n, d))
-    tangent -= np.outer(tangent @ mu, mu)
+    tangent -= np.outer(tangent @ mu if blas_products else (tangent * mu).sum(axis=1), mu)
     tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
     out = ws[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - ws**2))[:, None] * tangent
     return out / np.linalg.norm(out, axis=1, keepdims=True)
@@ -146,6 +153,22 @@ def test_vmf_draws_the_bits_and_the_stream_of_the_oracle(dim, kappa):
             assert got.shape == want.shape == (n, dim)
             assert got.tobytes() == want.tobytes(), (seed, n)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state, (seed, n)
+
+
+# at d = 2 and 3 a normal draw nearly parallel to mu leaves a tiny tangent,
+# whose normalization magnifies any rounding; the bit test above covers them
+@pytest.mark.parametrize("dim", [16, 128])
+@pytest.mark.parametrize("kappa", [1.0, 20.0, 60.0, 1e4])
+def test_vmf_agrees_with_the_blas_products_to_a_few_ulps(dim, kappa):
+    # the BLAS GEMV and dot rounded per OpenBLAS kernel; numpy's row sums
+    # move each unit-vector coordinate by a few ulps of 1 and draw the same stream
+    mu = np.arange(1.0, dim + 1.0) * (-1.0) ** np.arange(dim)
+    for seed in (0, 1, 2):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_vmf(mu, kappa, 200, rng)
+        want = _sample_vmf_oracle(mu, kappa, 200, oracle_rng, blas_products=True)
+        assert np.abs(got - want).max() <= 4 * np.finfo(float).eps, seed
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
 
 
 def test_cli_huge_cluster_kappa_exits_2_without_hanging(tmp_path):
@@ -248,6 +271,16 @@ def test_cli_dim_above_the_store_bound_exits_2_before_the_out_dir(tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "dim" in err
+    assert not out_dir.exists()
+
+
+def test_cli_classes_times_dim_above_the_store_bound_exits_2_before_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    classes = MAX_PROTOTYPE_ENTRIES // MAX_DIM + 1
+    argv = ["run", "--classes", str(classes), "--dim", str(MAX_DIM), "--out-dir", str(out_dir)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "num_classes x dim" in err
     assert not out_dir.exists()
 
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from oodsynth.bench import VMF_MAX_KAPPA, BenchConfig, OodTestSpec, generate_synthetic_id
 from oodsynth.cli import main
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
-from oodsynth.store import MAX_DIM
+from oodsynth.store import MAX_DIM, MAX_PROTOTYPE_ENTRIES
 
 # d=4, C=3, 30 points per class, one iteration: small enough for hundreds of runs
 BASE = {
@@ -196,7 +196,7 @@ count_rewrites = st.tuples(
 
 # a store saved before any insert: a header and C records of no rows and no
 # prototype, 28 + 5 C bytes that name any d
-empty_stores = st.tuples(st.just("empty"), st.integers(2, 4), COUNT_VALUES)
+empty_stores = st.tuples(st.just("empty"), st.integers(2, 64), COUNT_VALUES)
 
 
 def _mutated_store(mutation) -> bytes:
@@ -222,6 +222,7 @@ def _mutated_store(mutation) -> bytes:
 @given(st.one_of(bit_flips, truncations, count_rewrites, empty_stores))
 @example(("flip", []))  # the valid store itself
 @example(("empty", 3, 2**20))  # 43 bytes that once sized 50 MB of prototypes
+@example(("empty", 40, 2**16))  # 228 bytes that once sized 42 MB of prototypes and snapshot
 @example(("rewrite", (HEADER_COUNTS["d"], "<I"), 2**32 - 1))
 @example(("rewrite", RECORD_FIELDS["class 2 rows"], 0))
 # the top exponent bit of a prototype coordinate and of a row coordinate:
@@ -232,7 +233,9 @@ def test_synth_store_mutations_exit_with_a_documented_code(mutation):
     with tempfile.TemporaryDirectory() as tmp:
         store, out = Path(tmp) / "s.idstore", Path(tmp) / "b.json"
         store.write_bytes(_mutated_store(mutation))
-        oversized = mutation[0] == "empty" and mutation[2] > MAX_DIM
+        oversized = mutation[0] == "empty" and (
+            mutation[2] > MAX_DIM or mutation[1] * mutation[2] > MAX_PROTOTYPE_ENTRIES
+        )
         if oversized:
             tracemalloc.start()
         try:
@@ -244,7 +247,7 @@ def test_synth_store_mutations_exit_with_a_documented_code(mutation):
         event(f"exit {code}")
         assert code in (0, 2, 3, 4)
         assert out.exists() == (code == 0)
-        if oversized:  # the header's d is refused before anything is sized by it
+        if oversized:  # the header's C and d are refused before anything is sized by them
             assert code == 3
             assert peak < 2**20
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -749,6 +750,22 @@ def test_quality_angles_in_range():
     q = hypersphere_quality(ood, ids, rng.integers(0, 5, 40), protos)
     for angle in (q.separation_deg, q.dispersion_deg, q.compactness_deg):
         assert 0.0 <= angle <= 180.0
+
+
+@pytest.mark.parametrize("dim", [3, 16, 128])
+def test_quality_agrees_with_the_blas_products_to_a_few_ulps(dim):
+    # the oracle's two GEMMs, the products as first written, round per OpenBLAS kernel
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        protos, ood = (normalize(rng.standard_normal((n, dim))) for n in (10, 200))
+        labels = rng.integers(0, 10, 300)
+        ids = normalize(protos[labels] + 0.3 * rng.standard_normal((300, dim)))
+        got = dataclasses.astuple(hypersphere_quality(ood, ids, labels, protos))
+        cos_sep = (ood @ protos.T).max(axis=1).mean()
+        cos_disp = (protos @ protos.T)[~np.eye(10, dtype=bool)].mean()
+        cos_comp = np.einsum("ij,ij->i", ids, protos[labels]).mean()
+        want = np.degrees(np.arccos([cos_sep, cos_disp, cos_comp]))
+        assert np.all(np.abs(np.subtract(got, want)) <= 8 * np.spacing(want))
 
 
 # -- report ---------------------------------------------------------------------------

@@ -141,6 +141,24 @@ def test_losses_match_the_scipy_logsumexp_path(tau):
         assert np.isfinite(got).all()
 
 
+@pytest.mark.parametrize("dim", [2, 16, 128])
+@pytest.mark.parametrize("tau", [0.5, 1e-3])
+def test_losses_agree_with_the_blas_products_to_a_few_ulps(dim, tau):
+    # the scipy oracles' GEMM logits round per OpenBLAS kernel; a unit-vector cosine
+    # moves by an ulp or two of 1, so each loss by a few ulps of 1 / tau
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        outliers = random_unit_rows(200, dim, rng)
+        embeddings = random_unit_rows(300, dim, rng)
+        labels = rng.integers(0, 10, size=300)
+        prototypes = random_unit_rows(10, dim, rng)
+        got = [ood_discernment_loss(outliers, prototypes, tau)]
+        got += cider_losses(embeddings, labels, prototypes, tau)
+        want = [scipy_discernment(outliers, prototypes, tau)]
+        want += scipy_cider(embeddings, labels, prototypes, tau)
+        assert np.abs(np.subtract(got, want)).max() <= 4 * np.finfo(float).eps / tau
+
+
 def test_losses_invariant_under_global_rotation():
     rng = np.random.default_rng(4)
     embeddings = random_unit_rows(10, 6, rng)

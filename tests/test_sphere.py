@@ -39,6 +39,34 @@ def test_normalize_zero_raises():
         normalize(np.zeros(4))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 9),
+    st.integers(2, 300),
+    st.integers(-100, 100),
+    st.integers(0, 2**32 - 1),
+)
+def test_normalize_rounds_each_row_like_a_1d_vector(rows, dim, exponent, seed):
+    # a C-contiguous row sums its squares in the order a 1-D vector does
+    v = np.random.default_rng(seed).standard_normal((rows, dim)) * 10.0**exponent
+    try:
+        want = np.stack([normalize(row) for row in v])
+    except ZeroVectorError:
+        with pytest.raises(ZeroVectorError):
+            normalize(v)
+        return
+    assert normalize(v).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 128, 1000])
+def test_normalize_agrees_with_the_blas_norm_to_a_few_ulps(dim):
+    # the 1-D norm as first written: np.linalg.norm's BLAS dot, rounded per OpenBLAS kernel
+    rng = np.random.default_rng(dim)
+    for scale in (1e-10, 1.0, 1e100):
+        for v in rng.standard_normal((20, dim)) * scale:
+            assert np.abs(normalize(v) - v / np.linalg.norm(v)).max() <= 4 * np.finfo(float).eps
+
+
 def test_project_parallel_gives_zero():
     out = project_tangent(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert np.allclose(out, 0.0, atol=1e-15)

@@ -15,7 +15,7 @@ from oodsynth.errors import (
 )
 from oodsynth.metrics import kth_neighbors
 from oodsynth.sphere import normalize
-from oodsynth.store import MAX_DIM, IdStore
+from oodsynth.store import ANTIPODAL_TOL, MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdStore, _midpoints
 
 
 def unit(v):
@@ -94,6 +94,14 @@ def test_dimension_is_bounded_by_max_dim():
     assert IdStore(2, MAX_DIM, capacity=1).snapshot().prototypes.shape == (2, MAX_DIM)
     with pytest.raises(BadArgError, match="dimension"):
         IdStore(2, MAX_DIM + 1, capacity=1)
+
+
+def test_class_count_times_dimension_is_bounded():
+    # 5-byte empty class records let a small header name many classes
+    dim = MAX_PROTOTYPE_ENTRIES // 16
+    assert IdStore(16, dim, capacity=1).snapshot().prototypes.shape == (16, dim)
+    with pytest.raises(BadArgError, match="classes"):
+        IdStore(17, dim, capacity=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -389,6 +397,20 @@ def test_pair_table_lists_pairs_by_class_and_rank_with_their_midpoints():
             assert np.isnan(midpoint).all()
         else:  # the bits of a 1-D normalize of the prototype sum
             assert np.array_equal(midpoint, normalize(snap.prototypes[u] + snap.prototypes[v]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 128])
+def test_midpoints_agree_with_the_blas_row_norms_to_a_few_ulps(dim):
+    # each row's norm as first written: a 1-D np.linalg.norm, whose BLAS dot rounds per kernel
+    rng = np.random.default_rng(dim)
+    mu_u, mu_v = (normalize(rng.standard_normal((40, dim))) for _ in range(2))
+    mu_v[0] = -mu_u[0]
+    got, antipodal = _midpoints(mu_u, mu_v)
+    sums = mu_u + mu_v
+    norms = np.array([np.linalg.norm(row) for row in sums])
+    assert antipodal.tolist() == (norms < ANTIPODAL_TOL).tolist() == [True] + [False] * 39
+    assert np.isnan(got[0]).all()
+    assert np.abs(got[1:] - sums[1:] / norms[1:, None]).max() <= 4 * np.finfo(float).eps
 
 
 def test_midpoint_identical_prototypes():
