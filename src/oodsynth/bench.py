@@ -49,7 +49,7 @@ from .objectives import (
 )
 from .samplers import HmcConfig, SamplerVariant
 from .sphere import normalize
-from .store import MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdSnapshot, IdStore
+from .store import MAX_CLASSES, MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdSnapshot, IdStore
 from .synthesis import (
     OutlierBatch,
     batch_to_dict,
@@ -118,6 +118,8 @@ class BenchConfig:
             raise BadConfigError("need num_classes >= 2 and dim >= 2")
         if self.dim > MAX_DIM:
             raise BadConfigError(f"dim must be <= {MAX_DIM}, got {self.dim}")
+        if self.num_classes > MAX_CLASSES:
+            raise BadConfigError(f"num_classes must be <= {MAX_CLASSES}, got {self.num_classes}")
         if self.num_classes * self.dim > MAX_PROTOTYPE_ENTRIES:
             raise BadConfigError(
                 f"num_classes x dim must be <= {MAX_PROTOTYPE_ENTRIES},"

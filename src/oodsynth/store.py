@@ -8,10 +8,15 @@ queries.
 
 Concurrency contract: one writer, readers hold immutable snapshots. The
 two writes, ``insert`` (the one method that adds rows) and
-``update_prototype``, need exclusive access to the store; an IdSnapshot
-shares no memory with it and every array it holds is read-only, so any
-number of readers may query one concurrently while the store keeps
-changing.
+``update_prototype``, need exclusive access to the store. An IdSnapshot
+shares only read-only memory with it and every array it holds is
+read-only, so any number of readers may query one concurrently while the
+store keeps changing. The one memory shared is a loaded store's rows:
+``load`` reads them into one read-only (N, d) buffer whose slices are the
+class arrays, and ``snapshot()`` hands that buffer out as its
+``embeddings`` until the first ``insert``. The store never writes a row
+array in place (``insert`` builds a new class array), so the snapshot
+stays unchanged.
 
 Serialization: ``save``/``load`` use one columnar binary format, IDSTORE1
 (all little-endian); ``save`` refuses a path with a ``.json`` suffix:
@@ -27,9 +32,11 @@ Serialization: ``save``/``load`` use one columnar binary format, IDSTORE1
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -52,6 +59,10 @@ MAX_DIM = 2**16
 # empty class record is 5 bytes, so the file size does not bound C x d either;
 # 228 bytes name C = 40 empty classes at d = MAX_DIM
 MAX_PROTOTYPE_ENTRIES = 2**20
+# largest class count a store accepts: room for ImageNet-1k's 1000 classes.
+# Loading, pairing and the KDE loop over classes in Python, and a 2.6 MB file
+# of 5-byte empty records names C = 2**19 within the C x d bound
+MAX_CLASSES = 2**12
 ANTIPODAL_TOL = 1e-8
 
 _MAGIC = b"IDSTORE1"
@@ -72,7 +83,9 @@ class IdSnapshot:
     where ``has_prototype`` is False left at zero. ``sq_norms`` is the
     (N,) squared norms of the ``embeddings`` rows, computed once here so
     that kNN queries need not. Every array is read-only, and the views
-    handed out are too.
+    handed out are too. ``embeddings`` may be a loaded store's own
+    read-only row buffer (see the module docstring): a snapshot shares
+    only read-only memory with its store.
     """
 
     embeddings: np.ndarray
@@ -140,6 +153,32 @@ class IdSnapshot:
         return pairs, midpoints, antipodal
 
 
+def _check_unit_rows(rows: np.ndarray) -> None:
+    """Raise NotUnitError unless every row of an (n, d) array is finite and unit-norm."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
+    with np.errstate(over="ignore"):  # an entry near float max has an inf norm: not unit
+        norms = np.linalg.norm(rows, axis=1)
+    deviation = np.abs(norms - 1.0)
+    if np.any(deviation > UNIT_TOL):
+        i = int(np.argmax(deviation > UNIT_TOL))
+        raise NotUnitError(f"embedding {i} norm {norms[i]:.8f} deviates from 1")
+
+
+def _unpack(fh: BinaryIO, fmt: str) -> tuple:
+    """The next ``fmt`` record of a file; one cut short raises struct.error."""
+    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+
+def _read_exactly(fh: BinaryIO, array: np.ndarray) -> None:
+    """Fill a C-contiguous array from the file's next bytes; a short read is corrupt."""
+    want = array.nbytes
+    got = fh.readinto(memoryview(array).cast("B")) if want else 0  # no cast of an empty view
+    if got != want:
+        raise CorruptStoreError(f"read {got} of {want} bytes")
+
+
 def _midpoints(mu_u: np.ndarray, mu_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized row sums of two (n, d) prototype arrays, NaN where antipodal, and that mask."""
     sums = mu_u + mu_v
@@ -148,27 +187,35 @@ def _midpoints(mu_u: np.ndarray, mu_v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return sums / np.where(antipodal, np.nan, norms)[:, None], antipodal
 
 
+def _check_store_args(num_classes: int, dim: int, capacity: int, ema_factor: float) -> None:
+    """Raise BadArgError unless ``IdStore`` accepts these arguments."""
+    if not 2 <= num_classes <= MAX_CLASSES:
+        raise BadArgError(f"number of classes must lie in [2, {MAX_CLASSES}], got {num_classes}")
+    if not 2 <= dim <= MAX_DIM:
+        raise BadArgError(f"dimension must lie in [2, {MAX_DIM}], got {dim}")
+    if num_classes * dim > MAX_PROTOTYPE_ENTRIES:
+        raise BadArgError(
+            f"{num_classes} classes x dimension {dim} exceed {MAX_PROTOTYPE_ENTRIES} entries"
+        )
+    if capacity < 1:
+        raise BadArgError(f"need capacity >= 1, got {capacity}")
+    if not 0.0 < ema_factor < 1.0:
+        raise BadArgError(f"ema_factor must lie in (0, 1), got {ema_factor}")
+
+
 class IdStore:
     """Per-class FIFO embedding buffers with EMA prototypes (the write side)."""
 
     def __init__(self, num_classes: int, dim: int, capacity: int, ema_factor: float = 0.95):
-        if num_classes < 2:
-            raise BadArgError(f"need at least 2 classes, got {num_classes}")
-        if not 2 <= dim <= MAX_DIM:
-            raise BadArgError(f"dimension must lie in [2, {MAX_DIM}], got {dim}")
-        if num_classes * dim > MAX_PROTOTYPE_ENTRIES:
-            raise BadArgError(
-                f"{num_classes} classes x dimension {dim} exceed {MAX_PROTOTYPE_ENTRIES} entries"
-            )
-        if capacity < 1:
-            raise BadArgError(f"need capacity >= 1, got {capacity}")
-        if not 0.0 < ema_factor < 1.0:
-            raise BadArgError(f"ema_factor must lie in (0, 1), got {ema_factor}")
+        _check_store_args(num_classes, dim, capacity, ema_factor)
         self.num_classes = num_classes
         self.dim = dim
         self.capacity = capacity
         self.ema_factor = ema_factor
         self._bufs = [np.empty((0, dim)) for _ in range(num_classes)]  # oldest row first
+        # a loaded store's read-only (N, d) rows, whose slices are ``_bufs``: the
+        # snapshot's embeddings until the first insert
+        self._loaded_rows: np.ndarray | None = None
         self._protos = np.zeros((num_classes, dim))
         self._has_proto = [False] * num_classes
 
@@ -184,19 +231,12 @@ class IdStore:
         if rows.ndim not in (1, 2) or rows.shape[-1] != self.dim:
             raise BadArgError(f"embeddings shape {rows.shape} does not match dim {self.dim}")
         rows = rows.reshape(-1, self.dim)
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
-        with np.errstate(over="ignore"):  # an entry near float max has an inf norm: not unit
-            norms = np.linalg.norm(rows, axis=1)
-        deviation = np.abs(norms - 1.0)
-        if np.any(deviation > UNIT_TOL):
-            i = int(np.argmax(deviation > UNIT_TOL))
-            raise NotUnitError(f"embedding {i} norm {norms[i]:.8f} deviates from 1")
+        _check_unit_rows(rows)
         new = rows[-self.capacity :]
         old = self._bufs[class_id]
         kept = old[max(0, len(old) + len(new) - self.capacity) :]  # a slice, not a copy
         self._bufs[class_id] = np.concatenate([kept, new])
+        self._loaded_rows = None
 
     def update_prototype(self, class_id: int, batch_mean: np.ndarray) -> None:
         """EMA-blend the prototype with a batch mean and re-normalize.
@@ -220,9 +260,14 @@ class IdStore:
         self._has_proto[class_id] = True
 
     def snapshot(self) -> IdSnapshot:
-        """Freeze the current state: every buffer copied once, oldest row first."""
+        """Freeze the current state: every buffer copied once, oldest row first.
+
+        A loaded store not inserted into since hands out its read-only row
+        buffer instead, which already holds the buffers in that order.
+        """
+        rows = self._loaded_rows
         return IdSnapshot(
-            np.concatenate(self._bufs),
+            np.concatenate(self._bufs) if rows is None else rows,
             np.concatenate([[0], np.cumsum([len(buf) for buf in self._bufs])]),
             self._protos.copy(),
             np.array(self._has_proto),
@@ -254,7 +299,8 @@ class IdStore:
         """
         path = Path(path)
         try:
-            return cls._read(path)
+            with open(path, "rb") as fh:
+                return cls._read(fh)
         except (  # BadArgError is a header the store rejects
             OSError, ValueError, struct.error,
             BadArgError, NotUnitError, CorruptStoreError,
@@ -262,40 +308,51 @@ class IdStore:
             raise CorruptStoreError(f"cannot read id-store file {path}: {err}") from err
 
     @classmethod
-    def _read(cls, path: Path) -> "IdStore":
-        """Parse and size-check every class record; only then build the store."""
-        raw = path.read_bytes()
-        if raw[: len(_MAGIC)] != _MAGIC:
+    def _read(cls, fh: BinaryIO) -> "IdStore":
+        """Check the header and every class record's size; only then build the store and read it.
+
+        The first pass reads each record's row count and prototype flag and
+        seeks past the rest, so the file size bounds the one (N, d) row
+        buffer before it is made. The second reads each prototype and each
+        class's rows straight into its slice of that buffer, and checks the
+        rows as ``insert`` does.
+        """
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise CorruptStoreError("not an id-store file in the binary IDSTORE1 format")
-        off = len(_MAGIC)
-        header = struct.unpack_from("<IIId", raw, off)
-        off += struct.calcsize("<IIId")
-        dim = header[1]
-        classes = []
-        for c in range(header[0]):  # a truncated record raises struct.error
-            n_c, has_proto = struct.unpack_from("<IB", raw, off)
-            off += struct.calcsize("<IB")
-            proto_bytes = 8 * dim if has_proto else 0
-            end = off + proto_bytes + 8 * dim * n_c
-            if end > len(raw):
-                raise CorruptStoreError(f"class {c} runs {end - len(raw)} bytes past the end")
-            proto = np.frombuffer(raw, "<f8", count=dim, offset=off) if has_proto else None
-            rows = np.frombuffer(raw, "<f8", count=n_c * dim, offset=off + proto_bytes)
-            classes.append((rows.reshape(n_c, dim), proto))
-            off = end
-        if off != len(raw):
-            raise CorruptStoreError(f"{len(raw) - off} bytes after the last class")
-        store = cls(*header)
-        for c, (rows, proto) in enumerate(classes):
-            if rows.shape[0] > store.capacity:
-                raise CorruptStoreError(
-                    f"class {c} holds {rows.shape[0]} rows, over the capacity {store.capacity}"
-                )
-            if proto is not None and rows.shape[0] == 0:
+        header = _unpack(fh, "<IIId")
+        _check_store_args(*header)  # C and d are bounded before any record is read
+        num_classes, dim, capacity, _ = header
+        size = os.fstat(fh.fileno()).st_size
+        records = []  # (file offset after the record's counts, rows, has a prototype)
+        for c in range(num_classes):
+            n_c, has_proto = _unpack(fh, "<IB")
+            start, has_proto = fh.tell(), bool(has_proto)
+            end = start + 8 * dim * (n_c + has_proto)
+            if end > size:
+                raise CorruptStoreError(f"class {c} runs {end - size} bytes past the end")
+            if n_c > capacity:
+                raise CorruptStoreError(f"class {c} holds {n_c} rows, over the capacity {capacity}")
+            if has_proto and n_c == 0:
                 raise CorruptStoreError(f"class {c} has a prototype but no rows")
-            store.insert(c, rows)
-            if proto is not None:
+            records.append((start, n_c, has_proto))
+            fh.seek(end)
+        if fh.tell() != size:
+            raise CorruptStoreError(f"{size - fh.tell()} bytes after the last class")
+        store = cls(*header)
+        offsets = np.cumsum([0] + [n_c for _, n_c, _ in records])
+        rows = np.empty((offsets[-1], dim), "<f8")
+        for c, (start, _, has_proto) in enumerate(records):
+            fh.seek(start)
+            if has_proto:
+                proto = np.empty(dim, "<f8")
+                _read_exactly(fh, proto)
                 store._load_prototype(c, proto)
+            block = rows[offsets[c] : offsets[c + 1]]
+            _read_exactly(fh, block)
+            _check_unit_rows(block)
+        rows.setflags(write=False)  # before slicing, so every class array is read-only
+        store._bufs = [rows[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        store._loaded_rows = rows
         return store
 
     def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:

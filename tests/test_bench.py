@@ -38,7 +38,7 @@ from oodsynth.errors import (
 )
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
 from oodsynth.sphere import normalize
-from oodsynth.store import MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdStore
+from oodsynth.store import MAX_CLASSES, MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdStore
 from oodsynth.synthesis import round_summary, synthesize_batch
 
 SMALL = BenchConfig(
@@ -276,12 +276,15 @@ def test_cli_dim_above_the_store_bound_exits_2_before_the_out_dir(tmp_path, caps
 
 def test_cli_classes_times_dim_above_the_store_bound_exits_2_before_the_out_dir(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    classes = MAX_PROTOTYPE_ENTRIES // MAX_DIM + 1
-    argv = ["run", "--classes", str(classes), "--dim", str(MAX_DIM), "--out-dir", str(out_dir)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "num_classes x dim" in err
-    assert not out_dir.exists()
+    for classes, dim, message in (
+        (MAX_PROTOTYPE_ENTRIES // MAX_DIM + 1, MAX_DIM, "num_classes x dim"),
+        (MAX_CLASSES + 1, 16, f"num_classes must be <= {MAX_CLASSES}"),  # the class count alone
+    ):
+        argv = ["run", "--classes", str(classes), "--dim", str(dim), "--out-dir", str(out_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and message in err
+        assert not out_dir.exists()
 
 
 def test_grad_mode_takes_only_the_analytic_gradient(tmp_path, capsys):

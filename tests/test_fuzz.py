@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from oodsynth.bench import VMF_MAX_KAPPA, BenchConfig, OodTestSpec, generate_synthetic_id
 from oodsynth.cli import main
 from oodsynth.samplers import MAX_STEP_SIZE, HmcConfig, SamplerVariant
-from oodsynth.store import MAX_DIM, MAX_PROTOTYPE_ENTRIES
+from oodsynth.store import MAX_CLASSES, MAX_DIM, MAX_PROTOTYPE_ENTRIES
 
 # d=4, C=3, 30 points per class, one iteration: small enough for hundreds of runs
 BASE = {
@@ -223,6 +223,7 @@ def _mutated_store(mutation) -> bytes:
 @example(("flip", []))  # the valid store itself
 @example(("empty", 3, 2**20))  # 43 bytes that once sized 50 MB of prototypes
 @example(("empty", 40, 2**16))  # 228 bytes that once sized 42 MB of prototypes and snapshot
+@example(("empty", 2**19, 2))  # 2.6 MB of empty records that once peaked at 236 MB to load
 @example(("rewrite", (HEADER_COUNTS["d"], "<I"), 2**32 - 1))
 @example(("rewrite", RECORD_FIELDS["class 2 rows"], 0))
 # the top exponent bit of a prototype coordinate and of a row coordinate:
@@ -234,7 +235,9 @@ def test_synth_store_mutations_exit_with_a_documented_code(mutation):
         store, out = Path(tmp) / "s.idstore", Path(tmp) / "b.json"
         store.write_bytes(_mutated_store(mutation))
         oversized = mutation[0] == "empty" and (
-            mutation[2] > MAX_DIM or mutation[1] * mutation[2] > MAX_PROTOTYPE_ENTRIES
+            mutation[1] > MAX_CLASSES
+            or mutation[2] > MAX_DIM
+            or mutation[1] * mutation[2] > MAX_PROTOTYPE_ENTRIES
         )
         if oversized:
             tracemalloc.start()

@@ -1,6 +1,8 @@
 import dataclasses
+import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,15 @@ from oodsynth.errors import (
 )
 from oodsynth.metrics import kth_neighbors
 from oodsynth.sphere import normalize
-from oodsynth.store import ANTIPODAL_TOL, MAX_DIM, MAX_PROTOTYPE_ENTRIES, IdStore, _midpoints
+from oodsynth.store import (
+    ANTIPODAL_TOL,
+    MAX_CLASSES,
+    MAX_DIM,
+    MAX_PROTOTYPE_ENTRIES,
+    IdStore,
+    _midpoints,
+    _read_exactly,
+)
 
 
 def unit(v):
@@ -102,6 +112,13 @@ def test_class_count_times_dimension_is_bounded():
     assert IdStore(16, dim, capacity=1).snapshot().prototypes.shape == (16, dim)
     with pytest.raises(BadArgError, match="classes"):
         IdStore(17, dim, capacity=1)
+
+
+def test_class_count_is_bounded_by_max_classes():
+    # the C x d bound alone leaves C = 2**19 at d = 2
+    assert IdStore(MAX_CLASSES, 2, capacity=1).snapshot().prototypes.shape == (MAX_CLASSES, 2)
+    with pytest.raises(BadArgError, match="classes"):
+        IdStore(MAX_CLASSES + 1, 2, capacity=1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -435,40 +452,87 @@ def test_midpoint_symmetric():
 # -- snapshots and serialization ----------------------------------------------
 
 
-def test_snapshot_is_independent(small_store):
-    snap = small_store.snapshot()
-    before = class_rows(snap, 0).copy()
-    small_store.insert(0, unit(np.ones(small_store.dim)))
-    small_store.update_prototype(0, np.ones(small_store.dim))
-    assert np.array_equal(class_rows(snap, 0), before)
-    # nothing a snapshot hands out can be written through
-    for name, array in [
-        ("embeddings", snap.embeddings),
-        ("prototypes", snap.prototypes),
-        ("offsets", snap.offsets),
-        ("has_prototype", snap.has_prototype),
-    ]:
+def generated_and_loaded(store: IdStore, tmp_path) -> dict[str, IdStore]:
+    """The store itself and its copy after ``save`` and ``load``, whose snapshots share its rows."""
+    path = tmp_path / "copy.idstore"
+    store.save(path)
+    return {"generated": store, "loaded": IdStore.load(path)}
+
+
+def test_snapshot_is_independent(small_store, tmp_path):
+    for kind, store in generated_and_loaded(small_store, tmp_path).items():
+        snap = store.snapshot()
+        before = class_rows(snap, 0).copy()
+        store.insert(0, unit(np.ones(store.dim)))
+        store.update_prototype(0, np.ones(store.dim))
+        assert np.array_equal(class_rows(snap, 0), before), kind
+        # nothing a snapshot hands out can be written through
+        for name, array in [
+            ("embeddings", snap.embeddings),
+            ("prototypes", snap.prototypes),
+            ("offsets", snap.offsets),
+            ("has_prototype", snap.has_prototype),
+        ]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            assert not array.flags.writeable, (kind, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap.embeddings = before
+        assert np.array_equal(class_rows(snap, 0), before), kind
+
+
+def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store, tmp_path):
+    for kind, store in generated_and_loaded(small_store, tmp_path).items():
+        snap = store.snapshot()
+        want = np.einsum("ij,ij->i", snap.embeddings, snap.embeddings)
+        assert snap.sq_norms.shape == (snap.embeddings.shape[0],), kind
+        assert np.array_equal(snap.sq_norms, want), kind
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-        assert not array.flags.writeable, name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        snap.embeddings = before
-    assert np.array_equal(class_rows(snap, 0), before)
+            snap.sq_norms[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snap.sq_norms = want
+        for array in (snap.embeddings, *store._bufs):
+            assert not np.shares_memory(snap.sq_norms, array), kind
+        store.insert(0, np.tile(unit(np.ones(store.dim)), (5, 1)))
+        assert np.array_equal(snap.sq_norms, want), kind
 
 
-def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store):
-    snap = small_store.snapshot()
-    want = np.einsum("ij,ij->i", snap.embeddings, snap.embeddings)
-    assert snap.sq_norms.shape == (snap.embeddings.shape[0],)
-    assert np.array_equal(snap.sq_norms, want)
-    with pytest.raises(ValueError, match="read-only"):
-        snap.sq_norms[0] = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        snap.sq_norms = want
-    for array in (snap.embeddings, *small_store._bufs):
-        assert not np.shares_memory(snap.sq_norms, array)
-    small_store.insert(0, np.tile(unit(np.ones(small_store.dim)), (5, 1)))
-    assert np.array_equal(snap.sq_norms, want)
+def test_a_loaded_store_shares_only_read_only_rows_until_the_first_insert(small_store, tmp_path):
+    loaded = generated_and_loaded(small_store, tmp_path)["loaded"]
+    snap = loaded.snapshot()
+    assert snap.embeddings.flags.c_contiguous
+    assert np.array_equal(snap.embeddings, small_store.snapshot().embeddings)
+    for buf in loaded._bufs:  # each class array is a read-only slice of the snapshot's rows
+        assert np.shares_memory(buf, snap.embeddings) and not buf.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            buf[0] = 0
+    assert loaded.snapshot().embeddings is snap.embeddings
+    loaded.update_prototype(1, np.ones(loaded.dim))  # writes no row
+    assert loaded.snapshot().embeddings is snap.embeddings
+    row = unit(np.ones(loaded.dim))
+    loaded.insert(1, row)
+    after = loaded.snapshot()
+    assert not np.shares_memory(after.embeddings, snap.embeddings)
+    assert np.array_equal(class_rows(after, 1)[-1], row)
+    assert np.array_equal(class_rows(after, 0), class_rows(snap, 0))
+
+
+def test_load_and_snapshot_copy_the_rows_about_once(tmp_path):
+    # the rows are read into the one buffer the snapshot holds: no file-sized
+    # bytes, no per-class concatenation and no second copy in snapshot()
+    store = cluster_store(num_classes=10, dim=128, n_per_class=1000, seed=6)
+    path = tmp_path / "c10.idstore"
+    store.save(path)
+    rows_bytes = 10_000 * 128 * 8
+    del store
+    tracemalloc.start()
+    try:
+        snap = IdStore.load(path).snapshot()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert snap.embeddings.nbytes == rows_bytes
+    assert peak < 1.25 * rows_bytes
 
 
 def wrapped_store() -> IdStore:
@@ -528,6 +592,13 @@ def test_load_rejects_trailing_bytes(tmp_path, small_store):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(CorruptStoreError, match="after the last class"):
         IdStore.load(path)
+
+
+def test_a_short_read_is_a_corrupt_store():
+    from oodsynth.errors import CorruptStoreError
+
+    with pytest.raises(CorruptStoreError, match="read 8 of 16 bytes"):
+        _read_exactly(io.BytesIO(bytes(8)), np.empty(2))
 
 
 def test_load_names_a_missing_path(tmp_path):
