@@ -64,6 +64,9 @@ from .synthesis import (
 # bounds loss_kappa, whose logits (at most loss_kappa) then stay finite in the
 # losses, and lambda_d, whose product with the discernment loss then stays finite
 VMF_MAX_KAPPA = 1e15
+# elements per row block of sample_vmf's in-place tangent tail: a block's
+# temporaries stay near 512 KB whatever the sample count
+VMF_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass
@@ -207,7 +210,9 @@ def uniform_sphere(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_vmf(
+    mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Draw n von Mises-Fisher samples around mean direction mu.
 
     The cosine of the angle to mu is drawn with the classic rejection
@@ -221,13 +226,39 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
     uniform per try, until n tries are accepted, then one (n, d) normal
     block for the tangent directions. Every ID store, test set and run
     artifact rests on it, so a reordering changes all of them.
+
+    The samples are written into ``out``, a C-contiguous float64 (n, d)
+    array, when one is given (a new array otherwise), and returned. The
+    normal block is drawn straight into it, which makes the same draws,
+    and the tangent directions become the samples in place, in blocks of
+    ``VMF_BLOCK_ELEMENTS``: each float operation keeps its operands, so the
+    bits are those of the (n, d) expression, and no (n, d) temporary is made.
     """
     if not 0.0 <= kappa <= VMF_MAX_KAPPA:
         raise BadArgError(f"vMF kappa must be in [0, {VMF_MAX_KAPPA:g}], got {kappa}")
     mu = normalize(mu)
     d = mu.size
-    if kappa == 0.0:
-        return uniform_sphere(n, d, rng)
+    if out is None:
+        out = np.empty((n, d))
+    elif out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise BadArgError(f"out must be a C-contiguous float64 ({n}, {d}) array")
+    ws = None if kappa == 0.0 else _vmf_cosines(kappa, d, n, rng)
+    rng.standard_normal(out=out)  # the draws of rng.standard_normal((n, d))
+    step = max(1, VMF_BLOCK_ELEMENTS // d)
+    for start in range(0, n, step):
+        t = out[start : start + step]
+        if ws is not None:  # kappa = 0 is the uniform sphere: the normals normalized
+            w = ws[start : start + step, None]
+            t -= np.outer((t * mu).sum(axis=1), mu)
+            t /= np.linalg.norm(t, axis=1, keepdims=True)
+            t *= np.sqrt(np.maximum(0.0, 1.0 - w**2))
+            t += w * mu
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+    return out
+
+
+def _vmf_cosines(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (n,) cosines to the mean direction of ``sample_vmf``'s radial rejection scheme."""
     dm = d - 1
     b = dm / (math.sqrt(4.0 * kappa**2 + dm**2) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
@@ -244,11 +275,7 @@ def sample_vmf(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -
             if kappa * w + dm * log1p(-x0 * w) - c >= log(uniform()):
                 ws[i] = w
                 break
-    tangent = rng.standard_normal((n, d))
-    tangent -= np.outer((tangent * mu).sum(axis=1), mu)
-    tangent /= np.linalg.norm(tangent, axis=1, keepdims=True)
-    out = ws[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - ws**2))[:, None] * tangent
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    return ws
 
 
 def _cluster_centers(cfg: BenchConfig) -> np.ndarray:
@@ -267,11 +294,22 @@ def _refresh(
 
 
 def generate_synthetic_id(cfg: BenchConfig) -> IdStore:
-    """Seeded synthetic store: uniform prototypes, vMF clusters, full buffers."""
+    """Seeded synthetic store: uniform prototypes, vMF clusters, full buffers.
+
+    Class c is drawn straight into rows ``c*n:(c+1)*n`` of the one (C*n, d)
+    buffer that ``IdStore.from_rows`` keeps and the snapshot hands out, and
+    its prototype is set from that slice's mean.
+    """
     _, data_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     data_rng = np.random.default_rng(data_seed)
-    store = IdStore(cfg.num_classes, cfg.dim, cfg.points_per_class, cfg.ema_factor)
-    _refresh(store, _cluster_centers(cfg), cfg.cluster_kappa, cfg.points_per_class, data_rng)
+    n = cfg.points_per_class
+    rows = np.empty((cfg.num_classes * n, cfg.dim))
+    classes = [rows[c * n : (c + 1) * n] for c in range(cfg.num_classes)]
+    for center, points in zip(_cluster_centers(cfg), classes):
+        sample_vmf(center, cfg.cluster_kappa, n, data_rng, out=points)
+    store = IdStore.from_rows(rows, [n] * cfg.num_classes, n, cfg.ema_factor)
+    for c, points in enumerate(classes):
+        store.update_prototype(c, points.mean(axis=0))
     return store
 
 

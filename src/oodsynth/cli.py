@@ -6,6 +6,7 @@ Subcommands:
     run     full experiment loop with artifacts
     sweep   ablation sweep over one config axis
     score   detection metrics from score files
+    digest  sha256 of each deterministic artifact under a directory, then of all
 
 Every flag mirrors a BenchConfig field; ``--config FILE`` supplies a JSON
 document with any subset of fields, and explicit flags override the file.
@@ -34,6 +35,7 @@ from .bench import (
     generate_synthetic_id,
     run_experiment,
 )
+from .digest import artifact_digests, combined_digest
 from .errors import BadConfigError, ConfigError, DataError, NumericalError
 from .metrics import score_report
 from .samplers import SamplerVariant
@@ -201,6 +203,14 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_digest(args: argparse.Namespace) -> int:
+    digests = artifact_digests(args.dir)
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    print(f"{combined_digest(digests)}  (all {len(digests)} artifacts)")
+    return 0
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oodsynth",
@@ -239,6 +249,12 @@ def make_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--out", help="write report JSON here")
     p_score.add_argument("--csv", help="write metric,value CSV here")
     p_score.set_defaults(func=cmd_score)
+
+    p_digest = sub.add_parser(
+        "digest", help="sha256 of each deterministic artifact under a directory, then of all"
+    )
+    p_digest.add_argument("dir", help="a run, synth or sweep output directory")
+    p_digest.set_defaults(func=cmd_digest)
     return parser
 
 

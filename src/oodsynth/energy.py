@@ -60,7 +60,11 @@ def _log_densities(store: IdSnapshot, ips: np.ndarray, kappa: float) -> np.ndarr
     """(rows, C) log vMF KDE values from ``_inner_products``, which it overwrites.
 
     Scales by kappa in place, then takes a log-sum-exp per class via
-    shifted reduceat; stable for any positive bandwidth.
+    shifted reduceat; stable for any positive bandwidth. The class maxima
+    are subtracted once per maximal run of classes with equal counts,
+    broadcast over a (rows, classes, count) view of the run's columns: one
+    run for a store whose classes are all full, the same bits as a
+    subtraction per class.
     """
     offsets = store.offsets
     counts = np.diff(offsets)
@@ -70,8 +74,10 @@ def _log_densities(store: IdSnapshot, ips: np.ndarray, kappa: float) -> np.ndarr
     ips *= kappa
     starts = offsets[:-1]
     highs = np.maximum.reduceat(ips, starts, axis=1)
-    for c, (start, stop) in enumerate(zip(starts, offsets[1:])):
-        ips[:, start:stop] -= highs[:, c : c + 1]
+    runs = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
+    for a, b in zip(runs[:-1], runs[1:]):
+        run = ips[:, offsets[a] : offsets[b]].reshape(len(ips), b - a, counts[a])  # a view
+        run -= highs[:, a:b, None]
     sums = np.add.reduceat(np.exp(ips, out=ips), starts, axis=1)
     return highs + np.log(sums) - np.log(counts)
 

@@ -11,12 +11,13 @@ two writes, ``insert`` (the one method that adds rows) and
 ``update_prototype``, need exclusive access to the store. An IdSnapshot
 shares only read-only memory with it and every array it holds is
 read-only, so any number of readers may query one concurrently while the
-store keeps changing. The one memory shared is a loaded store's rows:
-``load`` reads them into one read-only (N, d) buffer whose slices are the
-class arrays, and ``snapshot()`` hands that buffer out as its
-``embeddings`` until the first ``insert``. The store never writes a row
-array in place (``insert`` builds a new class array), so the snapshot
-stays unchanged.
+store keeps changing. The one memory shared is a loaded or generated
+store's rows: ``from_rows`` (which ``load`` and
+``bench.generate_synthetic_id`` build through) takes one read-only (N, d)
+buffer whose slices are the class arrays, and ``snapshot()`` hands that
+buffer out as its ``embeddings`` until the first ``insert``. The store
+never writes a row array in place (``insert`` builds a new class array),
+so the snapshot stays unchanged.
 
 Serialization: ``save``/``load`` use one columnar binary format, IDSTORE1
 (all little-endian); ``save`` refuses a path with a ``.json`` suffix:
@@ -154,12 +155,18 @@ class IdSnapshot:
 
 
 def _check_unit_rows(rows: np.ndarray) -> None:
-    """Raise NotUnitError unless every row of an (n, d) array is finite and unit-norm."""
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
+    """Raise NotUnitError unless every row of an (n, d) array is finite and unit-norm.
+
+    The norms come from one row-wise ``einsum``, which makes no (n, d)
+    temporary; a NaN or inf entry gives a non-finite norm, and only then
+    are the entries themselves tested.
+    """
     with np.errstate(over="ignore"):  # an entry near float max has an inf norm: not unit
-        norms = np.linalg.norm(rows, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if not np.isfinite(norms).all():
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise NotUnitError(f"embedding {np.flatnonzero(~finite)[0]} has non-finite entries")
     deviation = np.abs(norms - 1.0)
     if np.any(deviation > UNIT_TOL):
         i = int(np.argmax(deviation > UNIT_TOL))
@@ -213,9 +220,9 @@ class IdStore:
         self.capacity = capacity
         self.ema_factor = ema_factor
         self._bufs = [np.empty((0, dim)) for _ in range(num_classes)]  # oldest row first
-        # a loaded store's read-only (N, d) rows, whose slices are ``_bufs``: the
-        # snapshot's embeddings until the first insert
-        self._loaded_rows: np.ndarray | None = None
+        # the read-only (N, d) rows of ``from_rows``, whose slices are ``_bufs``:
+        # the snapshot's embeddings until the first insert
+        self._rows: np.ndarray | None = None
         self._protos = np.zeros((num_classes, dim))
         self._has_proto = [False] * num_classes
 
@@ -236,7 +243,36 @@ class IdStore:
         old = self._bufs[class_id]
         kept = old[max(0, len(old) + len(new) - self.capacity) :]  # a slice, not a copy
         self._bufs[class_id] = np.concatenate([kept, new])
-        self._loaded_rows = None
+        self._rows = None
+
+    @classmethod
+    def from_rows(
+        cls, rows: np.ndarray, counts, capacity: int, ema_factor: float = 0.95
+    ) -> "IdStore":
+        """A store whose class c holds the next ``counts[c]`` rows of one (N, d) buffer.
+
+        ``rows`` must be a C-contiguous float64 array whose N rows are the
+        classes in order, oldest first, each class's slice finite and
+        unit-norm as ``insert`` checks it. The store takes the buffer
+        itself: it marks it read-only, makes each class array a slice of
+        it and hands it to ``snapshot()`` until the first ``insert``. No
+        prototype is defined.
+        """
+        # dtype char "d": float64 of either byte order (``load`` reads little-endian)
+        if rows.ndim != 2 or rows.dtype.char != "d" or not rows.flags.c_contiguous:
+            raise BadArgError("rows must be one C-contiguous float64 (N, d) array")
+        counts = [int(n) for n in counts]
+        store = cls(len(counts), rows.shape[1], capacity, ema_factor)
+        if sum(counts) != len(rows) or min(counts) < 0 or max(counts) > capacity:
+            raise BadArgError(
+                f"class counts {counts} must be at most {capacity} each and sum to {len(rows)} rows"
+            )
+        bounds = list(zip(np.cumsum([0] + counts[:-1]), np.cumsum(counts)))
+        for a, b in bounds:
+            _check_unit_rows(rows[a:b])
+        rows.setflags(write=False)  # before slicing, so every class array is read-only
+        store._bufs, store._rows = [rows[a:b] for a, b in bounds], rows
+        return store
 
     def update_prototype(self, class_id: int, batch_mean: np.ndarray) -> None:
         """EMA-blend the prototype with a batch mean and re-normalize.
@@ -262,10 +298,11 @@ class IdStore:
     def snapshot(self) -> IdSnapshot:
         """Freeze the current state: every buffer copied once, oldest row first.
 
-        A loaded store not inserted into since hands out its read-only row
-        buffer instead, which already holds the buffers in that order.
+        A store built by ``from_rows`` and not inserted into since hands out
+        its read-only row buffer instead, which already holds the buffers in
+        that order.
         """
-        rows = self._loaded_rows
+        rows = self._rows
         return IdSnapshot(
             np.concatenate(self._bufs) if rows is None else rows,
             np.concatenate([[0], np.cumsum([len(buf) for buf in self._bufs])]),
@@ -309,19 +346,19 @@ class IdStore:
 
     @classmethod
     def _read(cls, fh: BinaryIO) -> "IdStore":
-        """Check the header and every class record's size; only then build the store and read it.
+        """Check the header and every class record's size; only then read the rows.
 
         The first pass reads each record's row count and prototype flag and
         seeks past the rest, so the file size bounds the one (N, d) row
         buffer before it is made. The second reads each prototype and each
-        class's rows straight into its slice of that buffer, and checks the
-        rows as ``insert`` does.
+        class's rows straight into its slice of that buffer, which
+        ``from_rows`` then checks as ``insert`` does and keeps.
         """
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise CorruptStoreError("not an id-store file in the binary IDSTORE1 format")
         header = _unpack(fh, "<IIId")
         _check_store_args(*header)  # C and d are bounded before any record is read
-        num_classes, dim, capacity, _ = header
+        num_classes, dim, capacity, ema_factor = header
         size = os.fstat(fh.fileno()).st_size
         records = []  # (file offset after the record's counts, rows, has a prototype)
         for c in range(num_classes):
@@ -338,21 +375,19 @@ class IdStore:
             fh.seek(end)
         if fh.tell() != size:
             raise CorruptStoreError(f"{size - fh.tell()} bytes after the last class")
-        store = cls(*header)
-        offsets = np.cumsum([0] + [n_c for _, n_c, _ in records])
+        counts = [n_c for _, n_c, _ in records]
+        offsets = np.cumsum([0] + counts)
         rows = np.empty((offsets[-1], dim), "<f8")
+        protos = {}
         for c, (start, _, has_proto) in enumerate(records):
             fh.seek(start)
             if has_proto:
-                proto = np.empty(dim, "<f8")
-                _read_exactly(fh, proto)
-                store._load_prototype(c, proto)
-            block = rows[offsets[c] : offsets[c + 1]]
-            _read_exactly(fh, block)
-            _check_unit_rows(block)
-        rows.setflags(write=False)  # before slicing, so every class array is read-only
-        store._bufs = [rows[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-        store._loaded_rows = rows
+                protos[c] = np.empty(dim, "<f8")
+                _read_exactly(fh, protos[c])
+            _read_exactly(fh, rows[offsets[c] : offsets[c + 1]])
+        store = cls.from_rows(rows, counts, capacity, ema_factor)
+        for c, proto in protos.items():
+            store._load_prototype(c, proto)
         return store
 
     def _load_prototype(self, class_id: int, proto: np.ndarray) -> None:

@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,68 @@ def test_vmf_agrees_with_the_blas_products_to_a_few_ulps(dim, kappa):
         want = _sample_vmf_oracle(mu, kappa, 200, oracle_rng, blas_products=True)
         assert np.abs(got - want).max() <= 4 * np.finfo(float).eps, seed
         assert rng.bit_generator.state == oracle_rng.bit_generator.state, seed
+
+
+# d = 128 makes row blocks of 512: n = 1300 ends in a block of 276 rows
+@pytest.mark.parametrize("dim", [3, 128])
+@pytest.mark.parametrize("kappa", [0.0, 60.0, VMF_MAX_KAPPA])
+@pytest.mark.parametrize("n", [0, 1, 1300])
+def test_vmf_into_out_draws_the_bits_and_the_stream_of_the_oracle(dim, kappa, n):
+    mu = normalize(np.arange(1.0, dim + 1.0) * (-1.0) ** np.arange(dim))
+    assert n % max(1, bench.VMF_BLOCK_ELEMENTS // dim) or n < 2
+    rngs = [np.random.default_rng(5) for _ in range(3)]
+    want = _sample_vmf_oracle(mu, kappa, n, rngs[0])
+    returned = sample_vmf(mu, kappa, n, rngs[1])
+    out = np.full((n + 2, dim), 7.0)
+    inner = out[1 : n + 1]
+    got = sample_vmf(mu, kappa, n, rngs[2], out=inner)
+    assert got is inner
+    assert got.tobytes() == returned.tobytes() == want.tobytes()
+    assert (out[0] == 7.0).all() and (out[-1] == 7.0).all()  # no write outside ``out``
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "out", [np.empty((4, 5)), np.empty((3, 6)), np.empty((3, 5), np.float32), np.empty((5, 3)).T]
+)
+def test_vmf_rejects_an_out_of_another_shape_dtype_or_layout(out):
+    with pytest.raises(BadArgError, match="out"):
+        sample_vmf(np.eye(5)[0], 10.0, 3, np.random.default_rng(0), out=out)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+CRITERION_10 = BenchConfig(dim=128, points_per_class=1000, cluster_kappa=60.0)
+
+
+def test_generating_the_criterion_10_store_copies_no_rows():
+    # the samples are drawn into the store's one row buffer, which the
+    # snapshot hands out: no per-class copy, no (n, d) sampler temporary
+    # and no concatenation in snapshot()
+    rows_bytes = 10_000 * 128 * 8
+    generate_synthetic_id(CRITERION_10)  # the first call's one-time allocations are not its own
+    assert _traced_peak(lambda: generate_synthetic_id(CRITERION_10)) < 1.2 * rows_bytes
+    assert _traced_peak(lambda: generate_synthetic_id(CRITERION_10).snapshot()) < 1.2 * rows_bytes
+
+
+def test_a_generated_store_is_built_on_one_buffer_that_its_snapshot_shares():
+    store = generate_synthetic_id(SMALL)
+    snap = store.snapshot()
+    assert snap.embeddings.flags.c_contiguous and not snap.embeddings.flags.writeable
+    for buf in store._bufs:
+        assert np.shares_memory(buf, snap.embeddings) and not buf.flags.writeable
+    # the prototypes are the normalized means of the class slices
+    for c in range(SMALL.num_classes):
+        assert np.array_equal(snap.prototypes[c], normalize(class_rows(snap, c).mean(axis=0)))
 
 
 def test_cli_huge_cluster_kappa_exits_2_without_hanging(tmp_path):

@@ -393,6 +393,31 @@ def test_log_class_densities_equal_the_repeat_formula_on_unequal_counts():
     assert np.array_equal(log_class_densities(store, zs, kappa), want)
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [(7, 7, 7, 7), (3, 3, 5, 5, 5, 2), (4, 9, 2, 6, 1)],
+    ids=["uniform", "runs", "distinct"],
+)
+@pytest.mark.parametrize("rows", [1, 6])
+def test_log_densities_equal_a_per_class_subtraction_bit_for_bit(counts, rows):
+    # the class maxima are subtracted once per run of equal counts, through a
+    # (rows, classes, count) view; the oracle subtracts them class by class
+    store = uneven_store(counts, seed=len(counts))
+    zs = normalize(np.random.default_rng(rows).standard_normal((rows, 8)))
+    kappa = 3.5
+    ips = energy._inner_products(store, zs)
+    want = ips.copy()
+    want *= kappa
+    starts, counts = store.offsets[:-1], np.diff(store.offsets)
+    highs = np.maximum.reduceat(want, starts, axis=1)
+    for c, (start, stop) in enumerate(zip(starts, store.offsets[1:])):
+        want[:, start:stop] -= highs[:, c : c + 1]
+    sums = np.add.reduceat(np.exp(want, out=want), starts, axis=1)
+    want = highs + np.log(sums) - np.log(counts)
+    got = energy._log_densities(store, ips.copy(), kappa)
+    assert got.tobytes() == want.tobytes()
+
+
 # -- hard margin ---------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import class_rows, cluster_store
+from oodsynth.bench import BenchConfig, generate_synthetic_id
 from oodsynth.errors import (
     BadArgError,
     BadClassError,
@@ -452,15 +453,18 @@ def test_midpoint_symmetric():
 # -- snapshots and serialization ----------------------------------------------
 
 
-def generated_and_loaded(store: IdStore, tmp_path) -> dict[str, IdStore]:
-    """The store itself and its copy after ``save`` and ``load``, whose snapshots share its rows."""
+def store_kinds(store: IdStore, tmp_path) -> dict[str, IdStore]:
+    """Stores of every build path: the inserted ``store`` itself, its copy after
+    ``save`` and ``load``, and a generated store; the snapshots of the last two
+    share their rows until the first insert."""
     path = tmp_path / "copy.idstore"
     store.save(path)
-    return {"generated": store, "loaded": IdStore.load(path)}
+    generated = generate_synthetic_id(BenchConfig(num_classes=3, dim=8, points_per_class=40))
+    return {"inserted": store, "loaded": IdStore.load(path), "generated": generated}
 
 
 def test_snapshot_is_independent(small_store, tmp_path):
-    for kind, store in generated_and_loaded(small_store, tmp_path).items():
+    for kind, store in store_kinds(small_store, tmp_path).items():
         snap = store.snapshot()
         before = class_rows(snap, 0).copy()
         store.insert(0, unit(np.ones(store.dim)))
@@ -482,7 +486,7 @@ def test_snapshot_is_independent(small_store, tmp_path):
 
 
 def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store, tmp_path):
-    for kind, store in generated_and_loaded(small_store, tmp_path).items():
+    for kind, store in store_kinds(small_store, tmp_path).items():
         snap = store.snapshot()
         want = np.einsum("ij,ij->i", snap.embeddings, snap.embeddings)
         assert snap.sq_norms.shape == (snap.embeddings.shape[0],), kind
@@ -498,23 +502,70 @@ def test_snapshot_squared_norms_are_its_own_read_only_copy(small_store, tmp_path
 
 
 def test_a_loaded_store_shares_only_read_only_rows_until_the_first_insert(small_store, tmp_path):
-    loaded = generated_and_loaded(small_store, tmp_path)["loaded"]
-    snap = loaded.snapshot()
+    loaded = store_kinds(small_store, tmp_path)["loaded"]
+    assert np.array_equal(loaded.snapshot().embeddings, small_store.snapshot().embeddings)
+    _assert_shares_read_only_rows_until_the_first_insert(loaded)
+
+
+def test_a_generated_store_shares_only_read_only_rows_until_the_first_insert(small_store, tmp_path):
+    generated = store_kinds(small_store, tmp_path)["generated"]
+    _assert_shares_read_only_rows_until_the_first_insert(generated)
+
+
+def _assert_shares_read_only_rows_until_the_first_insert(store: IdStore) -> None:
+    snap = store.snapshot()
     assert snap.embeddings.flags.c_contiguous
-    assert np.array_equal(snap.embeddings, small_store.snapshot().embeddings)
-    for buf in loaded._bufs:  # each class array is a read-only slice of the snapshot's rows
+    for buf in store._bufs:  # each class array is a read-only slice of the snapshot's rows
         assert np.shares_memory(buf, snap.embeddings) and not buf.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             buf[0] = 0
-    assert loaded.snapshot().embeddings is snap.embeddings
-    loaded.update_prototype(1, np.ones(loaded.dim))  # writes no row
-    assert loaded.snapshot().embeddings is snap.embeddings
-    row = unit(np.ones(loaded.dim))
-    loaded.insert(1, row)
-    after = loaded.snapshot()
+    assert store.snapshot().embeddings is snap.embeddings
+    store.update_prototype(1, np.ones(store.dim))  # writes no row
+    assert store.snapshot().embeddings is snap.embeddings
+    before = snap.embeddings.copy()
+    row = unit(np.ones(store.dim))
+    store.insert(1, row)
+    after = store.snapshot()
     assert not np.shares_memory(after.embeddings, snap.embeddings)
+    assert np.array_equal(snap.embeddings, before)  # the shared snapshot does not change
     assert np.array_equal(class_rows(after, 1)[-1], row)
     assert np.array_equal(class_rows(after, 0), class_rows(snap, 0))
+
+
+def test_from_rows_keeps_the_buffer_and_checks_every_class():
+    rows = class_rows(cluster_store(num_classes=3, dim=4, n_per_class=6).snapshot(), 0).copy()
+    store = IdStore.from_rows(rows, [2, 0, 4], capacity=4, ema_factor=0.9)
+    assert (store.num_classes, store.dim, store.capacity, store.ema_factor) == (3, 4, 4, 0.9)
+    snap = store.snapshot()
+    assert snap.embeddings is rows and not rows.flags.writeable
+    assert snap.offsets.tolist() == [0, 2, 2, 6]
+    assert not snap.has_prototype.any()
+    bad = rows.copy()
+    bad[5, 0] += 1e-3
+    with pytest.raises(NotUnitError, match="embedding 3 norm"):  # row 3 of class 2
+        IdStore.from_rows(bad, [2, 0, 4], capacity=4)
+    assert bad.flags.writeable  # a rejected buffer is left as it was
+    bad[5, 0] = np.nan
+    with pytest.raises(NotUnitError, match="embedding 3 has non-finite"):
+        IdStore.from_rows(bad, [2, 0, 4], capacity=4)
+
+
+@pytest.mark.parametrize(
+    "counts, capacity, match",
+    [([3, 2], 4, "sum to 6"), ([2, 4], 3, "at most 3"), ([6], 6, "number of classes")],
+)
+def test_from_rows_rejects_counts_that_do_not_fit(counts, capacity, match):
+    rows = class_rows(cluster_store(num_classes=2, dim=4, n_per_class=6).snapshot(), 0).copy()
+    with pytest.raises(BadArgError, match=match):
+        IdStore.from_rows(rows, counts, capacity)
+
+
+@pytest.mark.parametrize(
+    "rows", [np.ones((4, 3), np.float32), np.ones((3, 4)).T, np.ones(12)], ids=["f32", "F", "1d"]
+)
+def test_from_rows_rejects_a_buffer_it_cannot_keep(rows):
+    with pytest.raises(BadArgError, match="C-contiguous float64"):
+        IdStore.from_rows(rows, [2, 2], capacity=2)
 
 
 def test_load_and_snapshot_copy_the_rows_about_once(tmp_path):
@@ -636,8 +687,6 @@ def sparse_store() -> IdStore:
 
 
 def test_save_writes_the_joined_record_bytes(tmp_path):
-    from oodsynth.bench import BenchConfig, generate_synthetic_id
-
     stores = {
         "stock": generate_synthetic_id(BenchConfig()),
         "d2": cluster_store(num_classes=4, dim=2, n_per_class=9, seed=5),
