@@ -107,7 +107,7 @@ def run_artifacts(tree: Path, out: Path) -> None:
 
 
 def compare_artifacts(parent_dir: Path, change_dir: Path) -> str | list[str]:
-    """"identical" when both directories digest alike, else the files that differ."""
+    """The string "identical" when both directories digest alike, else the files that differ."""
     parent, change = artifact_digests(parent_dir), artifact_digests(change_dir)
     names = parent.keys() | change.keys()
     return sorted(name for name in names if parent.get(name) != change.get(name)) or "identical"
