@@ -22,6 +22,8 @@ under ``.perfbench_tmp/`` and removed afterwards (no network is needed).
    beyond noise: won in at least 9 of 10 pairs, with the medians further
    apart than the parent's interquartile range. It also records the
    environment of the change's first run, the OpenBLAS core and ``--note``.
+4. After writing ``--out`` it exits 1, printing each problem, when any run
+   reported ``correct: false`` or the change failed a larger share of ops.
 """
 
 from __future__ import annotations
@@ -47,20 +49,31 @@ from oodsynth.digest import artifact_digests  # noqa: E402
 
 C10 = ["--dim", "128", "--points-per-class", "1000", "--cluster-kappa", "60"]
 # output directory -> the ``python -m oodsynth`` commands that fill it ("{out}" is its path)
+RUN = ["run", "--out-dir", "{out}"]
 ARTIFACT_COMMANDS = {
-    **{
-        f"run-seed{seed}": [["run", "--trace", "--seed", str(seed), "--out-dir", "{out}"]]
-        for seed in range(3)
-    },
+    "run-seed0": [
+        [*RUN, "--trace", "--seed", "0"],
+        # the run's detection metrics, recomputed from its own score file
+        ["score", "--id-scores", "{out}/scores_final.json",
+         "--ood-scores", "{out}/scores_final.json", "--out", "{out}/rescored.json"],
+    ],
+    "run-seed1": [[*RUN, "--trace", "--seed", "1"]],
+    "run-seed2": [[*RUN, "--trace", "--seed", "2"]],
+    # one iteration per other sampler, and one whose step of 1e77 MH-rejects every proposal
+    "run-random_walk": [[*RUN, "--iterations", "1", "--variant", "random_walk"]],
+    "run-mala": [[*RUN, "--iterations", "1", "--variant", "mala"]],
+    "run-empty": [[*RUN, "--iterations", "1", "--step-size", "1e77"]],
     "gen-synth": [
         ["gen", "--out", "{out}/store.idstore"],
         ["synth", "--store", "{out}/store.idstore", "--out", "{out}/batch.json"],
     ],
-    "synth": [["synth", "--out", "{out}/batch.json"]],
+    "synth": [["synth", "--out", "{out}/batch.json"], ["synth", "--out", "{out}/batch.csv"]],
+    "synth-random_walk": [["synth", "--seed", "2", "--variant", "random_walk",
+                           "--out", "{out}/batch.json", "--trace", "{out}/trace.jsonl"]],
     "c10": [
-        ["gen", *C10, "--out", "{out}/c10.idstore"],
-        ["synth", *C10, "--store", "{out}/c10.idstore", "--out", "{out}/c10.json",
-         "--trace", "{out}/c10-trace.jsonl"],
+        ["gen", *C10, "--out", "{out}/store.idstore"],
+        ["synth", *C10, "--store", "{out}/store.idstore", "--out", "{out}/batch.json",
+         "--trace", "{out}/trace.jsonl"],
     ],
 }
 MIN_WIN_SHARE = 0.9  # a gain must win at least 9 of 10 pairs
@@ -92,9 +105,14 @@ def remove_worktree(path: Path) -> None:
     _git("worktree", "prune")
 
 
-def run_artifacts(tree: Path, out: Path) -> None:
-    """Every ``ARTIFACT_COMMANDS`` entry on ``tree``'s library, into ``out/<name>``."""
-    env = os.environ | {"PYTHONPATH": str(tree / "src")}
+def run_artifacts(tree: Path, out: Path, env: dict[str, str] | None = None) -> None:
+    """Every ``ARTIFACT_COMMANDS`` entry on ``tree``'s library, into ``out/<name>``.
+
+    ``env`` is merged into each subprocess's environment; a ``PYTHONPATH``
+    there goes before ``tree``'s ``src/``.
+    """
+    path = [p for p in [(env or {}).get("PYTHONPATH"), str(tree / "src")] if p]
+    env = os.environ | (env or {}) | {"PYTHONPATH": os.pathsep.join(path)}
     for name, commands in ARTIFACT_COMMANDS.items():
         target = out / name
         target.mkdir(parents=True)
@@ -150,6 +168,22 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dic
     return json.loads(lines[-1]), json.loads(env)
 
 
+def run_problems(workload: str, results: dict[str, list[dict]]) -> list[str]:
+    """Why one workload's runs ``results[side][pair]`` reject the change: each incorrect
+    run, and a change that failed a larger share of its ops than the parent."""
+    problems = [
+        f"{workload}: the {side} run of pair {i} reported correct: false"
+        for side, runs in results.items() for i, result in enumerate(runs) if not result["correct"]
+    ]
+    share = {side: sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+             for side, runs in results.items()}
+    if share["change"] > share["parent"]:
+        pairs = [i for i, result in enumerate(results["change"]) if result["failed"]]
+        problems.append(f"{workload}: the change failed {share['change']:.3%} of its ops against"
+                        f" the parent's {share['parent']:.3%}, in pairs {pairs}")
+    return problems
+
+
 def bench_workload(
     trees: dict[str, Path], workload: str, metrics: list[dict], pairs: int, seconds: float
 ) -> tuple[dict, dict]:
@@ -171,6 +205,7 @@ def bench_workload(
         "seeds": list(range(pairs)),
         "correct": {side: all(r["correct"] for r in runs) for side, runs in results.items()},
         "failed_ops": {side: sum(r["failed"] for r in runs) for side, runs in results.items()},
+        "problems": run_problems(workload, results),
         "metrics": {},
     }
     for m in metrics:
@@ -228,7 +263,10 @@ def main(argv: list[str] | None = None) -> int:
     doc["environment"]["blas_core"] = blas.core_name()
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    problems = [line for report in doc["workloads"].values() for line in report["problems"]]
+    for line in problems:
+        print(f"rejected: {line}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -67,6 +67,11 @@ VMF_MAX_KAPPA = 1e15
 # elements per row block of sample_vmf's in-place tangent tail: a block's
 # temporaries stay near 512 KB whatever the sample count
 VMF_BLOCK_ELEMENTS = 2**16
+# entries of the largest float64 array a config may size (1 GiB): the store's
+# rows, the detector's query buffer and one class's refresh draw
+MAX_ARRAY_ENTRIES = 2**27
+# a run spawns the seed of every iteration before the first (25 MB at the bound)
+MAX_ITERATIONS = 2**16
 
 
 @dataclass
@@ -146,8 +151,23 @@ class BenchConfig:
             raise BadConfigError(f"ema_factor must lie in (0, 1), got {self.ema_factor}")
         if self.iterations < 1 or self.insert_per_class < 1:
             raise BadConfigError("iterations and insert_per_class must be >= 1")
+        if self.iterations > MAX_ITERATIONS:
+            raise BadConfigError(f"iterations must be <= {MAX_ITERATIONS}, got {self.iterations}")
         if not 1 <= self.effective_n_adj() <= self.num_classes - 1:
             raise BadConfigError(f"n_adj={self.n_adj} leaves no valid adjacent cluster")
+        C, ood = self.num_classes, self.ood
+        rows = {  # the arrays this config sizes, by their rows of ``dim`` entries
+            "num_classes x points_per_class x dim": C * self.points_per_class,
+            "(num_classes x (id_test_per_class + n_adj x rounds) + n_uniform + n_midpoint)"
+            " x dim": C * (self.id_test_per_class + self.effective_n_adj() * self.hmc.rounds)
+            + ood.n_uniform + ood.n_midpoint,
+            "insert_per_class x dim": self.insert_per_class,
+        }
+        for name, count in rows.items():
+            if count * self.dim > MAX_ARRAY_ENTRIES:
+                raise BadConfigError(
+                    f"{name} must be <= {MAX_ARRAY_ENTRIES}, got {count * self.dim}"
+                )
         if self.grad_mode != "analytic":
             raise BadConfigError(f"grad_mode must be 'analytic', got {self.grad_mode!r}")
 

@@ -1,9 +1,11 @@
 """Training losses as pure functions over embeddings and prototypes.
 
-No autodiff here: values are plain floats. The discernment loss is an
-average of log-softmax values and is therefore always <= 0; it attains
--log C exactly when every outlier is equidistant from all prototypes, and
-minimizing it pushes outliers away from every prototype.
+No autodiff here: values are plain floats. The discernment loss is
+Outlier Exposure's cross-entropy from the prototype softmax to the uniform
+assignment (Hendrycks et al., arXiv 1812.04606), the negated mean of
+log-softmax values, and is therefore always >= log C; it attains log C
+exactly when every outlier is equidistant from all prototypes, and
+minimizing it pushes outliers away from their nearest prototypes.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def ood_discernment_loss(
     outliers: np.ndarray, prototypes: np.ndarray, tau: float
 ) -> float:
-    """Mean over outliers of the mean log-softmax prototype assignment.
+    """Mean over outliers of -mean_c log p_c, p the softmax prototype assignment.
 
     outliers: (M, d) unit rows; prototypes: (C, d) unit rows; tau > 0.
     """
     outliers = np.atleast_2d(np.asarray(outliers, dtype=float))
     prototypes = np.asarray(prototypes, dtype=float)
     logits = np.einsum("md,cd->mc", outliers, prototypes) / tau
-    return float(_log_softmax(logits).mean())
+    return -float(_log_softmax(logits).mean())
 
 
 def cider_losses(

@@ -410,7 +410,7 @@ def test_criterion_8_oracle_equivalences():
         for z in outliers:
             logits = [float(z @ mu) / tau for mu in protos]
             denom = sum(math.exp(s) for s in logits)
-            want += sum(math.log(math.exp(s) / denom) for s in logits) / c
+            want -= sum(math.log(math.exp(s) / denom) for s in logits) / c
         want /= m
         assert abs(ood_discernment_loss(outliers, protos, tau) - want) <= 1e-12
         disp, comp = cider_losses(outliers, labels, protos, tau)

@@ -1,24 +1,14 @@
-import importlib.util
+import contextlib
 import json
 import shutil
-from pathlib import Path
 
 import pytest
 
+import bench_pairs
 from oodsynth.cli import main
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
-
-@pytest.fixture(scope="module")
-def bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_pair_stats_of_a_lower_is_better_metric(bench_pairs):
+def test_pair_stats_of_a_lower_is_better_metric():
     parent = [10.0, 12.0, 11.0, 13.0, 14.0]
     change = [9.0, 11.5, 11.0, 12.0, 10.0]
     got = bench_pairs.pair_stats(parent, change, "lower")
@@ -34,7 +24,7 @@ def test_pair_stats_of_a_lower_is_better_metric(bench_pairs):
     }
 
 
-def test_pair_stats_of_a_higher_is_better_metric(bench_pairs):
+def test_pair_stats_of_a_higher_is_better_metric():
     parent = [1.0, 1.1, 1.2, 1.0, 1.1, 1.0, 1.2, 1.1, 1.0, 1.1]
     change = [p + 0.5 for p in parent]
     got = bench_pairs.pair_stats(parent, change, "higher")
@@ -50,7 +40,7 @@ def test_pair_stats_of_a_higher_is_better_metric(bench_pairs):
         bench_pairs.pair_stats(parent, change, "faster")
 
 
-def test_artifacts_that_differ_only_in_timings_are_identical(bench_pairs, tmp_path):
+def test_artifacts_that_differ_only_in_timings_are_identical(tmp_path):
     parent = tmp_path / "parent" / "run"
     assert main(["run", "--iterations", "1", "--out-dir", str(parent)]) == 0
     change = tmp_path / "change" / "run"
@@ -62,3 +52,38 @@ def test_artifacts_that_differ_only_in_timings_are_identical(bench_pairs, tmp_pa
     (parent / "scores_final.json").unlink()
     got = bench_pairs.compare_artifacts(parent.parent, change.parent)
     assert got == ["run/metrics.csv", "run/scores_final.json"]
+
+
+def _result(correct=True, failed=0):
+    """A ``perfbench/run.py`` result of ten ops, every end-to-end metric 1.0."""
+    names = ("setup_s", "op_s_p50", "cpu_s_p50", "items_per_s", "peak_rss_mb")
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {name: {"value": 1.0} for name in names}}
+
+
+@pytest.mark.parametrize(
+    "wrong, want",
+    [
+        ({}, []),
+        ({("train_loop", "parent", 1): _result(correct=False)},
+         ["train_loop: the parent run of pair 1 reported correct: false"]),
+        ({("synth_d128", "change", 0): _result(failed=2)},  # failed ops yet correct: true
+         ["synth_d128: the change failed 10.000% of its ops against the parent's 0.000%,"
+          " in pairs [0]"]),
+    ],
+)
+def test_a_wrong_run_exits_1_after_writing_the_results(monkeypatch, tmp_path, capsys, wrong, want):
+    monkeypatch.setattr(bench_pairs, "parent_tree", lambda rev: contextlib.nullcontext("parent"))
+    monkeypatch.setattr(bench_pairs, "run_artifacts", lambda tree, out: None)
+    monkeypatch.setattr(bench_pairs, "compare_artifacts", lambda parent, change: "identical")
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "bench_run", lambda tree, workload, seed, seconds: (
+        wrong.get((workload, "parent" if tree == "parent" else "change", seed), _result()), {}
+    ))
+    out = tmp_path / "BENCH.json"
+    argv = ["--base", "HEAD", "--pairs", "2", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == (1 if want else 0)
+    doc = json.loads(out.read_text())
+    assert [line for report in doc["workloads"].values() for line in report["problems"]] == want
+    assert [line[10:] for line in capsys.readouterr().err.splitlines()
+            if line.startswith("rejected: ")] == want

@@ -1,51 +1,23 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import oodsynth
 from oodsynth.cli import main
 from oodsynth.digest import artifact_digests, combined_digest
 
-SRC = Path(oodsynth.__file__).resolve().parents[1]
 
-
-def stock_run(out: Path, *flags: str) -> Path:
-    assert main(["run", "--trace", "--out-dir", str(out), *flags]) == 0
-    return out
-
-
-def digest_lines(directory: Path, capsys) -> list[str]:
+def test_digest_prints_one_sorted_line_per_artifact_then_one_over_all(tmp_path, capsys):
+    # that reruns, BLAS threads and kernels give one digest, and another seed
+    # another, is asserted by tests/test_cli_contract.py
+    assert main(["run", "--trace", "--iterations", "1", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert main(["digest", str(directory)]) == 0
-    return capsys.readouterr().out.splitlines()
-
-
-def test_two_reruns_of_a_stock_run_give_one_digest_and_another_seed_another(tmp_path, capsys):
-    a = digest_lines(stock_run(tmp_path / "a"), capsys)
-    b = digest_lines(stock_run(tmp_path / "b"), capsys)
-    assert a == b  # config.json names another out_dir, and timings.json differs
-    names = [line.split("  ", 1)[1] for line in a[:-1]]
+    assert main(["digest", str(tmp_path)]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    digests = dict(reversed(line.split("  ", 1)) for line in lines)
+    names = list(digests)
     assert names == sorted(names) and "timings.json" not in names and "config.json" in names
-    assert a[-1].endswith(f"(all {len(names)} artifacts)")
-    other = digest_lines(stock_run(tmp_path / "c", "--seed", "1"), capsys)
-    assert other[-1] != a[-1]
-
-
-def test_one_and_two_blas_threads_give_one_digest(tmp_path):
-    outputs = []
-    for threads in ("1", "2"):
-        env = os.environ | {"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
-        out = tmp_path / f"threads-{threads}"
-        run = [sys.executable, "-m", "oodsynth", "run", "--iterations", "3", "--out-dir", str(out)]
-        subprocess.run(run, env=env, check=True, capture_output=True, timeout=300)
-        digest = [sys.executable, "-m", "oodsynth", "digest", str(out)]
-        done = subprocess.run(digest, env=env, check=True, capture_output=True, text=True)
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    assert digests == artifact_digests(tmp_path)
+    assert last == f"{combined_digest(digests)}  (all {len(names)} artifacts)"
 
 
 def test_only_the_ignored_bytes_leave_the_digest_alone(tmp_path):

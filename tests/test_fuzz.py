@@ -45,7 +45,8 @@ BASE = {
 }
 
 # fields that set how much is allocated or run: (smallest valid, largest drawn);
-# a large valid value would run for minutes, so none is drawn
+# a large valid value would run for minutes, so none is drawn; OVERSIZED ones, past
+# every bound, are drawn for each field but leapfrog_steps, which sizes no array
 SIZE_FIELDS = {
     "dim": (2, 6),
     "num_classes": (2, 4),
@@ -58,6 +59,7 @@ SIZE_FIELDS = {
     "n_uniform": (0, 20),
     "n_midpoint": (0, 20),
 }
+OVERSIZED = (2**40, 2**63)
 # the edges of every other numeric field's valid range
 INT_BOUNDS = {"seed": (0,), "rng_seed": (0,), "knn_k": (1,), "k_detect": (1,), "n_adj": (1,)}
 FLOAT_BOUNDS = {
@@ -92,7 +94,10 @@ def _values(name: str) -> st.SearchStrategy:
     wrong = st.sampled_from(WRONG_TYPES)
     if name in SIZE_FIELDS:
         low, high = SIZE_FIELDS[name]
-        return st.one_of(st.integers(low, high), st.integers(low - 3, low - 1), wrong)
+        sizes = [st.integers(low, high), st.integers(low - 3, low - 1), wrong]
+        if name != "leapfrog_steps":
+            sizes.append(st.sampled_from(OVERSIZED))
+        return st.one_of(*sizes)
     if name in INT_BOUNDS:
         (low,) = INT_BOUNDS[name]
         return st.one_of(

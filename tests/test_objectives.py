@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from oodsynth.objectives import (
@@ -25,7 +27,7 @@ def oracle_discernment(outliers, prototypes, tau):
     for z in outliers:
         logits = [float(z @ mu) / tau for mu in prototypes]
         denom = sum(math.exp(s) for s in logits)
-        total += sum(math.log(math.exp(s) / denom) for s in logits) / C
+        total -= sum(math.log(math.exp(s) / denom) for s in logits) / C
     return total / M
 
 
@@ -48,7 +50,7 @@ def oracle_cider(embeddings, labels, prototypes, tau):
 def scipy_discernment(outliers, prototypes, tau):
     """``ood_discernment_loss`` as it was written on scipy's ``logsumexp``, kept as its oracle."""
     logits = outliers @ prototypes.T / tau
-    return float((logits - logsumexp(logits, axis=-1, keepdims=True)).mean())
+    return -float((logits - logsumexp(logits, axis=-1, keepdims=True)).mean())
 
 
 def scipy_cider(embeddings, labels, prototypes, tau):
@@ -68,13 +70,14 @@ def scipy_cider(embeddings, labels, prototypes, tau):
 def test_equidistant_outlier_gives_neg_log_C():
     prototypes = np.eye(4)[:3]
     z = normalize(np.array([0.0, 0.0, 0.0, 1.0]))  # orthogonal to every prototype
-    assert np.isclose(ood_discernment_loss(z[None], prototypes, tau=0.5), -math.log(3), rtol=1e-12)
+    # the mean log-softmax, whose negation is the loss
+    assert np.isclose(-ood_discernment_loss(z[None], prototypes, tau=0.5), -math.log(3), rtol=1e-12)
 
 
 def test_two_prototype_closed_form():
     prototypes = np.eye(2)
     z = np.array([1.0, 0.0])
-    want = 0.5 * (math.log(math.e / (math.e + 1)) + math.log(1 / (math.e + 1)))
+    want = -0.5 * (math.log(math.e / (math.e + 1)) + math.log(1 / (math.e + 1)))
     assert np.isclose(ood_discernment_loss(z[None], prototypes, tau=1.0), want, rtol=1e-12)
 
 
@@ -89,13 +92,48 @@ def test_discernment_matches_direct_summation():
 
 
 def test_discernment_nonpositive_and_max_at_equidistant():
+    # the mean log-softmax is nonpositive and at most -log C, so the loss, its
+    # negation, is at least log C and least at equidistance
     rng = np.random.default_rng(1)
     for _ in range(20):
         outliers = random_unit_rows(5, 6, rng)
         prototypes = random_unit_rows(3, 6, rng)
-        value = ood_discernment_loss(outliers, prototypes, tau=0.5)
+        value = -ood_discernment_loss(outliers, prototypes, tau=0.5)
         assert value <= 0.0
         assert value <= -math.log(3) + 1e-12
+
+
+def _descent_step(f, x: np.ndarray, size: float = 1e-3, h: float = 1e-6) -> np.ndarray:
+    """The unit rows of x after a step of length ``size`` down f's central-difference gradient."""
+    steps = h * np.eye(x.size).reshape(x.size, *x.shape)
+    grad = np.array([f(x + e) - f(x - e) for e in steps]).reshape(x.shape) / (2 * h)
+    y = x - size * grad / np.linalg.norm(grad)
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
+
+
+def _mean_nearest_angle(outliers: np.ndarray, prototypes: np.ndarray) -> float:
+    cosines = np.clip(np.einsum("md,cd->mc", outliers, prototypes).max(axis=1), -1.0, 1.0)
+    return float(np.degrees(np.arccos(cosines)).mean())
+
+
+@pytest.mark.parametrize("moved", ["outliers", "prototypes"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 16), classes=st.integers(2, 10))
+def test_a_descent_step_of_the_discernment_term_raises_the_nearest_prototype_angle(
+    moved, seed, dim, classes
+):
+    # the loss as the objective adds it; the mean log-softmax pulled outliers onto a
+    # prototype. d >= 3: on the circle a step off one prototype can near the next
+    rng = np.random.default_rng(seed)
+    rows = {"outliers": random_unit_rows(32, dim, rng),
+            "prototypes": random_unit_rows(classes, dim, rng)}
+
+    def objective(x):
+        args = rows | {moved: x}
+        return combined_objective(1.0, ood_discernment_loss(**args, tau=0.5), 0.1)
+
+    after = rows | {moved: _descent_step(objective, rows[moved])}
+    assert _mean_nearest_angle(**after) > _mean_nearest_angle(**rows)
 
 
 # -- CIDER losses ----------------------------------------------------------------
