@@ -1,6 +1,7 @@
 """Benchmark a change against a parent revision in alternating pairs.
 
     python3 scripts/bench_pairs.py --base REV --pairs 10 --seconds 20 --out BENCH_36.json
+    python3 scripts/bench_pairs.py --base REV --pairs 0 --out artifacts.json
 
 Run from the root of a source checkout. The change is this checkout's
 working tree; the parent is REV, checked out with ``git worktree add``
@@ -24,6 +25,10 @@ under ``.perfbench_tmp/`` and removed afterwards (no network is needed).
    environment of the change's first run, the OpenBLAS core and ``--note``.
 4. After writing ``--out`` it exits 1, printing each problem, when any run
    reported ``correct: false`` or the change failed a larger share of ops.
+
+With ``--pairs 0`` it runs step 1 alone: ``--out`` holds the artifacts
+report and no workload (``"workloads": {}``), ``--seconds`` is not needed,
+and it exits 0.
 """
 
 from __future__ import annotations
@@ -223,13 +228,13 @@ def bench_workload(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent revision")
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True, help="per run.py run")
+    parser.add_argument("--pairs", type=int, required=True, help="0 compares artifacts alone")
+    parser.add_argument("--seconds", type=float, help="per run.py run; needed with pairs")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<PR>.json to write")
     parser.add_argument("--note", default=None, help="a remark recorded with the results")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("need --pairs >= 1 and --seconds > 0")
+    if args.pairs < 0 or (args.pairs > 0 and (args.seconds is None or args.seconds <= 0)):
+        parser.error("need --pairs >= 0, and --seconds > 0 with pairs")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     doc = {
         "base": {"rev": args.base, "commit": _git("rev-parse", args.base)},
@@ -254,13 +259,13 @@ def main(argv: list[str] | None = None) -> int:
             shutil.rmtree(out, ignore_errors=True)
         print(f"artifacts: {doc['artifacts']}", file=sys.stderr, flush=True)
         doc["workloads"] = {}
-        for workload in benchmark["workloads"]:
+        for workload in benchmark["workloads"] if args.pairs else []:
             name = workload["name"]
             doc["workloads"][name], env = bench_workload(
                 trees, name, benchmark["end_to_end"], args.pairs, args.seconds
             )
             doc.setdefault("environment", env)
-    doc["environment"]["blas_core"] = blas.core_name()
+    doc.setdefault("environment", {})["blas_core"] = blas.core_name()
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     problems = [line for report in doc["workloads"].values() for line in report["problems"]]

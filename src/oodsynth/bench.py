@@ -68,7 +68,7 @@ VMF_MAX_KAPPA = 1e15
 # temporaries stay near 512 KB whatever the sample count
 VMF_BLOCK_ELEMENTS = 2**16
 # entries of the largest float64 array a config may size (1 GiB): the store's
-# rows, the detector's query buffer and one class's refresh draw
+# rows, the detector's query buffer and the refresh draw
 MAX_ARRAY_ENTRIES = 2**27
 # a run spawns the seed of every iteration before the first (25 MB at the bound)
 MAX_ITERATIONS = 2**16
@@ -161,7 +161,7 @@ class BenchConfig:
             "(num_classes x (id_test_per_class + n_adj x rounds) + n_uniform + n_midpoint)"
             " x dim": C * (self.id_test_per_class + self.effective_n_adj() * self.hmc.rounds)
             + ood.n_uniform + ood.n_midpoint,
-            "insert_per_class x dim": self.insert_per_class,
+            "num_classes x insert_per_class x dim": C * self.insert_per_class,
         }
         for name, count in rows.items():
             if count * self.dim > MAX_ARRAY_ENTRIES:
@@ -298,6 +298,16 @@ def _vmf_cosines(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.n
     return ws
 
 
+def _vmf_blocks(centers: np.ndarray, kappa: float, counts, rng: np.random.Generator) -> np.ndarray:
+    """One (sum(counts), d) array of ``counts[i]`` vMF draws around ``centers[i]``, in order,
+    each drawn into its rows by one ``sample_vmf`` call (a zero count draws nothing)."""
+    stops = np.cumsum(counts)
+    rows = np.empty((int(stops[-1]), centers.shape[1]))
+    for center, n, stop in zip(centers, counts, stops):
+        sample_vmf(center, kappa, int(n), rng, out=rows[stop - n : stop])
+    return rows
+
+
 def _cluster_centers(cfg: BenchConfig) -> np.ndarray:
     proto_seed, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     return uniform_sphere(cfg.num_classes, cfg.dim, np.random.default_rng(proto_seed))
@@ -307,8 +317,8 @@ def _refresh(
     store: IdStore, centers: np.ndarray, kappa: float, n: int, rng: np.random.Generator
 ) -> None:
     """Insert n vMF draws around each center into its class, then EMA-update the prototype."""
-    for c, center in enumerate(centers):
-        points = sample_vmf(center, kappa, n, rng)
+    rows = _vmf_blocks(centers, kappa, [n] * len(centers), rng)
+    for c, points in enumerate(np.split(rows, len(centers))):
         store.insert(c, points)
         store.update_prototype(c, points.mean(axis=0))
 
@@ -316,19 +326,15 @@ def _refresh(
 def generate_synthetic_id(cfg: BenchConfig) -> IdStore:
     """Seeded synthetic store: uniform prototypes, vMF clusters, full buffers.
 
-    Class c is drawn straight into rows ``c*n:(c+1)*n`` of the one (C*n, d)
-    buffer that ``IdStore.from_rows`` keeps and the snapshot hands out, and
-    its prototype is set from that slice's mean.
+    The classes are drawn into the one buffer that ``IdStore.from_rows``
+    keeps and the snapshot hands out; each prototype is its class's mean.
     """
     _, data_seed = np.random.SeedSequence(cfg.seed).spawn(2)
-    data_rng = np.random.default_rng(data_seed)
-    n = cfg.points_per_class
-    rows = np.empty((cfg.num_classes * n, cfg.dim))
-    classes = [rows[c * n : (c + 1) * n] for c in range(cfg.num_classes)]
-    for center, points in zip(_cluster_centers(cfg), classes):
-        sample_vmf(center, cfg.cluster_kappa, n, data_rng, out=points)
-    store = IdStore.from_rows(rows, [n] * cfg.num_classes, n, cfg.ema_factor)
-    for c, points in enumerate(classes):
+    counts = [cfg.points_per_class] * cfg.num_classes
+    rng = np.random.default_rng(data_seed)
+    rows = _vmf_blocks(_cluster_centers(cfg), cfg.cluster_kappa, counts, rng)
+    store = IdStore.from_rows(rows, counts, cfg.points_per_class, cfg.ema_factor)
+    for c, points in enumerate(np.split(rows, cfg.num_classes)):
         store.update_prototype(c, points.mean(axis=0))
     return store
 
@@ -340,21 +346,15 @@ def make_ood_test_set(cfg: BenchConfig, store: IdStore, rng: np.random.Generator
     the snapshot's ``pair_table``; an antipodal pair, which has no
     midpoint, is an AntipodalPrototypesError.
     """
-    parts = []
-    if cfg.ood.n_uniform > 0:
-        parts.append(uniform_sphere(cfg.ood.n_uniform, cfg.dim, rng))
-    if cfg.ood.n_midpoint > 0:
-        pairs, midpoints, antipodal = store.snapshot().pair_table(cfg.effective_n_adj())
-        if antipodal.any():
-            u, v = pairs[antipodal][0].tolist()
-            raise AntipodalPrototypesError(f"prototypes of classes {u} and {v} are antipodal")
-        counts = np.bincount(
-            np.arange(cfg.ood.n_midpoint) % len(midpoints), minlength=len(midpoints)
-        )
-        for b, cnt in zip(midpoints, counts):
-            if cnt:
-                parts.append(sample_vmf(b, cfg.ood.midpoint_kappa, int(cnt), rng))
-    return np.concatenate(parts, axis=0)
+    uniform = uniform_sphere(cfg.ood.n_uniform, cfg.dim, rng)  # n_uniform = 0 draws nothing
+    if cfg.ood.n_midpoint == 0:
+        return uniform
+    pairs, midpoints, antipodal = store.snapshot().pair_table(cfg.effective_n_adj())
+    if antipodal.any():
+        u, v = pairs[antipodal][0].tolist()
+        raise AntipodalPrototypesError(f"prototypes of classes {u} and {v} are antipodal")
+    counts = np.bincount(np.arange(cfg.ood.n_midpoint) % len(midpoints), minlength=len(midpoints))
+    return np.concatenate([uniform, _vmf_blocks(midpoints, cfg.ood.midpoint_kappa, counts, rng)])
 
 
 # -- experiment loop --------------------------------------------------------
@@ -382,6 +382,18 @@ def _synthesize(cfg: BenchConfig, snapshot: IdSnapshot, hmc: HmcConfig) -> Outli
     )
 
 
+def build_inputs(cfg: BenchConfig) -> tuple:
+    """The run's fixed inputs: (store, class centres, ID test set, its labels, OOD test set)."""
+    store = generate_synthetic_id(cfg)
+    centers = _cluster_centers(cfg)
+    id_test_seed, ood_seed = np.random.SeedSequence(cfg.seed + 1).spawn(2)
+    counts = [cfg.id_test_per_class] * cfg.num_classes
+    id_test = _vmf_blocks(centers, cfg.cluster_kappa, counts, np.random.default_rng(id_test_seed))
+    id_labels = np.repeat(np.arange(cfg.num_classes), cfg.id_test_per_class)
+    ood_test = make_ood_test_set(cfg, store, np.random.default_rng(ood_seed))
+    return store, centers, id_test, id_labels, ood_test
+
+
 def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResult]:
     """Execute the full loop for ``cfg.iterations`` iterations.
 
@@ -390,19 +402,8 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
     """
     if cfg.out_dir:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    store = generate_synthetic_id(cfg)
-    centers = _cluster_centers(cfg)
-    ss = np.random.SeedSequence(cfg.seed + 1)
-    id_test_seed, ood_seed, *iter_seeds = ss.spawn(2 + cfg.iterations)
-    id_rng = np.random.default_rng(id_test_seed)
-    id_test = np.concatenate(
-        [
-            sample_vmf(centers[c], cfg.cluster_kappa, cfg.id_test_per_class, id_rng)
-            for c in range(cfg.num_classes)
-        ]
-    )
-    id_labels = np.repeat(np.arange(cfg.num_classes), cfg.id_test_per_class)
-    ood_test = make_ood_test_set(cfg, store, np.random.default_rng(ood_seed))
+    store, centers, id_test, id_labels, ood_test = build_inputs(cfg)
+    iter_seeds = np.random.SeedSequence(cfg.seed + 1).spawn(2 + cfg.iterations)[2:]
     # the detector scores both test sets and each batch in one call; one
     # buffer holds the test sets and room for the largest batch (a row per
     # chain and round), so no iteration copies the test sets
@@ -415,9 +416,8 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
 
     results: list[IterationResult] = []
     try:
-        for t in range(1, cfg.iterations + 1):
-            iter_rng = np.random.default_rng(iter_seeds[t - 1])
-            _refresh(store, centers, cfg.cluster_kappa, cfg.insert_per_class, iter_rng)
+        for t, rng in enumerate(map(np.random.default_rng, iter_seeds), start=1):
+            _refresh(store, centers, cfg.cluster_kappa, cfg.insert_per_class, rng)
             snapshot = store.snapshot()
             hmc_cfg = dataclasses.replace(cfg.hmc, rng_seed=cfg.hmc.rng_seed + t - 1)
             t0 = time.perf_counter()
@@ -425,10 +425,8 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
             synth_ms = (time.perf_counter() - t0) * 1000.0
             prototypes = snapshot.prototypes
             positions = batch.samples.position
-            if len(batch):
-                ood_disc = ood_discernment_loss(positions, prototypes, tau)
-            else:
-                ood_disc = 0.0  # empty batch: the discernment term is skipped
+            empty = not len(batch)  # no score and no discernment loss: empty cells, not nan or 0
+            ood_disc = None if empty else ood_discernment_loss(positions, prototypes, tau)
             l_disp, l_comp = cider_losses(id_test, id_labels, prototypes, tau)
             reference = snapshot.embeddings
             k_det = min(cfg.k_detect, reference.shape[0])
@@ -444,15 +442,16 @@ def run_experiment(cfg: BenchConfig, trace: bool = False) -> list[IterationResul
                 "iteration": t,
                 "batch_size": len(batch),
                 **round_summary(batch),
-                # an empty batch has no score: None writes an empty cell, not nan
-                "batch_score_mean": float(batch_scores.mean()) if len(batch) else None,
-                "batch_score_std": float(batch_scores.std()) if len(batch) else None,
+                "batch_score_mean": None if empty else float(batch_scores.mean()),
+                "batch_score_std": None if empty else float(batch_scores.std()),
                 **report.to_dict(include_scores=False),
                 **dataclasses.asdict(quality),
                 "ood_disc_loss": ood_disc,
                 "dispersion_loss": l_disp,
                 "compactness_loss": l_comp,
-                "combined_objective": combined_objective(l_disp + l_comp, ood_disc, cfg.lambda_d),
+                "combined_objective": (
+                    None if empty else combined_objective(l_disp + l_comp, ood_disc, cfg.lambda_d)
+                ),
             }
             results.append(IterationResult(row, batch, report, batch_scores, synth_ms, score_ms))
     finally:

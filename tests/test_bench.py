@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from oodsynth.bench import (
     SWEEP_COLUMNS,
     OodTestSpec,
     ablation_sweep,
+    build_inputs,
     diversity_stds,
     generate_synthetic_id,
     make_ood_test_set,
@@ -294,7 +296,10 @@ def test_runs_at_the_loss_kappa_and_step_size_bounds_are_finite(variant):
     cfg = BenchConfig(iterations=1, loss_kappa=VMF_MAX_KAPPA, lambda_d=VMF_MAX_KAPPA, hmc=hmc)
     (res,) = run_experiment(cfg)
     losses = ("ood_disc_loss", "dispersion_loss", "compactness_loss", "combined_objective")
-    assert all(math.isfinite(res.row[name]) for name in losses)
+    # HMC and MALA reject every step this long: an empty batch has no discernment loss
+    absent = () if len(res.batch) else ("ood_disc_loss", "combined_objective")
+    assert all(res.row[name] is None if name in absent else math.isfinite(res.row[name])
+               for name in losses)
     assert round_summary(res.batch)["degenerate_rejections"] == 0
     with pytest.raises(BadConfigError, match="loss_kappa"):
         dataclasses.replace(cfg, loss_kappa=math.nextafter(VMF_MAX_KAPPA, math.inf))
@@ -405,9 +410,9 @@ def test_ood_test_set_blobs_sit_at_the_chain_starts(monkeypatch):
     store = generate_synthetic_id(cfg)
     centers = []
 
-    def record(mu, kappa, n, rng):
+    def record(mu, kappa, n, rng, out=None):
         centers.append(mu)
-        return sample_vmf(mu, kappa, n, rng)
+        return sample_vmf(mu, kappa, n, rng, out=out)
 
     monkeypatch.setattr(bench, "sample_vmf", record)
     ood = make_ood_test_set(cfg, store, np.random.default_rng(0))
@@ -415,6 +420,43 @@ def test_ood_test_set_blobs_sit_at_the_chain_starts(monkeypatch):
     batch = synthesize_batch(store.snapshot(), cfg.hmc, k=5, delta=0.1, kappa=2.0, n_adj=3)
     assert len(centers) == len(batch.chains) == 15
     assert np.array_equal(np.array(centers), batch.chains.start)
+
+
+# sha256 prefixes of the stock run's inputs at seed 0 and of its store after the
+# first refresh; the draw order of ``sample_vmf`` is the data contract, so only
+# a change that reorders its draws on purpose re-records them
+STOCK_INPUTS = {
+    "store": "912c345352eb05a9",
+    "prototypes": "e809dafe97a07873",
+    "centers": "1ac911ee33d69c7b",
+    "id_test": "c866428d730561d0",
+    "id_labels": "bbdaed34ddb84891",
+    "ood_test": "4f6e880adcf27146",
+    "refreshed store": "3b32f468de8c6059",
+    "refreshed prototypes": "0bab9d4302e0ce64",
+}
+
+
+@pytest.mark.parametrize(
+    "ood, changed",
+    [
+        (OodTestSpec(), {}),
+        # 7 blobs over 40 midpoints: most midpoints draw no point
+        (OodTestSpec(n_midpoint=7), {"ood_test": "74a9572f77a46a3f"}),
+    ],
+)
+def test_the_run_inputs_keep_their_bits(ood, changed):
+    cfg = BenchConfig(ood=ood)
+    store, centers, id_test, id_labels, ood_test = build_inputs(cfg)
+    arrays = {"store": store.snapshot().embeddings, "prototypes": store.snapshot().prototypes,
+              "centers": centers, "id_test": id_test, "id_labels": id_labels, "ood_test": ood_test}
+    first_seed = np.random.SeedSequence(cfg.seed + 1).spawn(3)[2]  # iteration 1's, as the run spawns it
+    bench._refresh(store, centers, cfg.cluster_kappa, cfg.insert_per_class,
+                   np.random.default_rng(first_seed))
+    arrays["refreshed store"] = store.snapshot().embeddings
+    arrays["refreshed prototypes"] = store.snapshot().prototypes
+    got = {name: hashlib.sha256(a.tobytes()).hexdigest()[:16] for name, a in arrays.items()}
+    assert got == STOCK_INPUTS | changed
 
 
 def test_ood_test_set_raises_on_an_antipodal_pair():
@@ -610,6 +652,9 @@ def test_run_with_an_empty_batch_writes_empty_batch_score_cells(tmp_path):
     with open(tmp_path / "metrics.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert row["batch_score_mean"] == row["batch_score_std"] == ""
+    # no discernment loss either: a 0 would read below every real batch's, at least log C
+    assert row["ood_disc_loss"] == row["combined_objective"] == ""
+    assert res.row["ood_disc_loss"] is res.row["combined_objective"] is None
     assert not (tmp_path / "round_scores.csv").exists()
 
 

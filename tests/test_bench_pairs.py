@@ -87,3 +87,26 @@ def test_a_wrong_run_exits_1_after_writing_the_results(monkeypatch, tmp_path, ca
     assert [line for report in doc["workloads"].values() for line in report["problems"]] == want
     assert [line[10:] for line in capsys.readouterr().err.splitlines()
             if line.startswith("rejected: ")] == want
+
+
+@pytest.mark.parametrize("seconds", [[], ["--seconds", "-1"]])
+def test_no_pairs_compares_the_artifacts_alone(monkeypatch, tmp_path, seconds):
+    ran = []
+    monkeypatch.setattr(bench_pairs, "parent_tree", lambda rev: contextlib.nullcontext("parent"))
+    monkeypatch.setattr(bench_pairs, "run_artifacts", lambda tree, out: ran.append(tree))
+    monkeypatch.setattr(bench_pairs, "compare_artifacts", lambda parent, change: ["a/metrics.csv"])
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "")
+    monkeypatch.setattr(bench_pairs, "bench_run", lambda *args: pytest.fail("ran a benchmark"))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--base", "HEAD", "--pairs", "0", "--out", str(out), *seconds]) == 0
+    doc = json.loads(out.read_text())
+    assert ran == ["parent", bench_pairs.ROOT]
+    assert doc["artifacts"] == ["a/metrics.csv"] and doc["workloads"] == {}
+
+
+@pytest.mark.parametrize("argv", [["--pairs", "-1"], ["--pairs", "1"],
+                                  ["--pairs", "1", "--seconds", "0"]])
+def test_negative_pairs_and_pairs_without_seconds_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--base", "HEAD", "--out", str(tmp_path / "BENCH.json"), *argv])
+    assert exc.value.code == 2 and not (tmp_path / "BENCH.json").exists()

@@ -15,6 +15,7 @@ and what a sweep and the diversity script write.
 import csv
 import hashlib
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,11 @@ ENVIRONMENTS = {
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """environment name -> the directory the command list wrote under it, run on first use."""
+    """environment name -> the directory the command list wrote under it, run on first use.
+
+    A list that failed is not run again: every later test of that environment
+    fails with the first run's error.
+    """
     shadow, made = tmp_path_factory.mktemp("shadow"), {}
     (shadow / "scipy").mkdir()
     (shadow / "scipy" / "__init__.py").write_text('raise ImportError("no scipy here")\n')
@@ -46,8 +51,14 @@ def artifacts(tmp_path_factory):
             pytest.skip("no OpenBLAS found, so no kernel can be chosen")
         if name not in made:
             out = tmp_path_factory.mktemp(name)
-            bench_pairs.run_artifacts(bench_pairs.ROOT, out, numpy_only | ENVIRONMENTS[name])
-            made[name] = out
+            try:
+                bench_pairs.run_artifacts(bench_pairs.ROOT, out, numpy_only | ENVIRONMENTS[name])
+            except subprocess.CalledProcessError as err:
+                made[name] = err
+            else:
+                made[name] = out
+        if isinstance(made[name], subprocess.CalledProcessError):
+            pytest.fail(f"the command list failed under {name}: {made[name]}", pytrace=False)
         return made[name]
 
     return get
@@ -85,8 +96,9 @@ def test_no_metrics_cell_reads_nan(out):
         with open(run / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all("nan" not in row.values() for row in rows), run.name
-        if run.name == "run-empty":  # its batch has no score, so its score cells are empty
-            assert [(r["batch_size"], r["batch_score_mean"]) for r in rows] == [("0", "")]
+        if run.name == "run-empty":  # its batch has no score and no loss, so those cells are empty
+            cells = ("batch_size", "batch_score_mean", "ood_disc_loss", "combined_objective")
+            assert [tuple(r[c] for c in cells) for r in rows] == [("0", "", "", "")]
 
 
 def test_the_rescored_metrics_equal_the_runs_own(out):
